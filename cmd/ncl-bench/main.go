@@ -1,10 +1,11 @@
 // ncl-bench regenerates the full evaluation of EXPERIMENTS.md: one table
-// per table-driven experiment (E1-E9, E11-E17) of DESIGN.md §4. Each
+// per table-driven experiment (E1-E9, E11-E18) of DESIGN.md §4. Each
 // experiment exercises a claim of the paper (programmability, in-network
 // aggregation wins, cache load absorption, window economics, protocol
 // overhead, compiler feasibility, backend portability, recirculation
 // cost, data-path concurrency, switch data-plane compilation,
-// exactly-once reliability under faults, topology-aware placement). E10
+// exactly-once reliability under faults, telemetry cost, fabric batching,
+// topology-aware placement, fat-tree scale, tenant isolation). E10
 // (reliable transport) lives in the Go benchmarks
 // (`go test -bench ReliableLossy`).
 //
@@ -34,7 +35,7 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment (E1..E9, E11..E17)")
+	only := flag.String("only", "", "run a single experiment (E1..E9, E11..E18)")
 	snapshot := flag.String("snapshot", "", "write the tables that ran to this file as JSON")
 	baseline := flag.String("baseline", "", "compare ns/window against this snapshot and fail on regression")
 	maxRegress := flag.Float64("max-regress", 25, "allowed ns/window regression vs -baseline, percent")
@@ -57,6 +58,7 @@ func main() {
 		{"E11", bench.E11DataPath},
 		{"E12", bench.E12SwitchPath},
 		{"E13", bench.E13LossyReliable},
+		{"E13", bench.E13ReliableGoodput},
 		{"E14", bench.E14Telemetry},
 		{"E15", bench.E15Fabric},
 		{"E16", bench.E16Placement},

@@ -65,7 +65,7 @@ func main() {
 	dest := flag.String("dest", "", "end-to-end mode: destination label (default: last host in the AND)")
 	reliable := flag.Bool("reliable", false, "end-to-end mode: send through the reliable sliding-window transport")
 	relWindow := flag.Int("rel-window", 0, "reliable transport: max windows in flight (0 = default 32)")
-	relTimeout := flag.Duration("rel-timeout", 0, "reliable transport: first-attempt retransmit timeout (0 = default 20ms)")
+	relTimeout := flag.Duration("rel-timeout", 0, "reliable transport: initial RTO, adapted from measured ack RTT (0 = default 20ms)")
 	relRetries := flag.Int("rel-retries", 0, "reliable transport: retransmits per window (0 = default 5)")
 	workers := flag.Int("workers", 0, "host send workers for Out (0 = GOMAXPROCS, 1 = serial deterministic order)")
 	execWorkers := flag.Int("exec-workers", 0, "switch pipeline workers per device (0/1 = serial in-order execution)")

@@ -324,7 +324,7 @@ func AllExperiments() ([]*Table, error) {
 	runs := []func() (*Table, error){
 		E1Complexity, E2AllReduce, E3KVS, E4WindowSweep,
 		E5NCP, E6Compile, E7Backends, E8Recirc, E9Hierarchy,
-		E11DataPath, E12SwitchPath, E13LossyReliable,
+		E11DataPath, E12SwitchPath, E13LossyReliable, E13ReliableGoodput,
 		E14Telemetry, E15Fabric, E16Placement, E17Scale,
 		E18Tenancy,
 	}

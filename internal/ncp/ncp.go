@@ -44,8 +44,10 @@ const (
 	// FlagAckRequest asks the destination host's runtime to acknowledge
 	// the window (the reliable-delivery extension; see runtime.OutReliable).
 	FlagAckRequest = 1 << 2
-	// FlagAck marks an acknowledgment: no payload, same wid/seq as the
-	// acknowledged window. Switches forward acks without executing kernels.
+	// FlagAck marks an acknowledgment for windows of invocation Wid
+	// starting at WindowSeq. An empty payload acknowledges exactly that
+	// window; an 8-byte payload is a bitmap of the 63 windows after it
+	// (see AckRange). Switches forward acks without executing kernels.
 	FlagAck = 1 << 3
 	// FlagTrace marks a window carrying in-band hop records (the
 	// observability extension over the §4.2 user-field space): every host
@@ -116,6 +118,34 @@ type Header struct {
 	BatchCount uint8  // windows in this packet (0/1 = one; §4.2: "a packet can carry one or more windows"); consecutive seqs starting at WindowSeq
 	Checksum   uint16
 	PayloadLen uint16
+}
+
+// AckSpan is how many consecutive windows one acknowledgment can cover:
+// the base window in the header plus the 63 bitmap bits.
+const AckSpan = 64
+
+// AppendAckRange encodes the payload of an acknowledgment whose header
+// names the base window: bit i of more acknowledges window base+1+i.
+// more == 0 encodes as the empty payload, so a single-window ack is the
+// degenerate range.
+func AppendAckRange(dst []byte, more uint64) []byte {
+	if more == 0 {
+		return dst
+	}
+	return binary.BigEndian.AppendUint64(dst, more)
+}
+
+// AckRange decodes an acknowledgment's payload into the bitmap of
+// windows acknowledged beyond the base one. Any length but 0 or 8 is
+// malformed.
+func AckRange(payload []byte) (more uint64, ok bool) {
+	switch len(payload) {
+	case 0:
+		return 0, true
+	case 8:
+		return binary.BigEndian.Uint64(payload), true
+	}
+	return 0, false
 }
 
 // ErrNotNCP reports a packet that is not NCP traffic.

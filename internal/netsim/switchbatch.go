@@ -154,7 +154,8 @@ func (s *SwitchNode) receiveBatch(f Sender, batch []delivery) {
 
 // flushBatch executes the open segment through the device's batch path
 // and routes every window's decision, collecting outputs for one
-// SendBatch. Counting matches the per-packet path window for window.
+// SendBatch. Counting matches the per-packet path window for window,
+// except that the segment's acknowledgments coalesce into range acks.
 func (s *SwitchNode) flushBatch(f Sender, b *batchState) {
 	if len(b.wins) == 0 {
 		return
@@ -167,6 +168,7 @@ func (s *SwitchNode) flushBatch(f Sender, b *batchState) {
 		// per-packet path.
 		s.Errors.Add(uint64(len(b.wins)))
 	} else {
+		var acks ackRun
 		for i := range b.wins {
 			w := &b.wins[i]
 			j := &b.jobs[i]
@@ -180,8 +182,9 @@ func (s *SwitchNode) flushBatch(f Sender, b *batchState) {
 				s.DupSuppressed.Add(1)
 			}
 			sc := w.sc
-			s.route(out, w.pkt, w.from, w.kp, &sc.dec.Header, sc.dec.User, sc.dec.Hops, sc.data, sc, j.Dec, w.switchAcks)
+			s.route(out, w.pkt, w.from, w.kp, &sc.dec.Header, sc.dec.User, sc.dec.Hops, sc.data, sc, j.Dec, w.switchAcks, &acks)
 		}
+		s.flushAcks(out, &acks)
 	}
 	if err := out.flush(s.label); err != nil {
 		s.Errors.Add(1)

@@ -379,6 +379,7 @@ func (s *SwitchNode) process(f Sender, pkt *Packet, from string) {
 
 	// Multi-window packets (§4.2) unbatch at the first executing switch:
 	// each window runs the kernel and follows its own forwarding decision.
+	var acks ackRun
 	if h.BatchCount > 1 {
 		per := kp.payloadBytes
 		if len(payload) != per*int(h.BatchCount) {
@@ -391,11 +392,12 @@ func (s *SwitchNode) process(f Sender, pkt *Packet, from string) {
 			sub := *h
 			sub.BatchCount = 1
 			sub.WindowSeq = h.WindowSeq + uint32(k)
-			s.execOne(f, pkt, from, kp, &sub, userVals, hops, payload[k*per:(k+1)*per], sc, qdepth)
+			s.execOne(f, pkt, from, kp, &sub, userVals, hops, payload[k*per:(k+1)*per], sc, qdepth, &acks)
 		}
-		return
+	} else {
+		s.execOne(f, pkt, from, kp, h, userVals, hops, payload, sc, qdepth, &acks)
 	}
-	s.execOne(f, pkt, from, kp, h, userVals, hops, payload, sc, qdepth)
+	s.flushAcks(f, &acks)
 }
 
 // switchTimeNs converts a packet's virtual time to the hop-record clock.
@@ -408,8 +410,9 @@ func switchTimeNs(us float64) uint64 {
 
 // execOne runs one window through the pipeline and routes the outcome.
 // qdepth is the ingress backlog probed at packet arrival (INT stamping;
-// meaningful only for traced windows).
-func (s *SwitchNode) execOne(f Sender, pkt *Packet, from string, kp *swKernel, h *ncp.Header, userVals []uint64, hops []ncp.Hop, payload []byte, sc *nodeScratch, qdepth uint16) {
+// meaningful only for traced windows). Acknowledgments the window earns
+// accumulate in acks; the caller flushes them.
+func (s *SwitchNode) execOne(f Sender, pkt *Packet, from string, kp *swKernel, h *ncp.Header, userVals []uint64, hops []ncp.Hop, payload []byte, sc *nodeScratch, qdepth uint16, acks *ackRun) {
 	data, err := ncp.DecodePayloadInto(sc.data, payload, kp.specs)
 	sc.data = data
 	if err != nil {
@@ -473,13 +476,13 @@ func (s *SwitchNode) execOne(f Sender, pkt *Packet, from string, kp *swKernel, h
 			LatencyNs: uint32(lat), QueueDepth: qdepth, KernelID: h.KernelID,
 		})
 	}
-	s.route(f, pkt, from, kp, h, userVals, hops, data, sc, dec, switchAcks)
+	s.route(f, pkt, from, kp, h, userVals, hops, data, sc, dec, switchAcks, acks)
 }
 
 // route applies an executed window's forwarding decision — the shared
 // tail of the per-packet path (execOne) and the batch path
-// (flushBatch).
-func (s *SwitchNode) route(f Sender, pkt *Packet, from string, kp *swKernel, h *ncp.Header, userVals []uint64, hops []ncp.Hop, data [][]uint64, sc *nodeScratch, dec interp.Decision, switchAcks bool) {
+// (flushBatch). acks is touched only when switchAcks is set.
+func (s *SwitchNode) route(f Sender, pkt *Packet, from string, kp *swKernel, h *ncp.Header, userVals []uint64, hops []ncp.Hop, data [][]uint64, sc *nodeScratch, dec interp.Decision, switchAcks bool, acks *ackRun) {
 	// The window's reliable flags stay on pass-through (the destination
 	// host acknowledges delivery) but are stripped from on-path outputs:
 	// the switch acknowledges those itself, and the derived reflect/bcast
@@ -491,7 +494,7 @@ func (s *SwitchNode) route(f Sender, pkt *Packet, from string, kp *swKernel, h *
 	switch dec.Kind {
 	case interp.Drop:
 		if switchAcks {
-			s.ackConsumed(f, pkt, from, h)
+			s.ackConsumed(f, pkt, from, h, acks)
 		}
 		return
 	case interp.Pass:
@@ -506,7 +509,7 @@ func (s *SwitchNode) route(f Sender, pkt *Packet, from string, kp *swKernel, h *
 		s.forward(f, npkt, from)
 	case interp.Reflect:
 		if switchAcks {
-			s.ackConsumed(f, pkt, from, h)
+			s.ackConsumed(f, pkt, from, h, acks)
 		}
 		target, ok := s.hostByID[h.Sender]
 		if !ok {
@@ -520,7 +523,7 @@ func (s *SwitchNode) route(f Sender, pkt *Packet, from string, kp *swKernel, h *
 		s.forward(f, &Packet{Src: s.label, Dst: target, Data: out, VTimeUs: pkt.VTimeUs + SwitchDelayUs}, from)
 	case interp.Bcast:
 		if switchAcks {
-			s.ackConsumed(f, pkt, from, h)
+			s.ackConsumed(f, pkt, from, h, acks)
 		}
 		// §4.1 verbatim: "_bcast() sends a window to all devices, one hop
 		// away - in the overlay - from the current location". That
@@ -550,34 +553,76 @@ func (s *SwitchNode) route(f Sender, pkt *Packet, from string, kp *swKernel, h *
 	}
 }
 
+// ackRun is an acknowledgment being assembled: consecutive consumed
+// windows of one (sender, wid) that fit one ncp.AckSpan leave as a single
+// range ack. The zero value is an empty run.
+type ackRun struct {
+	open   bool
+	sender uint32     // the acknowledged host
+	hdr    ncp.Header // the ack; WindowSeq is the base window
+	more   uint64     // bitmap of the windows after the base
+	target string
+	from   string
+	vtime  float64 // departure time: the latest covered window's
+}
+
 // ackConsumed acknowledges an exactly-once reliable window the kernel
 // consumed on-path (drop/reflect/bcast): the destination host will never
 // see it, so the executing switch answers in its place. Duplicate
 // (suppressed) windows are re-acknowledged the same way — the ack that
-// prompted the retransmit was lost. Same wire shape as the host
-// runtime's ack; Sender names the acking location.
-func (s *SwitchNode) ackConsumed(f Sender, pkt *Packet, from string, h *ncp.Header) {
+// prompted the retransmit was lost. The ack joins the open run when it
+// continues it; otherwise the run is flushed and a new one starts. Same
+// wire shape as the host runtime's ack; Sender names the acking location.
+func (s *SwitchNode) ackConsumed(f Sender, pkt *Packet, from string, h *ncp.Header, run *ackRun) {
+	vtime := pkt.VTimeUs + SwitchDelayUs
+	if run.open && run.sender == h.Sender && run.hdr.Wid == h.Wid {
+		// Unsigned distance: a window below the base wraps out of range.
+		if d := h.WindowSeq - run.hdr.WindowSeq; d < ncp.AckSpan {
+			if d > 0 {
+				run.more |= 1 << (d - 1)
+			}
+			run.vtime = max(run.vtime, vtime)
+			return
+		}
+	}
+	s.flushAcks(f, run)
 	target, ok := s.hostByID[h.Sender]
 	if !ok {
 		s.Errors.Add(1)
 		return
 	}
-	ack := ncp.Header{
-		Flags:     ncp.FlagAck,
-		KernelID:  h.KernelID,
-		WindowSeq: h.WindowSeq,
-		WindowLen: h.WindowLen,
-		Sender:    s.locID,
-		Wid:       h.Wid,
-		FragCount: 1,
+	*run = ackRun{
+		open:   true,
+		sender: h.Sender,
+		hdr: ncp.Header{
+			Flags:     ncp.FlagAck,
+			KernelID:  h.KernelID,
+			WindowSeq: h.WindowSeq,
+			WindowLen: h.WindowLen,
+			Sender:    s.locID,
+			Wid:       h.Wid,
+			FragCount: 1,
+		},
+		target: target,
+		from:   from,
+		vtime:  vtime,
 	}
-	out, err := ncp.Marshal(&ack, nil, nil)
+}
+
+// flushAcks emits the open run, if any, as one ack packet.
+func (s *SwitchNode) flushAcks(f Sender, run *ackRun) {
+	if !run.open {
+		return
+	}
+	run.open = false
+	var bitmap [8]byte
+	out, err := ncp.Marshal(&run.hdr, nil, ncp.AppendAckRange(bitmap[:0], run.more))
 	if err != nil {
 		s.Errors.Add(1)
 		return
 	}
 	s.AcksSent.Add(1)
-	s.forward(f, &Packet{Src: s.label, Dst: target, Data: out, VTimeUs: pkt.VTimeUs + SwitchDelayUs}, from)
+	s.forward(f, &Packet{Src: s.label, Dst: run.target, Data: out, VTimeUs: run.vtime}, run.from)
 }
 
 // forward routes pkt toward pkt.Dst via the next-hop table, honoring the

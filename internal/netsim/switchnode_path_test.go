@@ -309,3 +309,100 @@ func TestFabricInboxDrops(t *testing.T) {
 		}
 	}
 }
+
+// recordSender keeps every packet a switch sends.
+type recordSender struct {
+	net  *and.Network
+	sent []*Packet
+}
+
+func (r *recordSender) Send(_, _ string, p *Packet) error { r.sent = append(r.sent, p); return nil }
+func (r *recordSender) Network() *and.Network             { return r.net }
+
+// TestSwitchAcksCoalesce: the acknowledgments of one batch segment leave
+// as one range ack per (sender, wid) run that fits ncp.AckSpan, counted
+// once each in acks_sent; a lone window's ack keeps the empty payload
+// every host sends.
+func TestSwitchAcksCoalesce(t *testing.T) {
+	net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s1\nlink s1 b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := passProgram()
+	k := prog.Kernels[0]
+	k.Passes[0] = append(k.Passes[0], &pisa.Stage{VLIW: []pisa.ActionOp{
+		{Op: "mov", Dst: k.FieldByName(pisa.FieldFwd), A: pisa.ConstOperand(1)}, // _drop: consumed on-path
+	}})
+	sn := NewSwitchNode("s1", pisa.DefaultTarget())
+	if err := sn.Install(prog, 1); err != nil {
+		t.Fatal(err)
+	}
+	sn.SetRoutes(net.NextHops()["s1"])
+	sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
+
+	payload, err := ncp.EncodePayload([][]uint64{{7}}, []ncp.ParamSpec{{Elems: 1, Bytes: 4, Signed: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := func(sender, wid, seq uint32) delivery {
+		data, err := ncp.Marshal(&ncp.Header{
+			KernelID: 1, WindowLen: 1, Sender: sender, Wid: wid, WindowSeq: seq, FragCount: 1,
+			Flags: ncp.FlagAckRequest | ncp.FlagExactlyOnce,
+		}, nil, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return delivery{pkt: &Packet{Src: "a", Dst: "s1", Data: data}, from: "a"}
+	}
+	var burst []delivery
+	for seq := uint32(0); seq < 40; seq++ {
+		burst = append(burst, window(1, 7, seq))
+	}
+	burst = append(burst,
+		window(1, 7, 0),                  // a retransmit inside the open run: already covered
+		window(1, 7, 100),                // beyond the span: a new run
+		window(2, 3, 5), window(2, 3, 6), // another sender
+		window(1, 7, 2), // below its run's base: a new run
+	)
+	rec := &recordSender{net: net}
+	sn.receiveBatch(rec, burst)
+	sn.process(rec, window(2, 4, 9).pkt, "b") // the per-packet path
+
+	type ack struct {
+		dst       string
+		wid, base uint32
+		more      uint64
+	}
+	want := []ack{
+		{"a", 7, 0, 1<<39 - 1},
+		{"a", 7, 100, 0},
+		{"b", 3, 5, 1},
+		{"a", 7, 2, 0},
+		{"b", 4, 9, 0},
+	}
+	if len(rec.sent) != len(want) {
+		t.Fatalf("switch sent %d packets, want %d acks", len(rec.sent), len(want))
+	}
+	for i, p := range rec.sent {
+		hd, _, body, err := ncp.Decode(p.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		more, ok := ncp.AckRange(body)
+		if hd.Flags != ncp.FlagAck || !ok {
+			t.Fatalf("packet %d is not an ack: flags %s, %d payload bytes", i, hd.FlagNames(), len(body))
+		}
+		if got := (ack{p.Dst, hd.Wid, hd.WindowSeq, more}); got != want[i] {
+			t.Errorf("ack %d = %+v, want %+v", i, got, want[i])
+		}
+		if want[i].more == 0 && len(body) != 0 {
+			t.Errorf("ack %d: a single window's ack carries %d payload bytes", i, len(body))
+		}
+	}
+	if got := sn.AcksSent.Load(); got != uint64(len(want)) {
+		t.Errorf("acks_sent = %d, want %d (it counts packets)", got, len(want))
+	}
+	if got := sn.DupSuppressed.Load(); got != 2 {
+		t.Errorf("dup_suppressed = %d, want the 2 retransmits", got)
+	}
+}

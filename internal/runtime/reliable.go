@@ -2,25 +2,29 @@ package runtime
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
+	"math"
+	"math/bits"
 	"time"
 
 	"ncl/internal/ncp"
+	"ncl/internal/netsim"
 )
 
 // Reliable window delivery — the optional extension over the paper's §6
 // transport discussion. Windows sent with OutReliable carry FlagAckRequest;
 // the destination host's runtime acknowledges each one (FlagAck, same
-// wid/seq, empty payload) *after* the window is safely queued for the
-// application, and the sender retransmits unacknowledged windows on a
-// timeout.
+// wid/seq) *after* the window is safely queued for the application, and
+// the sender retransmits unacknowledged windows on a timeout.
 //
-// OutReliable is a pipelined sliding-window transport: up to Window
-// windows are in flight at once, each with its own retransmit timer armed
-// at send time, exponential backoff with jitter between attempts, and
-// selective retransmission (only the timed-out window is resent). A
-// window that exhausts its retries does not abandon the others — every
+// OutReliable is a pipelined sliding-window transport run as one state
+// machine per call, on the caller's goroutine: up to Window windows are in
+// flight, their state is one flat per-sequence array registered under the
+// invocation's wid, one timer is armed at the earliest outstanding
+// deadline, and acknowledgments (one window, or a range of up to
+// ncp.AckSpan from a switch) mark the array and poke one notify channel.
+// New and timed-out windows leave in bursts through the batch transport;
+// retransmission is selective, on a measured timeout (rto.go). A window
+// that is never acknowledged does not abandon the others — every
 // outstanding window runs to completion and the first hard error (lowest
 // window sequence) is reported.
 //
@@ -39,23 +43,16 @@ import (
 
 // ReliableOptions configures OutReliable.
 type ReliableOptions struct {
-	// Timeout is the first attempt's retransmit timeout, armed when the
-	// window is sent (default 20ms). Subsequent attempts back off
-	// exponentially (see BackoffFactor).
+	// Timeout is the retransmit timeout before the destination's first
+	// round-trip sample, and the ceiling of the adapted one afterwards
+	// (default 20ms). It also sets how long a window is retried before it
+	// is reported unacknowledged (see patience).
 	Timeout time.Duration
 	// Retries per window after the first attempt (default 5).
 	Retries int
 	// Window caps the number of windows in flight at once (default 32;
 	// 1 degenerates to stop-and-wait).
 	Window int
-	// BackoffFactor multiplies the retransmit timeout after each failed
-	// attempt (default 2).
-	BackoffFactor float64
-	// MaxBackoff caps the per-attempt timeout (default 32x Timeout).
-	MaxBackoff time.Duration
-	// Jitter randomizes each backed-off timeout by ±Jitter fraction to
-	// decorrelate retransmit bursts (default 0.1; negative disables).
-	Jitter float64
 	// ExactlyOnce forces ncp.FlagExactlyOnce on every window regardless
 	// of AppConfig.NonIdempotent — for hand-built configs and tests; the
 	// flag is normally negotiated from the compiled program.
@@ -72,38 +69,73 @@ func (o ReliableOptions) withDefaults() ReliableOptions {
 	if o.Window <= 0 {
 		o.Window = 32
 	}
-	if o.BackoffFactor < 1 {
-		o.BackoffFactor = 2
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 32 * o.Timeout
-	}
-	if o.Jitter == 0 {
-		o.Jitter = 0.1
-	}
 	return o
 }
 
-// ackKey identifies an outstanding window.
-type ackKey struct {
-	wid uint32
-	seq uint32
+// relWindow is one window's slot in an invocation's state array. Times
+// are offsets from relSend.start.
+type relWindow struct {
+	first    time.Duration // first transmission: the RTT baseline
+	deadline time.Duration // when the latest transmission times out
+	attempts int32         // transmissions so far
+	done     bool          // acknowledged or failed
 }
 
-// ackWait tracks one outstanding reliable window: the channel the sender
-// blocks on and when the most recent attempt left, so the ack's arrival
-// can be observed as a per-attempt round-trip latency
-// (host.<label>.ack_rtt_us). sent is guarded by Host.ackMu.
-type ackWait struct {
-	ch   chan struct{}
-	sent time.Time
+// relSend is one OutReliable call in progress, registered in Host.sends
+// under its wid. wins is guarded by Host.ackMu (the receive path marks
+// acknowledged windows); everything else belongs to the calling goroutine.
+type relSend struct {
+	wins   []relWindow
+	est    *rttEstimator
+	start  time.Time
+	notify chan struct{} // cap 1: acks and Close poke it
+	timer  *time.Timer   // created at the first wait, then reused
+
+	err    error // first hard error: lowest failing window sequence
+	errSeq uint32
+}
+
+func (s *relSend) poke() {
+	select {
+	case s.notify <- struct{}{}:
+	default:
+	}
+}
+
+// wait parks the sender until an ack (or Close) pokes it or d elapses.
+func (s *relSend) wait(d time.Duration) {
+	if s.timer == nil {
+		s.timer = time.NewTimer(d)
+	} else {
+		s.timer.Reset(d)
+	}
+	select {
+	case <-s.notify:
+		if !s.timer.Stop() {
+			select {
+			case <-s.timer.C:
+			default:
+			}
+		}
+	case <-s.timer.C:
+	}
+}
+
+// fail records a window's hard error. Caller holds Host.ackMu.
+func (s *relSend) fail(seq uint32, err error) {
+	if w := &s.wins[seq]; !w.done {
+		w.done = true
+		if s.err == nil || seq < s.errSeq {
+			s.err, s.errSeq = err, seq
+		}
+	}
 }
 
 // OutReliable sends arrays like Out but requests acknowledgment for each
 // window and retransmits lost ones, keeping up to opts.Window windows in
 // flight. It returns once every window is acknowledged, or — after all
 // outstanding windows have completed — an error naming the first window
-// that failed.
+// that failed. Closing the host fails the call at once with ErrClosed.
 func (h *Host) OutReliable(inv Invocation, arrays [][]uint64, opts ReliableOptions) error {
 	opts = opts.withDefaults()
 	specs, err := h.outSpecs(inv.Kernel)
@@ -117,55 +149,137 @@ func (h *Host) OutReliable(inv Invocation, arrays [][]uint64, opts ReliableOptio
 	if err != nil {
 		return err
 	}
-	W := h.cfg.WindowLen
+	if windows == 0 {
+		return nil
+	}
 	wid := h.nextWid()
 	flags := uint8(ncp.FlagAckRequest)
 	if opts.ExactlyOnce || h.cfg.NonIdempotent[inv.Kernel] {
 		flags |= ncp.FlagExactlyOnce
 	}
-	winAt := func(seq int) [][]uint64 {
-		winData := make([][]uint64, len(specs))
-		for pi, sp := range specs {
-			if sp.Elems == W {
-				winData[pi] = arrays[pi][seq*W : (seq+1)*W]
-			} else {
-				winData[pi] = arrays[pi][seq : seq+1]
-			}
-		}
-		return winData
-	}
+	patience := opts.patience()
+	window := min(opts.Window, windows)
 
-	// The sliding window: a semaphore admits up to opts.Window concurrent
-	// windows; each runs its own send/retransmit loop. Errors are
-	// aggregated — the lowest-sequence failure wins — so a lost window
-	// never strands the ones already in flight.
+	s := &relSend{
+		wins:   make([]relWindow, windows),
+		start:  time.Now(),
+		notify: make(chan struct{}, 1),
+	}
+	h.ackMu.Lock()
+	if h.sendsClosed {
+		h.ackMu.Unlock()
+		return ErrClosed
+	}
+	if h.sends == nil {
+		h.sends = map[uint32]*relSend{}
+		h.rtt = map[string]*rttEstimator{}
+	}
+	if s.est = h.rtt[inv.Dest]; s.est == nil {
+		s.est = new(rttEstimator)
+		h.rtt[inv.Dest] = s.est
+	}
+	h.sends[wid] = s
+	h.ackMu.Unlock()
+
+	sc := h.getScratch()
+	if bs, ok := h.send.(netsim.BatchSender); ok {
+		sc.bs = bs
+	}
 	var (
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, opts.Window)
-		errMu    sync.Mutex
-		firstErr error
-		errSeq   int
+		next     int                            // lowest sequence never transmitted
+		inflight = make([]uint32, 0, window)    // transmitted, not yet seen done
+		burst    = make([]uint32, 0, window)    // to transmit this step
+		winData  = make([][]uint64, len(specs)) // one window's array slices
 	)
-	record := func(seq int, err error) {
-		errMu.Lock()
-		if firstErr == nil || seq < errSeq {
-			firstErr, errSeq = err, seq
+	defer func() {
+		h.ackMu.Lock()
+		delete(h.sends, wid)
+		h.ackMu.Unlock()
+		if s.timer != nil {
+			s.timer.Stop()
 		}
-		errMu.Unlock()
-	}
-	for seq := 0; seq < windows; seq++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(seq int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := h.reliableWindow(inv, wid, uint32(seq), winAt(seq), specs, opts, flags); err != nil {
-				record(seq, err)
+		h.met.inflight.Add(-int64(len(inflight)))
+		sc.bs = nil
+		h.putScratch(sc)
+	}()
+
+	for {
+		// One step under the lock: retire finished windows, re-arm the
+		// overdue ones and admit as many new ones as the window allows.
+		// The transport is called after the lock is dropped — the loopback
+		// transport delivers acks re-entrantly inside Send.
+		was := len(inflight)
+		burst = burst[:0]
+		h.ackMu.Lock()
+		if h.sendsClosed {
+			h.ackMu.Unlock()
+			return ErrClosed
+		}
+		now := time.Since(s.start)
+		rto := s.est.rto(opts.Timeout)
+		earliest := time.Duration(math.MaxInt64)
+		keep := inflight[:0]
+		for _, seq := range inflight {
+			w := &s.wins[seq]
+			switch {
+			case w.done:
+				continue
+			case now < w.deadline:
+			case int(w.attempts) > opts.Retries && now-w.first >= patience:
+				s.fail(seq, fmt.Errorf("runtime: window %d of invocation %d was never acknowledged after %d attempts (consumed on-path, or the destination is unreachable)",
+					seq, wid, w.attempts))
+				continue
+			default:
+				iv := retransmitInterval(rto, int(w.attempts))
+				h.met.backoffUs.Observe(float64(iv) / float64(time.Microsecond))
+				w.deadline = now + iv
+				w.attempts++
+				burst = append(burst, seq)
 			}
-		}(seq)
+			earliest = min(earliest, w.deadline)
+			keep = append(keep, seq)
+		}
+		inflight = keep
+		retransmits := len(burst)
+		for ; next < windows && len(inflight) < window; next++ {
+			s.wins[next] = relWindow{first: now, deadline: now + rto, attempts: 1}
+			earliest = min(earliest, now+rto)
+			inflight = append(inflight, uint32(next))
+			burst = append(burst, uint32(next))
+		}
+		h.ackMu.Unlock()
+
+		h.met.inflight.Add(int64(len(inflight) - was))
+		if len(inflight) == 0 {
+			return s.err
+		}
+		if len(burst) == 0 {
+			s.wait(earliest - now)
+			continue
+		}
+		h.met.retransmits.Add(uint64(retransmits))
+		// Transport and encoding errors are not transient: the burst is
+		// failed instead of retried.
+		var sendErr error
+		for _, seq := range burst {
+			windowSlices(winData, arrays, specs, h.cfg.WindowLen, int(seq))
+			if sendErr = h.sendWindowScratch(inv, wid, seq, winData, specs, flags, sc); sendErr != nil {
+				break
+			}
+		}
+		if sc.bs != nil {
+			if err := h.flushSendQueue(sc); sendErr == nil {
+				sendErr = err
+			}
+		}
+		if sendErr != nil {
+			h.ackMu.Lock()
+			for _, seq := range burst {
+				s.fail(seq, sendErr)
+			}
+			h.ackMu.Unlock()
+		}
 	}
-	wg.Wait()
-	return firstErr
 }
 
 // windowCount validates array shapes against the kernel's specs and
@@ -193,98 +307,77 @@ func (h *Host) windowCount(kernel string, arrays [][]uint64, specs []ncp.ParamSp
 	return windows, nil
 }
 
-// reliableWindow runs one window's send/retransmit loop: register the
-// ack wait, send with the retransmit timer armed at send time, back off
-// exponentially (with jitter) between attempts, and retransmit only this
-// window. Returns nil once acknowledged.
-func (h *Host) reliableWindow(inv Invocation, wid, seq uint32, winData [][]uint64, specs []ncp.ParamSpec, opts ReliableOptions, flags uint8) error {
-	k := ackKey{wid, seq}
-	w := &ackWait{ch: make(chan struct{})}
-	h.ackMu.Lock()
-	if h.acks == nil {
-		h.acks = map[ackKey]*ackWait{}
-	}
-	h.acks[k] = w
-	h.ackMu.Unlock()
-	defer func() {
-		h.ackMu.Lock()
-		delete(h.acks, k)
-		h.ackMu.Unlock()
-	}()
-	h.met.inflight.Add(1)
-	defer h.met.inflight.Add(-1)
-
-	timeout := opts.Timeout
-	for attempt := 0; attempt <= opts.Retries; attempt++ {
-		if attempt > 0 {
-			// The ack may have landed between the timer firing and this
-			// retransmit; skip the resend.
-			select {
-			case <-w.ch:
-				return nil
-			default:
-			}
-			h.met.retransmits.Inc()
-		}
-		h.ackMu.Lock()
-		w.sent = time.Now() // per-attempt RTT baseline
-		h.ackMu.Unlock()
-		if err := h.sendWindowFlags(inv, wid, seq, winData, specs, flags); err != nil {
-			return err
-		}
-		t := time.NewTimer(timeout) // armed at send time
-		select {
-		case <-w.ch:
-			t.Stop()
-			return nil
-		case <-t.C:
-		}
-		if attempt == opts.Retries {
-			break
-		}
-		next := time.Duration(float64(timeout) * opts.BackoffFactor)
-		if next > opts.MaxBackoff {
-			next = opts.MaxBackoff
-		}
-		if opts.Jitter > 0 {
-			next += time.Duration((rand.Float64()*2 - 1) * opts.Jitter * float64(next))
-		}
-		timeout = next
-		h.met.backoffUs.Observe(float64(timeout) / float64(time.Microsecond))
-	}
-	return fmt.Errorf("runtime: window %d of invocation %d was never acknowledged after %d attempts (consumed on-path, or the destination is unreachable)",
-		seq, wid, opts.Retries+1)
-}
-
-// sendWindowFlags is sendWindow with extra NCP flags: the shared scratch
-// path enforces the reliable-windows-fit-one-packet rule when
-// FlagAckRequest is set.
-func (h *Host) sendWindowFlags(inv Invocation, wid, seq uint32, winData [][]uint64, specs []ncp.ParamSpec, flags uint8) error {
-	sc := h.getScratch()
-	defer h.putScratch(sc)
-	return h.sendWindowScratch(inv, wid, seq, winData, specs, flags, sc)
-}
-
-// handleAck consumes an acknowledgment for one of our reliable windows.
-// Late acks (the window already completed or exhausted its retries) and
-// duplicate acks find no registered wait: they are counted and ignored,
-// never double-closing the wait channel or skewing ack_rtt_us.
-func (h *Host) handleAck(hd *ncp.Header) {
-	k := ackKey{hd.Wid, hd.WindowSeq}
-	h.ackMu.Lock()
-	w, ok := h.acks[k]
-	var sent time.Time
-	if ok {
-		delete(h.acks, k)
-		sent = w.sent
-	}
-	h.ackMu.Unlock()
+// handleAck consumes an acknowledgment for our reliable windows: the
+// window the header names plus, with a range payload, the following ones
+// its bitmap selects (ncp.AckRange) — applied under one lock with one
+// wake-up of the sender. A window's round trip is sampled, for the
+// histogram and the estimator alike, only if it was transmitted once:
+// the ack of a retransmitted window cannot be attributed to an attempt
+// (Karn). An ack naming anything that is not outstanding — a finished
+// invocation, a window already acknowledged, a bit past the window count —
+// counts once in stale_acks and changes nothing for those windows.
+func (h *Host) handleAck(hd *ncp.Header, payload []byte) {
+	more, ok := ncp.AckRange(payload)
 	if !ok {
-		h.met.staleAcks.Inc()
+		h.met.decodeErrors.Inc()
 		return
 	}
-	h.met.ackRtt.Observe(float64(time.Since(sent)) / float64(time.Microsecond))
-	close(w.ch)
+	fresh, stale := false, false
+	h.ackMu.Lock()
+	if s := h.sends[hd.Wid]; s == nil {
+		stale = true
+	} else {
+		at := time.Since(s.start)
+		ack := func(seq uint64) {
+			if h.ackWindow(s, seq, at) {
+				fresh = true
+			} else {
+				stale = true
+			}
+		}
+		base := uint64(hd.WindowSeq)
+		ack(base)
+		for rest := more; rest != 0; rest &= rest - 1 {
+			ack(base + 1 + uint64(bits.TrailingZeros64(rest)))
+		}
+		if fresh {
+			s.poke()
+		}
+	}
+	h.ackMu.Unlock()
+	if stale {
+		h.met.staleAcks.Inc()
+	}
+}
+
+// ackWindow marks one window acknowledged, reporting false if it is not
+// outstanding. Caller holds ackMu.
+func (h *Host) ackWindow(s *relSend, seq uint64, at time.Duration) bool {
+	if seq >= uint64(len(s.wins)) {
+		return false
+	}
+	w := &s.wins[seq]
+	if w.done || w.attempts == 0 {
+		return false
+	}
+	w.done = true
+	if w.attempts == 1 {
+		rtt := at - w.first
+		s.est.observe(rtt)
+		h.met.ackRtt.Observe(float64(rtt) / float64(time.Microsecond))
+	}
+	return true
+}
+
+// closeSends fails every outstanding OutReliable (and any later one)
+// with ErrClosed.
+func (h *Host) closeSends() {
+	h.ackMu.Lock()
+	h.sendsClosed = true
+	for _, s := range h.sends {
+		s.poke()
+	}
+	h.ackMu.Unlock()
 }
 
 // sendAck emits an acknowledgment for a received reliable window. Called

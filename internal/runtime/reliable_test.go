@@ -86,9 +86,10 @@ func TestOutReliableOverflowNotFalselyAcked(t *testing.T) {
 	if snap.Counters["host.a.retransmits"] == 0 {
 		t.Error("overflow-dropped windows must be retransmitted")
 	}
-	// Every window acked exactly once to the transport.
-	if got := snap.Histograms["host.a.ack_rtt_us"].Count; got != windows {
-		t.Errorf("ack_rtt_us observed %d times, want %d", got, windows)
+	// Window 0 landed on its first attempt; the overflowed ones were
+	// retransmitted, so their acks are not round-trip samples (Karn).
+	if got := snap.Histograms["host.a.ack_rtt_us"].Count; got < 1 || got >= windows {
+		t.Errorf("ack_rtt_us observed %d times, want the never-retransmitted windows only (1..%d)", got, windows-1)
 	}
 }
 

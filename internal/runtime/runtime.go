@@ -144,8 +144,10 @@ type Host struct {
 
 	shards [recvShards]recvShard
 
-	ackMu sync.Mutex
-	acks  map[ackKey]*ackWait // outstanding reliable windows
+	ackMu       sync.Mutex
+	sends       map[uint32]*relSend      // outstanding OutReliable calls by wid
+	rtt         map[string]*rttEstimator // retransmit-timeout estimate per destination
+	sendsClosed bool                     // Close ran: OutReliable fails with ErrClosed
 
 	closeMu sync.RWMutex // guards closed/inbox-close against enqueue
 	closed  bool
@@ -168,7 +170,7 @@ type hostMetrics struct {
 	staleAcks       *obs.Counter // late/duplicate acks ignored
 	tracedWindows   *obs.Counter
 	inflight        *obs.Gauge     // reliable windows in flight
-	ackRtt          *obs.Histogram // per-attempt ack RTT, µs
+	ackRtt          *obs.Histogram // ack RTT of never-retransmitted windows, µs
 	backoffUs       *obs.Histogram // backed-off retransmit timeouts, µs
 }
 
@@ -294,7 +296,7 @@ func (h *Host) Receive(_ netsim.Sender, pkt *netsim.Packet, from string) {
 	}
 	hd := &d.Header
 	if hd.Flags&ncp.FlagAck != 0 {
-		h.handleAck(hd) // pure acknowledgment, consumed
+		h.handleAck(hd, d.Payload) // pure acknowledgment, consumed
 		return
 	}
 	if hd.Flags&ncp.FlagTrace != 0 {
@@ -586,14 +588,16 @@ func (h *Host) enqueue(rw *RecvWindow) bool {
 	}
 }
 
-// Close releases the host (pending In calls unblock with an error).
+// Close releases the host: pending In calls and outstanding OutReliable
+// calls return ErrClosed.
 func (h *Host) Close() {
 	h.closeMu.Lock()
-	defer h.closeMu.Unlock()
 	if !h.closed {
 		h.closed = true
 		close(h.inbox)
 	}
+	h.closeMu.Unlock()
+	h.closeSends()
 }
 
 // ---------------------------------------------------------------------------
@@ -794,17 +798,9 @@ func (h *Host) outRange(inv Invocation, wid uint32, arrays [][]uint64, specs []n
 }
 
 func (h *Host) outRangeSend(inv Invocation, wid uint32, arrays [][]uint64, specs []ncp.ParamSpec, lo, hi, batch, windows int, sc *sendScratch) error {
-	W := h.cfg.WindowLen
 	winData := make([][]uint64, len(specs))
 	winAt := func(seq int) [][]uint64 {
-		for pi, sp := range specs {
-			if sp.Elems == W {
-				winData[pi] = arrays[pi][seq*W : (seq+1)*W]
-			} else {
-				winData[pi] = arrays[pi][seq : seq+1]
-			}
-		}
-		return winData
+		return windowSlices(winData, arrays, specs, h.cfg.WindowLen, seq)
 	}
 	if batch <= 1 {
 		for seq := lo; seq < hi; seq++ {
@@ -834,6 +830,19 @@ func (h *Host) outRangeSend(inv Invocation, wid uint32, arrays [][]uint64, specs
 		}
 	}
 	return nil
+}
+
+// windowSlices points dst at window seq's share of every array: W
+// elements of a pointer parameter, one of a scalar's per-window slice.
+func windowSlices(dst, arrays [][]uint64, specs []ncp.ParamSpec, W, seq int) [][]uint64 {
+	for pi, sp := range specs {
+		if sp.Elems == W {
+			dst[pi] = arrays[pi][seq*W : (seq+1)*W]
+		} else {
+			dst[pi] = arrays[pi][seq : seq+1]
+		}
+	}
+	return dst
 }
 
 // sendBatch transmits one multi-window packet.
@@ -1071,10 +1080,10 @@ func (h *Host) transmit(dest string, data []byte) error {
 }
 
 // transmitSc is transmit with scratch-local send batching: when the
-// scratch carries a batch transport (outRange set sc.bs), the packet
-// queues and leaves with the next SendBatch group. Reliable traffic
-// never queues — only outRange enables sc.bs, and it sends plain
-// windows; the retransmit/ack paths go through transmit directly.
+// scratch carries a batch transport (outRange and OutReliable set sc.bs),
+// the packet queues and leaves with the next SendBatch group; the owner
+// flushes the queue before it waits or returns. Acks go through transmit
+// directly.
 func (h *Host) transmitSc(dest string, data []byte, sc *sendScratch) error {
 	if sc.bs == nil {
 		return h.transmit(dest, data)

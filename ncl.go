@@ -75,9 +75,10 @@ type Invocation = runtime.Invocation
 type RecvWindow = runtime.RecvWindow
 
 // ReliableOptions configures Host.OutReliable, the pipelined
-// sliding-window reliable transport (acknowledged windows, selective
-// retransmission with exponential backoff, a configurable in-flight cap
-// — suitable for idempotent/pass-through kernels only).
+// sliding-window reliable transport: acknowledged windows, selective
+// retransmission on a timeout adapted from measured ack round trips
+// (Timeout is the initial and largest value), an in-flight cap, and
+// exactly-once execution negotiated for state-mutating kernels.
 type ReliableOptions = runtime.ReliableOptions
 
 // Controller is the control plane: program install, _ctrl_ writes,
