@@ -402,9 +402,10 @@ func BenchmarkPisaPipeline(b *testing.B) {
 
 // BenchmarkSwitchExec compares the pre-compilation tree-walking engine
 // (pisa.Reference) against the compiled execution plan on the Fig. 4
-// kernel — the E12 speedup claim as a Go benchmark. The slots variant is
-// the map-free entry point the SwitchNode data plane uses; -benchmem
-// shows the pooled scratch keeping the plan paths allocation-flat.
+// kernel — the E12 speedup claim as a Go benchmark. The batch-of-1
+// variant is the entry point the SwitchNode data plane uses, in its
+// degenerate case; -benchmem shows the pooled scratch keeping the plan
+// paths allocation-flat.
 func BenchmarkSwitchExec(b *testing.B) {
 	art, err := bench.BuildAllReduce(2, 256, 8)
 	if err != nil {
@@ -447,7 +448,7 @@ func BenchmarkSwitchExec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("compiled-slots", func(b *testing.B) {
+	b.Run("compiled-batch1", func(b *testing.B) {
 		sw := pisa.NewSwitch(art.Target)
 		if err := sw.Load(prog); err != nil {
 			b.Fatal(err)
@@ -455,21 +456,22 @@ func BenchmarkSwitchExec(b *testing.B) {
 		if err := sw.WriteRegister("nworkers", 0, 1); err != nil {
 			b.Fatal(err)
 		}
-		data := [][]uint64{make([]uint64, 8)}
-		meta := pisa.WindowMeta{Seq: 0}
+		job := [1]pisa.BatchJob{{Data: [][]uint64{make([]uint64, 8)}}}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sw.ExecWindowSlots(kern.ID, data, meta, prog.LocID); err != nil {
+			if err := sw.ExecWindowBatch(kern.ID, job[:], prog.LocID); err != nil {
 				b.Fatal(err)
+			}
+			if job[0].Err != nil {
+				b.Fatal(job[0].Err)
 			}
 		}
 	})
 }
 
 // BenchmarkSwitchPipeline measures the whole device receive path — NCP
-// decode, plan execution, repack, forward — across the ExecWorkers sweep
-// (1 = today's serial in-order path).
+// decode, plan execution, repack, forward — one burst of one per window.
 func BenchmarkSwitchPipeline(b *testing.B) {
 	art, err := bench.BuildAllReduce(2, 256, 8)
 	if err != nil {
@@ -489,26 +491,20 @@ func BenchmarkSwitchPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("exec-workers=%d", workers), func(b *testing.B) {
-			sn := netsim.NewSwitchNode("s1", art.Target)
-			if err := sn.Install(prog, prog.LocID); err != nil {
-				b.Fatal(err)
-			}
-			sn.SetRoutes(net.NextHops()["s1"])
-			sn.SetHosts(map[uint32]string{1: "worker0", 2: "worker1"})
-			sn.SetExecWorkers(workers)
-			if err := sn.Device().WriteRegister("nworkers", 0, 1); err != nil {
-				b.Fatal(err)
-			}
-			sink := &sinkSender{net: net}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sn.Receive(sink, &netsim.Packet{Src: "worker0", Dst: "worker1", Data: pktBytes}, "worker0")
-			}
-			sn.Close()
-		})
+	sn := netsim.NewSwitchNode("s1", art.Target)
+	if err := sn.Install(prog, prog.LocID); err != nil {
+		b.Fatal(err)
+	}
+	sn.SetRoutes(net.NextHops()["s1"])
+	sn.SetHosts(map[uint32]string{1: "worker0", 2: "worker1"})
+	if err := sn.Device().WriteRegister("nworkers", 0, 1); err != nil {
+		b.Fatal(err)
+	}
+	sink := &sinkSender{net: net}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sn.Receive(sink, &netsim.Packet{Src: "worker0", Dst: "worker1", Data: pktBytes}, "worker0")
 	}
 }
 

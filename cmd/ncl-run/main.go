@@ -68,9 +68,7 @@ func main() {
 	relTimeout := flag.Duration("rel-timeout", 0, "reliable transport: initial RTO, adapted from measured ack RTT (0 = default 20ms)")
 	relRetries := flag.Int("rel-retries", 0, "reliable transport: retransmits per window (0 = default 5)")
 	workers := flag.Int("workers", 0, "host send workers for Out (0 = GOMAXPROCS, 1 = serial deterministic order)")
-	execWorkers := flag.Int("exec-workers", 0, "switch pipeline workers per device (0/1 = serial in-order execution)")
 	inboxCap := flag.Int("inbox-cap", 0, "fabric per-node inbox capacity (0 = default 4096; full inboxes drop+count)")
-	drainBatch := flag.Int("drain-batch", 0, "fabric packets drained per inbox wakeup (0 = default 64; 1 = per-packet delivery)")
 	serve := flag.String("serve", "", "serve /metrics, /snapshot, /trace, and pprof on this address (e.g. :9090) and keep driving windows until interrupted")
 	fattree := flag.Int("fattree", 0, "deploy onto a generated k-ary fat-tree physical network via the placement engine (overlay host labels must name fat-tree hosts; implies end-to-end mode)")
 	flag.Parse()
@@ -86,11 +84,9 @@ func main() {
 	must(err)
 
 	art, err := ncl.Build(string(nclSrc), string(andSrc), ncl.BuildOptions{
-		WindowLen:        *w,
-		SendWorkers:      *workers,
-		ExecWorkers:      *execWorkers,
-		FabricInboxCap:   *inboxCap,
-		FabricDrainBatch: *drainBatch,
+		WindowLen:      *w,
+		SendWorkers:    *workers,
+		FabricInboxCap: *inboxCap,
 	})
 	must(err)
 

@@ -70,7 +70,9 @@ func (n *Network) nextHopsTowardReference(dst string, avoid map[string]bool) map
 // string-keyed algorithm: one map-BFS per destination, adjacency copied
 // and sorted per pop. Quadratic-with-large-constants at fat-tree scale —
 // exactly why it was replaced — but its output is the semantic contract
-// the interned implementation must reproduce exactly.
+// the interned implementation must reproduce exactly. Tests and
+// internal/bench only: scripts/check.sh fails the build if anything else
+// calls it.
 func (n *Network) NextHopsAllReference() map[string]map[string][]string {
 	out := map[string]map[string][]string{}
 	for _, src := range n.Nodes {

@@ -19,11 +19,11 @@ import (
 //     drain-batch=1 vs SendBatch against the default drain batch — the
 //     ring amortizes the wakeup, the virtual-clock stamp, the link
 //     counters, and the inbox lock over whole bursts;
-//   - exec: the PISA device alone, ExecWindowSlots per window vs
-//     ExecWindowBatch, which loads the plan once and takes the kernel's
-//     whole register/table lock set once per batch;
+//   - exec: the PISA device alone, ExecWindowBatch with batches of 1 vs
+//     64 — the plan load, the pooled scratch and the kernel's whole
+//     register/table lock set are paid once per batch;
 //   - switch e2e: NCP windows host→switch→host through the full decode →
-//     exec → repack → forward pipeline in both modes.
+//     exec → repack → forward pipeline, as bursts of 1 vs drained bursts.
 //
 // Speedups are per layer (each batched row against its per-packet row).
 func E15Fabric() (*Table, error) {
@@ -149,8 +149,8 @@ func E15Fabric() (*Table, error) {
 	}
 	addRow(fmt.Sprintf("transport batched (drain=%d)", netsim.DefaultDrainBatch), transport, bWall, ppWall, bAllocs)
 
-	// --- Exec: the device alone, per-window locking vs one lock set per
-	// batch (E12's slots row is the same code as the per-window row here).
+	// --- Exec: the device alone, one lock set per window vs one per batch
+	// (E12's batch-of-1 row is the same code as the first row here).
 	sw := pisa.NewSwitch(art.Target)
 	if err := sw.Load(prog); err != nil {
 		return nil, err
@@ -176,21 +176,19 @@ func E15Fabric() (*Table, error) {
 		gort.ReadMemStats(&after)
 		return wall, float64(after.Mallocs-before.Mallocs) / float64(windows), nil
 	}
-	data := [][]uint64{make([]uint64, W)}
-	meta := pisa.WindowMeta{Seq: 0}
-	slotWall, slotAllocs, err := bestOf(3, func() (time.Duration, float64, error) {
+	job := [1]pisa.BatchJob{{Data: [][]uint64{make([]uint64, W)}}}
+	oneWall, oneAllocs, err := bestOf(3, func() (time.Duration, float64, error) {
 		return measure(execWins, func(int) error {
-			_, err := sw.ExecWindowSlots(kern.ID, data, meta, prog.LocID)
-			return err
+			return execBatchOfOne(sw, kern.ID, &job, prog.LocID)
 		})
 	})
 	if err != nil {
-		return nil, fmt.Errorf("E15 exec slots: %w", err)
+		return nil, fmt.Errorf("E15 exec batch of 1: %w", err)
 	}
-	addRow("exec per-window (slots)", execWins, slotWall, slotWall, slotAllocs)
+	addRow("exec batch of 1", execWins, oneWall, oneWall, oneAllocs)
 	jobs := make([]pisa.BatchJob, chunk)
 	for i := range jobs {
-		jobs[i] = pisa.BatchJob{Data: [][]uint64{make([]uint64, W)}, Meta: meta}
+		jobs[i] = pisa.BatchJob{Data: [][]uint64{make([]uint64, W)}}
 	}
 	batchWall, batchAllocs, err := bestOf(3, func() (time.Duration, float64, error) {
 		return measure(execWins/chunk, func(int) error {
@@ -209,10 +207,10 @@ func E15Fabric() (*Table, error) {
 		return nil, fmt.Errorf("E15 exec batch: %w", err)
 	}
 	batchAllocs /= chunk
-	addRow(fmt.Sprintf("exec batched (x%d)", chunk), execWins, batchWall, slotWall, batchAllocs)
+	addRow(fmt.Sprintf("exec batched (x%d)", chunk), execWins, batchWall, oneWall, batchAllocs)
 
 	// --- Switch end to end: NCP windows through decode → exec → repack →
-	// forward, per-packet vs the vectorized segment path.
+	// forward, in segments of one vs drained segments.
 	runE2E := func(drain, windows int, batched bool) (time.Duration, float64, error) {
 		net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s1\nlink s1 b")
 		if err != nil {
@@ -240,7 +238,6 @@ func E15Fabric() (*Table, error) {
 			return 0, 0, err
 		}
 		defer fab.Stop()
-		defer sn.Close()
 		tos := make([]string, chunk)
 		for i := range tos {
 			tos[i] = "s1"

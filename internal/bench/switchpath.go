@@ -12,12 +12,22 @@ import (
 	"ncl/internal/pisa"
 )
 
+// execBatchOfOne runs a batch of one through the device — what a switch does
+// with a single-packet burst.
+func execBatchOfOne(sw *pisa.Switch, kernel uint32, job *[1]pisa.BatchJob, loc uint32) error {
+	if err := sw.ExecWindowBatch(kernel, job[:], loc); err != nil {
+		return err
+	}
+	return job[0].Err
+}
+
 // E12SwitchPath measures the compile-at-load switch data plane
 // (DESIGN.md §5.9): the tree-walking Reference engine vs the precompiled
-// plan, the slot-bound fast path the SwitchNode uses, and the per-device
-// pipeline worker sweep. Speedups are against the Reference row; the
-// allocs column shows what the pooled scratch buys (the plan paths stay
-// flat, the Reference allocates per window).
+// plan through its ExecWindow adapter and as a batch of one (the
+// degenerate case of the one entry point the SwitchNode uses), and the
+// whole switch node. Speedups are against the Reference row; the allocs
+// column shows what the pooled scratch buys (the plan paths stay flat,
+// the Reference allocates per window).
 func E12SwitchPath() (*Table, error) {
 	const (
 		W       = 8
@@ -80,7 +90,7 @@ func E12SwitchPath() (*Table, error) {
 	}
 	addRow("reference (tree-walk)", refWall, refWall, refAllocs)
 
-	// Compiled plan, Meta-map compatibility entry point.
+	// Compiled plan through the interp.Window adapter.
 	sw := pisa.NewSwitch(art.Target)
 	if err := sw.Load(prog); err != nil {
 		return nil, err
@@ -98,19 +108,17 @@ func E12SwitchPath() (*Table, error) {
 	}
 	addRow("compiled plan (ExecWindow)", wall, refWall, allocs)
 
-	// Compiled plan, slot-bound fast path (the SwitchNode data plane).
-	data := [][]uint64{make([]uint64, W)}
-	meta := pisa.WindowMeta{Seq: 0}
+	// Compiled plan, the data-plane entry point with a batch of one.
+	job := [1]pisa.BatchJob{{Data: [][]uint64{make([]uint64, W)}}}
 	wall, allocs, err = measure(func(int) error {
-		_, err := sw.ExecWindowSlots(kern.ID, data, meta, prog.LocID)
-		return err
+		return execBatchOfOne(sw, kern.ID, &job, prog.LocID)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("E12 slots: %w", err)
+		return nil, fmt.Errorf("E12 batch of 1: %w", err)
 	}
-	addRow("compiled plan (slots)", wall, refWall, allocs)
+	addRow("compiled plan (batch of 1)", wall, refWall, allocs)
 
-	// Whole-device pipeline: NCP decode -> plan -> repack, worker sweep.
+	// Whole-device pipeline: NCP decode -> plan -> repack -> forward.
 	net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s1\nlink s1 b")
 	if err != nil {
 		return nil, err
@@ -126,32 +134,23 @@ func E12SwitchPath() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, workers := range []int{1, 2, 4} {
-		sn := netsim.NewSwitchNode("s1", art.Target)
-		if err := sn.Install(prog, prog.LocID); err != nil {
-			return nil, err
-		}
-		sn.SetRoutes(net.NextHops()["s1"])
-		sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
-		sn.SetExecWorkers(workers)
-		if err := sn.Device().WriteRegister("nworkers", 0, 1); err != nil {
-			return nil, err
-		}
-		sink := &discardSender{net: net}
-		for i := 0; i < 64; i++ { // warm pools
-			sn.Receive(sink, &netsim.Packet{Src: "a", Dst: "b", Data: pktBytes}, "a")
-		}
-		var before, after gort.MemStats
-		gort.ReadMemStats(&before)
-		start := time.Now()
-		for i := 0; i < windows; i++ {
-			sn.Receive(sink, &netsim.Packet{Src: "a", Dst: "b", Data: pktBytes}, "a")
-		}
-		sn.Close() // drain the pool before stopping the clock
-		wall := time.Since(start)
-		gort.ReadMemStats(&after)
-		addRow(fmt.Sprintf("switch-node exec-workers=%d", workers), wall, refWall,
-			float64(after.Mallocs-before.Mallocs)/windows)
+	sn := netsim.NewSwitchNode("s1", art.Target)
+	if err := sn.Install(prog, prog.LocID); err != nil {
+		return nil, err
 	}
+	sn.SetRoutes(net.NextHops()["s1"])
+	sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
+	if err := sn.Device().WriteRegister("nworkers", 0, 1); err != nil {
+		return nil, err
+	}
+	sink := &discardSender{net: net}
+	wall, allocs, err = measure(func(int) error {
+		sn.Receive(sink, &netsim.Packet{Src: "a", Dst: "b", Data: pktBytes}, "a")
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	addRow("switch-node", wall, refWall, allocs)
 	return t, nil
 }

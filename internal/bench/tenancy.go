@@ -58,15 +58,14 @@ func E18Tenancy() (*Table, error) {
 		return nil, err
 	}
 
-	data := [][]uint64{make([]uint64, W)}
-	meta := pisa.WindowMeta{Seq: 0}
+	job := [1]pisa.BatchJob{{Data: [][]uint64{make([]uint64, W)}}}
 	locID := mp.LocID
-	// measure runs the slot fast path (the SwitchNode data plane) and
+	// measure runs one-job batches (a switch's single-packet burst) and
 	// keeps the best of a few trials — the phases are sequential, so the
 	// best trial is the least-perturbed one.
 	measure := func(kernel uint32) (time.Duration, error) {
 		for i := 0; i < 64; i++ { // warm pools
-			if _, err := sw.ExecWindowSlots(kernel, data, meta, locID); err != nil {
+			if err := execBatchOfOne(sw, kernel, &job, locID); err != nil {
 				return 0, err
 			}
 		}
@@ -74,7 +73,7 @@ func E18Tenancy() (*Table, error) {
 		for tr := 0; tr < trials; tr++ {
 			start := time.Now()
 			for i := 0; i < windows; i++ {
-				if _, err := sw.ExecWindowSlots(kernel, data, meta, locID); err != nil {
+				if err := execBatchOfOne(sw, kernel, &job, locID); err != nil {
 					return 0, err
 				}
 			}
@@ -100,7 +99,7 @@ func E18Tenancy() (*Table, error) {
 		return nil, err
 	}
 	for i := 0; i < windows; i++ {
-		if _, err := sw.ExecWindowSlots(pisa.TenantKernelID(2, kid), data, meta, locID); err != nil {
+		if err := execBatchOfOne(sw, pisa.TenantKernelID(2, kid), &job, locID); err != nil {
 			return nil, fmt.Errorf("E18 warm co-tenant: %w", err)
 		}
 	}

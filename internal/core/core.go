@@ -51,17 +51,9 @@ type BuildOptions struct {
 	// (0 = GOMAXPROCS, 1 = serial deterministic send order); see
 	// runtime.AppConfig.SendWorkers.
 	SendWorkers int
-	// ExecWorkers pipelines each switch's received windows across this
-	// many goroutines (0/1 = serial in-order execution); see
-	// runtime.AppConfig.ExecWorkers.
-	ExecWorkers int
 	// FabricInboxCap overrides the per-node fabric inbox capacity
 	// (0 = netsim.DefaultInboxCap); see runtime.AppConfig.FabricInboxCap.
 	FabricInboxCap int
-	// FabricDrainBatch bounds how many packets a fabric inbox goroutine
-	// drains per wakeup (0 = netsim.DefaultDrainBatch, 1 = per-packet
-	// delivery); see runtime.AppConfig.FabricDrainBatch.
-	FabricDrainBatch int
 }
 
 // StageTiming records one pipeline stage's duration (experiment E6).
@@ -72,14 +64,12 @@ type StageTiming struct {
 
 // Artifact is a completed build.
 type Artifact struct {
-	Name             string
-	WindowLen        int
-	Batch            int
-	SendWorkers      int
-	ExecWorkers      int
-	FabricInboxCap   int
-	FabricDrainBatch int
-	Target           pisa.TargetConfig
+	Name           string
+	WindowLen      int
+	Batch          int
+	SendWorkers    int
+	FabricInboxCap int
+	Target         pisa.TargetConfig
 
 	Info      *sema.Info
 	Generic   *ir.Module               // optimized location-agnostic module
@@ -106,18 +96,16 @@ func Build(nclSrc, andSrc string, opts BuildOptions) (*Artifact, error) {
 		opts.ModuleName = "app"
 	}
 	art := &Artifact{
-		Name:             opts.ModuleName,
-		WindowLen:        opts.WindowLen,
-		Batch:            opts.Batch,
-		SendWorkers:      opts.SendWorkers,
-		ExecWorkers:      opts.ExecWorkers,
-		FabricInboxCap:   opts.FabricInboxCap,
-		FabricDrainBatch: opts.FabricDrainBatch,
-		Target:           opts.Target,
-		Programs:         map[string]*pisa.Program{},
-		P4Text:           map[string]string{},
-		P4Stats:          map[string]p4.Stats{},
-		KernelIDs:        map[string]uint32{},
+		Name:           opts.ModuleName,
+		WindowLen:      opts.WindowLen,
+		Batch:          opts.Batch,
+		SendWorkers:    opts.SendWorkers,
+		FabricInboxCap: opts.FabricInboxCap,
+		Target:         opts.Target,
+		Programs:       map[string]*pisa.Program{},
+		P4Text:         map[string]string{},
+		P4Stats:        map[string]p4.Stats{},
+		KernelIDs:      map[string]uint32{},
 	}
 	art.SourceLines = strings.Count(nclSrc, "\n") + 1
 
@@ -267,16 +255,14 @@ func locIDOf(locs []passes.Location, label string) uint32 {
 // AppConfig derives the runtime configuration hosts need.
 func (a *Artifact) AppConfig() runtime.AppConfig {
 	cfg := runtime.AppConfig{
-		KernelIDs:        a.KernelIDs,
-		OutSpecs:         map[string][]ncp.ParamSpec{},
-		WindowLen:        a.WindowLen,
-		HostModule:       a.Host,
-		HostLabels:       map[uint32]string{},
-		Batch:            a.Batch,
-		SendWorkers:      a.SendWorkers,
-		ExecWorkers:      a.ExecWorkers,
-		FabricInboxCap:   a.FabricInboxCap,
-		FabricDrainBatch: a.FabricDrainBatch,
+		KernelIDs:      a.KernelIDs,
+		OutSpecs:       map[string][]ncp.ParamSpec{},
+		WindowLen:      a.WindowLen,
+		HostModule:     a.Host,
+		HostLabels:     map[uint32]string{},
+		Batch:          a.Batch,
+		SendWorkers:    a.SendWorkers,
+		FabricInboxCap: a.FabricInboxCap,
 	}
 	for _, hn := range a.Net.Hosts() {
 		cfg.HostLabels[hn.ID] = hn.Label

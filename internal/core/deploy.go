@@ -103,8 +103,8 @@ func (a *Artifact) DeployOn(phys *and.Network, opts PlacedOptions) (*Deployment,
 
 // deployFabric builds a running deployment over net (the physical network;
 // for identity deployments the overlay itself). Every error path tears
-// down whatever was already brought up — switch worker pools, host
-// goroutines, the fabric — so a failed Deploy leaks nothing.
+// down whatever was already brought up — host goroutines, the fabric —
+// so a failed Deploy leaks nothing.
 func (a *Artifact) deployFabric(ctrl *controller.Controller, net *and.Network, faults netsim.Faults, budgetFor func(label string) pisa.TargetConfig, hooks *deployHooks) (dep *Deployment, err error) {
 	if hooks == nil {
 		hooks = &deployHooks{}
@@ -118,7 +118,6 @@ func (a *Artifact) deployFabric(ctrl *controller.Controller, net *and.Network, f
 	fab := netsim.New(net, faults)
 	fab.SetObs(reg)
 	fab.SetInboxCap(cfg.FabricInboxCap)
-	fab.SetDrainBatch(cfg.FabricDrainBatch)
 	dep = &Deployment{
 		Artifact:   a,
 		Fabric:     fab,
@@ -142,11 +141,8 @@ func (a *Artifact) deployFabric(ctrl *controller.Controller, net *and.Network, f
 		} else {
 			sn = netsim.NewSwitchNode(sw.Label, budgetFor(sw.Label))
 		}
-		sn.SetExecWorkers(cfg.ExecWorkers)
-		// Record before any error return so cleanup closes the pool.
 		dep.Switches[sw.Label] = sn
-		// INT queue-depth source: the switch's fabric inbox (the worker
-		// pool's queue takes precedence inside the node when enabled).
+		// INT queue-depth source: the switch's fabric inbox.
 		label := sw.Label
 		sn.SetDepthSource(func() int { return fab.InboxDepth(label) })
 		if err = fab.Attach(sn); err != nil {
@@ -245,7 +241,6 @@ func (a *Artifact) DeployUDP() (*UDPDeployment, error) {
 	cleanup := func() { dep.Stop() }
 	for _, sw := range a.Net.Switches() {
 		sn := netsim.NewSwitchNode(sw.Label, a.Target)
-		sn.SetExecWorkers(cfg.ExecWorkers)
 		dep.Switches[sw.Label] = sn
 		if err := un.Attach(sn); err != nil {
 			cleanup()
@@ -283,9 +278,6 @@ func (d *UDPDeployment) Stop() {
 		h.Close()
 	}
 	d.Net.Stop()
-	for _, sn := range d.Switches {
-		sn.Close()
-	}
 }
 
 // Host returns the named host or an error.
@@ -303,10 +295,6 @@ func (d *Deployment) Stop() {
 		h.Close()
 	}
 	d.Fabric.Stop()
-	// Worker pools drain after the fabric stops delivering.
-	for _, sn := range d.Switches {
-		sn.Close()
-	}
 }
 
 // EnableTelemetry turns on the live telemetry plane: every host samples

@@ -112,8 +112,17 @@ func TestDeployOnFatTreeReliableAllReduce(t *testing.T) {
 
 // TestDeployOnFatTreeKVS runs the Fig. 5 cache on a k=4 fat-tree: the
 // overlay's client-s1-server chain placed by the engine, with a cache-hit
-// reflected by the placed switch and a miss crossing to the server.
+// reflected by the placed switch and a miss crossing to the server. The
+// traced variant is the waypoint regression: every window is sampled, so
+// every transit switch re-serializes it to append its forward hop — and
+// must hand the rebuilt packet its Via, or the window is routed around
+// the placed switch and its kernel never runs.
 func TestDeployOnFatTreeKVS(t *testing.T) {
+	t.Run("untraced", func(t *testing.T) { deployOnFatTreeKVS(t, false) })
+	t.Run("traced", func(t *testing.T) { deployOnFatTreeKVS(t, true) })
+}
+
+func deployOnFatTreeKVS(t *testing.T, traced bool) {
 	const (
 		cap      = 4
 		valBytes = 8
@@ -165,6 +174,9 @@ link s1 h15
 		t.Fatal(err)
 	}
 	defer dep.Stop()
+	if traced {
+		dep.EnableTelemetry(1)
+	}
 
 	client := dep.Hosts["h0"]
 	server := dep.Hosts["h15"]
@@ -226,6 +238,76 @@ link s1 h15
 	}
 	if srvKey[0] != 7 {
 		t.Errorf("server saw key %d, want 7", srvKey[0])
+	}
+	// Warm-up, hit and miss each executed exactly once, on the placed switch.
+	phys := dep.Controller.Placement().Assign["s1"]
+	if n := dep.Switches[phys].KernelWindows.Load(); n != 3 {
+		t.Errorf("placed switch %s executed %d windows, want the 3 sent", phys, n)
+	}
+}
+
+// TestDeployOnFatTreeHostToHostAllReduce: two workers in different pods
+// address their contributions to each other, so the windows reach the
+// placed aggregation switch only by their Via waypoint. Every window sent
+// must execute there — untraced, and with every window traced (see
+// TestDeployOnFatTreeKVS for what tracing used to break).
+func TestDeployOnFatTreeHostToHostAllReduce(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
+			const (
+				W       = 8
+				dataLen = 64
+				windows = dataLen / W
+			)
+			workers := []string{"h0", "h15"}
+			fat, err := and.FatTree(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			art, err := Build(lossyAllreduceNCL, starOverlaySrc(workers),
+				BuildOptions{WindowLen: W, SendWorkers: 1, ModuleName: "h2har"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep, err := art.DeployOn(fat, PlacedOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dep.Stop()
+			if traced {
+				dep.EnableTelemetry(1)
+			}
+			if err := dep.Controller.CtrlWrite("nworkers", 0, uint64(len(workers))); err != nil {
+				t.Fatal(err)
+			}
+			for w, label := range workers {
+				grad := make([]uint64, dataLen)
+				for i := range grad {
+					grad[i] = uint64((w + 1) * (i + 1))
+				}
+				peer := workers[1-w]
+				if err := dep.Hosts[label].Out(runtime.Invocation{Kernel: "allreduce", Dest: peer}, [][]uint64{grad}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, label := range workers {
+				sum := make([]uint64, dataLen)
+				for n := 0; n < windows; n++ {
+					if _, err := dep.Hosts[label].In("result", [][]uint64{sum}, 10*time.Second); err != nil {
+						t.Fatalf("%s: result %d of %d: %v", label, n, windows, err)
+					}
+				}
+				for i, v := range sum {
+					if want := uint64(3 * (i + 1)); v != want {
+						t.Fatalf("%s: sum[%d] = %d, want %d", label, i, v, want)
+					}
+				}
+			}
+			phys := dep.Controller.Placement().Assign["s1"]
+			if n := dep.Switches[phys].KernelWindows.Load(); n != uint64(len(workers)*windows) {
+				t.Errorf("placed switch %s executed %d windows, want the %d sent", phys, n, len(workers)*windows)
+			}
+		})
 	}
 }
 
@@ -309,11 +391,11 @@ func TestFailSwitchReplacesAndRecovers(t *testing.T) {
 
 // TestDeployCleanupOnError is the leak regression: a Deploy that fails
 // mid-loop (here: a location with no compiled program) must tear down
-// the switch worker pools and hosts it already brought up. Run with
-// -race; the goroutine count must return to its pre-Deploy level.
+// the hosts it already brought up. Run with -race; the goroutine count
+// must return to its pre-Deploy level.
 func TestDeployCleanupOnError(t *testing.T) {
 	art, err := Build(passThroughNCL, pairAND,
-		BuildOptions{WindowLen: 4, ExecWorkers: 4, ModuleName: "leakchk"})
+		BuildOptions{WindowLen: 4, ModuleName: "leakchk"})
 	if err != nil {
 		t.Fatal(err)
 	}

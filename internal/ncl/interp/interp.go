@@ -137,7 +137,7 @@ func (k DecisionKind) String() string {
 // The Meta map is the interpreter's (and the host runtime's) metadata
 // convention. The switch data plane does not build it per packet: the
 // compiled PISA plan binds header and user fields to PHV slots at load
-// time and executes via pisa.WindowMeta (see pisa.Switch.ExecWindowSlots).
+// time and executes via pisa.WindowMeta (see pisa.Switch.ExecWindowBatch).
 type Window struct {
 	Data [][]uint64
 	Ext  [][]uint64

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -251,6 +252,41 @@ func TestSendBatchFaultFallback(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if b.count() != 3 {
 		t.Errorf("hold-back slot should retain one packet: got %d", b.count())
+	}
+}
+
+// TestSendBatchDeliversPastBadDestination: one packet addressed to a
+// non-neighbor must not take the packets behind it down with it — on the
+// perfect-network fast path and on the faulted per-packet fallback alike.
+// Every deliverable packet arrives and the error names the bad one.
+func TestSendBatchDeliversPastBadDestination(t *testing.T) {
+	for name, faults := range map[string]Faults{
+		"perfect": {},
+		"faulted": {DupProb: 1e-12, Seed: 1}, // fault dice on, nothing injected
+	} {
+		t.Run(name, func(t *testing.T) {
+			fab := New(starNet(t), faults)
+			s1 := &echoNode{label: "s1"}
+			a := &echoNode{label: "a"}
+			b := &echoNode{label: "b"}
+			for _, n := range []Node{s1, a, b} {
+				if err := fab.Attach(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fab.Start()
+			defer fab.Stop()
+			err := fab.SendBatch("s1", []string{"a", "nowhere", "b"}, []*Packet{
+				{Src: "s1", Dst: "a", Data: []byte{1}},
+				{Src: "s1", Dst: "nowhere", Data: []byte{2}},
+				{Src: "s1", Dst: "b", Data: []byte{3}},
+			})
+			if err == nil || !strings.Contains(err.Error(), "nowhere") {
+				t.Fatalf("err = %v, want the unknown destination reported", err)
+			}
+			waitCount(t, a, 1)
+			waitCount(t, b, 1)
+		})
 	}
 }
 

@@ -69,38 +69,7 @@ func TestFailLinkBlackholesDirect(t *testing.T) {
 // forwarders re-hash over live hops via LinkHealth — and restoring the
 // link must spread flows across both uplinks again.
 func TestFailLinkECMPShift(t *testing.T) {
-	net, err := and.FatTree(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab := New(net, Faults{})
-	all := net.NextHopsAll()
-	if hops := all["p0e0"]["h15"]; len(hops) != 2 {
-		t.Fatalf("p0e0 has %d equal-cost hops toward h15, want 2 (%v)", len(hops), hops)
-	}
-	for _, sw := range net.Switches() {
-		sn := NewSwitchNode(sw.Label, pisa.DefaultTarget())
-		sn.SetRouting(&SwitchRouting{Next: all[sw.Label]})
-		if err := fab.Attach(sn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dst := &sinkNode{label: "h15"}
-	if err := fab.Attach(dst); err != nil {
-		t.Fatal(err)
-	}
-	for _, hn := range net.Hosts() {
-		if hn.Label == "h15" {
-			continue
-		}
-		if err := fab.Attach(NewNullNode(hn.Label)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fab.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer fab.Stop()
+	fab, _, dst := ecmpFatTree(t)
 
 	const flows = 32
 	// inject fires one raw (non-NCP) packet per flow identity into p0e0
@@ -145,5 +114,78 @@ func TestFailLinkECMPShift(t *testing.T) {
 	inject()
 	if got := viaA0.Packets.Load(); got == a0Healthy {
 		t.Fatal("restored uplink carries no traffic")
+	}
+}
+
+// ecmpFatTree starts a k=4 fat-tree of switch nodes with one live host,
+// h15; every other host is a null endpoint. Edge switch p0e0 (returned)
+// has the pass kernel installed and two equal-cost uplinks toward h15.
+func ecmpFatTree(t *testing.T) (*Fabric, *SwitchNode, *sinkNode) {
+	t.Helper()
+	net, err := and.FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := New(net, Faults{})
+	all := net.NextHopsAll()
+	if hops := all["p0e0"]["h15"]; len(hops) != 2 {
+		t.Fatalf("p0e0 has %d equal-cost hops toward h15, want 2 (%v)", len(hops), hops)
+	}
+	var edge *SwitchNode
+	for _, sw := range net.Switches() {
+		sn := NewSwitchNode(sw.Label, pisa.DefaultTarget())
+		sn.SetRouting(&SwitchRouting{Next: all[sw.Label]})
+		if sw.Label == "p0e0" {
+			edge = sn
+			if err := sn.Install(passProgram(), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fab.Attach(sn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := &sinkNode{label: "h15"}
+	if err := fab.Attach(dst); err != nil {
+		t.Fatal(err)
+	}
+	for _, hn := range net.Hosts() {
+		if hn.Label == "h15" {
+			continue
+		}
+		if err := fab.Attach(NewNullNode(hn.Label)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fab.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fab.Stop)
+	return fab, edge, dst
+}
+
+// TestFailLinkECMPRepairInsideBurst: windows a kernel passes leave the
+// switch through the burst's output collector, which must carry the
+// transport's LinkHealth — or every flow of a segment whose hash picks
+// the failed uplink is blackholed there instead of re-hashed.
+func TestFailLinkECMPRepairInsideBurst(t *testing.T) {
+	fab, edge, dst := ecmpFatTree(t)
+	fab.FailLink("p0e0", "p0a0")
+	const flows = 32
+	burst := make([]delivery, flows)
+	for i := range burst {
+		pkt := &Packet{Src: fmt.Sprintf("flow%d", i), Dst: "h15", Data: ncpPacket(t, 1, uint64(i), 0)}
+		burst[i] = delivery{pkt: pkt, from: "h0"}
+	}
+	edge.receiveBatch(fab, burst)
+	if got := edge.KernelWindows.Load(); got != flows {
+		t.Fatalf("executed %d/%d windows", got, flows)
+	}
+	waitFor(t, func() bool { return dst.count() == flows })
+	if got := fab.Stats("p0e0", "p0a0").Dropped.Load(); got != 0 {
+		t.Fatalf("%d windows blackholed on the failed uplink", got)
+	}
+	if got := fab.Stats("p0e0", "p0a1").Packets.Load(); got != flows {
+		t.Fatalf("surviving uplink carried %d/%d windows", got, flows)
 	}
 }

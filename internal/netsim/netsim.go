@@ -11,6 +11,7 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -212,8 +213,8 @@ const DefaultInboxCap = 4096
 
 // DefaultDrainBatch is how many queued packets an inbox goroutine takes
 // per wakeup unless SetDrainBatch overrides it. Larger batches amortize
-// the wakeup and the node hand-off; 1 degenerates to the old per-packet
-// channel behavior (useful as a benchmark baseline).
+// the wakeup and the node hand-off; 1 makes every burst a burst of one
+// (useful as a benchmark baseline).
 const DefaultDrainBatch = 64
 
 // SetInboxCap sets the per-node inbox capacity for nodes attached after
@@ -227,9 +228,7 @@ func (f *Fabric) SetInboxCap(n int) {
 }
 
 // SetDrainBatch bounds how many packets an inbox goroutine drains per
-// wakeup (call before Start; 0 keeps the default). Batches of more than
-// one packet are handed to nodes implementing the batch receive path in
-// one call; 1 forces the per-packet path.
+// wakeup (call before Start; 0 keeps the default).
 func (f *Fabric) SetDrainBatch(n int) {
 	if n > 0 {
 		f.drainBatch = n
@@ -276,10 +275,11 @@ func (f *Fabric) InboxDepth(label string) int {
 	return r.depth()
 }
 
-// batchReceiver is the optional fast path a node can implement to take a
-// whole drained batch in one call instead of len(batch) Receive calls.
-// The deliveries are in arrival order; the slice is only valid for the
-// duration of the call (the drain goroutine reuses its backing array).
+// batchReceiver is the optional path a node can implement to take a whole
+// drained burst (of any length, one included) in one call instead of
+// len(batch) Receive calls. The deliveries are in arrival order; the slice
+// is only valid for the duration of the call (the drain goroutine reuses
+// its backing array).
 type batchReceiver interface {
 	receiveBatch(f Sender, batch []delivery)
 }
@@ -312,7 +312,7 @@ func (f *Fabric) Start() error {
 						return
 					}
 				}
-				if br != nil && len(batch) > 1 {
+				if br != nil {
 					br.receiveBatch(f, batch)
 				} else {
 					for i := range batch {
@@ -530,6 +530,8 @@ type BatchSender interface {
 // Fault injection needs per-packet dice and the hold-back slot, so a
 // faulted fabric falls back to per-packet Send (the batched fast path is
 // the perfect-network case benchmarks and converged deployments run in).
+// A packet whose destination is not a neighbor does not stop the batch:
+// every deliverable packet is delivered and the errors come back joined.
 func (f *Fabric) SendBatch(from string, tos []string, pkts []*Packet) error {
 	if len(tos) != len(pkts) {
 		return fmt.Errorf("netsim: SendBatch got %d destinations for %d packets", len(tos), len(pkts))
@@ -537,31 +539,33 @@ func (f *Fabric) SendBatch(from string, tos []string, pkts []*Packet) error {
 	if len(pkts) == 0 {
 		return nil
 	}
-	if !(f.faults == (Faults{}) || f.faults.onlySeed()) || f.failed.Load() != nil || f.failedLinks.Load() != nil {
-		// Fault injection, node failure, and link failure all need
-		// per-packet decisions.
-		for i := range pkts {
-			if err := f.Send(from, tos[i], pkts[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	select {
 	case <-f.stopped:
 		return fmt.Errorf("netsim: fabric stopped")
 	default:
 	}
+	var errs []error
+	if !(f.faults == (Faults{}) || f.faults.onlySeed()) || f.failed.Load() != nil || f.failedLinks.Load() != nil {
+		// Fault injection, node failure, and link failure all need
+		// per-packet decisions.
+		for i := range pkts {
+			if err := f.Send(from, tos[i], pkts[i]); err != nil {
+				errs = append(errs, err)
+			}
+		}
+		return errors.Join(errs...)
+	}
 	f.stampSendBatch(from, tos, pkts)
-	for i := 0; i < len(pkts); {
-		j := i + 1
+	for i, j := 0, 0; i < len(pkts); i = j {
+		j = i + 1
 		for j < len(pkts) && tos[j] == tos[i] {
 			j++
 		}
 		to := tos[i]
 		st, ok := f.stats[linkKey{from, to}]
 		if !ok {
-			return fmt.Errorf("netsim: %s and %s are not overlay neighbors", from, to)
+			errs = append(errs, fmt.Errorf("netsim: %s and %s are not overlay neighbors", from, to))
+			continue
 		}
 		run := pkts[i:j]
 		var bytes uint64
@@ -572,12 +576,12 @@ func (f *Fabric) SendBatch(from string, tos []string, pkts []*Packet) error {
 			st.Packets.Add(uint64(len(run)))
 			st.Bytes.Add(bytes)
 			f.sinkPkts.Add(uint64(len(run)))
-			i = j
 			continue
 		}
 		inbox, ok := f.inboxes[to]
 		if !ok {
-			return fmt.Errorf("netsim: no node %q", to)
+			errs = append(errs, fmt.Errorf("netsim: no node %q", to))
+			continue
 		}
 		st.Packets.Add(uint64(len(run)))
 		st.Bytes.Add(bytes)
@@ -588,9 +592,8 @@ func (f *Fabric) SendBatch(from string, tos []string, pkts []*Packet) error {
 				drops.Add(over)
 			}
 		}
-		i = j
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // Stats returns the counters for the directed link from→to (nil if the

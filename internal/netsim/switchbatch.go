@@ -1,47 +1,79 @@
 package netsim
 
 import (
-	"ncl/internal/and"
+	"math"
+	"time"
+
 	"ncl/internal/ncp"
 	"ncl/internal/pisa"
 )
 
-// The batched receive path: the fabric drains a burst of packets from
-// the switch's ring inbox and hands them over in one receiveBatch call.
-// Consecutive plain windows for the same kernel form a segment that runs
-// through pisa.ExecWindowBatch — one plan load, one pooled scratch, and
-// the kernel's whole lock set acquired once for the segment — and their
-// outputs leave through one SendBatch. Anything the vectorized path
-// cannot take verbatim (non-NCP, acks, fragments, multi-window packets,
-// traced windows, unknown kernels) flushes the open segment first and
-// then goes through the ordinary per-packet process(), so per-source
-// FIFO order is exactly what the old one-packet-at-a-time loop gave.
+// The switch receive path — the only one. The fabric drains a burst of
+// packets from the switch's ring inbox and hands it to receiveBatch; a
+// direct Receive is a burst of one. Every packet is NCP-decoded exactly
+// once. Consecutive windows for the same kernel form a segment that runs
+// through pisa.ExecWindowBatch — one plan load, one pooled scratch, the
+// kernel's whole lock set acquired once — and whatever the loop cannot
+// execute (non-NCP, acks, fragments, unknown kernels) is forwarded in
+// place from the header already decoded, after the open segment has
+// executed, so per-source FIFO order holds. Every output of the burst
+// leaves through one collector and one SendBatch.
 
-// batchWin is one window parked in the current segment, with everything
-// its post-exec routing needs. sc owns the decoded header/user/hops the
-// pointers alias; it returns to the pool after the flush.
+// batchWin is one window parked in the open segment — the routing half of
+// its pisa.BatchJob, which carries the data and user values. sc holds the
+// window's header and decoded data; hops aliases the decode scratch of the
+// packet it arrived in.
 type batchWin struct {
 	sc         *nodeScratch
+	hops       []ncp.Hop
 	pkt        *Packet
-	from       string
-	kp         *swKernel
 	switchAcks bool
+	qdepth     uint16 // ingress backlog at arrival (traced windows only)
 }
 
-// batchState is the reusable per-switch working set of receiveBatch:
-// the open segment (wins+jobs, parallel slices), its kernel id, and the
-// output collector. Reused across calls — only the single drain
-// goroutine touches it.
+// nodeScratch is the decode working set of one window: the zero-copy NCP
+// decode target (its header is the window's own — a multi-window packet's
+// sub-windows each get a copy with their sequence number) and the decoded
+// window data, which the device rewrites in place.
+type nodeScratch struct {
+	dec  ncp.Decoded
+	data [][]uint64
+}
+
+// batchState is the working set of one receiveBatch call: the open
+// segment (wins+jobs, parallel slices) and its kernel, the decode
+// scratches handed out so far, the repack buffer, and the output
+// collector. Each call takes its own (takeBatch), never a set shared on
+// the node: a transport that delivers synchronously re-enters Receive
+// from inside a send, and Receive may be called from several goroutines.
+// What a finished burst leaves parked in it (packets, decoded data) is
+// overwritten by the next burst; zeroing it per burst would put a write
+// barrier on every window.
 type batchState struct {
-	kid  uint32
-	wins []batchWin
-	jobs []pisa.BatchJob
-	out  batchOut
+	kp      *swKernel
+	wins    []batchWin
+	jobs    []pisa.BatchJob
+	scs     []*nodeScratch // grown on demand, reused burst after burst
+	used    int            // scs[:used] belong to the current burst
+	payload []byte
+	out     batchOut
 }
 
-// batchOut queues the packets a flush produces and hands them to the
-// transport in one SendBatch — per-destination order preserved — when
-// the transport supports it; otherwise it degrades to pass-through.
+// scratch hands out the burst's next decode scratch. Scratches live until
+// the burst ends, so a parked window may alias its packet's user values
+// and hop records however many segments the packet spans.
+func (b *batchState) scratch() *nodeScratch {
+	if b.used == len(b.scs) {
+		b.scs = append(b.scs, &nodeScratch{})
+	}
+	sc := b.scs[b.used]
+	b.used++
+	return sc
+}
+
+// batchOut collects the packets a burst produces and hands them to the
+// transport in one SendBatch — per-destination order preserved — when the
+// transport supports it; otherwise it degrades to pass-through.
 type batchOut struct {
 	inner Sender
 	bs    BatchSender // nil: pass-through
@@ -49,92 +81,172 @@ type batchOut struct {
 	pkts  []*Packet
 }
 
-func (b *batchOut) reset(f Sender) {
-	b.inner = f
-	b.bs, _ = f.(BatchSender)
-	b.tos = b.tos[:0]
-	b.pkts = b.pkts[:0]
+func (o *batchOut) reset(f Sender) {
+	o.inner = f
+	o.bs, _ = f.(BatchSender)
 }
 
-func (b *batchOut) Send(from, to string, pkt *Packet) error {
-	if b.bs == nil {
-		return b.inner.Send(from, to, pkt)
+func (o *batchOut) send(from, to string, pkt *Packet) error {
+	if o.bs == nil {
+		return o.inner.Send(from, to, pkt)
 	}
-	b.tos = append(b.tos, to)
-	b.pkts = append(b.pkts, pkt)
+	o.tos = append(o.tos, to)
+	o.pkts = append(o.pkts, pkt)
 	return nil
 }
 
-func (b *batchOut) Network() *and.Network { return b.inner.Network() }
+// linkFailed consults the transport's LinkHealth when it has one: the
+// collector stands between the forwarder and the transport, and must not
+// hide a failed link from the ECMP repair.
+func (o *batchOut) linkFailed(from, to string) bool {
+	lh, ok := o.inner.(LinkHealth)
+	return ok && lh.LinkFailed(from, to)
+}
 
 // flush sends everything queued; errors are the caller's to count.
-func (b *batchOut) flush(from string) error {
-	if b.bs == nil || len(b.pkts) == 0 {
+func (o *batchOut) flush(from string) error {
+	if len(o.pkts) == 0 {
 		return nil
 	}
-	err := b.bs.SendBatch(from, b.tos, b.pkts)
-	for i := range b.pkts {
-		b.pkts[i] = nil
-	}
-	b.tos = b.tos[:0]
-	b.pkts = b.pkts[:0]
+	err := o.bs.SendBatch(from, o.tos, o.pkts)
+	o.tos = o.tos[:0]
+	o.pkts = o.pkts[:0]
 	return err
 }
 
-// receiveBatch implements batchReceiver: the vectorized Fig. 3b dispatch
-// over a drained burst. With the worker pool on, packets keep going
-// through the pool one at a time (the pool already overlaps windows; the
-// segment path would serialize them again).
+// Receive implements Node: a burst of one, executed and flushed to the
+// transport before it returns (UDP readers recycle pkt.Data right after).
+// Safe to re-enter and to call from several goroutines.
+func (s *SwitchNode) Receive(f Sender, pkt *Packet, from string) {
+	one := [1]delivery{{pkt: pkt, from: from}}
+	s.receiveBatch(f, one[:])
+}
+
+// receiveBatch implements batchReceiver: the Fig. 3b dispatch over a
+// drained burst.
 func (s *SwitchNode) receiveBatch(f Sender, batch []delivery) {
-	if s.execCh != nil {
-		for i := range batch {
-			s.execCh <- execJob{f: f, pkt: batch[i].pkt, from: batch[i].from}
-		}
+	b := s.takeBatch()
+	b.out.reset(f)
+	for i := range batch {
+		s.ingest(b, batch[i].pkt)
+	}
+	s.execSegment(b)
+	if err := b.out.flush(s.label); err != nil {
+		s.Errors.Add(1)
+	}
+	b.used = 0
+	s.idleMu.Lock()
+	s.idle = append(s.idle, b)
+	s.idleMu.Unlock()
+}
+
+// takeBatch pops an idle working set, or builds one when every existing
+// set is in use by a call further up the stack or on another goroutine.
+func (s *SwitchNode) takeBatch() *batchState {
+	var b *batchState
+	s.idleMu.Lock()
+	if n := len(s.idle); n > 0 {
+		b, s.idle = s.idle[n-1], s.idle[:n-1]
+	}
+	s.idleMu.Unlock()
+	if b == nil {
+		b = &batchState{}
+	}
+	return b
+}
+
+// ingest decodes one packet and either parks its windows in the open
+// segment or forwards it.
+func (s *SwitchNode) ingest(b *batchState, pkt *Packet) {
+	if !ncp.IsNCP(pkt.Data) {
+		s.execSegment(b)
+		s.ForwardedRaw.Add(1)
+		s.forward(&b.out, pkt)
 		return
 	}
-	b := &s.batch
-	for i := range batch {
-		pkt, from := batch[i].pkt, batch[i].from
-		if !ncp.IsNCP(pkt.Data) {
-			s.flushBatch(f, b)
-			s.process(f, pkt, from)
-			continue
+	sc := b.scratch()
+	if err := ncp.DecodeFullInto(pkt.Data, &sc.dec); err != nil {
+		// Corrupted NCP traffic is dropped, like a failed checksum anywhere.
+		s.Errors.Add(1)
+		return
+	}
+	h := &sc.dec.Header
+	traced := h.Flags&ncp.FlagTrace != 0
+	kp := s.kplans[h.KernelID]
+	if kp == nil || h.FragCount > 1 || h.Flags&ncp.FlagAck != 0 {
+		// No kernel for this window here, a multi-packet window (switches
+		// pass fragments through, §6), or an acknowledgment: normal
+		// forwarding without kernel execution.
+		s.execSegment(b)
+		s.ForwardedRaw.Add(1)
+		if traced {
+			// Traced windows still record the pass-through hop, with the
+			// queue depth at arrival (no kernel ran, so no latency/kernel).
+			hops := append(sc.dec.Hops, ncp.Hop{
+				Loc: uint16(s.locID), Kind: ncp.HopSwitch,
+				Event: ncp.EventForward, TimeNs: switchTimeNs(pkt.VTimeUs),
+				QueueDepth: s.queueDepth(),
+			})
+			if out, err := ncp.MarshalHops(h, sc.dec.User, hops, sc.dec.Payload); err == nil {
+				pkt = &Packet{Src: pkt.Src, Dst: pkt.Dst, Via: pkt.Via, Data: out, VTimeUs: pkt.VTimeUs}
+			}
 		}
-		sc := s.getScratch()
-		if err := ncp.DecodeFullInto(pkt.Data, &sc.dec); err != nil {
-			s.scratch.Put(sc)
-			s.flushBatch(f, b)
+		s.forward(&b.out, pkt)
+		return
+	}
+
+	// Multi-window packets (§4.2) unbatch at the first executing switch:
+	// each window runs the kernel and follows its own forwarding decision.
+	n, per, payload := 1, len(sc.dec.Payload), sc.dec.Payload
+	if h.BatchCount > 1 {
+		n, per = int(h.BatchCount), kp.payloadBytes
+		if len(payload) != per*n {
+			// The payload must split exactly; anything else is a framing
+			// error, not a remainder to drop silently.
 			s.Errors.Add(1)
-			continue
+			return
 		}
-		h := &sc.dec.Header
-		kp := s.kplans[h.KernelID]
-		if kp == nil || h.FragCount > 1 || h.BatchCount > 1 ||
-			h.Flags&(ncp.FlagAck|ncp.FlagTrace) != 0 {
-			// Pass-through, multi-packet, multi-window, or traced: the
-			// per-packet path handles these (re-decoding — they are rare
-			// relative to plain windows on a hot stream).
-			s.scratch.Put(sc)
-			s.flushBatch(f, b)
-			s.process(f, pkt, from)
-			continue
+		h.BatchCount = 1
+	}
+	// INT ingress snapshot: the queue depth every hop record of this
+	// packet reports is the backlog when the packet arrived, probed once
+	// (and only for traced windows — the untraced path stays flat).
+	var qdepth uint16
+	if traced {
+		qdepth = s.queueDepth()
+	}
+	xonce := h.Flags&ncp.FlagExactlyOnce != 0
+	user, hops := sc.dec.User, sc.dec.Hops
+	for k := 0; k < n; k++ {
+		if k > 0 {
+			prev := h
+			sc = b.scratch()
+			h = &sc.dec.Header
+			*h = *prev
+			h.WindowSeq++
 		}
-		data, err := ncp.DecodePayloadInto(sc.data, sc.dec.Payload, kp.specs)
+		data, err := ncp.DecodePayloadInto(sc.data, payload[k*per:(k+1)*per], kp.specs)
 		sc.data = data
 		if err != nil {
-			s.scratch.Put(sc)
-			s.flushBatch(f, b)
 			s.Errors.Add(1)
 			continue
 		}
-		if len(b.wins) > 0 && h.KernelID != b.kid {
-			s.flushBatch(f, b)
+		// A segment is one kernel's run of untraced windows; a traced
+		// window is a segment of one, so exec_ns and its INT hop record
+		// time that window alone.
+		if kp != b.kp || traced {
+			s.execSegment(b)
 		}
-		b.kid = h.KernelID
-		xonce := h.Flags&ncp.FlagExactlyOnce != 0
+		b.kp = kp
 		b.wins = append(b.wins, batchWin{
-			sc: sc, pkt: pkt, from: from, kp: kp,
+			sc: sc, hops: hops, pkt: pkt,
+			// A reliable window for a non-idempotent kernel runs through the
+			// device's duplicate shadow state, and the switch — not the
+			// unreachable destination — acknowledges it when the kernel
+			// consumes it on-path (drop/reflect/bcast): retransmits neither
+			// double-apply nor time out (DESIGN §5.4).
 			switchAcks: xonce && h.Flags&ncp.FlagAckRequest != 0,
+			qdepth:     qdepth,
 		})
 		b.jobs = append(b.jobs, pisa.BatchJob{
 			Data: data,
@@ -144,64 +256,82 @@ func (s *SwitchNode) receiveBatch(f Sender, batch []delivery) {
 				From:        uint64(h.FromRole),
 				Sender:      uint64(h.Sender),
 				Wid:         uint64(h.Wid),
-				User:        sc.dec.User,
+				User:        user,
 				ExactlyOnce: xonce,
 			},
 		})
+		if traced {
+			s.execSegment(b)
+		}
 	}
-	s.flushBatch(f, b)
 }
 
-// flushBatch executes the open segment through the device's batch path
-// and routes every window's decision, collecting outputs for one
-// SendBatch. Counting matches the per-packet path window for window,
-// except that the segment's acknowledgments coalesce into range acks.
-func (s *SwitchNode) flushBatch(f Sender, b *batchState) {
+// execSegment executes the open segment through the device and routes
+// every window's decision into the burst's collector. The segment's
+// acknowledgments coalesce into range acks.
+func (s *SwitchNode) execSegment(b *batchState) {
 	if len(b.wins) == 0 {
 		return
 	}
-	out := &b.out
-	out.reset(f)
-	if err := s.sw.ExecWindowBatch(b.kid, b.jobs, s.locID); err != nil {
-		// Batch-level failure (no program / unknown kernel): every window
-		// in the segment is lost, exactly as each would have been on the
-		// per-packet path.
+	kp := b.kp
+	// Time the pipeline only for traced windows: the measurement (two
+	// clock reads + a histogram observe) never touches the untraced path.
+	traced := b.wins[0].sc.dec.Header.Flags&ncp.FlagTrace != 0
+	var execStart time.Time
+	if traced {
+		execStart = time.Now()
+	}
+	err := s.sw.ExecWindowBatch(kp.k.ID, b.jobs, s.locID)
+	var execWallNs uint64
+	if traced {
+		execWallNs = uint64(time.Since(execStart))
+		s.execNs.Observe(float64(execWallNs))
+	}
+	if err != nil {
+		// Batch-level failure (no program / unknown kernel on the device):
+		// every window in the segment is lost.
 		s.Errors.Add(uint64(len(b.wins)))
 	} else {
 		var acks ackRun
 		for i := range b.wins {
-			w := &b.wins[i]
-			j := &b.jobs[i]
+			w, j := &b.wins[i], &b.jobs[i]
 			if j.Err != nil {
 				s.Errors.Add(1)
 				continue
 			}
 			s.KernelWindows.Add(1)
-			w.kp.windows.Inc()
+			kp.windows.Inc()
 			if j.Dec.Suppressed {
 				s.DupSuppressed.Add(1)
 			}
-			sc := w.sc
-			s.route(out, w.pkt, w.from, w.kp, &sc.dec.Header, sc.dec.User, sc.dec.Hops, sc.data, sc, j.Dec, w.switchAcks, &acks)
+			hops := w.hops
+			if traced {
+				hops = s.execHop(w, execWallNs)
+			}
+			s.route(b, w, j, kp, hops, &acks)
 		}
-		s.flushAcks(out, &acks)
+		s.flushAcks(&b.out, &acks)
 	}
-	if err := out.flush(s.label); err != nil {
-		s.Errors.Add(1)
+	b.wins, b.jobs, b.kp = b.wins[:0], b.jobs[:0], nil
+}
+
+// execHop appends a traced window's exec record to its hop list. INT
+// latency is the modeled pipeline delay when the fabric carries virtual
+// time, else the measured kernel execution wall time (PackINT saturates
+// at 24 bits).
+func (s *SwitchNode) execHop(w *batchWin, execWallNs uint64) []ncp.Hop {
+	lat := execWallNs
+	if w.pkt.VTimeUs > 0 {
+		lat = uint64(SwitchDelayUs * 1000)
 	}
-	// Release only the pointer-bearing fields: the slices are reset to
-	// length zero and every value field is overwritten by the next
-	// segment's appends, so full-struct zeroing would be pure copy cost on
-	// the hot path.
-	for i := range b.wins {
-		s.scratch.Put(b.wins[i].sc)
-		w := &b.wins[i]
-		w.sc, w.pkt, w.kp, w.from = nil, nil, nil, ""
+	if lat > math.MaxUint32 {
+		lat = math.MaxUint32
 	}
-	b.wins = b.wins[:0]
-	for i := range b.jobs {
-		j := &b.jobs[i]
-		j.Data, j.Meta.User, j.Err, j.Dec.Label = nil, nil, nil, ""
-	}
-	b.jobs = b.jobs[:0]
+	// Full-capacity append: unbatched sub-windows each extend their own
+	// copy rather than aliasing the shared prefix.
+	return append(w.hops[:len(w.hops):len(w.hops)], ncp.Hop{
+		Loc: uint16(s.locID), Kind: ncp.HopSwitch,
+		Event: ncp.EventExec, TimeNs: switchTimeNs(w.pkt.VTimeUs + SwitchDelayUs),
+		LatencyNs: uint32(lat), QueueDepth: w.qdepth, KernelID: w.sc.dec.Header.KernelID,
+	})
 }

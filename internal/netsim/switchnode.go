@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ncl/internal/and"
 	"ncl/internal/ncl/interp"
@@ -19,13 +18,11 @@ import (
 // through the loaded pipeline and then follow the kernel's forwarding
 // decision (§4.1).
 //
-// The data path is allocation-flat: decode/repack buffers come from a
-// sync.Pool, per-kernel wire specs and counters are resolved once at
-// Install, and window metadata binds to PHV slots through the device's
-// compiled plan (no per-packet maps). An optional worker pool
-// (SetExecWorkers) lets one switch pipeline independent windows the way
-// real PISA stages overlap packets; state correctness comes from the
-// device's per-register locking.
+// The data path (switchbatch.go) is allocation-flat: its working set is
+// reused burst after burst, per-kernel wire specs and counters are resolved once
+// at Install, and window metadata binds to PHV slots through the device's
+// compiled plan (no per-packet maps). State correctness under concurrent
+// Receive calls comes from the device's per-kernel lock sets.
 type SwitchNode struct {
 	label   string
 	sw      *pisa.Switch
@@ -57,20 +54,18 @@ type SwitchNode struct {
 	// for traced windows so the untraced path stays measurement-free.
 	execNs *obs.Histogram
 
-	// depthFn probes the switch's ingress backlog for INT stamping when
-	// the worker pool is off (core.Deploy wires it to the fabric inbox).
+	// depthFn probes the switch's ingress backlog for INT stamping
+	// (core.Deploy wires it to the fabric inbox).
 	depthFn func() int
 
-	scratch sync.Pool // *nodeScratch
-
-	// batch is the reusable working set of the batched receive path
-	// (switchbatch.go). Only the fabric's single drain goroutine for this
-	// node calls receiveBatch, so no lock is needed.
-	batch batchState
-
-	execCh    chan execJob
-	workerWg  sync.WaitGroup
-	closeOnce sync.Once
+	// idle holds the working sets of finished bursts for the next ones,
+	// one per receiveBatch call that was ever in flight at once. A plain
+	// free list, not a sync.Pool: a pool strands a lone object in a per-P
+	// slot and drops it at the second collection, and every rebuilt set
+	// re-allocates a burst's worth of decode scratch (measured: +0.1
+	// allocations per window on a streaming allreduce).
+	idleMu sync.Mutex
+	idle   []*batchState
 }
 
 // swKernel is one kernel's precomputed receive-path state: the NCP wire
@@ -81,21 +76,6 @@ type swKernel struct {
 	specs        []ncp.ParamSpec
 	payloadBytes int
 	windows      *obs.Counter // switch.<label>.kernel.<name>.windows
-}
-
-// nodeScratch is the pooled per-packet working set: the zero-copy NCP
-// decode target, the decoded window data, and the repack payload buffer.
-type nodeScratch struct {
-	dec     ncp.Decoded
-	data    [][]uint64
-	payload []byte
-}
-
-// execJob is one received packet queued for a pipeline worker.
-type execJob struct {
-	f    Sender
-	pkt  *Packet
-	from string
 }
 
 // NewSwitchNode creates a switch for the given AND label.
@@ -249,26 +229,18 @@ var ExecNsBuckets = []float64{
 	100000, 250000, 500000, 1e6, 2.5e6, 5e6, 1e7,
 }
 
-// SetDepthSource installs the inbox-depth probe INT records report when
-// the worker pool is off. The deployment wires it to the fabric's inbox
-// for this switch; nil (the default) reports depth 0. Call before
-// traffic, like SetRoutes.
+// SetDepthSource installs the inbox-depth probe INT records report. The
+// deployment wires it to the fabric's inbox for this switch; nil (the
+// default) reports depth 0. Call before traffic, like SetRoutes.
 func (s *SwitchNode) SetDepthSource(fn func() int) { s.depthFn = fn }
 
 // queueDepth reports the ingress backlog at window arrival for INT
-// stamping: the pipeline worker queue when the pool is on, else the
-// wired depth source. Saturates at 16 bits (the wire field).
+// stamping. Saturates at 16 bits (the wire field).
 func (s *SwitchNode) queueDepth() uint16 {
-	n := 0
-	if s.execCh != nil {
-		n = len(s.execCh)
-	} else if s.depthFn != nil {
-		n = s.depthFn()
+	if s.depthFn == nil {
+		return 0
 	}
-	if n > math.MaxUint16 {
-		n = math.MaxUint16
-	}
-	return uint16(n)
+	return uint16(min(s.depthFn(), math.MaxUint16))
 }
 
 // SetHosts installs the host id → label map used to route reflected
@@ -280,126 +252,6 @@ func (s *SwitchNode) SetHosts(hosts map[uint32]string) {
 	}
 }
 
-// SetExecWorkers starts a pipeline worker pool of n goroutines; received
-// packets are queued and processed concurrently (per-register locking in
-// the device keeps stateful kernels correct). n <= 1 keeps today's
-// serial in-order processing. Call before traffic; pair with Close.
-func (s *SwitchNode) SetExecWorkers(n int) {
-	if n <= 1 || s.execCh != nil {
-		return
-	}
-	s.execCh = make(chan execJob, 256)
-	for i := 0; i < n; i++ {
-		s.workerWg.Add(1)
-		go func() {
-			defer s.workerWg.Done()
-			for j := range s.execCh {
-				s.process(j.f, j.pkt, j.from)
-			}
-		}()
-	}
-}
-
-// Close drains and stops the worker pool (no-op without one). Call only
-// after the fabric has stopped delivering.
-func (s *SwitchNode) Close() {
-	s.closeOnce.Do(func() {
-		if s.execCh != nil {
-			close(s.execCh)
-			s.workerWg.Wait()
-		}
-	})
-}
-
-func (s *SwitchNode) getScratch() *nodeScratch {
-	sc, _ := s.scratch.Get().(*nodeScratch)
-	if sc == nil {
-		sc = &nodeScratch{}
-	}
-	return sc
-}
-
-// Receive implements Node: the Fig. 3b dispatch, either inline or via
-// the worker pool.
-func (s *SwitchNode) Receive(f Sender, pkt *Packet, from string) {
-	if s.execCh != nil {
-		s.execCh <- execJob{f: f, pkt: pkt, from: from}
-		return
-	}
-	s.process(f, pkt, from)
-}
-
-// process handles one received packet.
-func (s *SwitchNode) process(f Sender, pkt *Packet, from string) {
-	if !ncp.IsNCP(pkt.Data) {
-		s.ForwardedRaw.Add(1)
-		s.forward(f, pkt, from)
-		return
-	}
-	sc := s.getScratch()
-	defer s.scratch.Put(sc)
-	if err := ncp.DecodeFullInto(pkt.Data, &sc.dec); err != nil {
-		// Corrupted NCP traffic is dropped, like a failed checksum anywhere.
-		s.Errors.Add(1)
-		return
-	}
-	h := &sc.dec.Header
-	userVals := sc.dec.User
-	hops := sc.dec.Hops
-	payload := sc.dec.Payload
-	kp := s.kplans[h.KernelID]
-	if kp == nil || h.FragCount > 1 || h.Flags&ncp.FlagAck != 0 {
-		// No kernel for this window here, a multi-packet window (switches
-		// pass fragments through, §6), or an acknowledgment: normal
-		// forwarding without kernel execution.
-		s.ForwardedRaw.Add(1)
-		if h.Flags&ncp.FlagTrace != 0 {
-			// Traced windows still record the pass-through hop, with the
-			// queue depth at arrival (no kernel ran, so no latency/kernel).
-			hops = append(hops, ncp.Hop{
-				Loc: uint16(s.locID), Kind: ncp.HopSwitch,
-				Event: ncp.EventForward, TimeNs: switchTimeNs(pkt.VTimeUs),
-				QueueDepth: s.queueDepth(),
-			})
-			if out, err := ncp.MarshalHops(h, userVals, hops, payload); err == nil {
-				pkt = &Packet{Src: pkt.Src, Dst: pkt.Dst, Data: out, VTimeUs: pkt.VTimeUs}
-			}
-		}
-		s.forward(f, pkt, from)
-		return
-	}
-
-	// INT ingress snapshot: the queue depth every hop record of this
-	// packet reports is the backlog when the packet arrived, probed once
-	// (and only for traced windows — the untraced path stays flat).
-	var qdepth uint16
-	if h.Flags&ncp.FlagTrace != 0 {
-		qdepth = s.queueDepth()
-	}
-
-	// Multi-window packets (§4.2) unbatch at the first executing switch:
-	// each window runs the kernel and follows its own forwarding decision.
-	var acks ackRun
-	if h.BatchCount > 1 {
-		per := kp.payloadBytes
-		if len(payload) != per*int(h.BatchCount) {
-			// The payload must split exactly; anything else is a framing
-			// error (the old path silently dropped the remainder bytes).
-			s.Errors.Add(1)
-			return
-		}
-		for k := 0; k < int(h.BatchCount); k++ {
-			sub := *h
-			sub.BatchCount = 1
-			sub.WindowSeq = h.WindowSeq + uint32(k)
-			s.execOne(f, pkt, from, kp, &sub, userVals, hops, payload[k*per:(k+1)*per], sc, qdepth, &acks)
-		}
-	} else {
-		s.execOne(f, pkt, from, kp, h, userVals, hops, payload, sc, qdepth, &acks)
-	}
-	s.flushAcks(f, &acks)
-}
-
 // switchTimeNs converts a packet's virtual time to the hop-record clock.
 func switchTimeNs(us float64) uint64 {
 	if us <= 0 {
@@ -408,123 +260,46 @@ func switchTimeNs(us float64) uint64 {
 	return uint64(us * 1000)
 }
 
-// execOne runs one window through the pipeline and routes the outcome.
-// qdepth is the ingress backlog probed at packet arrival (INT stamping;
-// meaningful only for traced windows). Acknowledgments the window earns
-// accumulate in acks; the caller flushes them.
-func (s *SwitchNode) execOne(f Sender, pkt *Packet, from string, kp *swKernel, h *ncp.Header, userVals []uint64, hops []ncp.Hop, payload []byte, sc *nodeScratch, qdepth uint16, acks *ackRun) {
-	data, err := ncp.DecodePayloadInto(sc.data, payload, kp.specs)
-	sc.data = data
-	if err != nil {
-		s.Errors.Add(1)
-		return
-	}
-	// A reliable window for a non-idempotent kernel (FlagExactlyOnce)
-	// runs through the device's duplicate shadow state, and the switch —
-	// not the unreachable destination — acknowledges it when the kernel
-	// consumes it on-path (drop/reflect/bcast). That closes DESIGN §5.4's
-	// soundness hole: retransmits neither double-apply nor time out.
-	xonce := h.Flags&ncp.FlagExactlyOnce != 0
-	switchAcks := xonce && h.Flags&ncp.FlagAckRequest != 0
-	meta := pisa.WindowMeta{
-		Seq:         uint64(h.WindowSeq),
-		Len:         uint64(h.WindowLen),
-		From:        uint64(h.FromRole),
-		Sender:      uint64(h.Sender),
-		Wid:         uint64(h.Wid),
-		User:        userVals,
-		ExactlyOnce: xonce,
-	}
-	// Time the pipeline only for traced windows: the measurement (two
-	// clock reads + a histogram observe) never touches the untraced path.
-	traced := h.Flags&ncp.FlagTrace != 0
-	var execStart time.Time
-	if traced {
-		execStart = time.Now()
-	}
-	dec, err := s.sw.ExecWindowSlots(h.KernelID, data, meta, s.locID)
-	var execWallNs uint64
-	if traced {
-		execWallNs = uint64(time.Since(execStart))
-		s.execNs.Observe(float64(execWallNs))
-	}
-	if err != nil {
-		s.Errors.Add(1)
-		return
-	}
-	s.KernelWindows.Add(1)
-	kp.windows.Inc()
-	if dec.Suppressed {
-		s.DupSuppressed.Add(1)
-	}
-	if traced {
-		// INT latency: the modeled pipeline delay when the fabric carries
-		// virtual time, else the measured kernel execution wall time
-		// (PackINT saturates at 24 bits).
-		lat := execWallNs
-		if pkt.VTimeUs > 0 {
-			lat = uint64(SwitchDelayUs * 1000)
-		}
-		if lat > math.MaxUint32 {
-			lat = math.MaxUint32
-		}
-		// Full-capacity append: unbatched sub-windows each extend their
-		// own copy rather than aliasing the shared prefix.
-		hops = append(hops[:len(hops):len(hops)], ncp.Hop{
-			Loc: uint16(s.locID), Kind: ncp.HopSwitch,
-			Event: ncp.EventExec, TimeNs: switchTimeNs(pkt.VTimeUs + SwitchDelayUs),
-			LatencyNs: uint32(lat), QueueDepth: qdepth, KernelID: h.KernelID,
-		})
-	}
-	s.route(f, pkt, from, kp, h, userVals, hops, data, sc, dec, switchAcks, acks)
-}
-
-// route applies an executed window's forwarding decision — the shared
-// tail of the per-packet path (execOne) and the batch path
-// (flushBatch). acks is touched only when switchAcks is set.
-func (s *SwitchNode) route(f Sender, pkt *Packet, from string, kp *swKernel, h *ncp.Header, userVals []uint64, hops []ncp.Hop, data [][]uint64, sc *nodeScratch, dec interp.Decision, switchAcks bool, acks *ackRun) {
+// route applies an executed window's forwarding decision, sending into
+// the burst's collector. acks is touched only when the window is one the
+// switch acknowledges.
+func (s *SwitchNode) route(b *batchState, w *batchWin, j *pisa.BatchJob, kp *swKernel, hops []ncp.Hop, acks *ackRun) {
+	out, pkt, h, dec := &b.out, w.pkt, &w.sc.dec.Header, j.Dec
 	// The window's reliable flags stay on pass-through (the destination
 	// host acknowledges delivery) but are stripped from on-path outputs:
 	// the switch acknowledges those itself, and the derived reflect/bcast
 	// windows are new unreliable traffic, not the acknowledged window.
 	var clearFlags uint8
-	if switchAcks {
+	if w.switchAcks {
 		clearFlags = ncp.FlagAckRequest | ncp.FlagExactlyOnce
 	}
+	if w.switchAcks && dec.Kind != interp.Pass {
+		s.ackConsumed(out, w, acks)
+	}
+	vtime := pkt.VTimeUs + SwitchDelayUs
 	switch dec.Kind {
-	case interp.Drop:
-		if switchAcks {
-			s.ackConsumed(f, pkt, from, h, acks)
-		}
-		return
 	case interp.Pass:
-		out := s.repack(sc, h, userVals, hops, kp, data, 0, 0)
-		if out == nil {
+		data := s.repack(b, w, j, kp, hops, 0, 0)
+		if data == nil {
 			return
 		}
-		npkt := &Packet{Src: pkt.Src, Dst: pkt.Dst, Data: out, VTimeUs: pkt.VTimeUs + SwitchDelayUs}
+		npkt := &Packet{Src: pkt.Src, Dst: pkt.Dst, Data: data, VTimeUs: vtime}
 		if dec.Label != "" {
 			npkt.Dst = dec.Label
 		}
-		s.forward(f, npkt, from)
+		s.forward(out, npkt)
 	case interp.Reflect:
-		if switchAcks {
-			s.ackConsumed(f, pkt, from, h, acks)
-		}
 		target, ok := s.hostByID[h.Sender]
 		if !ok {
 			s.Errors.Add(1)
 			return
 		}
-		out := s.repack(sc, h, userVals, hops, kp, data, ncp.FlagReflected, clearFlags)
-		if out == nil {
+		data := s.repack(b, w, j, kp, hops, ncp.FlagReflected, clearFlags)
+		if data == nil {
 			return
 		}
-		s.forward(f, &Packet{Src: s.label, Dst: target, Data: out, VTimeUs: pkt.VTimeUs + SwitchDelayUs}, from)
+		s.forward(out, &Packet{Src: s.label, Dst: target, Data: data, VTimeUs: vtime})
 	case interp.Bcast:
-		if switchAcks {
-			s.ackConsumed(f, pkt, from, h, acks)
-		}
 		// §4.1 verbatim: "_bcast() sends a window to all devices, one hop
 		// away - in the overlay - from the current location". That
 		// includes neighboring switches; loop prevention is kernel logic
@@ -535,8 +310,8 @@ func (s *SwitchNode) route(f Sender, pkt *Packet, from string, kp *swKernel, h *
 		// One serialization serves every neighbor: delivered packet
 		// bytes are read-only by convention, so the Packet structs may
 		// share the encoded window.
-		out := s.repack(sc, h, userVals, hops, kp, data, ncp.FlagBcast, clearFlags)
-		if out == nil {
+		data := s.repack(b, w, j, kp, hops, ncp.FlagBcast, clearFlags)
+		if data == nil {
 			return
 		}
 		targets := s.routing.Load().Bcast
@@ -545,10 +320,10 @@ func (s *SwitchNode) route(f Sender, pkt *Packet, from string, kp *swKernel, h *
 			// the overlay neighbors are the direct neighbors. Under
 			// placement, the controller installs the logical neighbor list
 			// and each copy is unicast-routed toward its overlay target.
-			targets = f.Network().Neighbors(s.label)
+			targets = out.inner.Network().Neighbors(s.label)
 		}
 		for _, nb := range targets {
-			s.forward(f, &Packet{Src: s.label, Dst: nb, Data: out, VTimeUs: pkt.VTimeUs + SwitchDelayUs}, from)
+			s.forward(out, &Packet{Src: s.label, Dst: nb, Data: data, VTimeUs: vtime})
 		}
 	}
 }
@@ -562,7 +337,6 @@ type ackRun struct {
 	hdr    ncp.Header // the ack; WindowSeq is the base window
 	more   uint64     // bitmap of the windows after the base
 	target string
-	from   string
 	vtime  float64 // departure time: the latest covered window's
 }
 
@@ -573,8 +347,9 @@ type ackRun struct {
 // prompted the retransmit was lost. The ack joins the open run when it
 // continues it; otherwise the run is flushed and a new one starts. Same
 // wire shape as the host runtime's ack; Sender names the acking location.
-func (s *SwitchNode) ackConsumed(f Sender, pkt *Packet, from string, h *ncp.Header, run *ackRun) {
-	vtime := pkt.VTimeUs + SwitchDelayUs
+func (s *SwitchNode) ackConsumed(out *batchOut, w *batchWin, run *ackRun) {
+	h := &w.sc.dec.Header
+	vtime := w.pkt.VTimeUs + SwitchDelayUs
 	if run.open && run.sender == h.Sender && run.hdr.Wid == h.Wid {
 		// Unsigned distance: a window below the base wraps out of range.
 		if d := h.WindowSeq - run.hdr.WindowSeq; d < ncp.AckSpan {
@@ -585,7 +360,7 @@ func (s *SwitchNode) ackConsumed(f Sender, pkt *Packet, from string, h *ncp.Head
 			return
 		}
 	}
-	s.flushAcks(f, run)
+	s.flushAcks(out, run)
 	target, ok := s.hostByID[h.Sender]
 	if !ok {
 		s.Errors.Add(1)
@@ -604,32 +379,31 @@ func (s *SwitchNode) ackConsumed(f Sender, pkt *Packet, from string, h *ncp.Head
 			FragCount: 1,
 		},
 		target: target,
-		from:   from,
 		vtime:  vtime,
 	}
 }
 
 // flushAcks emits the open run, if any, as one ack packet.
-func (s *SwitchNode) flushAcks(f Sender, run *ackRun) {
+func (s *SwitchNode) flushAcks(out *batchOut, run *ackRun) {
 	if !run.open {
 		return
 	}
 	run.open = false
 	var bitmap [8]byte
-	out, err := ncp.Marshal(&run.hdr, nil, ncp.AppendAckRange(bitmap[:0], run.more))
+	data, err := ncp.Marshal(&run.hdr, nil, ncp.AppendAckRange(bitmap[:0], run.more))
 	if err != nil {
 		s.Errors.Add(1)
 		return
 	}
 	s.AcksSent.Add(1)
-	s.forward(f, &Packet{Src: s.label, Dst: run.target, Data: out, VTimeUs: run.vtime}, run.from)
+	s.forward(out, &Packet{Src: s.label, Dst: run.target, Data: data, VTimeUs: run.vtime})
 }
 
 // forward routes pkt toward pkt.Dst via the next-hop table, honoring the
 // Via waypoint: a packet still traveling to its waypoint routes there
 // first; the waypoint switch clears it (and stamps the next one from its
 // via table, so multi-segment overlay paths chain hop by hop).
-func (s *SwitchNode) forward(f Sender, pkt *Packet, from string) {
+func (s *SwitchNode) forward(out *batchOut, pkt *Packet) {
 	rt := s.routing.Load()
 	if pkt.Via != "" && rt.self[pkt.Via] {
 		pkt.Via = ""
@@ -659,10 +433,10 @@ func (s *SwitchNode) forward(f Sender, pkt *Packet, from string) {
 		// ECMP repair: when the hashed hop sits behind a failed link, the
 		// flow re-hashes over the surviving equal-cost hops. Checked only
 		// after the pick so the healthy path pays one LinkFailed lookup.
-		if lh, ok := f.(LinkHealth); ok && lh.LinkFailed(s.label, hop) {
+		if out.linkFailed(s.label, hop) {
 			alive := make([]string, 0, len(hops)-1)
 			for _, nb := range hops {
-				if !lh.LinkFailed(s.label, nb) {
+				if !out.linkFailed(s.label, nb) {
 					alive = append(alive, nb)
 				}
 			}
@@ -671,25 +445,25 @@ func (s *SwitchNode) forward(f Sender, pkt *Packet, from string) {
 			}
 		}
 	}
-	if err := f.Send(s.label, hop, pkt); err != nil {
+	if err := out.send(s.label, hop, pkt); err != nil {
 		s.Errors.Add(1)
 	}
 }
 
-// repack re-serializes a (possibly modified) window, encoding the
-// payload into pooled scratch. The returned packet bytes are fresh (the
+// repack re-serializes an executed window, encoding the payload into the
+// burst's scratch buffer. The returned packet bytes are fresh (the
 // receiver owns them); nil means a serialization error was counted.
-func (s *SwitchNode) repack(sc *nodeScratch, h *ncp.Header, userVals []uint64, hops []ncp.Hop, kp *swKernel, data [][]uint64, extraFlags, clearFlags uint8) []byte {
-	payload, err := ncp.AppendPayload(sc.payload[:0], data, kp.specs)
+func (s *SwitchNode) repack(b *batchState, w *batchWin, j *pisa.BatchJob, kp *swKernel, hops []ncp.Hop, extraFlags, clearFlags uint8) []byte {
+	payload, err := ncp.AppendPayload(b.payload[:0], j.Data, kp.specs)
 	if err != nil {
 		s.Errors.Add(1)
 		return nil
 	}
-	sc.payload = payload
-	nh := *h
+	b.payload = payload
+	nh := w.sc.dec.Header
 	nh.Flags |= extraFlags
 	nh.Flags &^= clearFlags
-	out, err := ncp.MarshalHops(&nh, userVals, hops, payload)
+	out, err := ncp.MarshalHops(&nh, j.Meta.User, hops, payload)
 	if err != nil {
 		s.Errors.Add(1)
 		return nil

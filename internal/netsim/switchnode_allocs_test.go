@@ -18,7 +18,7 @@ func (n *nullSender) Network() *and.Network             { return n.net }
 
 // TestSwitchProcessAllocsUntraced asserts the ISSUE acceptance bound:
 // INT stamping must not add allocations to the untraced receive path.
-// The whole process() pipeline — decode, unbatch, kernel exec, repack —
+// The whole Receive pipeline — decode, unbatch, kernel exec, repack —
 // stays allocation-flat when FlagTrace is off, depth probing and exec
 // timing included only for traced windows.
 func TestSwitchProcessAllocsUntraced(t *testing.T) {
@@ -42,16 +42,16 @@ func TestSwitchProcessAllocsUntraced(t *testing.T) {
 	pkt := &Packet{Src: "a", Dst: "b", Data: ncpPacket(t, 1, 41, 0)}
 	// Warm the scratch pool and one-time lazy state.
 	for i := 0; i < 8; i++ {
-		sn.process(sender, pkt, "a")
+		sn.Receive(sender, pkt, "a")
 	}
 	avg := testing.AllocsPerRun(500, func() {
-		sn.process(sender, pkt, "a")
+		sn.Receive(sender, pkt, "a")
 	})
 	// Budget 2: the repacked packet bytes and the Packet struct handed to
 	// the fabric are genuinely fresh per forward (the receiver owns
 	// them); everything else is pooled. INT must not raise this.
 	if avg > 2 {
-		t.Fatalf("untraced process: %.1f allocs/window, budget 2", avg)
+		t.Fatalf("untraced Receive: %.1f allocs/window, budget 2", avg)
 	}
 }
 
@@ -75,7 +75,7 @@ func TestSwitchProcessTracedStampsINT(t *testing.T) {
 	var got *Packet
 	sender := &captureSender{net: net, out: func(p *Packet) { got = p }}
 	pkt := &Packet{Src: "a", Dst: "b", Data: ncpPacket(t, 1, 41, ncp.FlagTrace)}
-	sn.process(sender, pkt, "a")
+	sn.Receive(sender, pkt, "a")
 	if got == nil {
 		t.Fatal("traced window was not forwarded")
 	}

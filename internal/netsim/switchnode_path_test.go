@@ -193,58 +193,6 @@ func statefulSumProgram() *pisa.Program {
 	}
 }
 
-// TestSwitchNodeExecWorkers: with a worker pool, every window still
-// executes exactly once and stateful accumulation stays correct (the
-// device's per-register locking serializes the read-modify-writes).
-func TestSwitchNodeExecWorkers(t *testing.T) {
-	net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s1\nlink s1 b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab := New(net, Faults{})
-	sn := NewSwitchNode("s1", pisa.DefaultTarget())
-	if err := sn.Install(statefulSumProgram(), 1); err != nil {
-		t.Fatal(err)
-	}
-	sn.SetRoutes(net.NextHops()["s1"])
-	sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
-	sn.SetExecWorkers(4)
-	a := &echoNode{label: "a"}
-	b := &echoNode{label: "b"}
-	for _, n := range []Node{sn, a, b} {
-		if err := fab.Attach(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fab.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		fab.Stop()
-		sn.Close() // workers drain after delivery stops
-	})
-
-	const n = 50
-	var want uint64
-	for i := 1; i <= n; i++ {
-		want += uint64(i)
-		if err := fab.Send("a", "s1", &Packet{Src: "a", Dst: "b", Data: ncpPacket(t, 1, uint64(i), 0)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitCount(t, b, n)
-	if sn.KernelWindows.Load() != n {
-		t.Errorf("kernel windows = %d, want %d", sn.KernelWindows.Load(), n)
-	}
-	got, err := sn.Device().ReadRegister("total", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("concurrent stateful sum = %d, want %d", got, want)
-	}
-}
-
 // blockingNode parks every Receive until released.
 type blockingNode struct {
 	label    string
@@ -366,7 +314,7 @@ func TestSwitchAcksCoalesce(t *testing.T) {
 	)
 	rec := &recordSender{net: net}
 	sn.receiveBatch(rec, burst)
-	sn.process(rec, window(2, 4, 9).pkt, "b") // the per-packet path
+	sn.Receive(rec, window(2, 4, 9).pkt, "b") // a burst of one
 
 	type ack struct {
 		dst       string

@@ -103,7 +103,7 @@ func TestForwardAliasTerminates(t *testing.T) {
 	before := s1.Errors.Load()
 	// A packet destined to a location placed *here* has nowhere further
 	// to go — same contract as a packet destined to the switch itself.
-	s1.forward(nopSender{}, &Packet{Src: "a", Dst: "agg"}, "a")
+	s1.Receive(nopSender{}, &Packet{Src: "a", Dst: "agg", Data: []byte("raw")}, "a")
 	if s1.Errors.Load() != before+1 {
 		t.Fatal("alias-destined packet should count an error, not forward")
 	}

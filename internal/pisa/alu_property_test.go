@@ -295,8 +295,9 @@ func TestCompiledPlanMatchesReference(t *testing.T) {
 }
 
 // TestCompiledSlotsPathMatchesReference drives the same property through
-// ExecWindowSlots (the map-free data-plane entry point): binding window
-// metadata by precompiled slots must equal the Meta-map convention.
+// ExecWindowBatch (the data-plane entry point): binding window metadata
+// by precompiled slots must equal the Meta-map convention, whether the
+// stream arrives as batches of one or split into random batch sizes.
 func TestCompiledSlotsPathMatchesReference(t *testing.T) {
 	target := DefaultTarget()
 	for seed := int64(100); seed < 140; seed++ {
@@ -316,47 +317,74 @@ func TestCompiledSlotsPathMatchesReference(t *testing.T) {
 		type sentWin struct {
 			data                []uint64
 			seq, x, sender, wid uint64
-			loc                 uint32
 			xonce               bool
 		}
 		var history []sentWin
-		for wi := 0; wi < 15; wi++ {
-			var w sentWin
-			if len(history) > 0 && r.Intn(4) == 0 {
-				w = history[r.Intn(len(history))]
-			} else {
-				w.data = make([]uint64, 4)
-				for i := range w.data {
-					w.data[i] = r.Uint64() >> uint(r.Intn(64))
+		for wi := 0; wi < 15; {
+			// Even seeds run batches of one, odd seeds random sizes. One
+			// batch shares its location, as one switch's segment does.
+			n := 1
+			if seed%2 == 1 {
+				n = 1 + r.Intn(6)
+			}
+			loc := uint32(r.Intn(100))
+			jobs := make([]BatchJob, n)
+			wins := make([]*interp.Window, n)
+			for i := range jobs {
+				var w sentWin
+				if len(history) > 0 && r.Intn(4) == 0 {
+					w = history[r.Intn(len(history))]
+				} else {
+					w.data = make([]uint64, 4)
+					for i := range w.data {
+						w.data[i] = r.Uint64() >> uint(r.Intn(64))
+					}
+					w.seq, w.x = uint64(r.Intn(8)), r.Uint64()
+					w.sender, w.wid = uint64(r.Intn(4)), uint64(r.Intn(4))
+					w.xonce = r.Intn(2) == 0
+					history = append(history, w)
 				}
-				w.seq, w.x = uint64(r.Intn(8)), r.Uint64()
-				w.sender, w.wid = uint64(r.Intn(4)), uint64(r.Intn(4))
-				w.loc = uint32(r.Intn(100))
-				w.xonce = r.Intn(2) == 0
-				history = append(history, w)
+				jobs[i] = BatchJob{
+					Data: [][]uint64{append([]uint64(nil), w.data...)},
+					Meta: WindowMeta{Seq: w.seq, Sender: w.sender, Wid: w.wid, User: []uint64{w.x}, ExactlyOnce: w.xonce},
+				}
+				wins[i] = &interp.Window{
+					Data:        [][]uint64{append([]uint64(nil), w.data...)},
+					Meta:        map[string]uint64{"seq": w.seq, "x": w.x, "sender": w.sender, "wid": w.wid},
+					Loc:         loc,
+					ExactlyOnce: w.xonce,
+				}
 			}
-			dataA := [][]uint64{append([]uint64(nil), w.data...)}
-			winB := &interp.Window{
-				Data:        [][]uint64{append([]uint64(nil), w.data...)},
-				Meta:        map[string]uint64{"seq": w.seq, "x": w.x, "sender": w.sender, "wid": w.wid},
-				Loc:         w.loc,
-				ExactlyOnce: w.xonce,
+			if err := sw.ExecWindowBatch(1, jobs, loc); err != nil {
+				t.Fatalf("seed %d window %d: batch: %v", seed, wi, err)
 			}
-			decA, errA := sw.ExecWindowSlots(1, dataA, WindowMeta{Seq: w.seq, Sender: w.sender, Wid: w.wid, User: []uint64{w.x}, ExactlyOnce: w.xonce}, w.loc)
-			decB, errB := ref.ExecWindow(1, winB)
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("seed %d window %d: error divergence: plan=%v reference=%v", seed, wi, errA, errB)
+			for i := range jobs {
+				decA, errA := jobs[i].Dec, jobs[i].Err
+				decB, errB := ref.ExecWindow(1, wins[i])
+				if (errA == nil) != (errB == nil) {
+					t.Fatalf("seed %d window %d: error divergence: plan=%v reference=%v", seed, wi+i, errA, errB)
+				}
+				if errA != nil {
+					continue
+				}
+				if decA != decB {
+					t.Fatalf("seed %d window %d: decision divergence: %+v vs %+v", seed, wi+i, decA, decB)
+				}
+				for ei := range jobs[i].Data[0] {
+					if jobs[i].Data[0][ei] != wins[i].Data[0][ei] {
+						t.Fatalf("seed %d window %d: data[%d] divergence: %#x vs %#x",
+							seed, wi+i, ei, jobs[i].Data[0][ei], wins[i].Data[0][ei])
+					}
+				}
 			}
-			if errA != nil {
-				continue
-			}
-			if decA != decB {
-				t.Fatalf("seed %d window %d: decision divergence: %+v vs %+v", seed, wi, decA, decB)
-			}
-			for ei := range dataA[0] {
-				if dataA[0][ei] != winB.Data[0][ei] {
-					t.Fatalf("seed %d window %d: data[%d] divergence: %#x vs %#x",
-						seed, wi, ei, dataA[0][ei], winB.Data[0][ei])
+			wi += n
+		}
+		for _, reg := range p.Registers {
+			for idx := 0; idx < reg.Elems; idx++ {
+				a, _ := sw.ReadRegister(reg.Name, idx)
+				b, _ := ref.ReadRegister(reg.Name, idx)
+				if a != b {
+					t.Fatalf("seed %d: register %s[%d] divergence: plan=%#x reference=%#x", seed, reg.Name, idx, a, b)
 				}
 			}
 		}

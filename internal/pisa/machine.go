@@ -34,13 +34,11 @@ type Switch struct {
 	obsLabel string
 }
 
-// execScratch is the pooled per-window working set: the PHV, one
-// persistent stage-input snapshot buffer, and the window's exactly-once
-// suppression flag (set when the shadow state recognizes a duplicate).
+// execScratch is the pooled per-batch working set: the PHV and one
+// persistent stage-input snapshot buffer.
 type execScratch struct {
-	phv      []uint64
-	snap     []uint64
-	suppress bool
+	phv  []uint64
+	snap []uint64
 }
 
 // pisaMetrics caches the device's registry handles, named
@@ -321,7 +319,8 @@ func normalize(v uint64, bits int, signed bool) uint64 {
 	return v & types.TruncMask(bits)
 }
 
-// getScratch returns a zeroed-PHV scratch sized for n fields.
+// getScratch returns a scratch sized for n fields (execBatch zeroes the
+// PHV per window).
 func (sw *Switch) getScratch(n int) *execScratch {
 	s, _ := sw.scratch.Get().(*execScratch)
 	if s == nil {
@@ -333,17 +332,14 @@ func (sw *Switch) getScratch(n int) *execScratch {
 	}
 	s.phv = s.phv[:n]
 	s.snap = s.snap[:n]
-	for i := range s.phv {
-		s.phv[i] = 0
-	}
-	s.suppress = false
 	return s
 }
 
-// WindowMeta carries per-window metadata for the slot-bound fast path:
-// the builtin NCP header fields plus the user _win_ values in the
-// program's UserFields wire order. It replaces interp.Window's
-// per-packet map[string]uint64 on the switch data plane.
+// WindowMeta carries per-window metadata bound through the kernel plan's
+// precompiled slots: the builtin NCP header fields plus the user _win_
+// values in the kernel's wire order (Switch.UserFields unless the kernel
+// carries its own). It replaces interp.Window's per-packet
+// map[string]uint64 on the switch data plane.
 type WindowMeta struct {
 	Seq    uint64
 	Len    uint64
@@ -357,142 +353,9 @@ type WindowMeta struct {
 	ExactlyOnce bool
 }
 
-// ExecWindow runs the kernel with the given id over a window. The window's
-// Data and Meta use the same convention as the interpreter, making the
-// two engines directly comparable. Returns the forwarding decision.
-//
-// This is the compatibility path (name-map metadata); the switch data
-// plane uses ExecWindowSlots.
-func (sw *Switch) ExecWindow(kernelID uint32, win *interp.Window) (interp.Decision, error) {
-	pl, kp, met, s, err := sw.begin(kernelID, win.Data)
-	if err != nil {
-		return interp.Decision{}, err
-	}
-	defer sw.scratch.Put(s)
-	for name, f := range kp.k.WinMeta {
-		s.phv[f] = normalize(win.Meta[name], kp.k.Fields[f].Bits, kp.k.Fields[f].Signed)
-	}
-	if kp.locField != NoField {
-		s.phv[kp.locField] = uint64(win.Loc)
-	}
-	var admitted bool
-	if win.ExactlyOnce {
-		admitted = sw.admitShadow(pl, met, s, kp.tenant, win.Meta["seq"], win.Meta["sender"], win.Meta["wid"])
-	}
-	dec, err := sw.finish(pl, kp, met, s, win.Data)
-	if err != nil {
-		if admitted {
-			pl.shadow.forget(kp.tenant, win.Meta["seq"], win.Meta["sender"], win.Meta["wid"])
-		}
-		return dec, err
-	}
-	dec.Suppressed = s.suppress
-	return dec, nil
-}
-
-// ExecWindowSlots runs a kernel over a window using the precompiled
-// metadata binding: no name maps, no per-window allocation. data is
-// read and written in place (the deparsed window). meta.User follows
-// the program's UserFields order.
-func (sw *Switch) ExecWindowSlots(kernelID uint32, data [][]uint64, meta WindowMeta, loc uint32) (interp.Decision, error) {
-	pl, kp, met, s, err := sw.begin(kernelID, data)
-	if err != nil {
-		return interp.Decision{}, err
-	}
-	defer sw.scratch.Put(s)
-	for _, mb := range kp.metaBind {
-		var v uint64
-		switch mb.src {
-		case metaSeq:
-			v = meta.Seq
-		case metaLen:
-			v = meta.Len
-		case metaFrom:
-			v = meta.From
-		case metaSender:
-			v = meta.Sender
-		case metaWid:
-			v = meta.Wid
-		case metaMissing:
-			v = 0
-		default:
-			if i := mb.src - metaUser0; i < len(meta.User) {
-				v = meta.User[i]
-			}
-		}
-		s.phv[mb.f] = normalize(v, mb.bits, mb.signed)
-	}
-	if kp.locField != NoField {
-		s.phv[kp.locField] = uint64(loc)
-	}
-	var admitted bool
-	if meta.ExactlyOnce {
-		admitted = sw.admitShadow(pl, met, s, kp.tenant, meta.Seq, meta.Sender, meta.Wid)
-	}
-	dec, err := sw.finish(pl, kp, met, s, data)
-	if err != nil {
-		if admitted {
-			pl.shadow.forget(kp.tenant, meta.Seq, meta.Sender, meta.Wid)
-		}
-		return dec, err
-	}
-	dec.Suppressed = s.suppress
-	return dec, nil
-}
-
-// admitShadow runs a window's exactly-once admission: a fresh window
-// (or a recycled slot) executes normally; a duplicate executes with its
-// state-mutating SALUs suppressed. Returns whether the window was
-// admitted fresh, so a failed execution can roll the admission back (the
-// retransmit must be allowed to apply).
-func (sw *Switch) admitShadow(pl *plan, met *pisaMetrics, s *execScratch, tenant uint32, seq, sender, wid uint64) bool {
-	fresh, size := pl.shadow.admit(tenant, seq, sender, wid)
-	met.shadowSlots.Set(int64(size))
-	if !fresh {
-		s.suppress = true
-		met.dupSuppressed.Inc()
-	}
-	return fresh
-}
-
-// begin resolves the kernel, counts the window, and parses the window
-// data into pooled scratch.
-func (sw *Switch) begin(kernelID uint32, data [][]uint64) (*plan, *kernelPlan, *pisaMetrics, *execScratch, error) {
-	pl := sw.plan.Load()
-	if pl == nil {
-		return nil, nil, nil, nil, fmt.Errorf("pisa: no program loaded")
-	}
-	kp := pl.kernels[kernelID]
-	if kp == nil {
-		return nil, nil, nil, nil, fmt.Errorf("pisa: no kernel with id %d", kernelID)
-	}
-	met := sw.met.Load()
-	met.windows.Inc()
-	if met.tenantWindows != nil {
-		if c := met.tenantWindows[kp.tenant]; c != nil {
-			c.Inc()
-		}
-	}
-	s := sw.getScratch(kp.numFields)
-	if err := kp.parse(data, s.phv); err != nil {
-		sw.scratch.Put(s)
-		return nil, nil, nil, nil, err
-	}
-	return pl, kp, met, s, nil
-}
-
-// finish runs the pipeline passes, deparses, and derives the decision.
-func (sw *Switch) finish(pl *plan, kp *kernelPlan, met *pisaMetrics, s *execScratch, data [][]uint64) (interp.Decision, error) {
-	if err := kp.execPasses(met, s, false); err != nil {
-		return interp.Decision{}, err
-	}
-	kp.deparse(data, s.phv)
-	return kp.decision(pl, s.phv), nil
-}
-
 // BatchJob is one window in an ExecWindowBatch call: Data and Meta are
-// the inputs (same conventions as ExecWindowSlots — Data is deparsed in
-// place); Dec and Err are filled per window by the call.
+// the inputs (Data is read and deparsed in place); Dec and Err are filled
+// per window by the call.
 type BatchJob struct {
 	Data [][]uint64
 	Meta WindowMeta
@@ -500,34 +363,76 @@ type BatchJob struct {
 	Err  error
 }
 
-// ExecWindowBatch runs one kernel over a batch of windows, amortizing
-// the per-window overheads of ExecWindowSlots: the plan pointer is
-// loaded once, one pooled scratch is reused across the batch, and —
-// the main win — the kernel's entire register/table lock set is
-// acquired once around the loop (lockState) instead of once per state
-// access per window. Windows execute sequentially in batch order, so
-// SALU read-modify-write atomicity and exactly-once suppression
-// semantics are identical to the one-at-a-time path; batches for
-// different kernels still run concurrently when their lock sets are
-// disjoint, and cannot deadlock otherwise because lockState acquires in
-// global plan-index order.
+// kernel resolves a kernel id against the loaded plan.
+func (sw *Switch) kernel(kernelID uint32) (*plan, *kernelPlan, error) {
+	pl := sw.plan.Load()
+	if pl == nil {
+		return nil, nil, fmt.Errorf("pisa: no program loaded")
+	}
+	kp := pl.kernels[kernelID]
+	if kp == nil {
+		return nil, nil, fmt.Errorf("pisa: no kernel with id %d", kernelID)
+	}
+	return pl, kp, nil
+}
+
+// ExecWindow adapts the interpreter's window convention (name-keyed
+// Meta) to the execution core: one BatchJob, the user values laid out in
+// the kernel plan's wire order. It makes the two engines directly
+// comparable and serves one-shot debugging; the data plane builds its
+// jobs itself and calls ExecWindowBatch.
+func (sw *Switch) ExecWindow(kernelID uint32, win *interp.Window) (interp.Decision, error) {
+	pl, kp, err := sw.kernel(kernelID)
+	if err != nil {
+		return interp.Decision{}, err
+	}
+	var user []uint64
+	if n := len(kp.userFields); n > 0 {
+		user = make([]uint64, n)
+		for i, name := range kp.userFields {
+			user[i] = win.Meta[name]
+		}
+	}
+	job := [1]BatchJob{{Data: win.Data, Meta: WindowMeta{
+		Seq:         win.Meta["seq"],
+		Len:         win.Meta["len"],
+		From:        win.Meta["from"],
+		Sender:      win.Meta["sender"],
+		Wid:         win.Meta["wid"],
+		User:        user,
+		ExactlyOnce: win.ExactlyOnce,
+	}}}
+	sw.execBatch(pl, kp, job[:], uint32(win.Loc))
+	return job[0].Dec, job[0].Err
+}
+
+// ExecWindowBatch is the device's execution core: it runs one kernel over
+// a batch of windows (a batch of one is the degenerate case). The plan
+// pointer is loaded once, one pooled scratch serves the whole batch, and
+// the kernel's entire register/table lock set is acquired once around the
+// loop (lockState) — the device's one locking discipline. Windows execute
+// sequentially in batch order, so SALU read-modify-write atomicity and
+// exactly-once suppression hold per window; batches for different kernels
+// run concurrently when their lock sets are disjoint, and cannot deadlock
+// otherwise because lockState acquires in global plan-index order.
 //
 // A batch-level problem (no program, unknown kernel) returns an error
 // with no window executed. Per-window failures land in jobs[i].Err and
 // do not stop the rest of the batch; a failed exactly-once window's
-// shadow admission is rolled back exactly as in ExecWindowSlots.
+// shadow admission is rolled back so its retransmit can apply.
 func (sw *Switch) ExecWindowBatch(kernelID uint32, jobs []BatchJob, loc uint32) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	pl := sw.plan.Load()
-	if pl == nil {
-		return fmt.Errorf("pisa: no program loaded")
+	pl, kp, err := sw.kernel(kernelID)
+	if err != nil {
+		return err
 	}
-	kp := pl.kernels[kernelID]
-	if kp == nil {
-		return fmt.Errorf("pisa: no kernel with id %d", kernelID)
-	}
+	sw.execBatch(pl, kp, jobs, loc)
+	return nil
+}
+
+func (sw *Switch) execBatch(pl *plan, kp *kernelPlan, jobs []BatchJob, loc uint32) {
 	met := sw.met.Load()
 	met.windows.Add(uint64(len(jobs)))
 	if met.tenantWindows != nil {
@@ -544,7 +449,6 @@ func (sw *Switch) ExecWindowBatch(kernelID uint32, jobs []BatchJob, loc uint32) 
 		for k := range s.phv {
 			s.phv[k] = 0
 		}
-		s.suppress = false
 		if err := kp.parse(j.Data, s.phv); err != nil {
 			j.Err = err
 			continue
@@ -574,12 +478,22 @@ func (sw *Switch) ExecWindowBatch(kernelID uint32, jobs []BatchJob, loc uint32) 
 		if kp.locField != NoField {
 			s.phv[kp.locField] = uint64(loc)
 		}
-		var admitted bool
+		// Exactly-once admission: a fresh window (or a recycled slot)
+		// executes normally; a duplicate executes with its state-mutating
+		// SALUs suppressed.
+		fresh, suppress := false, false
 		if j.Meta.ExactlyOnce {
-			admitted = sw.admitShadow(pl, met, s, kp.tenant, j.Meta.Seq, j.Meta.Sender, j.Meta.Wid)
+			var size int
+			fresh, size = pl.shadow.admit(kp.tenant, j.Meta.Seq, j.Meta.Sender, j.Meta.Wid)
+			met.shadowSlots.Set(int64(size))
+			if suppress = !fresh; suppress {
+				met.dupSuppressed.Inc()
+			}
 		}
-		if err := kp.execPasses(met, s, true); err != nil {
-			if admitted {
+		if err := kp.execPasses(met, s, suppress); err != nil {
+			if fresh {
+				// Roll the admission back: the retransmit must be allowed to
+				// apply.
 				pl.shadow.forget(kp.tenant, j.Meta.Seq, j.Meta.Sender, j.Meta.Wid)
 			}
 			j.Err = err
@@ -587,9 +501,8 @@ func (sw *Switch) ExecWindowBatch(kernelID uint32, jobs []BatchJob, loc uint32) 
 		}
 		kp.deparse(j.Data, s.phv)
 		j.Dec = kp.decision(pl, s.phv)
-		j.Dec.Suppressed = s.suppress
+		j.Dec.Suppressed = suppress
 	}
-	return nil
 }
 
 func boolBit(b bool) uint64 {

@@ -14,12 +14,13 @@ import (
 // entries, meta name -> field) is resolved once into dense indices and
 // pointer-carrying instruction slices, so the per-window executor touches
 // no maps and allocates nothing. State access is fine-grained: each
-// register array carries its own mutex (one SALU access per array per
-// pass means two windows touching disjoint arrays never contend) and each
-// match table an RWMutex (control-plane installs vs. data-plane lookups).
+// register array carries its own mutex and each match table an RWMutex
+// (control-plane installs vs. data-plane lookups); a batch takes exactly
+// the set its kernel can touch, so kernels on disjoint state never
+// contend.
 
-// regArray is one register array's mutable state. The mutex scopes the
-// SALU's atomic read-modify-write and control-plane accesses; arrays are
+// regArray is one register array's mutable state. The mutex scopes a
+// batch's SALU read-modify-writes and control-plane accesses; arrays are
 // independent, so stateless kernels and SALUs on disjoint _net_ globals
 // execute concurrently.
 type regArray struct {
@@ -134,6 +135,7 @@ type kernelPlan struct {
 	fwdField      FieldRef
 	fwdLabelField FieldRef
 	labels        []string // $fwdlabel space (kernel override or program's)
+	userFields    []string // wire order of WindowMeta.User (kernel override or program's)
 	tenant        uint32   // tenant slot from the kernel id (0 untenanted)
 	passes        [][]stagePlan
 
@@ -227,9 +229,9 @@ func (pl *plan) compileKernel(k *Kernel) (*kernelPlan, error) {
 	if k.Labels != nil {
 		kp.labels = k.Labels
 	}
-	userFields := pl.userFields
+	kp.userFields = pl.userFields
 	if k.UserFields != nil {
-		userFields = k.UserFields
+		kp.userFields = k.UserFields
 	}
 	for _, p := range k.Params {
 		kp.params = append(kp.params, paramPlan{
@@ -256,7 +258,7 @@ func (pl *plan) compileKernel(k *Kernel) (*kernelPlan, error) {
 			mb.src = metaWid
 		default:
 			mb.src = metaMissing
-			for i, uf := range userFields {
+			for i, uf := range kp.userFields {
 				if uf == name {
 					mb.src = metaUser0 + i
 					break
@@ -282,11 +284,11 @@ func (pl *plan) compileKernel(k *Kernel) (*kernelPlan, error) {
 
 // collectState records the deduped register arrays and match tables the
 // kernel's instruction stream can touch, sorted by plan index — the lock
-// set ExecWindowBatch acquires once around a whole batch instead of per
-// access. Plan-index order is the global multi-lock order: every batch
-// sorts the same way regardless of kernel, and every other acquirer
-// (per-window exec, control plane) holds at most one of these locks at a
-// time, so concurrent batches cannot deadlock. Private tables compiled
+// set ExecWindowBatch acquires once around a whole batch. Plan-index
+// order is the global multi-lock order: every batch sorts the same way
+// regardless of kernel, and the only other acquirer (the control plane)
+// holds at most one of these locks at a time, so concurrent batches
+// cannot deadlock. Private tables compiled
 // for undeclared names are unreachable from any other kernel or the
 // control plane; they sort after the shared ones in discovery order.
 func (kp *kernelPlan) collectState(pl *plan) {
@@ -444,17 +446,16 @@ func readMOperand(o MOperand, snap []uint64, slots *[numMSlots]uint64) uint64 {
 }
 
 // execPasses runs the kernel's pipeline passes over the PHV in s.phv,
-// using s.snap as the reusable stage-input snapshot. locked means the
-// caller already holds the kernel's whole lock set (lockState): every
-// per-access register/table acquisition below is skipped.
-func (kp *kernelPlan) execPasses(met *pisaMetrics, s *execScratch, locked bool) error {
+// using s.snap as the reusable stage-input snapshot. The caller holds the
+// kernel's whole lock set (lockState); nothing below locks.
+func (kp *kernelPlan) execPasses(met *pisaMetrics, s *execScratch, suppress bool) error {
 	for _, pass := range kp.passes {
 		met.passes.Inc()
 		for si := range pass {
 			if si < len(met.stageExecs) {
 				met.stageExecs[si].Inc()
 			}
-			if err := pass[si].exec(met, s.phv, s.snap, s.suppress, locked); err != nil {
+			if err := pass[si].exec(met, s.phv, s.snap, suppress); err != nil {
 				return err
 			}
 		}
@@ -467,19 +468,13 @@ func (kp *kernelPlan) execPasses(met *pisaMetrics, s *execScratch, locked bool) 
 // skips state-mutating SALUs (exactly-once duplicate windows): the
 // register keeps its value and the SALU's Out field is not written, so a
 // duplicate contribution neither re-applies nor re-triggers the kernel's
-// completion path. locked: the caller holds the lock set already.
-func (sp *stagePlan) exec(met *pisaMetrics, phv, snap []uint64, suppress, locked bool) error {
+// completion path.
+func (sp *stagePlan) exec(met *pisaMetrics, phv, snap []uint64, suppress bool) error {
 	copy(snap, phv)
 	for i := range sp.tables {
 		ti := &sp.tables[i]
 		key := readOperand(ti.key, snap)
-		if !locked {
-			ti.tbl.mu.RLock()
-		}
 		val, hit := ti.tbl.entries[key]
-		if !locked {
-			ti.tbl.mu.RUnlock()
-		}
 		if hit {
 			met.tableHits.Inc()
 		} else {
@@ -507,7 +502,7 @@ func (sp *stagePlan) exec(met *pisaMetrics, phv, snap []uint64, suppress, locked
 				continue
 			}
 		}
-		if err := sa.exec(snap, phv, locked); err != nil {
+		if err := sa.exec(snap, phv); err != nil {
 			return err
 		}
 	}
@@ -522,25 +517,18 @@ func (sp *stagePlan) exec(met *pisaMetrics, phv, snap []uint64, suppress, locked
 	return nil
 }
 
-// exec runs one atomic stateful read-modify-write under the array's own
-// lock (or the caller's batch lock when locked is set). The slot file
-// lives on the stack, so the hot path allocates nothing.
-func (sa *saluInstr) exec(snap, phv []uint64, locked bool) error {
+// exec runs one stateful read-modify-write, atomic under the batch's lock
+// on the array. The slot file lives on the stack, so the hot path
+// allocates nothing.
+func (sa *saluInstr) exec(snap, phv []uint64) error {
 	idxv := sa.index.Const
 	if !sa.index.IsConst {
 		idxv = snap[sa.index.Field]
 	}
 	reg := sa.reg
 	var slots [numMSlots]uint64
-	if !locked {
-		reg.mu.Lock()
-	}
 	if idxv >= uint64(len(reg.vals)) {
-		n := len(reg.vals)
-		if !locked {
-			reg.mu.Unlock()
-		}
-		return fmt.Errorf("pisa: register %s index %d out of range (%d elements)", sa.name, idxv, n)
+		return fmt.Errorf("pisa: register %s index %d out of range (%d elements)", sa.name, idxv, len(reg.vals))
 	}
 	slots[MReg] = reg.vals[idxv]
 	for i := range sa.prog {
@@ -559,9 +547,6 @@ func (sa *saluInstr) exec(snap, phv []uint64, locked bool) error {
 			var err error
 			v, err = alu(mo.Op, mo.Signed, readMOperand(mo.A, snap, &slots), readMOperand(mo.B, snap, &slots), sa.bits)
 			if err != nil {
-				if !locked {
-					reg.mu.Unlock()
-				}
 				return fmt.Errorf("pisa: salu %s: %w", sa.name, err)
 			}
 		}
@@ -569,9 +554,6 @@ func (sa *saluInstr) exec(snap, phv []uint64, locked bool) error {
 		slots[mo.Dst] = normalize(v, sa.bits, sa.signed)
 	}
 	reg.vals[idxv] = normalize(slots[MReg], sa.bits, sa.signed)
-	if !locked {
-		reg.mu.Unlock()
-	}
 	if sa.out != NoField {
 		phv[sa.out] = normalize(slots[MOut], sa.outBits, sa.outSigned)
 	}

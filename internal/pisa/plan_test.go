@@ -44,29 +44,43 @@ func statelessProgram() *Program {
 	return &Program{Name: "stateless", Kernels: []*Kernel{k}}
 }
 
-// TestSwitchExecAllocsFlat asserts the ISSUE's allocation budget: the
-// stateless ExecWindowSlots hot path performs at most 2 allocations per
-// window at steady state (pooled scratch should make it 0).
+// execBatchOfOne runs a batch of one through a caller-owned job array — the
+// degenerate case every single-packet burst on a switch takes.
+func execBatchOfOne(sw *Switch, job *[1]BatchJob, loc uint32) error {
+	if err := sw.ExecWindowBatch(1, job[:], loc); err != nil {
+		return err
+	}
+	return job[0].Err
+}
+
+// batchAllocs reports allocations per window of a batch of one at steady
+// state.
+func batchAllocs(t *testing.T, sw *Switch, data [][]uint64, loc uint32) float64 {
+	t.Helper()
+	job := [1]BatchJob{{Data: data, Meta: WindowMeta{Seq: 1}}}
+	// Warm the scratch pool.
+	for i := 0; i < 8; i++ {
+		if err := execBatchOfOne(sw, &job, loc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return testing.AllocsPerRun(500, func() {
+		if err := execBatchOfOne(sw, &job, loc); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSwitchExecAllocsFlat asserts the ISSUE's allocation budget: a
+// stateless batch of one performs at most 2 allocations per window at
+// steady state (pooled scratch should make it 0).
 func TestSwitchExecAllocsFlat(t *testing.T) {
 	sw := NewSwitch(DefaultTarget())
 	if err := sw.Load(statelessProgram()); err != nil {
 		t.Fatal(err)
 	}
-	data := [][]uint64{make([]uint64, 8)}
-	meta := WindowMeta{Seq: 1}
-	// Warm the scratch pool.
-	for i := 0; i < 8; i++ {
-		if _, err := sw.ExecWindowSlots(1, data, meta, 7); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(500, func() {
-		if _, err := sw.ExecWindowSlots(1, data, meta, 7); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 2 {
-		t.Fatalf("stateless ExecWindowSlots allocates %.2f/window, budget is 2", avg)
+	if avg := batchAllocs(t, sw, [][]uint64{make([]uint64, 8)}, 7); avg > 2 {
+		t.Fatalf("stateless batch of one allocates %.2f/window, budget is 2", avg)
 	}
 }
 
@@ -77,20 +91,8 @@ func TestSwitchExecAllocsFlatStateful(t *testing.T) {
 	if err := sw.Load(handProgram()); err != nil {
 		t.Fatal(err)
 	}
-	data := [][]uint64{{5}}
-	meta := WindowMeta{Seq: 1}
-	for i := 0; i < 8; i++ {
-		if _, err := sw.ExecWindowSlots(1, data, meta, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(500, func() {
-		if _, err := sw.ExecWindowSlots(1, data, meta, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 2 {
-		t.Fatalf("stateful ExecWindowSlots allocates %.2f/window, budget is 2", avg)
+	if avg := batchAllocs(t, sw, [][]uint64{{5}}, 0); avg > 2 {
+		t.Fatalf("stateful batch of one allocates %.2f/window, budget is 2", avg)
 	}
 }
 
@@ -135,7 +137,7 @@ func TestUserFieldWireOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := [][]uint64{{0}}
-	if _, err := sw.ExecWindowSlots(1, data, WindowMeta{User: user}, 0); err != nil {
+	if err := execBatchOfOne(sw, &[1]BatchJob{{Data: data, Meta: WindowMeta{User: user}}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if data[0][0] != 20 {
@@ -149,12 +151,75 @@ func TestUserFieldWireOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	data2 := [][]uint64{{0}}
-	if _, err := sw2.ExecWindowSlots(1, data2, WindowMeta{User: []uint64{20}}, 0); err != nil {
+	if err := execBatchOfOne(sw2, &[1]BatchJob{{Data: data2, Meta: WindowMeta{User: []uint64{20}}}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if data2[0][0] != 20 {
 		t.Fatalf("union fallback: kernel read %d for field b, want 20", data2[0][0])
 	}
+}
+
+// TestExecEntryPointsAgree: the ExecWindow adapter (name-keyed Meta), a
+// one-job ExecWindowBatch (wire-order User) and the Reference oracle bind
+// a user _win_ field, a builtin and _loc_ to the same values. The kernel
+// reads only "b" of the wire order ["a", "b"], so an adapter that laid the
+// user values out in any other order would misbind it.
+func TestExecEntryPointsAgree(t *testing.T) {
+	prog := func() *Program {
+		fields := []Field{
+			{Name: "d0", Bits: 32}, {Name: "d1", Bits: 32}, {Name: "d2", Bits: 32},
+			{Name: "m_b", Bits: 32}, {Name: "m_seq", Bits: 32}, {Name: FieldLoc, Bits: 32},
+		}
+		k := &Kernel{
+			Name: "echo", ID: 1, WindowLen: 3, Fields: fields,
+			Params:  []ParamLayout{{Name: "x", Elems: 3, Bits: 32, Fields: []FieldRef{0, 1, 2}}},
+			WinMeta: map[string]FieldRef{"b": 3, "seq": 4},
+			Passes: [][]*Stage{{{VLIW: []ActionOp{
+				{Op: "mov", Dst: 0, A: FieldOperand(3)},
+				{Op: "mov", Dst: 1, A: FieldOperand(4)},
+				{Op: "mov", Dst: 2, A: FieldOperand(5)},
+			}}}},
+		}
+		return &Program{Name: "echo", Kernels: []*Kernel{k}, UserFields: []string{"a", "b"}}
+	}
+	want := []uint64{20, 6, 41} // b, seq, loc
+	check := func(name string, data [][]uint64, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, w := range want {
+			if data[0][i] != w {
+				t.Errorf("%s: element %d = %d, want %d", name, i, data[0][i], w)
+			}
+		}
+	}
+	window := func() *interp.Window {
+		return &interp.Window{
+			Data: [][]uint64{{0, 0, 0}},
+			Meta: map[string]uint64{"a": 10, "b": 20, "seq": 6},
+			Loc:  41,
+		}
+	}
+
+	sw := NewSwitch(DefaultTarget())
+	if err := sw.Load(prog()); err != nil {
+		t.Fatal(err)
+	}
+	win := window()
+	_, err := sw.ExecWindow(1, win)
+	check("ExecWindow adapter", win.Data, err)
+
+	job := [1]BatchJob{{Data: [][]uint64{{0, 0, 0}}, Meta: WindowMeta{Seq: 6, User: []uint64{10, 20}}}}
+	check("one-job batch", job[0].Data, execBatchOfOne(sw, &job, 41))
+
+	ref := NewReference(DefaultTarget())
+	if err := ref.Load(prog()); err != nil {
+		t.Fatal(err)
+	}
+	win = window()
+	_, err = ref.ExecWindow(1, win)
+	check("Reference", win.Data, err)
 }
 
 // TestSwitchConcurrentControlPlane stress-tests the fine-grained locking
@@ -184,7 +249,7 @@ func TestSwitchConcurrentControlPlane(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := sw.ExecWindowSlots(1, data, WindowMeta{Seq: uint64(i)}, 0); err != nil {
+				if err := execBatchOfOne(sw, &[1]BatchJob{{Data: data, Meta: WindowMeta{Seq: uint64(i)}}}, 0); err != nil {
 					t.Error(err)
 					return
 				}

@@ -24,7 +24,8 @@ type Reference struct {
 	shadow  *shadowState // exactly-once duplicate filter (reset by Load)
 }
 
-// NewReference creates an empty reference device.
+// NewReference creates an empty reference device. Tests and internal/bench
+// only: scripts/check.sh fails the build if anything else calls it.
 func NewReference(target TargetConfig) *Reference {
 	return &Reference{target: target}
 }

@@ -194,25 +194,104 @@ func TestDuplicateDeliveryDifferential(t *testing.T) {
 
 // TestShadowMetrics checks the device-level exactly-once metrics:
 // pisa.<label>.dup_suppressed counts suppressed windows and shadow_slots
-// tracks live entries.
+// tracks live entries — the same whether the three deliveries arrive as
+// batches of one or in one batch.
 func TestShadowMetrics(t *testing.T) {
-	sw := NewSwitch(DefaultTarget())
-	if err := sw.Load(accumProgram()); err != nil {
-		t.Fatal(err)
-	}
-	r := obs.NewRegistry()
-	sw.SetObs(r, "x")
-	meta := WindowMeta{Seq: 1, Sender: 2, Wid: 3, ExactlyOnce: true}
-	for i := 0; i < 3; i++ {
-		if _, err := sw.ExecWindowSlots(1, [][]uint64{{1, 0}}, meta, 0); err != nil {
+	for _, sizes := range [][]int{{1, 1, 1}, {3}, {2, 1}} {
+		sw := NewSwitch(DefaultTarget())
+		if err := sw.Load(accumProgram()); err != nil {
 			t.Fatal(err)
 		}
+		r := obs.NewRegistry()
+		sw.SetObs(r, "x")
+		for _, n := range sizes {
+			jobs := make([]BatchJob, n)
+			for i := range jobs {
+				jobs[i] = BatchJob{
+					Data: [][]uint64{{1, 0}},
+					Meta: WindowMeta{Seq: 1, Sender: 2, Wid: 3, ExactlyOnce: true},
+				}
+			}
+			if err := sw.ExecWindowBatch(1, jobs, 0); err != nil {
+				t.Fatal(err)
+			}
+			for i := range jobs {
+				if jobs[i].Err != nil {
+					t.Fatal(jobs[i].Err)
+				}
+			}
+		}
+		if got := r.Counter("pisa.x.dup_suppressed").Load(); got != 2 {
+			t.Fatalf("batches %v: dup_suppressed = %d, want 2", sizes, got)
+		}
+		if got := r.Gauge("pisa.x.shadow_slots").Load(); got != 1 {
+			t.Fatalf("batches %v: shadow_slots = %d, want 1", sizes, got)
+		}
+		if v, _ := sw.ReadRegister("cnt", 0); v != 1 {
+			t.Fatalf("batches %v: cnt = %d, want 1 (applied exactly once)", sizes, v)
+		}
 	}
-	if got := r.Counter("pisa.x.dup_suppressed").Load(); got != 2 {
-		t.Fatalf("dup_suppressed = %d, want 2", got)
+}
+
+// TestShadowRollbackOnFailedWindow: an exactly-once window whose
+// execution fails (here: the SALU index it carries is out of range) must
+// give its shadow admission back, so the retransmit applies instead of
+// being suppressed — on both engines, and whether the retransmit arrives
+// in a later batch or in the same one.
+func TestShadowRollbackOnFailedWindow(t *testing.T) {
+	prog := func() *Program {
+		p := accumProgram()
+		k := p.Kernels[0]
+		k.Passes[0][0].SALUs[0].Index = FieldOperand(k.Params[0].Fields[1]) // cnt[data[1]], one element
+		return p
 	}
-	if got := r.Gauge("pisa.x.shadow_slots").Load(); got != 1 {
-		t.Fatalf("shadow_slots = %d, want 1", got)
+	meta := map[string]uint64{"seq": 3, "sender": 9, "wid": 1}
+	for name, e := range map[string]engine{
+		"compiled":  NewSwitch(DefaultTarget()),
+		"reference": NewReference(DefaultTarget()),
+	} {
+		if err := e.Load(prog()); err != nil {
+			t.Fatal(err)
+		}
+		bad := &interp.Window{Data: [][]uint64{{5, 9}}, Meta: meta, ExactlyOnce: true}
+		if _, err := e.ExecWindow(1, bad); err == nil {
+			t.Fatalf("%s: out-of-range index executed", name)
+		}
+		good := &interp.Window{Data: [][]uint64{{5, 0}}, Meta: meta, ExactlyOnce: true}
+		dec, err := e.ExecWindow(1, good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Suppressed {
+			t.Fatalf("%s: retransmit of a failed window suppressed (admission not rolled back)", name)
+		}
+		if v, _ := e.ReadRegister("cnt", 0); v != 5 {
+			t.Fatalf("%s: cnt = %d, want 5", name, v)
+		}
+	}
+
+	sw := NewSwitch(DefaultTarget())
+	if err := sw.Load(prog()); err != nil {
+		t.Fatal(err)
+	}
+	wm := WindowMeta{Seq: 3, Sender: 9, Wid: 1, ExactlyOnce: true}
+	jobs := []BatchJob{
+		{Data: [][]uint64{{5, 9}}, Meta: wm},
+		{Data: [][]uint64{{5, 0}}, Meta: wm},
+		{Data: [][]uint64{{5, 0}}, Meta: wm},
+	}
+	if err := sw.ExecWindowBatch(1, jobs, 0); err != nil {
+		t.Fatal(err)
+	}
+	if jobs[0].Err == nil || jobs[1].Err != nil || jobs[2].Err != nil {
+		t.Fatalf("errors = %v, %v, %v; want only the first window to fail", jobs[0].Err, jobs[1].Err, jobs[2].Err)
+	}
+	if jobs[1].Dec.Suppressed || !jobs[2].Dec.Suppressed {
+		t.Fatalf("suppressed = %v, %v; want the retransmit applied and its duplicate suppressed",
+			jobs[1].Dec.Suppressed, jobs[2].Dec.Suppressed)
+	}
+	if v, _ := sw.ReadRegister("cnt", 0); v != 5 {
+		t.Fatalf("cnt = %d, want 5", v)
 	}
 }
 

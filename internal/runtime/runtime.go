@@ -65,20 +65,11 @@ type AppConfig struct {
 	// TraceEvery samples every Nth sent window for in-band hop tracing
 	// (0 = off). Host.SetTraceEvery adjusts it at runtime.
 	TraceEvery int
-	// ExecWorkers is a deployment-level knob consumed by core.Deploy:
-	// each switch node pipelines received windows across this many
-	// goroutines (0/1 = serial in-order execution, today's behavior).
-	ExecWorkers int
 	// FabricInboxCap is a deployment-level knob consumed by core.Deploy:
 	// the per-node fabric inbox capacity (0 = netsim.DefaultInboxCap).
 	// A full inbox drops and counts fabric.<label>.inbox_drops rather
 	// than blocking the sender.
 	FabricInboxCap int
-	// FabricDrainBatch is a deployment-level knob consumed by core.Deploy:
-	// how many packets a fabric inbox goroutine drains per wakeup
-	// (0 = netsim.DefaultDrainBatch; 1 = per-packet delivery, the
-	// pre-batching behavior benchmarks use as a baseline).
-	FabricDrainBatch int
 	// NonIdempotent names the out-kernels whose switch-side execution
 	// mutates register state (derived by core from the compiled programs'
 	// stateful ALUs). OutReliable marks windows for these kernels with

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -197,49 +198,57 @@ func (b *batchScratch) release() {
 // SendBatch implements netsim.BatchSender over UDP: all frames are
 // encoded into pooled buffers first, then handed to the kernel in one
 // sendmmsg per run on Linux (WriteToUDP loop elsewhere). All packets
-// share one source node, so one socket carries the whole batch.
+// share one source node, so one socket carries the whole batch. A packet
+// that cannot be framed or addressed does not stop the batch: every
+// deliverable packet is sent and the errors come back joined.
 func (u *UDPNet) SendBatch(from string, tos []string, pkts []*netsim.Packet) error {
 	if len(tos) != len(pkts) {
 		return fmt.Errorf("runtime: SendBatch got %d destinations for %d packets", len(tos), len(pkts))
 	}
-	if len(pkts) == 0 {
-		return nil
-	}
-	var conn *net.UDPConn
+	var (
+		conn *net.UDPConn
+		errs []error
+	)
 	b := batchPool.Get().(*batchScratch)
 	for i, pkt := range pkts {
 		c, addr, err := u.sendView(from, tos[i])
 		if err != nil {
-			b.release()
-			return err
+			errs = append(errs, err)
+			continue
 		}
-		conn = c // same `from` for the whole batch: one socket
 		bufp := framePool.Get().(*[]byte)
 		frame, err := appendFrame((*bufp)[:0], from, pkt.Dst, pkt.Data)
 		if err != nil {
 			framePool.Put(bufp)
-			b.release()
-			return err
+			errs = append(errs, err)
+			continue
 		}
+		conn = c // same `from` for the whole batch: one socket
 		*bufp = frame
 		b.bufps = append(b.bufps, bufp)
 		b.frames = append(b.frames, frame)
 		b.addrs = append(b.addrs, addr)
 	}
-	err := sendBatchOS(conn, b.frames, b.addrs)
+	if len(b.frames) > 0 {
+		if err := sendBatchOS(conn, b.frames, b.addrs); err != nil {
+			errs = append(errs, err)
+		}
+	}
 	b.release()
-	return err
+	return errors.Join(errs...)
 }
 
 // sendBatchLoop is the portable batch drain: one WriteToUDP per frame
-// (the Linux path only lands here when sendmmsg is unusable).
+// (the Linux path only lands here when sendmmsg is unusable). A frame the
+// kernel refuses does not stop the ones behind it.
 func sendBatchLoop(conn *net.UDPConn, frames [][]byte, addrs []*net.UDPAddr) error {
+	var errs []error
 	for i := range frames {
 		if _, err := conn.WriteToUDP(frames[i], addrs[i]); err != nil {
-			return err
+			errs = append(errs, err)
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 var framePool = sync.Pool{New: func() any {

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,6 +119,34 @@ func TestUDPSendBatch(t *testing.T) {
 	}
 	wg.Wait()
 	waitUDP(t, got, goroutines*batches*perBatch)
+}
+
+// TestUDPSendBatchDeliversPastBadPacket: a packet to a non-neighbor and a
+// datagram the kernel refuses (larger than UDP carries) must not take the
+// packets behind them down with them — every switch output leaves through
+// SendBatch. Both good packets arrive; both failures are reported.
+func TestUDPSendBatchDeliversPastBadPacket(t *testing.T) {
+	un, got := udpPair(t)
+	good := func() *netsim.Packet { return &netsim.Packet{Src: "a", Dst: "b", Data: []byte{1, 2, 3, 4}} }
+	err := un.SendBatch("a", []string{"b", "nowhere", "b", "b"}, []*netsim.Packet{
+		good(),
+		{Src: "a", Dst: "nowhere", Data: []byte{1, 2, 3, 4}},
+		{Src: "a", Dst: "b", Data: make([]byte, 70_000)},
+		good(),
+	})
+	if err == nil || !strings.Contains(err.Error(), "nowhere") {
+		t.Fatalf("err = %v, want the non-neighbor reported", err)
+	}
+	if joined, ok := err.(interface{ Unwrap() []error }); !ok || len(joined.Unwrap()) != 2 {
+		t.Fatalf("err = %v, want two joined failures (non-neighbor, oversized datagram)", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for got.Load() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got.Load() != 2 {
+		t.Fatalf("received %d of the 2 deliverable datagrams", got.Load())
+	}
 }
 
 // TestUDPSendAfterStop: Stop publishes a closed view; sends racing or

@@ -3,6 +3,7 @@
 package runtime
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"syscall"
@@ -32,8 +33,11 @@ type mmsgScratch struct {
 var mmsgPool = sync.Pool{New: func() any { return new(mmsgScratch) }}
 
 // sendBatchOS transmits every frame on one socket, batching them into as
-// few sendmmsg calls as the kernel accepts. Falls back to WriteToUDP
-// when the raw descriptor is unavailable (exotic conn types in tests).
+// few sendmmsg calls as the kernel accepts. A frame the kernel refuses
+// (sendmmsg fails only on the first message it was handed) is skipped and
+// its error joined into the result; the frames behind it still go out.
+// Falls back to WriteToUDP when the raw descriptor is unavailable (exotic
+// conn types in tests).
 func sendBatchOS(conn *net.UDPConn, frames [][]byte, addrs []*net.UDPAddr) error {
 	rc, err := conn.SyscallConn()
 	if err != nil {
@@ -73,7 +77,7 @@ func sendBatchOS(conn *net.UDPConn, frames [][]byte, addrs []*net.UDPAddr) error
 		m.n = 0
 	}
 	sent := 0
-	var opErr error
+	var errs []error
 	err = rc.Write(func(fd uintptr) bool {
 		for sent < n {
 			r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
@@ -86,8 +90,8 @@ func sendBatchOS(conn *net.UDPConn, frames [][]byte, addrs []*net.UDPAddr) error
 			case syscall.EINTR:
 				continue
 			default:
-				opErr = errno
-				return true
+				errs = append(errs, errno)
+				sent++
 			}
 		}
 		return true
@@ -95,5 +99,5 @@ func sendBatchOS(conn *net.UDPConn, frames [][]byte, addrs []*net.UDPAddr) error
 	if err != nil {
 		return err
 	}
-	return opErr
+	return errors.Join(errs...)
 }

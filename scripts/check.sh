@@ -17,6 +17,18 @@ if [ -n "$badfmt" ]; then
     exit 1
 fi
 
+# pisa.Reference and and.NextHopsAllReference are oracles: differential
+# tests and internal/bench compare against them, nothing on a serving path
+# may call them.
+echo "== oracle callers"
+oracle=$(grep -rnE 'pisa\.NewReference\(|NextHopsAllReference\(' --include='*.go' --exclude-dir=.bench_build . |
+    grep -vE '_test\.go:|^\./internal/bench/|^\./internal/pisa/reference\.go:|^\./internal/and/routes_reference\.go:' || true)
+if [ -n "$oracle" ]; then
+    echo "oracle called outside tests and internal/bench:" >&2
+    echo "$oracle" >&2
+    exit 1
+fi
+
 # staticcheck is not vendored (no new module dependencies); CI installs a
 # pinned version (see .github/workflows/ci.yml) and this script picks it
 # up from PATH. Locally it is optional.
