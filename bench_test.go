@@ -7,7 +7,6 @@ package ncl_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -228,58 +227,18 @@ func BenchmarkE7UDPBackend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dep, err := art.DeployUDP()
-	if err != nil {
-		b.Skipf("UDP unavailable: %v", err)
-	}
-	dep.Stop()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := runUDPRound(art, 2, 128); err != nil {
+		dep, err := art.DeployUDP()
+		if err != nil {
+			b.Skipf("UDP unavailable: %v", err)
+		}
+		_, err = bench.RunAllReduceRound(dep, 2, 128)
+		dep.Stop()
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func runUDPRound(art *core.Artifact, workers, dataLen int) error {
-	dep, err := art.DeployUDP()
-	if err != nil {
-		return err
-	}
-	defer dep.Stop()
-	if err := dep.Controller.CtrlWrite("nworkers", 0, uint64(workers)); err != nil {
-		return err
-	}
-	w := art.WindowLen
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			host := dep.Hosts[fmt.Sprintf("worker%d", wi)]
-			data := make([]uint64, dataLen)
-			if err := host.Out(runtime.Invocation{Kernel: "allreduce", Dest: "s1"}, [][]uint64{data}); err != nil {
-				errs[wi] = err
-				return
-			}
-			hdata := make([]uint64, dataLen)
-			done := make([]uint64, 1)
-			for n := 0; n < dataLen/w; n++ {
-				if _, err := host.In("result", [][]uint64{hdata, done}, 30*time.Second); err != nil {
-					errs[wi] = err
-					return
-				}
-			}
-		}(wi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // --- E8: recirculation cost ---

@@ -2,14 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"ncl/internal/baseline"
 	"ncl/internal/core"
 	"ncl/internal/model"
 	"ncl/internal/ncp"
-	"ncl/internal/runtime"
 )
 
 // E1Complexity reproduces the paper's central programmability claim
@@ -245,58 +243,18 @@ func E7Backends() (*Table, error) {
 	}
 	t.AddRow("in-memory", chanRun.Wall.Round(time.Microsecond).String(), "yes")
 
-	udpWall, err := runAllReduceUDP(art, workers, dataLen)
+	udp, err := art.DeployUDP()
 	if err != nil {
 		t.AddRow("udp", "unavailable: "+err.Error(), "-")
 		return t, nil
 	}
-	t.AddRow("udp-loopback", udpWall.Round(time.Microsecond).String(), "yes")
-	return t, nil
-}
-
-func runAllReduceUDP(art *core.Artifact, workers, dataLen int) (time.Duration, error) {
-	dep, err := art.DeployUDP()
+	defer udp.Stop()
+	udpRun, err := RunAllReduceRound(udp, workers, dataLen)
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("E7 udp: %w", err)
 	}
-	defer dep.Stop()
-	if err := dep.Controller.CtrlWrite("nworkers", 0, uint64(workers)); err != nil {
-		return 0, err
-	}
-	w := art.WindowLen
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			host := dep.Hosts[fmt.Sprintf("worker%d", wi)]
-			data := make([]uint64, dataLen)
-			for i := range data {
-				data[i] = uint64(wi + i)
-			}
-			if err := host.Out(runtime.Invocation{Kernel: "allreduce", Dest: "s1"}, [][]uint64{data}); err != nil {
-				errs[wi] = err
-				return
-			}
-			hdata := make([]uint64, dataLen)
-			done := make([]uint64, 1)
-			for n := 0; n < dataLen/w; n++ {
-				if _, err := host.In("result", [][]uint64{hdata, done}, 30*time.Second); err != nil {
-					errs[wi] = err
-					return
-				}
-			}
-		}(wi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
+	t.AddRow("udp-loopback", udpRun.Wall.Round(time.Microsecond).String(), "yes")
+	return t, nil
 }
 
 // E8Recirc is the recirculation ablation: kernels with k unrelated

@@ -34,16 +34,24 @@ func BuildAllReduce(workers, dataLen, w int) (*core.Artifact, error) {
 		core.BuildOptions{WindowLen: w, ModuleName: "allreduce"})
 }
 
-// RunINCAllReduce performs one full in-network AllReduce round and
-// returns its traffic/time measurements. Results are verified.
+// RunINCAllReduce deploys the artifact on a perfect in-memory fabric and
+// performs one full in-network AllReduce round (RunAllReduceRound).
 func RunINCAllReduce(art *core.Artifact, workers, dataLen int) (AllReduceRun, error) {
-	w := art.WindowLen
-	run := AllReduceRun{Workers: workers, DataLen: dataLen, WindowLen: w}
 	dep, err := art.Deploy(netsim.Faults{})
 	if err != nil {
-		return run, err
+		return AllReduceRun{}, err
 	}
 	defer dep.Stop()
+	return RunAllReduceRound(dep, workers, dataLen)
+}
+
+// RunAllReduceRound performs one full in-network AllReduce round on a
+// fresh deployment, whatever its transport, and returns its time and —
+// where the transport is the fabric, which counts them — traffic
+// measurements. Results are verified.
+func RunAllReduceRound(dep *core.Deployment, workers, dataLen int) (AllReduceRun, error) {
+	w := dep.Artifact.WindowLen
+	run := AllReduceRun{Workers: workers, DataLen: dataLen, WindowLen: w}
 	if err := dep.Controller.CtrlWrite("nworkers", 0, uint64(workers)); err != nil {
 		return run, err
 	}
@@ -89,11 +97,13 @@ func RunINCAllReduce(art *core.Artifact, workers, dataLen int) (AllReduceRun, er
 			return run, err
 		}
 	}
-	run.TotalBytes = dep.Fabric.TotalBytes()
-	run.HostBytes = dep.Fabric.HostBytes()
-	run.Packets = dep.Fabric.TotalPackets()
+	if fab := dep.Fabric; fab != nil {
+		run.TotalBytes = fab.TotalBytes()
+		run.HostBytes = fab.HostBytes()
+		run.Packets = fab.TotalPackets()
+		run.MakespanUs = fab.MakespanUs()
+	}
 	run.SwitchWins = dep.Switches["s1"].KernelWindows.Load()
-	run.MakespanUs = dep.Fabric.MakespanUs()
 	run.Metrics = dep.Obs.Snapshot()
 	return run, nil
 }

@@ -221,36 +221,12 @@ func (c *Controller) AttachSwitch(sn *netsim.SwitchNode) error {
 // between single-tenant and multi-tenant deployments.
 func (c *Controller) SetNamePrefix(prefix string) { c.namePrefix = prefix }
 
-// InstallAllViews is InstallAll for shared-device deployments: each
-// switch node records the program's wire bindings and routing state but
-// the device itself is NOT loaded — the tenancy owns the merged device
-// image. Identity overlays only (tenancies do their own placement-free
-// deploys).
-func (c *Controller) InstallAllViews(views map[string]*pisa.Program) error {
-	c.programs = views
-	hops := c.cachedNextHops()
-	hostByID := c.hostByID()
-	for _, sw := range c.net.Switches() {
-		sn, ok := c.switches[sw.Label]
-		if !ok {
-			return fmt.Errorf("controller: switch %s not attached", sw.Label)
-		}
-		prog, ok := views[sw.Label]
-		if !ok {
-			return fmt.Errorf("controller: no program for switch %s", sw.Label)
-		}
-		sn.InstallView(prog, sw.ID)
-		c.met.installs.Inc()
-		sn.SetRoutes(hops[sw.Label])
-		sn.SetHosts(hostByID)
-	}
-	return nil
-}
-
 // InstallAll loads each location's program onto its switch and populates
 // routing tables and reflect targets on every switch. Under placement,
 // programs install on the assigned physical switches and every physical
-// switch (placed or not) gets the rewritten routing state.
+// switch (placed or not) gets the rewritten routing state. A node that
+// wraps a shared device records the program as its view and does not load
+// it (SwitchNode.Install): a tenant's tagged programs install this way.
 func (c *Controller) InstallAll(programs map[string]*pisa.Program) error {
 	c.programs = programs
 	if c.placement != nil {

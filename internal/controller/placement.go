@@ -61,17 +61,6 @@ type Placement struct {
 	CostHops int
 }
 
-// budgetFor resolves the resource envelope for a physical switch.
-func (o *PlaceOptions) budgetFor(label string) pisa.TargetConfig {
-	if t, ok := o.Budgets[label]; ok {
-		return t
-	}
-	if o.Budget == (pisa.TargetConfig{}) {
-		return pisa.DefaultTarget()
-	}
-	return o.Budget
-}
-
 // Place maps every logical switch onto a physical switch. Greedy,
 // most-constrained-first: locations with the most host neighbors place
 // first; each takes the feasible switch minimizing hop count to its
@@ -122,7 +111,14 @@ func Place(opt PlaceOptions) (*Placement, error) {
 		if prog == nil {
 			return true // nothing to install: any switch carries it
 		}
-		return prog.Validate(opt.budgetFor(physSw)) == nil
+		budget, ok := opt.Budgets[physSw]
+		if !ok {
+			budget = opt.Budget
+		}
+		if budget == (pisa.TargetConfig{}) {
+			budget = pisa.DefaultTarget()
+		}
+		return prog.Validate(budget) == nil
 	}
 
 	// Most-constrained-first: host-adjacency count descending, label

@@ -12,45 +12,64 @@ import (
 	"ncl/internal/telemetry"
 )
 
-// Deployment is a running NCL application on the simulated fabric:
-// switches loaded with their location programs, hosts wired to the
-// runtime, and a controller managing state. This is the piece the paper
-// leaves to an external deployment mechanism (§3.2, Fig. 3c).
+// Deployment is a running NCL application: switches loaded with their
+// location programs, hosts wired to the runtime, and a controller managing
+// state, over one transport — the in-memory fabric or loopback UDP
+// sockets. This is the piece the paper leaves to an external deployment
+// mechanism (§3.2, Fig. 3c).
 type Deployment struct {
-	Artifact   *Artifact
+	Artifact *Artifact
+	// Fabric is the transport when it is the in-memory fabric (link
+	// stats, fault and failure injection); nil on a UDP deployment.
 	Fabric     *netsim.Fabric
 	Controller *controller.Controller
 	Hosts      map[string]*runtime.Host
 	Switches   map[string]*netsim.SwitchNode
 	// Obs aggregates every component's metrics for this deployment: host
-	// runtime counters, switch/pisa execution counts, fabric queueing,
-	// and controller events. Snapshot it for the -metrics surface.
+	// runtime counters, switch/pisa execution counts, transport queueing
+	// and losses, and controller events. Snapshot it for the -metrics
+	// surface.
 	Obs *obs.Registry
+
+	net transport
+}
+
+// transport is the backend seam of Fig. 3a as a deployment sees it: what
+// deploy and Stop call on the network under the nodes. *netsim.Fabric and
+// *runtime.UDPNet implement it. Anything only some backends have
+// (SendBatch, LinkFailed, InboxDepth, FailNode) is asked for by type
+// assertion where it is used.
+type transport interface {
+	netsim.Sender
+	Attach(netsim.Node) error
+	Start() error
+	Stop()
+	SetObs(*obs.Registry)
 }
 
 // Deploy instantiates the artifact on an in-memory fabric with the given
 // fault plan: one switch device per AND switch, one runtime host per AND
 // host, programs installed, routes populated.
 func (a *Artifact) Deploy(faults netsim.Faults) (*Deployment, error) {
-	return a.deployFabric(controller.New(a.Net), a.Net, faults,
-		func(string) pisa.TargetConfig { return a.Target }, nil)
+	return a.deploy(a.fabric(a.Net, faults), a.identity())
 }
 
-// deployHooks customizes deployFabric for non-standard deployments (the
-// multi-tenant path). Every field is optional; nil means the standard
-// behavior.
-type deployHooks struct {
-	// newNode builds the switch node for a physical switch label
-	// (default: a fresh device per node from the budget function). The
-	// tenancy path returns shared-device nodes here.
-	newNode func(label string) *netsim.SwitchNode
-	// install installs programs through the controller (default:
-	// ctrl.InstallAll(a.Programs)). The tenancy path installs per-tenant
-	// tagged views without touching the shared devices.
-	install func(ctrl *controller.Controller) error
-	// editCfg adjusts the host runtime config before any host is built
-	// (the tenancy path tags kernel ids and sets the metrics prefix).
-	editCfg func(cfg *runtime.AppConfig)
+// DeployUDP instantiates the artifact over loopback UDP sockets — the
+// paper's Sockets/UDP backend (§6 prototype scope). Control-plane
+// operations remain in-process (the out-of-band controller path, §4.1);
+// hop timestamps of traced windows read 0 without the simulated fabric's
+// virtual clock.
+func (a *Artifact) DeployUDP() (*Deployment, error) {
+	un, err := runtime.NewUDPNet(a.Net)
+	if err != nil {
+		return nil, err
+	}
+	return a.deploy(un, a.identity())
+}
+
+// identity is the wiring of a deployment on the overlay itself.
+func (a *Artifact) identity() wiring {
+	return wiring{ctrl: controller.New(a.Net), cfg: a.AppConfig(), programs: a.Programs, budget: a.Target}
 }
 
 // PlacedOptions configures DeployOn: the fault plan plus the placement
@@ -92,40 +111,54 @@ func (a *Artifact) DeployOn(phys *and.Network, opts PlacedOptions) (*Deployment,
 	if err != nil {
 		return nil, err
 	}
-	budgetFor := func(label string) pisa.TargetConfig {
-		if t, ok := opts.Budgets[label]; ok {
-			return t
-		}
-		return budget
-	}
-	return a.deployFabric(ctrl, phys, opts.Faults, budgetFor, nil)
+	return a.deploy(a.fabric(phys, opts.Faults), wiring{
+		ctrl: ctrl, cfg: a.AppConfig(), programs: a.Programs, budget: budget, budgets: opts.Budgets,
+	})
 }
 
-// deployFabric builds a running deployment over net (the physical network;
-// for identity deployments the overlay itself). Every error path tears
-// down whatever was already brought up — host goroutines, the fabric —
-// so a failed Deploy leaks nothing.
-func (a *Artifact) deployFabric(ctrl *controller.Controller, net *and.Network, faults netsim.Faults, budgetFor func(label string) pisa.TargetConfig, hooks *deployHooks) (dep *Deployment, err error) {
-	if hooks == nil {
-		hooks = &deployHooks{}
-	}
-	reg := obs.NewRegistry()
-	cfg := a.AppConfig()
-	cfg.Obs = reg
-	if hooks.editCfg != nil {
-		hooks.editCfg(&cfg)
-	}
+// fabric builds the in-memory transport over net.
+func (a *Artifact) fabric(net *and.Network, faults netsim.Faults) *netsim.Fabric {
 	fab := netsim.New(net, faults)
-	fab.SetObs(reg)
-	fab.SetInboxCap(cfg.FabricInboxCap)
+	fab.SetInboxCap(a.FabricInboxCap)
+	return fab
+}
+
+// wiring is what a deployment's constructor decides besides the
+// transport: who controls it and what its nodes are made of. The network
+// deployed on is the transport's — the overlay itself, or the physical
+// network ctrl placed it on.
+type wiring struct {
+	ctrl *controller.Controller
+	// cfg is the host runtime configuration and programs the per-location
+	// images the controller installs: the artifact's own, or a tenant's
+	// tagged copies.
+	cfg      runtime.AppConfig
+	programs map[string]*pisa.Program
+	// devices holds switch devices that already exist and are shared with
+	// other deployments, by label (a tenancy's); a switch not in it gets a
+	// device of its own, sized budgets[label] or else budget.
+	devices map[string]*pisa.Switch
+	budget  pisa.TargetConfig
+	budgets map[string]pisa.TargetConfig
+}
+
+// deploy is the one place a deployment's nodes are built, attached,
+// routed, installed and started. Every error path tears down whatever was
+// already brought up — host goroutines, the transport — so a failed
+// deployment leaks nothing.
+func (a *Artifact) deploy(tr transport, w wiring) (dep *Deployment, err error) {
+	reg := obs.NewRegistry()
+	w.cfg.Obs = reg
+	tr.SetObs(reg)
 	dep = &Deployment{
 		Artifact:   a,
-		Fabric:     fab,
-		Controller: ctrl,
+		Controller: w.ctrl,
 		Hosts:      map[string]*runtime.Host{},
 		Switches:   map[string]*netsim.SwitchNode{},
 		Obs:        reg,
+		net:        tr,
 	}
+	dep.Fabric, _ = tr.(*netsim.Fabric)
 	// Tear down on any error: `return nil, err` clears the named dep
 	// before this runs, so hold our own reference.
 	building := dep
@@ -134,54 +167,57 @@ func (a *Artifact) deployFabric(ctrl *controller.Controller, net *and.Network, f
 			building.Stop()
 		}
 	}()
-	for _, sw := range net.Switches() {
-		var sn *netsim.SwitchNode
-		if hooks.newNode != nil {
-			sn = hooks.newNode(sw.Label)
-		} else {
-			sn = netsim.NewSwitchNode(sw.Label, budgetFor(sw.Label))
-		}
-		dep.Switches[sw.Label] = sn
-		// INT queue-depth source: the switch's fabric inbox.
+	depths, _ := tr.(interface{ InboxDepth(label string) int })
+	phys := tr.Network()
+	for _, sw := range phys.Switches() {
 		label := sw.Label
-		sn.SetDepthSource(func() int { return fab.InboxDepth(label) })
-		if err = fab.Attach(sn); err != nil {
+		var sn *netsim.SwitchNode
+		if dev, shared := w.devices[label]; shared {
+			sn = netsim.NewSwitchNodeShared(label, dev)
+		} else {
+			target, ok := w.budgets[label]
+			if !ok {
+				target = w.budget
+			}
+			sn = netsim.NewSwitchNode(label, target)
+		}
+		dep.Switches[label] = sn
+		if depths != nil {
+			// INT queue-depth source: the switch's transport inbox.
+			sn.SetDepthSource(func() int { return depths.InboxDepth(label) })
+		}
+		if err = tr.Attach(sn); err != nil {
 			return nil, err
 		}
-		if err = ctrl.AttachSwitch(sn); err != nil {
+		if err = w.ctrl.AttachSwitch(sn); err != nil {
 			return nil, err
 		}
 	}
-	ctrl.SetObs(reg) // cascades to the attached switches and PISA devices
-	nextAll, viaAll := ctrl.HostRoutingAll()
+	w.ctrl.SetObs(reg) // cascades to the attached switches and PISA devices
+	nextAll, viaAll := w.ctrl.HostRoutingAll()
 	overlay := map[string]bool{}
 	for _, hn := range a.Net.Hosts() {
-		host := runtime.NewHost(hn.Label, hn.ID, hn.Role, cfg, fab, nil)
+		host := runtime.NewHost(hn.Label, hn.ID, hn.Role, w.cfg, tr, nil)
 		host.SetRoutes(nextAll[hn.Label], viaAll[hn.Label])
 		dep.Hosts[hn.Label] = host
 		overlay[hn.Label] = true
-		if err = fab.Attach(host); err != nil {
+		if err = tr.Attach(host); err != nil {
 			return nil, err
 		}
 	}
-	// Physical hosts the overlay does not use still need fabric endpoints.
-	for _, hn := range net.Hosts() {
+	// Physical hosts the overlay does not use still need endpoints.
+	for _, hn := range phys.Hosts() {
 		if overlay[hn.Label] {
 			continue
 		}
-		if err = fab.Attach(netsim.NewNullNode(hn.Label)); err != nil {
+		if err = tr.Attach(netsim.NewNullNode(hn.Label)); err != nil {
 			return nil, err
 		}
 	}
-	if hooks.install != nil {
-		err = hooks.install(ctrl)
-	} else {
-		err = ctrl.InstallAll(a.Programs)
-	}
-	if err != nil {
+	if err = w.ctrl.InstallAll(w.programs); err != nil {
 		return nil, err
 	}
-	if err = fab.Start(); err != nil {
+	if err = tr.Start(); err != nil {
 		return nil, err
 	}
 	return dep, nil
@@ -192,12 +228,16 @@ func (a *Artifact) deployFabric(ctrl *controller.Controller, net *and.Network, f
 // hosted (replaying their MAT entries and _ctrl_ state onto new homes),
 // and every host's routes refresh to the post-failure tables. Requires a
 // placed deployment (DeployOn) — an identity deployment has no spare
-// switches to move a location to.
+// switches to move a location to — on a transport that can fail a node.
 func (d *Deployment) FailSwitch(label string) error {
 	if _, ok := d.Switches[label]; !ok {
 		return fmt.Errorf("core: no switch %q", label)
 	}
-	d.Fabric.FailNode(label)
+	failer, ok := d.net.(interface{ FailNode(label string) })
+	if !ok {
+		return fmt.Errorf("core: the %T transport cannot fail a node", d.net)
+	}
+	failer.FailNode(label)
 	if err := d.Controller.Replace(label); err != nil {
 		return err
 	}
@@ -206,78 +246,6 @@ func (d *Deployment) FailSwitch(label string) error {
 		h.SetRoutes(nextAll[l], viaAll[l])
 	}
 	return nil
-}
-
-// UDPDeployment runs the application over real loopback UDP sockets —
-// the paper's Sockets/UDP backend (§6 prototype scope).
-type UDPDeployment struct {
-	Artifact   *Artifact
-	Net        *runtime.UDPNet
-	Controller *controller.Controller
-	Hosts      map[string]*runtime.Host
-	Switches   map[string]*netsim.SwitchNode
-	Obs        *obs.Registry
-}
-
-// DeployUDP instantiates the artifact over UDP sockets. Control-plane
-// operations remain in-process (the out-of-band controller path, §4.1).
-func (a *Artifact) DeployUDP() (*UDPDeployment, error) {
-	un, err := runtime.NewUDPNet(a.Net)
-	if err != nil {
-		return nil, err
-	}
-	reg := obs.NewRegistry()
-	ctrl := controller.New(a.Net)
-	dep := &UDPDeployment{
-		Artifact:   a,
-		Net:        un,
-		Controller: ctrl,
-		Hosts:      map[string]*runtime.Host{},
-		Switches:   map[string]*netsim.SwitchNode{},
-		Obs:        reg,
-	}
-	cfg := a.AppConfig()
-	cfg.Obs = reg
-	cleanup := func() { dep.Stop() }
-	for _, sw := range a.Net.Switches() {
-		sn := netsim.NewSwitchNode(sw.Label, a.Target)
-		dep.Switches[sw.Label] = sn
-		if err := un.Attach(sn); err != nil {
-			cleanup()
-			return nil, err
-		}
-		if err := ctrl.AttachSwitch(sn); err != nil {
-			cleanup()
-			return nil, err
-		}
-	}
-	ctrl.SetObs(reg)
-	hops := a.Net.NextHops()
-	for _, hn := range a.Net.Hosts() {
-		host := runtime.NewHost(hn.Label, hn.ID, hn.Role, cfg, un, hops[hn.Label])
-		dep.Hosts[hn.Label] = host
-		if err := un.Attach(host); err != nil {
-			cleanup()
-			return nil, err
-		}
-	}
-	if err := ctrl.InstallAll(a.Programs); err != nil {
-		cleanup()
-		return nil, err
-	}
-	if err := un.Start(); err != nil {
-		cleanup()
-		return nil, err
-	}
-	return dep, nil
-}
-
-// Stop shuts the UDP deployment down.
-func (d *UDPDeployment) Stop() {
-	for _, h := range d.Hosts {
-		h.Close()
-	}
-	d.Net.Stop()
 }
 
 // Host returns the named host or an error.
@@ -289,12 +257,12 @@ func (d *Deployment) Host(label string) (*runtime.Host, error) {
 	return h, nil
 }
 
-// Stop shuts the deployment down.
+// Stop shuts the deployment down. A second call is a no-op.
 func (d *Deployment) Stop() {
 	for _, h := range d.Hosts {
 		h.Close()
 	}
-	d.Fabric.Stop()
+	d.net.Stop()
 }
 
 // EnableTelemetry turns on the live telemetry plane: every host samples
@@ -305,19 +273,6 @@ func (d *Deployment) Stop() {
 // with telemetry.Serve. Call again to resample; the latest collector
 // wins.
 func (d *Deployment) EnableTelemetry(sampleEvery int) *telemetry.Collector {
-	col := telemetry.NewCollector(d.Obs, 0)
-	for _, h := range d.Hosts {
-		h.SetTraceEvery(sampleEvery)
-		h.SetTraceSink(col.Ingest)
-	}
-	return col
-}
-
-// EnableTelemetry is the UDP-backend variant of
-// Deployment.EnableTelemetry (hop timestamps read 0 without the
-// simulated fabric's virtual clock; queue depths and kernel ids still
-// flow).
-func (d *UDPDeployment) EnableTelemetry(sampleEvery int) *telemetry.Collector {
 	col := telemetry.NewCollector(d.Obs, 0)
 	for _, h := range d.Hosts {
 		h.SetTraceEvery(sampleEvery)

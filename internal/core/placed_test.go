@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	gort "runtime"
 	"sync"
 	"testing"
@@ -389,31 +390,69 @@ func TestFailSwitchReplacesAndRecovers(t *testing.T) {
 	}
 }
 
-// TestDeployCleanupOnError is the leak regression: a Deploy that fails
-// mid-loop (here: a location with no compiled program) must tear down
-// the hosts it already brought up. Run with -race; the goroutine count
-// must return to its pre-Deploy level.
+// TestDeployCleanupOnError is the leak regression: a deployment that
+// fails mid-way (here: a location with no compiled program, so InstallAll
+// fails after every node is attached and, over UDP, every socket bound)
+// must tear down what it already brought up, and one that came up must be
+// gone after Stop — whose second call is a no-op. Run with -race; the
+// goroutine and open-descriptor counts must return to their pre-deploy
+// levels on every backend.
 func TestDeployCleanupOnError(t *testing.T) {
 	art, err := Build(passThroughNCL, pairAND,
 		BuildOptions{WindowLen: 4, ModuleName: "leakchk"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	delete(art.Programs, "s1") // force InstallAll to fail after attach
+	s1 := art.Programs["s1"]
+	for name, deploy := range map[string]func() (*Deployment, error){
+		"fabric": func() (*Deployment, error) { return art.Deploy(netsim.Faults{}) },
+		"udp":    art.DeployUDP,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dep, err := deploy()
+			if err != nil {
+				t.Skipf("cannot deploy here: %v", err)
+			}
+			dep.Stop() // the netpoller's own descriptors exist from here on
+			before, fdsBefore := gort.NumGoroutine(), openFDs()
+			settled := func(what string) {
+				t.Helper()
+				deadline := time.Now().Add(5 * time.Second)
+				for gort.NumGoroutine() > before && time.Now().Before(deadline) {
+					time.Sleep(5 * time.Millisecond)
+				}
+				if n := gort.NumGoroutine(); n > before {
+					t.Fatalf("%s leaked %d goroutines (%d -> %d)", what, n-before, before, n)
+				}
+				if n := openFDs(); n > fdsBefore {
+					t.Fatalf("%s left %d descriptors open (%d -> %d)", what, n-fdsBefore, fdsBefore, n)
+				}
+			}
 
-	before := gort.NumGoroutine()
-	dep, err := art.Deploy(netsim.Faults{})
-	if err == nil {
-		dep.Stop()
-		t.Fatal("Deploy with a missing program must fail")
+			delete(art.Programs, "s1")
+			dep, err = deploy()
+			art.Programs["s1"] = s1
+			if err == nil {
+				dep.Stop()
+				t.Fatal("a deployment with a missing program must fail")
+			}
+			settled("failed deployment")
+
+			if dep, err = deploy(); err != nil {
+				t.Fatal(err)
+			}
+			dep.Stop()
+			dep.Stop()
+			settled("stopped deployment")
+		})
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for gort.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := gort.NumGoroutine(); n > before {
-		t.Fatalf("failed Deploy leaked %d goroutines (%d -> %d)", n-before, before, n)
-	}
+}
+
+// openFDs counts this process's open file descriptors (0 where /proc
+// does not say, which disables the check).
+func openFDs() int {
+	fds, _ := os.ReadDir("/proc/self/fd")
+	return len(fds)
 }
 
 // TestDeployOnK32GoroutineBudget pins lazy host attachment: deploying a

@@ -8,7 +8,6 @@ import (
 	"ncl/internal/netsim"
 	"ncl/internal/obs"
 	"ncl/internal/pisa"
-	"ncl/internal/runtime"
 )
 
 // Tenancy runs several independently-built NCL applications on one set
@@ -118,27 +117,22 @@ func (t *Tenancy) Device(label string) (*pisa.Switch, error) {
 	return dev, nil
 }
 
-// deviceFor returns (creating if needed) the shared device for a
-// location. Creation homes its metrics into the tenancy registry before
-// any program loads, so per-tenant window counters land there.
-func (t *Tenancy) deviceFor(label string) *pisa.Switch {
-	dev, ok := t.devices[label]
-	if !ok {
-		dev = pisa.NewSwitch(t.target)
-		dev.SetObs(t.Obs, label)
-		t.devices[label] = dev
-	}
-	return dev
-}
-
 // reloadMerged swaps the new merged images onto the shared devices,
 // carrying surviving tenants' state over (LoadPreserving matches
 // registers and tables by tenant-prefixed name, so a removed or evicted
 // tenant's slices are reclaimed by omission while everyone else's
-// values — and the exactly-once shadow — survive).
+// values — and the exactly-once shadow — survive). A location's device is
+// created here, its metrics homed in the tenancy registry before any
+// program loads so per-tenant window counters land there.
 func (t *Tenancy) reloadMerged(merged map[string]*pisa.Program) error {
 	for label, prog := range merged {
-		if err := t.deviceFor(label).LoadPreserving(prog); err != nil {
+		dev, ok := t.devices[label]
+		if !ok {
+			dev = pisa.NewSwitch(t.target)
+			dev.SetObs(t.Obs, label)
+			t.devices[label] = dev
+		}
+		if err := dev.LoadPreserving(prog); err != nil {
 			return fmt.Errorf("core: reload %s: %w", label, err)
 		}
 	}
@@ -224,34 +218,24 @@ func (t *Tenancy) Stop() {
 // deployTenant brings up one tenant's private fabric/hosts/controller
 // against the shared devices. Must run with t.mu held.
 func (t *Tenancy) deployTenant(a *Artifact, id string, res *controller.AdmitResult) (*Deployment, error) {
-	slot := res.Slot
-	hooks := &deployHooks{
-		// Switch nodes wrap the shared devices instead of owning fresh
-		// ones; node metrics stay per-tenant, device metrics stay homed
-		// in the tenancy registry.
-		newNode: func(label string) *netsim.SwitchNode {
-			return netsim.NewSwitchNodeShared(label, t.deviceFor(label))
-		},
-		// Install the tenant's tagged views: wire specs and routing only,
-		// no device Load (reloadMerged already swapped the real image).
-		// The name prefix makes the tenant's control-plane writes
-		// (CtrlWrite("nworkers", ...) etc.) resolve its prefixed slices.
-		install: func(ctrl *controller.Controller) error {
-			ctrl.SetNamePrefix(pisa.TenantPrefix(id))
-			return ctrl.InstallAllViews(res.Views)
-		},
-		// Hosts send and match on tagged kernel ids, and report metrics
-		// under the tenant namespace. Copy the map — AppConfig aliases
-		// the artifact's.
-		editCfg: func(cfg *runtime.AppConfig) {
-			ids := make(map[string]uint32, len(cfg.KernelIDs))
-			for name, kid := range cfg.KernelIDs {
-				ids[name] = pisa.TenantKernelID(slot, kid)
-			}
-			cfg.KernelIDs = ids
-			cfg.MetricsPrefix = "tenant." + id + "."
-		},
+	// Hosts send and match on tagged kernel ids, and report metrics under
+	// the tenant namespace. Copy the map — AppConfig aliases the artifact's.
+	cfg := a.AppConfig()
+	ids := make(map[string]uint32, len(cfg.KernelIDs))
+	for name, kid := range cfg.KernelIDs {
+		ids[name] = pisa.TenantKernelID(res.Slot, kid)
 	}
-	return a.deployFabric(controller.New(a.Net), a.Net, t.faults,
-		func(string) pisa.TargetConfig { return t.target }, hooks)
+	cfg.KernelIDs = ids
+	cfg.MetricsPrefix = "tenant." + id + "."
+	// The name prefix makes the tenant's control-plane writes
+	// (CtrlWrite("nworkers", ...) etc.) resolve its prefixed slices.
+	ctrl := controller.New(a.Net)
+	ctrl.SetNamePrefix(pisa.TenantPrefix(id))
+	// Every switch node wraps its shared device (reloadMerged created one
+	// per location the tenant has a program for, and swapped the merged
+	// image in), so installing the tenant's tagged views records wire specs
+	// and routes and loads nothing. Node metrics stay per-tenant, device
+	// metrics stay homed in the tenancy registry.
+	return a.deploy(a.fabric(a.Net, t.faults),
+		wiring{ctrl: ctrl, cfg: cfg, programs: res.Views, devices: t.devices})
 }

@@ -34,7 +34,7 @@ type Packet struct {
 	// engine uses it to steer host-to-host windows through the physical
 	// switch an _at_ location was placed on, without rewriting Dst (the
 	// NCP transport keys retransmit state on the final destination).
-	// Empty for identity deployments; not carried by the UDP backend.
+	// Empty for identity deployments; every transport carries it.
 	Via string
 
 	// VTimeUs is the packet's virtual timestamp in microseconds: set by

@@ -95,7 +95,7 @@ func NewSwitchNode(label string, target pisa.TargetConfig) *SwitchNode {
 // NewSwitchNodeShared wraps an existing PISA device owned by someone
 // else — the multi-tenant path, where every tenant's fabric has its own
 // node for a location but all of them share one physical device. The
-// wrapper never loads programs onto the device (use InstallView for the
+// wrapper never loads programs onto the device (Install records only the
 // tenant's wire bindings) and SetObs leaves the device's counters homed
 // where the device owner put them.
 func NewSwitchNodeShared(label string, dev *pisa.Switch) *SwitchNode {
@@ -141,21 +141,16 @@ func (s *SwitchNode) Device() *pisa.Switch { return s.sw }
 
 // Install loads a compiled program and records the control metadata the
 // data plane needs: location id, per-kernel wire specs, and counters
-// (reflect targets come via SetHosts).
+// (reflect targets come via SetHosts). A shared node skips the load: its
+// owner (the tenancy) loads the merged program, and p is this tenant's
+// tagged slice of it — the wire-binding view, whose kernel ids must match
+// the ids the merged plan serves.
 func (s *SwitchNode) Install(p *pisa.Program, locID uint32) error {
-	if err := s.sw.Load(p); err != nil {
-		return err
+	if !s.shared {
+		if err := s.sw.Load(p); err != nil {
+			return err
+		}
 	}
-	s.InstallView(p, locID)
-	return nil
-}
-
-// InstallView records the control metadata for a program WITHOUT
-// loading it onto the device — the multi-tenant path: the tenancy loads
-// the merged program on the shared device, and each tenant's node
-// installs only its own tagged slice as the wire-binding view. The
-// view's kernel ids must match the ids the merged plan serves.
-func (s *SwitchNode) InstallView(p *pisa.Program, locID uint32) {
 	s.locID = locID
 	s.obsMu.Lock()
 	s.kplans = map[uint32]*swKernel{}
@@ -172,6 +167,7 @@ func (s *SwitchNode) InstallView(p *pisa.Program, locID uint32) {
 		}
 	}
 	s.obsMu.Unlock()
+	return nil
 }
 
 // SwitchRouting is the forwarding state a controller installs on a

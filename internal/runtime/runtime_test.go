@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"ncl/internal/ncl/source"
 	"ncl/internal/ncp"
 	"ncl/internal/netsim"
+	"ncl/internal/obs"
 )
 
 // loopbackSender delivers every send synchronously to registered nodes,
@@ -374,19 +376,19 @@ func TestOutReliableUnackedTimesOut(t *testing.T) {
 }
 
 func TestUDPFrameRoundTrip(t *testing.T) {
-	frame, err := encodeFrame("worker0", "s1", []byte{1, 2, 3})
+	frame, err := appendFrame(nil, "worker0", "s1", "e3", []byte{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	from, dst, payload, err := decodeFrame(frame)
+	from, dst, via, payload, err := decodeFrameZero(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if from != "worker0" || dst != "s1" || len(payload) != 3 || payload[2] != 3 {
-		t.Errorf("frame round trip: %q %q %v", from, dst, payload)
+	if from != "worker0" || dst != "s1" || via != "e3" || len(payload) != 3 || payload[2] != 3 {
+		t.Errorf("frame round trip: %q %q %q %v", from, dst, via, payload)
 	}
-	for _, bad := range [][]byte{{}, {5}, {3, 'a', 'b'}} {
-		if _, _, _, err := decodeFrame(bad); err == nil {
+	for _, bad := range [][]byte{{}, {5}, {3, 'a', 'b'}, {1, 'a', 1, 'b'}, {1, 'a', 1, 'b', 2, 'c'}} {
+		if _, _, _, _, err := decodeFrameZero(bad); err == nil {
 			t.Errorf("malformed frame %v accepted", bad)
 		}
 	}
@@ -402,12 +404,13 @@ func TestUDPNetSmoke(t *testing.T) {
 		t.Skipf("UDP unavailable: %v", err)
 	}
 	defer un.Stop()
-	got := make(chan []byte, 1)
+	reg := obs.NewRegistry()
+	un.SetObs(reg)
+	got := make(chan netsim.Packet, 1)
 	recv := nodeFunc{label: "b", fn: func(pkt *netsim.Packet) {
-		select {
-		case got <- pkt.Data:
-		default:
-		}
+		cp := *pkt
+		cp.Data = append([]byte(nil), pkt.Data...) // the reader recycles it
+		got <- cp
 	}}
 	send := nodeFunc{label: "a", fn: func(*netsim.Packet) {}}
 	if err := un.Attach(recv); err != nil {
@@ -419,19 +422,61 @@ func TestUDPNetSmoke(t *testing.T) {
 	if err := un.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := un.Send("a", "b", &netsim.Packet{Src: "a", Dst: "b", Data: []byte("hello")}); err != nil {
+	if err := un.Send("a", "b", &netsim.Packet{Src: "a", Dst: "b", Via: "waypoint", Data: []byte("hello")}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case data := <-got:
-		if string(data) != "hello" {
-			t.Errorf("payload %q", data)
+	case pkt := <-got:
+		if string(pkt.Data) != "hello" || pkt.Dst != "b" || pkt.Via != "waypoint" {
+			t.Errorf("arrived as %+v", pkt)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("datagram never arrived")
 	}
+
+	// A datagram that is not a frame is a counted loss, and the reader
+	// survives it.
+	raw, err := net.DialUDP("udp4", nil, un.Addr("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write([]byte{200, 'x'}); err != nil {
+		t.Fatal(err)
+	}
+	frameErrs := reg.Counter("udp.frame_errors")
+	for deadline := time.Now().Add(2 * time.Second); frameErrs.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := frameErrs.Load(); n != 1 {
+		t.Errorf("udp.frame_errors = %d after one malformed datagram, want 1", n)
+	}
+	if err := un.Send("a", "b", &netsim.Packet{Dst: "b", Data: []byte("again")}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got:
+	case <-time.After(2 * time.Second):
+		t.Fatal("reader died on a malformed datagram")
+	}
+
+	// So is every packet the transport could not put on the wire: a
+	// non-neighbor, and the unframeable one of a batch of two.
 	if err := un.Send("a", "nowhere", &netsim.Packet{}); err == nil {
 		t.Error("non-neighbor UDP send must fail")
+	}
+	err = un.SendBatch("a", []string{"b", "b"}, []*netsim.Packet{
+		{Dst: strings.Repeat("x", 256)}, {Dst: "b", Data: []byte("ok")}})
+	if err == nil {
+		t.Error("a 256-byte label must not frame")
+	}
+	select {
+	case <-got:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the good packet of the batch never arrived")
+	}
+	if n := reg.Counter("udp.send_errors").Load(); n != 2 {
+		t.Errorf("udp.send_errors = %d after two failed packets, want 2", n)
 	}
 }
 

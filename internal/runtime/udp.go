@@ -9,6 +9,7 @@ import (
 
 	"ncl/internal/and"
 	"ncl/internal/netsim"
+	"ncl/internal/obs"
 )
 
 // UDPNet is the Sockets/UDP backend of the paper's early-prototype scope
@@ -17,8 +18,10 @@ import (
 // identical to the in-memory fabric — only the transport differs, which
 // is the backend-agnosticism NCP promises (§3.2).
 //
-// Datagram framing: [1B fromLen][from][1B dstLen][dst][payload]; the
-// overlay neighbor relationship is validated on send, like the fabric.
+// Datagram framing: [1B fromLen][from][1B dstLen][dst][1B viaLen][via]
+// [payload] — everything of a netsim.Packet a node acts on except the
+// virtual clock; the overlay neighbor relationship is validated on send,
+// like the fabric.
 //
 // The conn/addr tables are immutable once the sockets are bound, so the
 // send hot path reads them through an atomically-published snapshot
@@ -36,6 +39,12 @@ type UDPNet struct {
 	mu    sync.Mutex
 	nodes map[string]netsim.Node
 	wg    sync.WaitGroup
+
+	// frameErrs counts datagrams a reader could not parse
+	// (udp.frame_errors), sendErrs packets that never reached the kernel:
+	// unframeable, unaddressable or refused (udp.send_errors). SetObs
+	// re-homes both.
+	frameErrs, sendErrs *obs.Counter
 }
 
 // udpView is the immutable state Send needs per packet. A fresh view is
@@ -58,6 +67,7 @@ func NewUDPNet(network *and.Network) (*UDPNet, error) {
 		addrs: map[string]*net.UDPAddr{},
 	}
 	u.view.Store(v)
+	u.SetObs(obs.NewRegistry()) // private until a deployment re-homes it
 	for _, n := range network.Nodes {
 		conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
 		if err != nil {
@@ -74,6 +84,13 @@ func NewUDPNet(network *and.Network) (*UDPNet, error) {
 		v.addrs[n.Label] = conn.LocalAddr().(*net.UDPAddr)
 	}
 	return u, nil
+}
+
+// SetObs re-homes the transport's loss counters into the given registry
+// (call before Start).
+func (u *UDPNet) SetObs(r *obs.Registry) {
+	u.frameErrs = r.Counter("udp.frame_errors")
+	u.sendErrs = r.Counter("udp.send_errors")
 }
 
 // Network implements netsim.Sender.
@@ -125,12 +142,13 @@ func (u *UDPNet) Start() error {
 					recvPool.Put(bufp)
 					return // socket closed
 				}
-				from, dst, payload, err := decodeFrameZero(buf[:n])
+				from, dst, via, payload, err := decodeFrameZero(buf[:n])
 				if err != nil {
+					u.frameErrs.Inc()
 					recvPool.Put(bufp)
 					continue
 				}
-				pkt := &netsim.Packet{Src: from, Dst: dst, Data: payload}
+				pkt := &netsim.Packet{Src: from, Dst: dst, Via: via, Data: payload}
 				node.Receive(u, pkt, from)
 				recvPool.Put(bufp)
 			}
@@ -154,7 +172,12 @@ func (u *UDPNet) sendView(from, to string) (*net.UDPConn, *net.UDPAddr, error) {
 }
 
 // Send implements netsim.Sender over UDP.
-func (u *UDPNet) Send(from, to string, pkt *netsim.Packet) error {
+func (u *UDPNet) Send(from, to string, pkt *netsim.Packet) (err error) {
+	defer func() {
+		if err != nil {
+			u.sendErrs.Inc()
+		}
+	}()
 	conn, addr, err := u.sendView(from, to)
 	if err != nil {
 		return err
@@ -162,7 +185,7 @@ func (u *UDPNet) Send(from, to string, pkt *netsim.Packet) error {
 	// WriteToUDP copies the frame into the kernel before returning, so
 	// the buffer can be pooled across sends.
 	bufp := framePool.Get().(*[]byte)
-	frame, err := appendFrame((*bufp)[:0], from, pkt.Dst, pkt.Data)
+	frame, err := appendFrame((*bufp)[:0], from, pkt.Dst, pkt.Via, pkt.Data)
 	if err != nil {
 		framePool.Put(bufp)
 		return err
@@ -217,7 +240,7 @@ func (u *UDPNet) SendBatch(from string, tos []string, pkts []*netsim.Packet) err
 			continue
 		}
 		bufp := framePool.Get().(*[]byte)
-		frame, err := appendFrame((*bufp)[:0], from, pkt.Dst, pkt.Data)
+		frame, err := appendFrame((*bufp)[:0], from, pkt.Dst, pkt.Via, pkt.Data)
 		if err != nil {
 			framePool.Put(bufp)
 			errs = append(errs, err)
@@ -230,11 +253,16 @@ func (u *UDPNet) SendBatch(from string, tos []string, pkts []*netsim.Packet) err
 		b.addrs = append(b.addrs, addr)
 	}
 	if len(b.frames) > 0 {
-		if err := sendBatchOS(conn, b.frames, b.addrs); err != nil {
+		// One error per refused frame, so send_errors counts packets.
+		err := sendBatchOS(conn, b.frames, b.addrs)
+		if j, ok := err.(interface{ Unwrap() []error }); ok {
+			errs = append(errs, j.Unwrap()...)
+		} else if err != nil {
 			errs = append(errs, err)
 		}
 	}
 	b.release()
+	u.sendErrs.Add(uint64(len(errs)))
 	return errors.Join(errs...)
 }
 
@@ -277,49 +305,29 @@ func (u *UDPNet) Stop() {
 // Addr returns the bound address of a node (tests and diagnostics).
 func (u *UDPNet) Addr(label string) *net.UDPAddr { return u.view.Load().addrs[label] }
 
-func encodeFrame(from, dst string, payload []byte) ([]byte, error) {
-	return appendFrame(nil, from, dst, payload)
-}
-
-// appendFrame encodes a datagram frame into dst (reusing its capacity).
-func appendFrame(dst []byte, from, to string, payload []byte) ([]byte, error) {
-	if len(from) > 255 || len(to) > 255 {
-		return nil, fmt.Errorf("runtime: label too long")
+// appendFrame encodes a datagram frame into buf (reusing its capacity).
+func appendFrame(buf []byte, from, dst, via string, payload []byte) ([]byte, error) {
+	for _, label := range [...]string{from, dst, via} {
+		if len(label) > 255 {
+			return nil, fmt.Errorf("runtime: label too long")
+		}
+		buf = append(buf, byte(len(label)))
+		buf = append(buf, label...)
 	}
-	dst = append(dst, byte(len(from)))
-	dst = append(dst, from...)
-	dst = append(dst, byte(len(to)))
-	dst = append(dst, to...)
-	dst = append(dst, payload...)
-	return dst, nil
-}
-
-// decodeFrame parses a frame, copying the payload out (callers that
-// retain it past the frame buffer's lifetime).
-func decodeFrame(frame []byte) (from, dst string, payload []byte, err error) {
-	from, dst, payload, err = decodeFrameZero(frame)
-	if err != nil {
-		return "", "", nil, err
-	}
-	return from, dst, append([]byte(nil), payload...), nil
+	return append(buf, payload...), nil
 }
 
 // decodeFrameZero parses a frame with the payload aliasing the input —
 // the reader's pooled-buffer path (the buffer outlives Receive, which is
 // all any node needs; see recvPool).
-func decodeFrameZero(frame []byte) (from, dst string, payload []byte, err error) {
-	if len(frame) < 2 {
-		return "", "", nil, fmt.Errorf("runtime: short frame")
+func decodeFrameZero(frame []byte) (from, dst, via string, payload []byte, err error) {
+	var labels [3]string
+	for i := range labels {
+		if len(frame) < 1 || len(frame) < 1+int(frame[0]) {
+			return "", "", "", nil, fmt.Errorf("runtime: truncated frame label %d", i)
+		}
+		n := 1 + int(frame[0])
+		labels[i], frame = string(frame[1:n]), frame[n:]
 	}
-	fl := int(frame[0])
-	if len(frame) < 1+fl+1 {
-		return "", "", nil, fmt.Errorf("runtime: truncated from label")
-	}
-	from = string(frame[1 : 1+fl])
-	dl := int(frame[1+fl])
-	if len(frame) < 1+fl+1+dl {
-		return "", "", nil, fmt.Errorf("runtime: truncated dst label")
-	}
-	dst = string(frame[1+fl+1 : 1+fl+1+dl])
-	return from, dst, frame[1+fl+1+dl:], nil
+	return labels[0], labels[1], labels[2], frame, nil
 }

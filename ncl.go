@@ -8,9 +8,9 @@
 //   - describe the overlay in an AND file (§3.2);
 //   - Build compiles kernels through the full nclc pipeline (Fig. 6) to
 //     per-switch PISA programs plus the host-side module;
-//   - Deploy instantiates the application on a simulated fabric (or real
-//     UDP sockets with DeployUDP) with switches loaded and hosts wired to
-//     the libncrt runtime;
+//   - Deploy instantiates the application on a simulated fabric, DeployUDP
+//     on real loopback UDP sockets: the same Deployment either way, with
+//     switches loaded and hosts wired to the libncrt runtime;
 //   - hosts invoke outgoing kernels with Host.Out/OutWindow and receive
 //     windows through incoming kernels with Host.In, exactly mirroring
 //     the paper's ncl::out / ncl::in;
@@ -45,7 +45,9 @@ type Artifact = core.Artifact
 // StageTiming is one pipeline stage's compile time.
 type StageTiming = core.StageTiming
 
-// Deployment is a running application on the in-memory fabric.
+// Deployment is a running application, over the in-memory fabric
+// (Artifact.Deploy, Artifact.DeployOn) or loopback UDP sockets
+// (Artifact.DeployUDP; its Fabric field is nil).
 type Deployment = core.Deployment
 
 // Network is a parsed or generated AND topology. Artifact.Net is the
@@ -60,9 +62,6 @@ type PlacedOptions = core.PlacedOptions
 // Placement is a computed logical→physical assignment
 // (Deployment.Controller.Placement on placed deployments).
 type Placement = controller.Placement
-
-// UDPDeployment is a running application over loopback UDP sockets.
-type UDPDeployment = core.UDPDeployment
 
 // Host is a libncrt application endpoint.
 type Host = runtime.Host

@@ -2,14 +2,17 @@
 # ROADMAP item 3's success metric: how much mechanism the data path and
 # the public surface carry. Prints the non-test line count of
 # internal/{netsim,core,pisa,runtime} (7545 before the one-packet-path
-# change) and the number of exported names of the ncl facade. A metric to
-# watch across PRs, not a gate: it always exits 0 when it can count.
+# change), the same count for internal/controller, and the number of
+# exported names of the ncl facade. A metric to watch across PRs, not a
+# gate: it always exits 0 when it can count.
 set -eu
 cd "$(dirname "$0")/.."
 
-lines=$(find internal/netsim internal/core internal/pisa internal/runtime \
-    -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+count() { find "$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
+lines=$(count internal/netsim internal/core internal/pisa internal/runtime)
+ctrl=$(count internal/controller)
 names=$(go doc -short . | wc -l)
 
 echo "non-test lines in internal/{netsim,core,pisa,runtime}: $lines"
+echo "non-test lines in internal/controller: $ctrl"
 echo "exported names of package ncl: $names"
