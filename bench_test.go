@@ -15,6 +15,7 @@ import (
 	"ncl/internal/baseline"
 	"ncl/internal/bench"
 	"ncl/internal/core"
+	"ncl/internal/ncl/hostgen"
 	"ncl/internal/ncl/interp"
 	"ncl/internal/ncp"
 	"ncl/internal/netsim"
@@ -467,23 +468,49 @@ func BenchmarkSwitchPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpKernel measures the host-side interpreter on the same
-// kernel for comparison.
-func BenchmarkInterpKernel(b *testing.B) {
+// BenchmarkHostInKernel measures the host half on Fig. 4's result window
+// (W=8): the compiled plan Host.In runs, and beside it the path it
+// replaced and is tested against — payload decode, metadata map, tree-walk
+// of the same IR. The pair shares window, host buffers and process, so
+// its ratio holds where a single ns figure wanders with the machine.
+func BenchmarkHostInKernel(b *testing.B) {
 	art, err := bench.BuildAllReduce(2, 256, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var f = art.Generic.FuncByName("allreduce")
-	st := interp.NewState(art.Generic)
-	win := interp.NewWindow(f)
-	win.Meta["seq"] = 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := interp.Exec(f, st, win); err != nil {
-			b.Fatal(err)
-		}
+	f := art.Host.FuncByName("result")
+	specs := []ncp.ParamSpec{{Elems: 8, Bytes: 4, Signed: true}}
+	raw, err := ncp.EncodePayload([][]uint64{{1, 2, 3, 4, 5, 6, 7, 8}}, specs)
+	if err != nil {
+		b.Fatal(err)
 	}
+	ext := [][]uint64{make([]uint64, 256), make([]uint64, 1)}
+
+	b.Run("plan", func(b *testing.B) {
+		plan := hostgen.Lower(f, nil)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w := hostgen.Window{Raw: raw, Seq: uint64(i % 32), Len: 8, Sender: 1, Wid: 1, Ext: ext}
+			if err := plan.Run(&w); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("interp", func(b *testing.B) {
+		st := interp.NewState(art.Host)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			data, err := ncp.DecodePayload(raw, specs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			win := &interp.Window{Data: data, Ext: ext, Meta: map[string]uint64{
+				"seq": uint64(i % 32), "len": 8, "from": 0, "sender": 1, "wid": 1}}
+			if _, err := interp.Exec(f, st, win); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkEndToEndWindow measures one window's full journey: host encode

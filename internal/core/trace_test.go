@@ -214,6 +214,10 @@ func TestEnableTelemetryCollects(t *testing.T) {
 		}
 	}
 
+	// The collector is fed from the fabric's delivery goroutine once the
+	// inbox has accepted a window, so the last In can return before the
+	// last ingest; Stop waits for that goroutine.
+	dep.Stop()
 	snap := dep.Obs.Snapshot()
 	if got := snap.Counters["telemetry.windows"]; got != windows {
 		t.Errorf("telemetry.windows = %d, want %d", got, windows)

@@ -1,12 +1,10 @@
-// Package interp executes IR kernels directly. It serves two roles in the
-// NCL system (Fig. 3a of the paper):
-//
-//   - it is the host-side execution engine for _in_ (incoming) kernels —
-//     the stand-in for the host binary the paper's Clang pipeline would
-//     produce (host mains are Go; incoming kernels still run compiled NCL);
-//   - it is the semantic oracle for the switch pipeline: codegen'd PISA
-//     programs must agree with the interpreter on every window, which the
-//     differential tests enforce.
+// Package interp executes IR kernels directly, one tree-walked instruction
+// at a time. It is the semantic oracle of the NCL system and nothing on a
+// serving path calls Exec: codegen'd PISA programs (the switch half) and
+// hostgen plans (the host half, what Host.In runs) must agree with the
+// interpreter on every window, which the differential tests enforce. Its
+// operator semantics (EvalBin, EvalCmp, BloomBit) are shared with those
+// engines so there is one definition of the arithmetic.
 package interp
 
 import (
@@ -357,7 +355,7 @@ func (ex *executor) step(in *ir.Instr) (*ir.Block, error) {
 			return nil, fmt.Errorf("window param %s not bound", in.Param.Nm)
 		}
 		d := ex.win.Data[slot]
-		if int(idx) >= len(d) {
+		if idx >= uint64(len(d)) {
 			return nil, fmt.Errorf("window element %d out of range (param %s has %d)", idx, in.Param.Nm, len(d))
 		}
 		set(d[idx])
@@ -375,7 +373,7 @@ func (ex *executor) step(in *ir.Instr) (*ir.Block, error) {
 			return nil, fmt.Errorf("window param %s not bound", in.Param.Nm)
 		}
 		d := ex.win.Data[slot]
-		if int(idx) >= len(d) {
+		if idx >= uint64(len(d)) {
 			return nil, fmt.Errorf("window element %d out of range", idx)
 		}
 		d[idx] = in.Param.ElemType().Normalize(v)
@@ -389,7 +387,7 @@ func (ex *executor) step(in *ir.Instr) (*ir.Block, error) {
 			return nil, fmt.Errorf("ext param %s not bound", in.Param.Nm)
 		}
 		d := ex.win.Ext[slot]
-		if int(idx) >= len(d) {
+		if idx >= uint64(len(d)) {
 			return nil, fmt.Errorf("host memory index %d out of range (%s has %d)", idx, in.Param.Nm, len(d))
 		}
 		set(d[idx])
@@ -407,7 +405,7 @@ func (ex *executor) step(in *ir.Instr) (*ir.Block, error) {
 			return nil, fmt.Errorf("ext param %s not bound", in.Param.Nm)
 		}
 		d := ex.win.Ext[slot]
-		if int(idx) >= len(d) {
+		if idx >= uint64(len(d)) {
 			return nil, fmt.Errorf("host memory index %d out of range (%s has %d)", idx, in.Param.Nm, len(d))
 		}
 		d[idx] = in.Param.ElemType().Normalize(v)
@@ -420,7 +418,7 @@ func (ex *executor) step(in *ir.Instr) (*ir.Block, error) {
 		if !ok {
 			return nil, fmt.Errorf("global %s not in state", in.Global.Name)
 		}
-		if int(idx) >= len(r) {
+		if idx >= uint64(len(r)) {
 			return nil, fmt.Errorf("register index %d out of range (%s has %d)", idx, in.Global.Name, len(r))
 		}
 		set(r[idx])
@@ -437,7 +435,7 @@ func (ex *executor) step(in *ir.Instr) (*ir.Block, error) {
 		if !ok {
 			return nil, fmt.Errorf("global %s not in state", in.Global.Name)
 		}
-		if int(idx) >= len(r) {
+		if idx >= uint64(len(r)) {
 			return nil, fmt.Errorf("register index %d out of range (%s has %d)", idx, in.Global.Name, len(r))
 		}
 		r[idx] = in.Global.ElemType().Normalize(v)

@@ -111,12 +111,7 @@ func (s *relSend) wait(d time.Duration) {
 	}
 	select {
 	case <-s.notify:
-		if !s.timer.Stop() {
-			select {
-			case <-s.timer.C:
-			default:
-			}
-		}
+		stopTimer(s.timer)
 	case <-s.timer.C:
 	}
 }

@@ -27,9 +27,8 @@ import (
 	"time"
 
 	"ncl/internal/and"
-	"ncl/internal/ncl/interp"
+	"ncl/internal/ncl/hostgen"
 	"ncl/internal/ncl/ir"
-	"ncl/internal/ncl/types"
 	"ncl/internal/ncp"
 	"ncl/internal/netsim"
 	"ncl/internal/obs"
@@ -41,7 +40,7 @@ type AppConfig struct {
 	KernelIDs  map[string]uint32          // kernel name -> NCP kernel id
 	OutSpecs   map[string][]ncp.ParamSpec // out-kernel name -> wire layout
 	WindowLen  int                        // compiled window length W
-	HostModule *ir.Module                 // incoming kernels (interpreted)
+	HostModule *ir.Module                 // incoming kernels (NewHost lowers each to a hostgen plan)
 	UserFields []string                   // _win_ field wire order (sorted)
 	MTU        int                        // fragment threshold; 0 = default
 	HostLabels map[uint32]string          // host id -> label (ack routing)
@@ -90,8 +89,7 @@ const DefaultMTU = 1400
 type RecvWindow struct {
 	Header *ncp.Header
 	User   []uint64
-	Data   [][]uint64 // decoded per the matching kernel's specs
-	Raw    []byte     // payload bytes (for shape-agnostic consumers)
+	Raw    []byte // payload bytes, as they arrived
 	// Trace holds the reassembled hop records of a traced window
 	// (FlagTrace), ending with this host's deliver record. Fragmented
 	// windows report the first-arriving fragment's path.
@@ -124,8 +122,7 @@ type Host struct {
 	send    netsim.Sender
 	routing atomic.Pointer[hostRouting] // swappable mid-run (re-placement)
 
-	inKernels map[string]*ir.Func
-	state     *interp.State
+	inKernels map[string]*hostgen.Plan // incoming kernels, lowered once
 
 	met        hostMetrics
 	traceEvery atomic.Int64  // trace every Nth window (0 = off)
@@ -234,7 +231,7 @@ func NewHost(label string, id, role uint32, cfg AppConfig, send netsim.Sender, r
 		send:      send,
 		met:       newHostMetrics(reg, cfg.MetricsPrefix+"host."+label+"."),
 		inbox:     make(chan *RecvWindow, inboxCap),
-		inKernels: map[string]*ir.Func{},
+		inKernels: map[string]*hostgen.Plan{},
 	}
 	for i := range h.shards {
 		h.shards[i].frags = map[fragKey]*fragBuf{}
@@ -249,10 +246,9 @@ func NewHost(label string, id, role uint32, cfg AppConfig, send netsim.Sender, r
 	if cfg.HostModule != nil {
 		for _, f := range cfg.HostModule.Funcs {
 			if f.Kind == ir.InKernel {
-				h.inKernels[f.Name] = f
+				h.inKernels[f.Name] = hostgen.Lower(f, cfg.UserFields)
 			}
 		}
-		h.state = interp.NewState(cfg.HostModule)
 	}
 	return h
 }
@@ -303,17 +299,21 @@ func (h *Host) Receive(_ netsim.Sender, pkt *netsim.Packet, from string) {
 			Event: ncp.EventDeliver, TimeNs: vtimeNs(pkt),
 			QueueDepth: uint16(depth), KernelID: hd.KernelID,
 		})
-		// Feed the completed span to the telemetry collector, if one is
-		// attached. Fragmented windows only carry the first fragment's
-		// hops, so the sink sees whole single-packet windows.
-		if sink := h.traceSink.Load(); sink != nil && hd.FragCount <= 1 {
-			(*sink)(hd, d.Hops)
-		}
 	}
 	sh := h.shardFor(hd.Sender)
 	sh.mu.Lock()
-	acks := h.receiveLocked(sh, d)
+	acks, queued := h.receiveLocked(sh, d)
 	sh.mu.Unlock()
+	// Feed the completed span to the telemetry collector, if one is
+	// attached — only for a packet the inbox accepted: a suppressed
+	// duplicate, an overflow drop or a window refused by a closed host was
+	// not delivered. Fragmented windows only carry the first fragment's
+	// hops, so the sink sees whole single-packet windows.
+	if queued && hd.Flags&ncp.FlagTrace != 0 && hd.FragCount <= 1 {
+		if sink := h.traceSink.Load(); sink != nil {
+			(*sink)(hd, d.Hops)
+		}
+	}
 	// Acks are emitted outside the shard lock (transmit can block on a
 	// congested fabric) and only for windows that were enqueued or are
 	// confirmed duplicates of enqueued ones — never for overflow-dropped
@@ -325,8 +325,9 @@ func (h *Host) Receive(_ netsim.Sender, pkt *netsim.Packet, from string) {
 
 // receiveLocked dispatches one decoded packet. Caller holds the shard
 // lock. The returned headers, if any, are reliable windows to
-// acknowledge (one per sub-window for batched packets).
-func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) []ncp.Header {
+// acknowledge (one per sub-window for batched packets); queued reports
+// whether the inbox accepted any window of the packet.
+func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) (acks []ncp.Header, queued bool) {
 	hd := &d.Header
 	payload := d.Payload
 	wantAck := hd.Flags&ncp.FlagAckRequest != 0
@@ -339,9 +340,8 @@ func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) []ncp.Header {
 		// none.
 		if len(payload)%int(hd.BatchCount) != 0 {
 			h.met.decodeErrors.Inc()
-			return nil // payload does not split evenly across the batch
+			return nil, false // payload does not split evenly across the batch
 		}
-		var acks []ncp.Header
 		per := len(payload) / int(hd.BatchCount)
 		for k := 0; k < int(hd.BatchCount); k++ {
 			sub := *hd
@@ -349,7 +349,7 @@ func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) []ncp.Header {
 			sub.WindowSeq = hd.WindowSeq + uint32(k)
 			part := payload[k*per : (k+1)*per]
 			if !wantAck {
-				h.enqueue(ownedWindow(&sub, d.User, d.Hops, part))
+				queued = h.enqueue(ownedWindow(&sub, d.User, d.Hops, part)) || queued
 				continue
 			}
 			key := fragKey{sub.Sender, sub.Wid, sub.WindowSeq}
@@ -361,14 +361,14 @@ func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) []ncp.Header {
 			if h.enqueue(ownedWindow(&sub, d.User, d.Hops, part)) {
 				h.markDone(sh, key)
 				acks = append(acks, sub)
+				queued = true
 			}
 		}
-		return acks
+		return acks, queued
 	}
 	if hd.FragCount <= 1 {
 		if !wantAck {
-			h.enqueue(ownedWindow(hd, d.User, d.Hops, payload))
-			return nil
+			return nil, h.enqueue(ownedWindow(hd, d.User, d.Hops, payload))
 		}
 		// Reliable window: retransmits of an already-delivered window are
 		// re-acknowledged but enqueued only once; a window the inbox
@@ -376,13 +376,13 @@ func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) []ncp.Header {
 		key := fragKey{hd.Sender, hd.Wid, hd.WindowSeq}
 		if sh.done[key] {
 			h.met.dupsDropped.Inc()
-			return []ncp.Header{*hd}
+			return []ncp.Header{*hd}, false
 		}
 		if !h.enqueue(ownedWindow(hd, d.User, d.Hops, payload)) {
-			return nil
+			return nil, false
 		}
 		h.markDone(sh, key)
-		return []ncp.Header{*hd}
+		return []ncp.Header{*hd}, true
 	}
 	// Multi-packet window: reassemble (hosts only, §6). Fragments of an
 	// already-delivered window (retransmits, fabric duplication) are
@@ -391,9 +391,9 @@ func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) []ncp.Header {
 	if sh.done[key] {
 		h.met.dupsDropped.Inc()
 		if wantAck {
-			return []ncp.Header{*hd}
+			return []ncp.Header{*hd}, false
 		}
-		return nil
+		return nil, false
 	}
 	fb := sh.frags[key]
 	if fb == nil {
@@ -410,7 +410,7 @@ func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) []ncp.Header {
 	}
 	if int(hd.FragIdx) >= len(fb.parts) || fb.parts[hd.FragIdx] != nil {
 		h.met.dupsDropped.Inc()
-		return nil // duplicate or malformed fragment
+		return nil, false // duplicate or malformed fragment
 	}
 	fb.parts[hd.FragIdx] = append([]byte(nil), payload...)
 	fb.have++
@@ -431,19 +431,26 @@ func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) []ncp.Header {
 		if h.enqueue(&RecvWindow{Header: &hd2, User: fb.user, Raw: full, Trace: fb.hops}) {
 			h.markDone(sh, key)
 			if wantAck {
-				return []ncp.Header{*hd}
+				return []ncp.Header{*hd}, true
 			}
+			return nil, true
 		}
 	}
-	return nil
+	return nil, false
 }
 
 // ownedWindow copies a decoded window out of pooled decode scratch into
 // a RecvWindow the application owns — the single defensive copy of the
 // receive path.
 func ownedWindow(hd *ncp.Header, user []uint64, hops []ncp.Hop, payload []byte) *RecvWindow {
-	rw := &RecvWindow{Header: new(ncp.Header), Raw: append([]byte(nil), payload...)}
-	*rw.Header = *hd
+	// The window and its header are one object: one allocation, and the
+	// interior pointers keep it whole.
+	own := &struct {
+		rw RecvWindow
+		hd ncp.Header
+	}{hd: *hd}
+	rw := &own.rw
+	rw.Header, rw.Raw = &own.hd, append([]byte(nil), payload...)
 	if len(user) > 0 {
 		rw.User = append([]uint64(nil), user...)
 	}
@@ -900,11 +907,12 @@ func (h *Host) traceHops(count int, kid uint32) []ncp.Hop {
 func (h *Host) SetTraceEvery(n int) { h.traceEvery.Store(int64(n)) }
 
 // SetTraceSink installs a callback invoked synchronously from the
-// receive path with every traced window's header and completed hop list
-// (after the deliver hop is appended). The slices alias pooled receive
-// scratch: the sink must copy anything it keeps and return quickly — it
-// runs on the fabric's delivery goroutine. nil uninstalls. The
-// telemetry collector is the intended consumer.
+// receive path with the header and completed hop list (deliver hop
+// included) of every traced window the inbox accepted — after it was
+// queued, so the application may already hold the window. The slices
+// alias pooled receive scratch: the sink must copy anything it keeps and
+// return quickly — it runs on the fabric's delivery goroutine. nil
+// uninstalls. The telemetry collector is the intended consumer.
 func (h *Host) SetTraceSink(fn func(*ncp.Header, []ncp.Hop)) {
 	if fn == nil {
 		h.traceSink.Store(nil)
@@ -1121,22 +1129,52 @@ var ErrTimeout = fmt.Errorf("runtime: timed out waiting for a window")
 
 // Recv blocks until one window arrives and returns it without executing
 // any incoming kernel — for consumers that only inspect headers, traces,
-// or raw payloads. A zero timeout waits forever.
+// or raw payloads. A zero timeout waits forever. A window that is already
+// queued is returned without arming a timer.
 func (h *Host) Recv(timeout time.Duration) (*RecvWindow, error) {
+	select {
+	case w, open := <-h.inbox:
+		return received(w, open)
+	default:
+	}
+	var expired <-chan time.Time // nil (no timeout) never fires
 	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
+		t, _ := recvTimers.Get().(*time.Timer)
+		if t == nil {
+			t = time.NewTimer(timeout)
+		} else {
+			t.Reset(timeout)
+		}
+		defer func() {
+			stopTimer(t)
+			recvTimers.Put(t)
+		}()
+		expired = t.C
+	}
+	select {
+	case w, open := <-h.inbox:
+		return received(w, open)
+	case <-expired:
+		return nil, ErrTimeout
+	}
+}
+
+// recvTimers recycles the timers Recv waits on (stopped and drained).
+var recvTimers sync.Pool
+
+// stopTimer leaves t stopped with an empty channel, ready for Reset.
+// go.mod's go 1.22 keeps buffered timer channels: a timer that fired
+// before Stop still holds its tick unless the caller received it.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
 		select {
-		case w, open := <-h.inbox:
-			if !open {
-				return nil, ErrClosed
-			}
-			return w, nil
 		case <-t.C:
-			return nil, ErrTimeout
+		default:
 		}
 	}
-	w, open := <-h.inbox
+}
+
+func received(w *RecvWindow, open bool) (*RecvWindow, error) {
 	if !open {
 		return nil, ErrClosed
 	}
@@ -1147,7 +1185,7 @@ func (h *Host) Recv(timeout time.Duration) (*RecvWindow, error) {
 // on it with ext bound to the kernel's _ext_ parameters (host memory),
 // and returns the received window. A zero timeout waits forever.
 func (h *Host) In(kernel string, ext [][]uint64, timeout time.Duration) (*RecvWindow, error) {
-	f, ok := h.inKernels[kernel]
+	plan, ok := h.inKernels[kernel]
 	if !ok {
 		return nil, fmt.Errorf("runtime: unknown incoming kernel %q", kernel)
 	}
@@ -1155,15 +1193,12 @@ func (h *Host) In(kernel string, ext [][]uint64, timeout time.Duration) (*RecvWi
 	if err != nil {
 		return nil, err
 	}
-	if err := h.runInKernel(f, rw, ext); err != nil {
-		return rw, err
-	}
-	return rw, nil
+	return rw, runInKernel(plan, rw, ext)
 }
 
 // TryIn is the non-blocking variant of In.
 func (h *Host) TryIn(kernel string, ext [][]uint64) (*RecvWindow, bool, error) {
-	f, ok := h.inKernels[kernel]
+	plan, ok := h.inKernels[kernel]
 	if !ok {
 		return nil, false, fmt.Errorf("runtime: unknown incoming kernel %q", kernel)
 	}
@@ -1172,60 +1207,21 @@ func (h *Host) TryIn(kernel string, ext [][]uint64) (*RecvWindow, bool, error) {
 		if !open {
 			return nil, false, ErrClosed
 		}
-		if err := h.runInKernel(f, rw, ext); err != nil {
-			return rw, true, err
-		}
-		return rw, true, nil
+		return rw, true, runInKernel(plan, rw, ext)
 	default:
 		return nil, false, nil
 	}
 }
 
-// runInKernel decodes the window for the kernel's signature and executes
-// it through the interpreter (the host-side compiled kernel).
-func (h *Host) runInKernel(f *ir.Func, rw *RecvWindow, ext [][]uint64) error {
-	sig := f.WindowSig()
-	specs := make([]ncp.ParamSpec, len(sig))
-	for i, p := range sig {
-		et := p.ElemType()
-		specs[i] = ncp.ParamSpec{
-			Elems:  p.Elems(f.WindowLen),
-			Bytes:  et.BitWidth() / 8,
-			Signed: et.Kind == types.Int && et.Signed,
-		}
-	}
-	data, err := ncp.DecodePayload(rw.Raw, specs)
-	if err != nil {
-		return fmt.Errorf("runtime: window does not match kernel %s: %w", f.Name, err)
-	}
-	rw.Data = data
-	nExt := 0
-	for _, p := range f.Params {
-		if p.Ext {
-			nExt++
-		}
-	}
-	if len(ext) != nExt {
-		return fmt.Errorf("runtime: kernel %s has %d _ext_ parameters, got %d host buffers", f.Name, nExt, len(ext))
-	}
-	win := &interp.Window{
-		Data: data,
-		Ext:  ext,
-		Meta: map[string]uint64{
-			"seq":    uint64(rw.Header.WindowSeq),
-			"len":    uint64(rw.Header.WindowLen),
-			"from":   uint64(rw.Header.FromRole),
-			"sender": uint64(rw.Header.Sender),
-			"wid":    uint64(rw.Header.Wid),
-		},
-	}
-	for i, name := range h.cfg.UserFields {
-		if i < len(rw.User) {
-			win.Meta[name] = rw.User[i]
-		}
-	}
-	_, err = interp.Exec(f, h.state, win)
-	return err
+// runInKernel executes the kernel's compiled host plan on the window: its
+// elements are read from the payload bytes, its metadata from the header.
+func runInKernel(plan *hostgen.Plan, rw *RecvWindow, ext [][]uint64) error {
+	hd := rw.Header
+	return plan.Run(&hostgen.Window{
+		Raw: rw.Raw, User: rw.User, Ext: ext,
+		Seq: uint64(hd.WindowSeq), Len: uint64(hd.WindowLen), From: uint64(hd.FromRole),
+		Sender: uint64(hd.Sender), Wid: uint64(hd.Wid),
+	})
 }
 
 // Pending returns the number of queued windows.

@@ -17,12 +17,12 @@ if [ -n "$badfmt" ]; then
     exit 1
 fi
 
-# pisa.Reference and and.NextHopsAllReference are oracles: differential
-# tests and internal/bench compare against them, nothing on a serving path
-# may call them.
+# pisa.Reference, and.NextHopsAllReference and interp.Exec are oracles:
+# differential tests and internal/bench compare against them, nothing on a
+# serving path may call them (hosts run hostgen plans, switches pisa plans).
 echo "== oracle callers"
-oracle=$(grep -rnE 'pisa\.NewReference\(|NextHopsAllReference\(' --include='*.go' --exclude-dir=.bench_build . |
-    grep -vE '_test\.go:|^\./internal/bench/|^\./internal/pisa/reference\.go:|^\./internal/and/routes_reference\.go:' || true)
+oracle=$(grep -rnE 'pisa\.NewReference\(|NextHopsAllReference\(|interp\.Exec\(' --include='*.go' --exclude-dir=.bench_build . |
+    grep -vE '_test\.go:|^\./internal/bench/|^\./internal/pisa/reference\.go:|^\./internal/and/routes_reference\.go:|^\./internal/ncl/interp/' || true)
 if [ -n "$oracle" ]; then
     echo "oracle called outside tests and internal/bench:" >&2
     echo "$oracle" >&2
