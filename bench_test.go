@@ -1,9 +1,13 @@
 package ncl_test
 
-// One benchmark per experiment of DESIGN.md §4 (E1-E8), plus micro
-// benchmarks of the core engines. `go test -bench=. -benchmem` regenerates
-// the numbers recorded in EXPERIMENTS.md; `go run ./cmd/ncl-bench` prints
-// them as tables.
+// One Go micro-benchmark per stage of a window's life, for paired
+// benchstat comparisons of two builds (`go test -c` both, alternate them):
+// NCP encode/decode, switch exec (reference vs plan), the whole switch
+// hop, the host incoming kernel, one window end to end, a recirculating
+// kernel per pass count, and the reliable transport under loss (E10). The
+// send path's SendWorkers sweep is BenchmarkOutParallel in
+// internal/runtime. The result tables are `go run ./cmd/ncl-bench`; the
+// numbers a change is judged on are `go run ./benchmark`.
 
 import (
 	"fmt"
@@ -12,7 +16,6 @@ import (
 
 	"ncl"
 	"ncl/internal/and"
-	"ncl/internal/baseline"
 	"ncl/internal/bench"
 	"ncl/internal/core"
 	"ncl/internal/ncl/hostgen"
@@ -30,137 +33,7 @@ type sinkSender struct{ net *and.Network }
 func (d *sinkSender) Network() *and.Network                    { return d.net }
 func (d *sinkSender) Send(_, _ string, _ *netsim.Packet) error { return nil }
 
-// --- E1: compile both example apps, report complexity metrics ---
-
-func BenchmarkE1Complexity(b *testing.B) {
-	apps := []struct {
-		name string
-		ncl  string
-		and  string
-		w    int
-	}{
-		{"allreduce", bench.AllReduceNCL(256), bench.AllReduceAND(4), 8},
-		{"kvcache", bench.KVSNCL(64, 16), bench.KVSAND, 16},
-	}
-	for _, app := range apps {
-		b.Run(app.name, func(b *testing.B) {
-			var art *core.Artifact
-			var err error
-			for i := 0; i < b.N; i++ {
-				art, err = core.Build(app.ncl, app.and, core.BuildOptions{WindowLen: app.w, ModuleName: app.name})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			st := art.P4Stats["s1"]
-			b.ReportMetric(float64(art.SourceLines), "ncl-lines")
-			b.ReportMetric(float64(st.Lines), "p4-lines")
-			b.ReportMetric(float64(st.Lines)/float64(art.SourceLines), "expansion-x")
-		})
-	}
-}
-
-// --- E2: AllReduce round, INC vs parameter-server baseline ---
-
-func BenchmarkE2AllReduceINC(b *testing.B) {
-	const dataLen = 256
-	for _, workers := range []int{2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			art, err := bench.BuildAllReduce(workers, dataLen, 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var last bench.AllReduceRun
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				last, err = bench.RunINCAllReduce(art, workers, dataLen)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(last.HostBytes), "host-bytes")
-			b.ReportMetric(float64(last.HostBytes)/float64(workers), "bottleneck-bytes")
-		})
-	}
-}
-
-func BenchmarkE2AllReducePSBaseline(b *testing.B) {
-	const dataLen = 256
-	for _, workers := range []int{2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var last baseline.AllReduceStats
-			var err error
-			for i := 0; i < b.N; i++ {
-				last, err = baseline.RunPSAllReduce(workers, dataLen, 8)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(last.HostBytes), "host-bytes")
-			b.ReportMetric(float64(last.ServerBytes), "bottleneck-bytes")
-		})
-	}
-}
-
-// --- E3: KVS cache under skew ---
-
-func BenchmarkE3KVS(b *testing.B) {
-	for _, skew := range []float64{0, 0.9, 0.99, 1.2} {
-		b.Run(fmt.Sprintf("zipf=%.2f", skew), func(b *testing.B) {
-			var last bench.KVSRun
-			var err error
-			for i := 0; i < b.N; i++ {
-				last, err = bench.RunINCKVS(4096, 64, 16, 200, skew, 42)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(100*float64(last.Hits)/float64(last.Requests), "hit-%")
-			b.ReportMetric(float64(last.ServerHandled), "server-load")
-		})
-	}
-}
-
-func BenchmarkE3KVSNoCacheBaseline(b *testing.B) {
-	z := bench.NewZipf(4096, 0.99, 42)
-	keys := z.Sample(200)
-	var last baseline.KVStats
-	var err error
-	for i := 0; i < b.N; i++ {
-		last, err = baseline.RunKVS(keys, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(last.ServerHandled), "server-load")
-}
-
-// --- E4: window length sweep ---
-
-func BenchmarkE4WindowSweep(b *testing.B) {
-	const dataLen = 256
-	for _, w := range []int{1, 4, 8, 16, 64} {
-		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
-			art, err := bench.BuildAllReduce(2, dataLen, w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var last bench.AllReduceRun
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				last, err = bench.RunINCAllReduce(art, 2, dataLen)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			good := float64(2*2*dataLen*4) / float64(last.TotalBytes)
-			b.ReportMetric(good, "goodput-frac")
-			b.ReportMetric(float64(last.TotalBytes), "wire-bytes")
-		})
-	}
-}
-
-// --- E5: NCP marshal/decode microbenchmarks ---
+// --- NCP marshal/decode ---
 
 func BenchmarkE5NCPMarshal(b *testing.B) {
 	h := &ncp.Header{KernelID: 1, WindowSeq: 7, WindowLen: 8, Sender: 3, FragCount: 1}
@@ -188,61 +61,7 @@ func BenchmarkE5NCPDecode(b *testing.B) {
 	}
 }
 
-// --- E6: compiler pipeline ---
-
-func BenchmarkE6CompileAllReduce(b *testing.B) {
-	src, andSrc := bench.AllReduceNCL(256), bench.AllReduceAND(4)
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Build(src, andSrc, core.BuildOptions{WindowLen: 8}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE6CompileKVS(b *testing.B) {
-	src := bench.KVSNCL(64, 16)
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Build(src, bench.KVSAND, core.BuildOptions{WindowLen: 16}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- E7: backends ---
-
-func BenchmarkE7InMemoryBackend(b *testing.B) {
-	art, err := bench.BuildAllReduce(2, 128, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunINCAllReduce(art, 2, 128); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE7UDPBackend(b *testing.B) {
-	art, err := bench.BuildAllReduce(2, 128, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dep, err := art.DeployUDP()
-		if err != nil {
-			b.Skipf("UDP unavailable: %v", err)
-		}
-		_, err = bench.RunAllReduceRound(dep, 2, 128)
-		dep.Stop()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- E8: recirculation cost ---
+// --- recirculation cost (E8's pass counts, timed) ---
 
 func BenchmarkE8Recirculation(b *testing.B) {
 	for _, k := range []int{1, 2, 4} {
@@ -334,35 +153,9 @@ func BenchmarkReliableLossy(b *testing.B) {
 
 // --- core engine microbenchmarks ---
 
-// BenchmarkPisaPipeline measures raw simulated-switch throughput on the
-// Fig. 4 kernel (windows/second the simulator can sustain).
-func BenchmarkPisaPipeline(b *testing.B) {
-	art, err := bench.BuildAllReduce(2, 256, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := art.Programs["s1"]
-	sw := pisa.NewSwitch(art.Target)
-	if err := sw.Load(prog); err != nil {
-		b.Fatal(err)
-	}
-	if err := sw.WriteRegister("nworkers", 0, 1); err != nil {
-		b.Fatal(err)
-	}
-	kern := prog.KernelByName("allreduce")
-	win := &interp.Window{Meta: map[string]uint64{"seq": 0}}
-	win.Data = append(win.Data, make([]uint64, 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sw.ExecWindow(kern.ID, win); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSwitchExec compares the pre-compilation tree-walking engine
 // (pisa.Reference) against the compiled execution plan on the Fig. 4
-// kernel — the E12 speedup claim as a Go benchmark. The batch-of-1
+// kernel (the plan's ≥2x claim, DESIGN.md §5.9). The batch-of-1
 // variant is the entry point the SwitchNode data plane uses, in its
 // degenerate case; -benchmem shows the pooled scratch keeping the plan
 // paths allocation-flat.
@@ -537,23 +330,5 @@ func BenchmarkEndToEndWindow(b *testing.B) {
 			host.NewWid(), uint32(i%32), [][]uint64{data}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- E9: hierarchical aggregation ---
-
-func BenchmarkE9Hierarchy(b *testing.B) {
-	for _, perRack := range []int{2, 4} {
-		b.Run(fmt.Sprintf("workersPerRack=%d", perRack), func(b *testing.B) {
-			var last bench.HierRun
-			var err error
-			for i := 0; i < b.N; i++ {
-				last, err = bench.RunHierAllReduce(perRack, 256, 8)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(last.CoreUpBytes), "coreup-bytes")
-		})
 	}
 }

@@ -2,10 +2,70 @@ package bench
 
 import (
 	"math"
+	"os"
+	"regexp"
 	"testing"
 
 	"ncl/internal/baseline"
 )
+
+// TestExperimentsRender runs every entry of the experiment table once at
+// its quick size and holds it to the shape ncl-bench prints: a title that
+// starts with the entry's ID, a header, at least one row, every cell
+// rendered.
+func TestExperimentsRender(t *testing.T) {
+	for _, e := range Experiments {
+		t.Run(e.ID, func(t *testing.T) {
+			tb, err := e.run(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tb.Header) == 0 || len(tb.Rows) == 0 {
+				t.Fatalf("%d header cells, %d rows", len(tb.Header), len(tb.Rows))
+			}
+			out := tb.Render()
+			if !contains(out, e.ID+": ") {
+				t.Errorf("render has no %q title:\n%s", e.ID+": ", out)
+			}
+			for _, cells := range append([][]string{tb.Header}, tb.Rows...) {
+				if len(cells) != len(tb.Header) {
+					t.Errorf("row %q has %d cells under a %d-cell header", cells, len(cells), len(tb.Header))
+				}
+				for _, c := range cells {
+					if !contains(out, c) {
+						t.Errorf("render lacks cell %q", c)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDesignIndexMatchesExperiments: DESIGN.md §4's experiment index has
+// one row per experiment of the table, and beyond those only E10, which
+// is a Go benchmark.
+func TestDesignIndexMatchesExperiments(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\| (E\d+) \|`).FindAllSubmatch(doc, -1) {
+		indexed[string(m[1])] = true
+	}
+	tabled := map[string]bool{"E10": true}
+	for _, e := range Experiments {
+		tabled[e.ID] = true
+		if !indexed[e.ID] {
+			t.Errorf("DESIGN.md's experiment index has no row for %s", e.ID)
+		}
+	}
+	for id := range indexed {
+		if !tabled[id] {
+			t.Errorf("DESIGN.md indexes %s, which is not in bench.Experiments", id)
+		}
+	}
+}
 
 func TestZipfSkewConcentration(t *testing.T) {
 	const n = 1024

@@ -10,10 +10,47 @@ import (
 	"ncl/internal/ncp"
 )
 
-// E1Complexity reproduces the paper's central programmability claim
+// An Experiment is one result table of EXPERIMENTS.md: a claim of the
+// paper demonstrated, or a ratio measured within one run and held to a
+// floor. What a stage costs is not here: benchmark/ times the stages.
+type Experiment struct {
+	ID string
+	// run builds the table; quick asks for the fewest repetitions that
+	// still fill every row, which is what the package test can afford
+	// under the race detector. The tables EXPERIMENTS.md records are
+	// run(false).
+	run func(quick bool) (*Table, error)
+}
+
+// Run produces the table at the size EXPERIMENTS.md records.
+func (e Experiment) Run() (*Table, error) { return e.run(false) }
+
+// Experiments is the evaluation in the order ncl-bench prints it and
+// DESIGN.md §4 indexes it. E10 (reliable transport) is a Go benchmark
+// (BenchmarkReliableLossy); E11, E12 and E15 were stage timings and are
+// probes of benchmark/ (EXPERIMENTS.md, "Retired rows").
+var Experiments = []Experiment{
+	{"E1", e1Complexity},
+	{"E2", e2AllReduce},
+	{"E3", e3KVS},
+	{"E4", e4WindowSweep},
+	{"E5", e5NCP},
+	{"E6", e6Compile},
+	{"E7", e7Backends},
+	{"E8", e8Recirc},
+	{"E9", e9Hierarchy},
+	{"E13", e13LossyReliable},
+	{"E13", e13ReliableGoodput},
+	{"E14", e14Telemetry},
+	{"E16", e16Placement},
+	{"E17", e17Scale},
+	{"E18", e18Tenancy},
+}
+
+// e1Complexity reproduces the paper's central programmability claim
 // (§2, Fig. 1b): the NCL source is an order of magnitude smaller than the
 // P4-level artifact the compiler generates in its place.
-func E1Complexity() (*Table, error) {
+func e1Complexity(_ bool) (*Table, error) {
 	t := &Table{
 		Title:  "E1: programming complexity — NCL source vs generated P4-level artifact",
 		Header: []string{"app", "ncl-lines", "p4-lines", "tables", "actions", "stateful", "stages", "passes"},
@@ -41,11 +78,11 @@ func E1Complexity() (*Table, error) {
 	return t, nil
 }
 
-// E2AllReduce sweeps the worker count: measured fabric traffic for the
+// e2AllReduce sweeps the worker count: measured fabric traffic for the
 // in-network AllReduce vs the parameter-server baseline, plus the
 // analytic completion-time model at 100 Gb/s. The paper-shape claims:
 // the PS bottleneck grows linearly with N while INC stays flat.
-func E2AllReduce() (*Table, error) {
+func e2AllReduce(_ bool) (*Table, error) {
 	const dataLen = 256
 	const w = 8
 	t := &Table{
@@ -81,10 +118,10 @@ func E2AllReduce() (*Table, error) {
 	return t, nil
 }
 
-// E3KVS sweeps workload skew: switch hit rate, storage-server load, and
+// e3KVS sweeps workload skew: switch hit rate, storage-server load, and
 // the modeled system throughput (NetCache shape: a tiny cache of hot keys
 // multiplies throughput under skew).
-func E3KVS() (*Table, error) {
+func e3KVS(_ bool) (*Table, error) {
 	const (
 		keys     = 4096
 		cacheCap = 64
@@ -112,10 +149,10 @@ func E3KVS() (*Table, error) {
 	return t, nil
 }
 
-// E4WindowSweep measures the window abstraction's cost/benefit (§4.2):
+// e4WindowSweep measures the window abstraction's cost/benefit (§4.2):
 // per-window NCP overhead amortizes as W grows, while switch work per
 // byte falls.
-func E4WindowSweep() (*Table, error) {
+func e4WindowSweep(_ bool) (*Table, error) {
 	const dataLen = 256
 	const workers = 2
 	t := &Table{
@@ -154,9 +191,9 @@ func E4WindowSweep() (*Table, error) {
 	return t, nil
 }
 
-// E5NCP quantifies protocol overhead: header bytes relative to payload
+// e5NCP quantifies protocol overhead: header bytes relative to payload
 // across window shapes.
-func E5NCP() (*Table, error) {
+func e5NCP(_ bool) (*Table, error) {
 	t := &Table{
 		Title:  "E5: NCP overhead — header+user bytes vs payload",
 		Header: []string{"window", "payload-B", "packet-B", "overhead"},
@@ -189,9 +226,9 @@ func E5NCP() (*Table, error) {
 	return t, nil
 }
 
-// E6Compile reports the compiler's own behavior: stage timings and
+// e6Compile reports the compiler's own behavior: stage timings and
 // generated resource usage per application (Fig. 6 feasibility).
-func E6Compile() (*Table, error) {
+func e6Compile(_ bool) (*Table, error) {
 	t := &Table{
 		Title:  "E6: nclc pipeline — compile stages and generated resources",
 		Header: []string{"app", "stage", "time"},
@@ -220,9 +257,9 @@ func E6Compile() (*Table, error) {
 	return t, nil
 }
 
-// E7Backends runs the identical AllReduce over the in-memory fabric and
+// e7Backends runs the identical AllReduce over the in-memory fabric and
 // over real loopback UDP sockets: NCP's backend portability (§3.2).
-func E7Backends() (*Table, error) {
+func e7Backends(_ bool) (*Table, error) {
 	const (
 		workers = 2
 		dataLen = 128
@@ -257,10 +294,10 @@ func E7Backends() (*Table, error) {
 	return t, nil
 }
 
-// E8Recirc is the recirculation ablation: kernels with k unrelated
+// e8Recirc is the recirculation ablation: kernels with k unrelated
 // stateful accesses to one array need k pipeline passes — the §5/§6
 // pressure valve, with its cost made visible.
-func E8Recirc() (*Table, error) {
+func e8Recirc(_ bool) (*Table, error) {
 	t := &Table{
 		Title:  "E8: recirculation — unrelated same-array accesses vs pipeline passes",
 		Header: []string{"accesses", "passes", "status"},
@@ -275,24 +312,4 @@ func E8Recirc() (*Table, error) {
 		t.AddRow(fmt.Sprint(k), fmt.Sprint(len(kern.Passes)), "accepted")
 	}
 	return t, nil
-}
-
-// AllExperiments runs every experiment in order.
-func AllExperiments() ([]*Table, error) {
-	runs := []func() (*Table, error){
-		E1Complexity, E2AllReduce, E3KVS, E4WindowSweep,
-		E5NCP, E6Compile, E7Backends, E8Recirc, E9Hierarchy,
-		E11DataPath, E12SwitchPath, E13LossyReliable, E13ReliableGoodput,
-		E14Telemetry, E15Fabric, E16Placement, E17Scale,
-		E18Tenancy,
-	}
-	var out []*Table
-	for _, f := range runs {
-		t, err := f()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

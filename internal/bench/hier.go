@@ -92,11 +92,11 @@ func RunHierAllReduce(workersPerRack, dataLen, w int) (HierRun, error) {
 	return run, nil
 }
 
-// E9Hierarchy compares flat single-switch aggregation against the
+// e9Hierarchy compares flat single-switch aggregation against the
 // two-level tree: the tree keeps the core-layer traffic constant in the
 // per-rack worker count, which is how in-network aggregation scales past
 // one ToR (the multi-switch deployment the AND enables, Fig. 3c).
-func E9Hierarchy() (*Table, error) {
+func e9Hierarchy(_ bool) (*Table, error) {
 	const dataLen = 256
 	const w = 8
 	t := &Table{

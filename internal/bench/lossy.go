@@ -10,13 +10,13 @@ import (
 	"ncl/internal/runtime"
 )
 
-// E13LossyReliable sweeps fabric fault intensity under the exactly-once
+// e13LossyReliable sweeps fabric fault intensity under the exactly-once
 // reliable transport (DESIGN.md §5.4): N workers run reliable AllReduce
 // while the fabric drops, duplicates, and reorders, and the switch's
 // shadow state must keep the aggregated registers bit-exact. Reports the
 // recovery cost (retransmits, suppressed duplicates, switch acks) and
 // the wall-clock penalty versus the clean fabric.
-func E13LossyReliable() (*Table, error) {
+func e13LossyReliable(_ bool) (*Table, error) {
 	const (
 		workers = 4
 		dataLen = 128
@@ -48,7 +48,7 @@ func E13LossyReliable() (*Table, error) {
 	return t, nil
 }
 
-// E13ReliableGoodput is ROADMAP item 2's row pair: what the reliability
+// e13ReliableGoodput is ROADMAP item 2's row pair: what the reliability
 // layer costs an application, as the goodput of OutReliable rounds at 0%
 // and 2% loss over the goodput of the same rounds through plain Out on
 // the same two-worker star (512 windows per worker and round). On the
@@ -56,13 +56,16 @@ func E13LossyReliable() (*Table, error) {
 // on all 512 result windows; on the lossy one, where result broadcasts
 // are not retransmitted, when OutReliable returns and both workers have
 // met. The registers are read back bit-exact in every row.
-func E13ReliableGoodput() (*Table, error) {
+func e13ReliableGoodput(quick bool) (*Table, error) {
 	const (
 		workers = 2
 		dataLen = 4096
 		w       = 8
-		rounds  = 100
 	)
+	rounds := 100
+	if quick {
+		rounds = 2
+	}
 	t := &Table{
 		Title:  fmt.Sprintf("E13: reliable goodput as a fraction of unreliable Out (%d workers, %d x int32, %d rounds)", workers, dataLen, rounds),
 		Header: []string{"transport", "drop/dup", "windows-per-sec", "vs-out", "retransmits-per-window"},

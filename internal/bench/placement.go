@@ -32,8 +32,7 @@ func fatTreeStarOverlay(workers []string) string {
 
 // runPlacedAllReduce deploys the star overlay onto the fat-tree with the
 // given placement pins (nil: the engine chooses) and runs `rounds`
-// verified allreduce rounds on the warm deployment — enough wall time
-// for the windows-per-sec column to gate on.
+// verified allreduce rounds on the warm deployment.
 func runPlacedAllReduce(art *core.Artifact, fat *and.Network, workers []string, dataLen, rounds int, pin map[string]string) (PlacedRun, error) {
 	var run PlacedRun
 	w := art.WindowLen
@@ -99,14 +98,13 @@ func runPlacedAllReduce(art *core.Artifact, fat *and.Network, workers []string, 
 	return run, nil
 }
 
-// E16Placement measures what placement buys on a k=4 fat-tree: the same
+// e16Placement measures what placement buys on a k=4 fat-tree: the same
 // pod-local aggregation overlay deployed twice — once with the engine
 // choosing s1's switch (it lands inside the workers' pod) and once with
 // s1 pinned to a core switch (the naive "aggregate at the top" choice).
 // The engine's placement must strictly reduce the total hop count, and
-// the simulated completion time follows. The windows-per-sec column is
-// CI's regression-gate hook (ncl-bench -baseline).
-func E16Placement() (*Table, error) {
+// the simulated completion time follows.
+func e16Placement(_ bool) (*Table, error) {
 	const (
 		k       = 4
 		dataLen = 256

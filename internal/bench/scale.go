@@ -27,7 +27,7 @@ func scaleWorkers(k int) []string {
 	return workers
 }
 
-// E17Scale measures the control plane and fabric at data-center
+// e17Scale measures the control plane and fabric at data-center
 // arities — ROADMAP item 2's "does it survive at scale" column for the
 // placement story E16 established at k=4:
 //
@@ -43,11 +43,11 @@ func scaleWorkers(k int) []string {
 //   - replace: FailSwitch wall time on the aggregation switch — re-place,
 //     shadow replay, routing re-convergence, host route refresh.
 //   - windows-per-sec: reliable (switch-acked, 2% loss) allreduce
-//     throughput on the placed deployment; CI's regression-gate column.
+//     throughput on the placed deployment.
 //
 // The k=32 row (8192 hosts) runs only with NCL_SCALE_XL=1 — the nightly
-// chaos job — so PR CI stays fast.
-func E17Scale() (*Table, error) {
+// chaos job — so PR CI stays fast. A quick run is the k=8 row alone.
+func e17Scale(quick bool) (*Table, error) {
 	const (
 		dataLen = 64
 		w       = 8
@@ -60,6 +60,9 @@ func E17Scale() (*Table, error) {
 	cfgs := []cfg{{8, true}, {16, true}}
 	if os.Getenv("NCL_SCALE_XL") == "1" {
 		cfgs = append(cfgs, cfg{32, false})
+	}
+	if quick {
+		cfgs = cfgs[:1]
 	}
 	t := &Table{
 		Title:  "E17: scale — route build, deploy, failover, reliable allreduce on k-ary fat-trees",

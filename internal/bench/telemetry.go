@@ -13,15 +13,21 @@ import (
 	"ncl/internal/telemetry"
 )
 
-// E14Telemetry measures what INT sampling costs the two hot paths the
-// telemetry plane touches (the E11 host send path and the E12
-// switch-node receive path) across the sampling ladder: tracing off,
-// 1-in-64, 1-in-8, and every window. The off rows are the paths'
-// baselines; the overhead column is wall-time against them. The
+// discardSender drops every packet: E14 measures the host send path and
+// the switch receive path alone, not a transport.
+type discardSender struct{ net *and.Network }
+
+func (d *discardSender) Network() *and.Network                    { return d.net }
+func (d *discardSender) Send(_, _ string, _ *netsim.Packet) error { return nil }
+
+// e14Telemetry measures what INT sampling costs the two hot paths the
+// telemetry plane touches (the host send path and the switch-node
+// receive path) across the sampling ladder: tracing off, 1-in-64, 1-in-8,
+// and every window. The off rows are the paths' baselines; the overhead
+// column is wall-time against them, a ratio taken within one run. The
 // acceptance bound is <5% at 1/64 sampling with the untraced switch
-// path still allocation-flat — CI gates the windows-per-sec column
-// against BENCH_telemetry.json like the other bench baselines.
-func E14Telemetry() (*Table, error) {
+// path still allocation-flat.
+func e14Telemetry(quick bool) (*Table, error) {
 	const W = 8
 	samplings := []int{0, 64, 8, 1}
 	t := &Table{
@@ -30,10 +36,13 @@ func E14Telemetry() (*Table, error) {
 		Header: []string{"path / trace-every", "wall-ms", "windows-per-sec", "overhead", "allocs-per-window"},
 	}
 
-	// --- Host send path (E11 shape): Out into a discard transport with
-	// trace sampling dialed per row. A collector is attached the way a
-	// live deployment would, though nothing returns to the host here.
-	const hostWindows, reps = 4096, 8
+	// --- Host send path: Out into a discard transport with trace
+	// sampling dialed per row. A collector is attached the way a live
+	// deployment would, though nothing returns to the host here.
+	hostWindows, reps, swWindows := 4096, 8, 50_000
+	if quick {
+		hostWindows, reps, swWindows = 256, 1, 1_000
+	}
 	hostNet, err := and.Parse("host a\nhost b\nlink a b")
 	if err != nil {
 		return nil, err
@@ -83,10 +92,9 @@ func E14Telemetry() (*Table, error) {
 		addE14Row(t, "host-out", every, wall, hostBase, allocs, reps*hostWindows)
 	}
 
-	// --- Switch receive path (E12 shape): pre-marshaled packets through
-	// the serial node; a 1-in-N mix interleaves one traced packet per
-	// N-1 untraced, matching what host-side sampling puts on the wire.
-	const swWindows = 50_000
+	// --- Switch receive path: pre-marshaled packets through the serial
+	// node; a 1-in-N mix interleaves one traced packet per N-1 untraced,
+	// matching what host-side sampling puts on the wire.
 	art, err := BuildAllReduce(2, 256, W)
 	if err != nil {
 		return nil, err
@@ -151,7 +159,7 @@ func E14Telemetry() (*Table, error) {
 			gort.ReadMemStats(&after)
 			if rep == 0 || w < wall {
 				wall = w
-				allocs = float64(after.Mallocs-before.Mallocs) / swWindows
+				allocs = float64(after.Mallocs-before.Mallocs) / float64(swWindows)
 			}
 		}
 		if every == 0 {

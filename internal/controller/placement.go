@@ -48,6 +48,19 @@ type PlaceOptions struct {
 	distCache map[string]map[string]int
 }
 
+// budgetFor is the resource envelope of one physical switch: its entry
+// in Budgets, else Budget, else the default simulation target.
+func (o *PlaceOptions) budgetFor(physSw string) pisa.TargetConfig {
+	budget, ok := o.Budgets[physSw]
+	if !ok {
+		budget = o.Budget
+	}
+	if budget == (pisa.TargetConfig{}) {
+		budget = pisa.DefaultTarget()
+	}
+	return budget
+}
+
 // Placement is a computed logical→physical assignment.
 type Placement struct {
 	Logical  *and.Network
@@ -111,14 +124,7 @@ func Place(opt PlaceOptions) (*Placement, error) {
 		if prog == nil {
 			return true // nothing to install: any switch carries it
 		}
-		budget, ok := opt.Budgets[physSw]
-		if !ok {
-			budget = opt.Budget
-		}
-		if budget == (pisa.TargetConfig{}) {
-			budget = pisa.DefaultTarget()
-		}
-		return prog.Validate(budget) == nil
+		return prog.Validate(opt.budgetFor(physSw)) == nil
 	}
 
 	// Most-constrained-first: host-adjacency count descending, label

@@ -73,13 +73,12 @@ func (a *Artifact) identity() wiring {
 }
 
 // PlacedOptions configures DeployOn: the fault plan plus the placement
-// engine's knobs (per-switch budgets, exclusions, forced pins).
+// engine's knobs (switch budget, exclusions, forced pins).
 type PlacedOptions struct {
 	Faults netsim.Faults
 	// Budget is the per-switch resource envelope (zero value: the
-	// artifact's build target); Budgets overrides it per physical switch.
-	Budget  pisa.TargetConfig
-	Budgets map[string]pisa.TargetConfig
+	// artifact's build target).
+	Budget pisa.TargetConfig
 	// Exclude removes physical switches from placement consideration.
 	Exclude map[string]bool
 	// Pin forces logical switch -> physical switch assignments.
@@ -104,7 +103,6 @@ func (a *Artifact) DeployOn(phys *and.Network, opts PlacedOptions) (*Deployment,
 		Physical: phys,
 		Programs: a.Programs,
 		Budget:   budget,
-		Budgets:  opts.Budgets,
 		Exclude:  opts.Exclude,
 		Pin:      opts.Pin,
 	})
@@ -112,7 +110,7 @@ func (a *Artifact) DeployOn(phys *and.Network, opts PlacedOptions) (*Deployment,
 		return nil, err
 	}
 	return a.deploy(a.fabric(phys, opts.Faults), wiring{
-		ctrl: ctrl, cfg: a.AppConfig(), programs: a.Programs, budget: budget, budgets: opts.Budgets,
+		ctrl: ctrl, cfg: a.AppConfig(), programs: a.Programs, budget: budget,
 	})
 }
 
@@ -136,10 +134,9 @@ type wiring struct {
 	programs map[string]*pisa.Program
 	// devices holds switch devices that already exist and are shared with
 	// other deployments, by label (a tenancy's); a switch not in it gets a
-	// device of its own, sized budgets[label] or else budget.
+	// device of its own, sized budget.
 	devices map[string]*pisa.Switch
 	budget  pisa.TargetConfig
-	budgets map[string]pisa.TargetConfig
 }
 
 // deploy is the one place a deployment's nodes are built, attached,
@@ -175,11 +172,7 @@ func (a *Artifact) deploy(tr transport, w wiring) (dep *Deployment, err error) {
 		if dev, shared := w.devices[label]; shared {
 			sn = netsim.NewSwitchNodeShared(label, dev)
 		} else {
-			target, ok := w.budgets[label]
-			if !ok {
-				target = w.budget
-			}
-			sn = netsim.NewSwitchNode(label, target)
+			sn = netsim.NewSwitchNode(label, w.budget)
 		}
 		dep.Switches[label] = sn
 		if depths != nil {
@@ -248,15 +241,6 @@ func (d *Deployment) FailSwitch(label string) error {
 	return nil
 }
 
-// Host returns the named host or an error.
-func (d *Deployment) Host(label string) (*runtime.Host, error) {
-	h, ok := d.Hosts[label]
-	if !ok {
-		return nil, fmt.Errorf("core: no host %q", label)
-	}
-	return h, nil
-}
-
 // Stop shuts the deployment down. A second call is a no-op.
 func (d *Deployment) Stop() {
 	for _, h := range d.Hosts {
@@ -279,13 +263,4 @@ func (d *Deployment) EnableTelemetry(sampleEvery int) *telemetry.Collector {
 		h.SetTraceSink(col.Ingest)
 	}
 	return col
-}
-
-// SwitchFor returns the switch node for an AND label.
-func (d *Deployment) SwitchFor(label string) (*netsim.SwitchNode, error) {
-	sn, ok := d.Switches[label]
-	if !ok {
-		return nil, fmt.Errorf("core: no switch %q", label)
-	}
-	return sn, nil
 }

@@ -101,8 +101,7 @@ type Fabric struct {
 	stopped  chan struct{}
 	stopOnce sync.Once
 
-	inboxCap   int // per-node inbox capacity (SetInboxCap before Attach)
-	drainBatch int // max packets per inbox drain (SetDrainBatch before Start)
+	inboxCap int // per-node inbox capacity (SetInboxCap before Attach)
 
 	faults  Faults
 	rngMu   sync.Mutex
@@ -174,7 +173,6 @@ func New(network *and.Network, faults Faults) *Fabric {
 		stats:      map[linkKey]*LinkStats{},
 		stopped:    make(chan struct{}),
 		inboxCap:   DefaultInboxCap,
-		drainBatch: DefaultDrainBatch,
 		faults:     faults,
 		rng:        rand.New(rand.NewSource(faults.Seed)),
 		pending:    map[linkKey]*heldPkt{},
@@ -212,9 +210,7 @@ func (f *Fabric) SetObs(r *obs.Registry) {
 const DefaultInboxCap = 4096
 
 // DefaultDrainBatch is how many queued packets an inbox goroutine takes
-// per wakeup unless SetDrainBatch overrides it. Larger batches amortize
-// the wakeup and the node hand-off; 1 makes every burst a burst of one
-// (useful as a benchmark baseline).
+// per wakeup. Larger batches amortize the wakeup and the node hand-off.
 const DefaultDrainBatch = 64
 
 // SetInboxCap sets the per-node inbox capacity for nodes attached after
@@ -224,14 +220,6 @@ const DefaultDrainBatch = 64
 func (f *Fabric) SetInboxCap(n int) {
 	if n > 0 {
 		f.inboxCap = n
-	}
-}
-
-// SetDrainBatch bounds how many packets an inbox goroutine drains per
-// wakeup (call before Start; 0 keeps the default).
-func (f *Fabric) SetDrainBatch(n int) {
-	if n > 0 {
-		f.drainBatch = n
 	}
 }
 
@@ -285,7 +273,7 @@ type batchReceiver interface {
 }
 
 // Start launches the inbox goroutines. Every AND node must be attached.
-// Each goroutine drains up to drainBatch packets per wakeup and hands
+// Each goroutine drains up to DefaultDrainBatch packets per wakeup and hands
 // them to the node — in one receiveBatch call when the node supports it,
 // otherwise via per-packet Receive in arrival order.
 func (f *Fabric) Start() error {
@@ -301,9 +289,9 @@ func (f *Fabric) Start() error {
 		go func() {
 			defer f.wg.Done()
 			br, _ := node.(batchReceiver)
-			batch := make([]delivery, 0, f.drainBatch)
+			batch := make([]delivery, 0, DefaultDrainBatch)
 			for {
-				batch = ring.drain(batch, f.drainBatch)
+				batch = ring.drain(batch, DefaultDrainBatch)
 				if len(batch) == 0 {
 					select {
 					case <-ring.notify:

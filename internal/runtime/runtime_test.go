@@ -376,21 +376,69 @@ func TestOutReliableUnackedTimesOut(t *testing.T) {
 }
 
 func TestUDPFrameRoundTrip(t *testing.T) {
-	frame, err := appendFrame(nil, "worker0", "s1", "e3", []byte{1, 2, 3})
+	frame, err := appendFrame(nil, "s1", &netsim.Packet{Src: "worker0", Dst: "worker1", Via: "e3", Data: []byte{1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	from, dst, via, payload, err := decodeFrameZero(frame)
+	from, pkt, err := decodeFrameZero(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if from != "worker0" || dst != "s1" || via != "e3" || len(payload) != 3 || payload[2] != 3 {
-		t.Errorf("frame round trip: %q %q %q %v", from, dst, via, payload)
+	if from != "s1" || pkt.Src != "worker0" || pkt.Dst != "worker1" || pkt.Via != "e3" || len(pkt.Data) != 3 || pkt.Data[2] != 3 {
+		t.Errorf("frame round trip: from %q, %+v", from, pkt)
 	}
-	for _, bad := range [][]byte{{}, {5}, {3, 'a', 'b'}, {1, 'a', 1, 'b'}, {1, 'a', 1, 'b', 2, 'c'}} {
-		if _, _, _, _, err := decodeFrameZero(bad); err == nil {
+	for _, bad := range [][]byte{{}, {5}, {3, 'a', 'b'}, {1, 'a', 1, 'b'}, {1, 'a', 1, 'b', 1, 'c'}, {1, 'a', 1, 'b', 1, 'c', 2, 'd'}} {
+		if _, _, err := decodeFrameZero(bad); err == nil {
 			t.Errorf("malformed frame %v accepted", bad)
 		}
+	}
+}
+
+// hopRecorder keeps what a node was handed: the packet and the neighbor
+// it came from.
+type hopRecorder struct {
+	label string
+	got   chan [2]string // {pkt.Src, from}
+}
+
+func (r hopRecorder) Label() string { return r.label }
+func (r hopRecorder) Receive(_ netsim.Sender, p *netsim.Packet, from string) {
+	r.got <- [2]string{p.Src, from}
+}
+
+// TestUDPCarriesPacketSrc: a forwarded packet keeps its originator over
+// sockets as it does over the fabric — SwitchNode.forward hashes ECMP on
+// (pkt.Src, pkt.Dst), so a frame that replaced Src with the previous hop
+// put one flow on different paths on the two transports.
+func TestUDPCarriesPacketSrc(t *testing.T) {
+	n, err := and.Parse("switch s1 id=1\nswitch s2 id=2\nlink s1 s2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	un, err := NewUDPNet(n)
+	if err != nil {
+		t.Skipf("UDP unavailable: %v", err)
+	}
+	defer un.Stop()
+	s2 := hopRecorder{label: "s2", got: make(chan [2]string, 1)}
+	for _, node := range []netsim.Node{nodeFunc{label: "s1", fn: func(*netsim.Packet) {}}, s2} {
+		if err := un.Attach(node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := un.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := un.Send("s1", "s2", &netsim.Packet{Src: "h0", Dst: "h1", Data: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-s2.got:
+		if got != [2]string{"h0", "s1"} {
+			t.Errorf("s2 saw pkt.Src=%q from=%q, want h0 from s1", got[0], got[1])
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("datagram never arrived")
 	}
 }
 

@@ -18,10 +18,11 @@ import (
 // identical to the in-memory fabric — only the transport differs, which
 // is the backend-agnosticism NCP promises (§3.2).
 //
-// Datagram framing: [1B fromLen][from][1B dstLen][dst][1B viaLen][via]
-// [payload] — everything of a netsim.Packet a node acts on except the
-// virtual clock; the overlay neighbor relationship is validated on send,
-// like the fabric.
+// Datagram framing: [1B fromLen][from][1B srcLen][src][1B dstLen][dst]
+// [1B viaLen][via][payload] — the previous hop, then everything of a
+// netsim.Packet a node acts on except the virtual clock (Src is what ECMP
+// hashes a flow on, so it must survive a hop like it does on the fabric);
+// the overlay neighbor relationship is validated on send, like the fabric.
 //
 // The conn/addr tables are immutable once the sockets are bound, so the
 // send hot path reads them through an atomically-published snapshot
@@ -142,13 +143,12 @@ func (u *UDPNet) Start() error {
 					recvPool.Put(bufp)
 					return // socket closed
 				}
-				from, dst, via, payload, err := decodeFrameZero(buf[:n])
+				from, pkt, err := decodeFrameZero(buf[:n])
 				if err != nil {
 					u.frameErrs.Inc()
 					recvPool.Put(bufp)
 					continue
 				}
-				pkt := &netsim.Packet{Src: from, Dst: dst, Via: via, Data: payload}
 				node.Receive(u, pkt, from)
 				recvPool.Put(bufp)
 			}
@@ -185,7 +185,7 @@ func (u *UDPNet) Send(from, to string, pkt *netsim.Packet) (err error) {
 	// WriteToUDP copies the frame into the kernel before returning, so
 	// the buffer can be pooled across sends.
 	bufp := framePool.Get().(*[]byte)
-	frame, err := appendFrame((*bufp)[:0], from, pkt.Dst, pkt.Via, pkt.Data)
+	frame, err := appendFrame((*bufp)[:0], from, pkt)
 	if err != nil {
 		framePool.Put(bufp)
 		return err
@@ -240,7 +240,7 @@ func (u *UDPNet) SendBatch(from string, tos []string, pkts []*netsim.Packet) err
 			continue
 		}
 		bufp := framePool.Get().(*[]byte)
-		frame, err := appendFrame((*bufp)[:0], from, pkt.Dst, pkt.Via, pkt.Data)
+		frame, err := appendFrame((*bufp)[:0], from, pkt)
 		if err != nil {
 			framePool.Put(bufp)
 			errs = append(errs, err)
@@ -305,29 +305,31 @@ func (u *UDPNet) Stop() {
 // Addr returns the bound address of a node (tests and diagnostics).
 func (u *UDPNet) Addr(label string) *net.UDPAddr { return u.view.Load().addrs[label] }
 
-// appendFrame encodes a datagram frame into buf (reusing its capacity).
-func appendFrame(buf []byte, from, dst, via string, payload []byte) ([]byte, error) {
-	for _, label := range [...]string{from, dst, via} {
+// appendFrame encodes pkt, sent by the node `from`, as a datagram frame
+// into buf (reusing its capacity).
+func appendFrame(buf []byte, from string, pkt *netsim.Packet) ([]byte, error) {
+	for _, label := range [...]string{from, pkt.Src, pkt.Dst, pkt.Via} {
 		if len(label) > 255 {
 			return nil, fmt.Errorf("runtime: label too long")
 		}
 		buf = append(buf, byte(len(label)))
 		buf = append(buf, label...)
 	}
-	return append(buf, payload...), nil
+	return append(buf, pkt.Data...), nil
 }
 
-// decodeFrameZero parses a frame with the payload aliasing the input —
-// the reader's pooled-buffer path (the buffer outlives Receive, which is
-// all any node needs; see recvPool).
-func decodeFrameZero(frame []byte) (from, dst, via string, payload []byte, err error) {
-	var labels [3]string
+// decodeFrameZero parses a frame into the previous hop and the packet it
+// sent, with Data aliasing the input — the reader's pooled-buffer path
+// (the buffer outlives Receive, which is all any node needs; see
+// recvPool).
+func decodeFrameZero(frame []byte) (from string, pkt *netsim.Packet, err error) {
+	var labels [4]string
 	for i := range labels {
 		if len(frame) < 1 || len(frame) < 1+int(frame[0]) {
-			return "", "", "", nil, fmt.Errorf("runtime: truncated frame label %d", i)
+			return "", nil, fmt.Errorf("runtime: truncated frame label %d", i)
 		}
 		n := 1 + int(frame[0])
 		labels[i], frame = string(frame[1:n]), frame[n:]
 	}
-	return labels[0], labels[1], labels[2], frame, nil
+	return labels[0], &netsim.Packet{Src: labels[1], Dst: labels[2], Via: labels[3], Data: frame}, nil
 }

@@ -20,7 +20,7 @@ type frameCapture struct {
 
 func (c *frameCapture) Network() *and.Network { return c.net }
 func (c *frameCapture) Send(from, to string, pkt *netsim.Packet) error {
-	frame, err := appendFrame(nil, from, pkt.Dst, pkt.Via, pkt.Data)
+	frame, err := appendFrame(nil, from, pkt)
 	if err != nil {
 		return err
 	}
@@ -60,50 +60,54 @@ func allreduceFrames(t testing.TB) *frameCapture {
 }
 
 // FuzzUDPFrame holds the UDP frame codec to its contract in both
-// directions. Encoding: appendFrame accepts exactly the label triples that
-// fit a length byte, and what it accepts decodes to the same from, dst,
-// via and payload. Decoding: decodeFrameZero never panics on arbitrary
-// bytes, and whatever it accepts re-encodes to the very bytes it was given
-// — so it read every byte once and none past the end.
+// directions. Encoding: appendFrame accepts exactly the label quadruples
+// that fit a length byte, and what it accepts decodes to the same from,
+// src, dst, via and payload. Decoding: decodeFrameZero never panics on
+// arbitrary bytes, and whatever it accepts re-encodes to the very bytes it
+// was given — so it read every byte once and none past the end.
 func FuzzUDPFrame(f *testing.F) {
 	capture := allreduceFrames(f)
 	for i, pkt := range capture.pkts {
-		f.Add("worker0", pkt.Dst, pkt.Via, pkt.Data)
-		f.Add("", "", "", capture.frames[i])
+		f.Add("worker0", pkt.Src, pkt.Dst, pkt.Via, pkt.Data)
+		f.Add("", "", "", "", capture.frames[i])
 	}
+	// A forwarded packet: the previous hop is not the originator.
+	f.Add("s1", "worker0", "worker1", "e3", []byte{1, 2, 3})
 	long := strings.Repeat("x", 255)
-	f.Add(long, long, long, []byte{1})
-	f.Add(long+"x", "s1", "", []byte{1})
-	f.Add("a", long+"x", "", []byte(nil))
-	f.Add("a", "b", long+"x", []byte{})
-	f.Add("", "", "", []byte{3, 'a', 'b'})
+	f.Add(long, long, long, long, []byte{1})
+	f.Add(long+"x", "a", "s1", "", []byte{1})
+	f.Add("a", long+"x", "s1", "", []byte{1})
+	f.Add("a", "a", long+"x", "", []byte(nil))
+	f.Add("a", "a", "b", long+"x", []byte{})
+	f.Add("", "", "", "", []byte{3, 'a', 'b'})
 
-	f.Fuzz(func(t *testing.T, from, dst, via string, payload []byte) {
-		frame, err := appendFrame(nil, from, dst, via, payload)
-		if len(from) > 255 || len(dst) > 255 || len(via) > 255 {
+	f.Fuzz(func(t *testing.T, from, src, dst, via string, payload []byte) {
+		in := &netsim.Packet{Src: src, Dst: dst, Via: via, Data: payload}
+		frame, err := appendFrame(nil, from, in)
+		if len(from) > 255 || len(src) > 255 || len(dst) > 255 || len(via) > 255 {
 			if err == nil {
-				t.Fatalf("labels of %d/%d/%d bytes accepted", len(from), len(dst), len(via))
+				t.Fatalf("labels of %d/%d/%d/%d bytes accepted", len(from), len(src), len(dst), len(via))
 			}
 		} else {
 			if err != nil {
-				t.Fatalf("appendFrame(%q, %q, %q): %v", from, dst, via, err)
+				t.Fatalf("appendFrame(%q, %+v): %v", from, in, err)
 			}
-			f2, d2, v2, p2, err := decodeFrameZero(frame)
+			f2, out, err := decodeFrameZero(frame)
 			if err != nil {
 				t.Fatalf("own frame rejected: %v", err)
 			}
-			if f2 != from || d2 != dst || v2 != via || !bytes.Equal(p2, payload) {
-				t.Fatalf("round trip: (%q, %q, %q, %x) -> (%q, %q, %q, %x)", from, dst, via, payload, f2, d2, v2, p2)
+			if f2 != from || out.Src != src || out.Dst != dst || out.Via != via || !bytes.Equal(out.Data, payload) {
+				t.Fatalf("round trip: (%q, %+v) -> (%q, %+v)", from, in, f2, out)
 			}
 		}
 
-		f3, d3, v3, p3, err := decodeFrameZero(payload)
+		f3, out, err := decodeFrameZero(payload)
 		if err != nil {
 			return
 		}
-		again, err := appendFrame(nil, f3, d3, v3, p3)
+		again, err := appendFrame(nil, f3, out)
 		if err != nil || !bytes.Equal(again, payload) {
-			t.Fatalf("decoded %x to (%q, %q, %q, %x), which encodes to %x (%v)", payload, f3, d3, v3, p3, again, err)
+			t.Fatalf("decoded %x to (%q, %+v), which encodes to %x (%v)", payload, f3, out, again, err)
 		}
 	})
 }

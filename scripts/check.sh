@@ -1,8 +1,9 @@
 #!/bin/sh
-# Repo health check: vet, formatting, staticcheck (when installed), and
-# the full test suite under the race detector. CI-equivalent; run before
-# sending a change. Set NCL_CHECK_SKIP_TESTS=1 to run only the static
-# checks (CI's lint job does this; the race suite runs in its own job).
+# Repo health check: vet, formatting, oracle callers, doc lint, staticcheck
+# (when installed), and the full test suite under the race detector.
+# CI-equivalent; run before sending a change. Set NCL_CHECK_SKIP_TESTS=1 to
+# run only the static checks (CI's lint job does this; the race suite runs
+# in its own job).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -26,6 +27,57 @@ oracle=$(grep -rnE 'pisa\.NewReference\(|NextHopsAllReference\(|interp\.Exec\(' 
 if [ -n "$oracle" ]; then
     echo "oracle called outside tests and internal/bench:" >&2
     echo "$oracle" >&2
+    exit 1
+fi
+
+# README.md, DESIGN.md and EXPERIMENTS.md describe the code that exists:
+# every back-ticked word in them that is a repo path (scripts/, cmd/,
+# internal/, examples/), a BENCH_*.json name, an exported Go identifier or
+# a pkg.Ident of a package of this module must be in the tree. Crude on
+# purpose: an identifier counts as declared when any Go file declares it
+# (top level, method, field or block entry), whatever the package.
+echo "== doc lint"
+decls=$(grep -rhoE '^(func|type|var|const) +[A-Z][A-Za-z0-9_]*|^func \([^)]*\) +[A-Z][A-Za-z0-9_]*|^	+[A-Z][A-Za-z0-9_]*[ ,(]' \
+    --include='*.go' --exclude-dir=.bench_build . | grep -oE '[A-Z][A-Za-z0-9_]*[ ,(]?$' | tr -d ' ,(' | sort -u)
+pkgs=$(grep -rhoE '^package [a-z0-9_]+' --include='*.go' --exclude-dir=.bench_build . | sed 's/^package //' | sort -u)
+declared() { echo "$decls" | grep -qx "$1"; }
+stale=""
+for tok in $(grep -ohE '`[^`]+`' README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | tr ' ' '\n' |
+    sed -E 's/\(.*$//; s/[.,;:]+$//; s|^\./||' | sort -u); do
+    case $tok in
+    scripts/* | cmd/* | internal/* | examples/*)
+        tok=${tok%/\*}
+        tok=${tok%:[0-9]*}
+        case $tok in
+        *\{*\}*) # cmd/{nclc,ncl-run}: every alternative
+            rest=${tok#*\{}
+            for alt in $(echo "${rest%%\}*}" | tr ',' ' '); do
+                [ -e "${tok%%\{*}$alt${rest#*\}}" ] || stale="$stale $tok"
+            done
+            ;;
+        *.[A-Z]*) # internal/core.Build: an identifier declared in that directory
+            grep -qsE "^(func|type|var|const) +${tok##*.}\\b" "${tok%.*}"/*.go || stale="$stale $tok"
+            ;;
+        *) ls -d $tok >/dev/null 2>&1 || stale="$stale $tok" ;;
+        esac
+        ;;
+    BENCH_*.json) [ -e "$tok" ] || stale="$stale $tok" ;;
+    *)
+        # Foo, Foo.Bar, pkg.Foo, pkg.Foo.Bar; all-capitals words are not Go names.
+        echo "$tok" | grep -qE '^([a-z][a-z0-9]*\.)?[A-Z][A-Za-z0-9]*(\.[A-Z][A-Za-z0-9]*)*$' || continue
+        echo "$tok" | grep -q '[a-z]' || continue
+        for part in $(echo "$tok" | tr '.' ' '); do
+            case $part in
+            [a-z]*) echo "$pkgs" | grep -qx "$part" || continue 2 ;; # a variable or the standard library
+            *) declared "$part" || stale="$stale $tok" ;;
+            esac
+        done
+        ;;
+    esac
+done
+if [ -n "$stale" ]; then
+    echo "README.md/DESIGN.md/EXPERIMENTS.md name what is not in the tree:" >&2
+    echo "$stale" | tr ' ' '\n' | sort -u | sed '/^$/d; s/^/  /' >&2
     exit 1
 fi
 
