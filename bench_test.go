@@ -30,8 +30,8 @@ import (
 // switch receive path alone, not a transport.
 type sinkSender struct{ net *and.Network }
 
-func (d *sinkSender) Network() *and.Network                    { return d.net }
-func (d *sinkSender) Send(_, _ string, _ *netsim.Packet) error { return nil }
+func (d *sinkSender) Network() *and.Network                              { return d.net }
+func (d *sinkSender) SendBatch(string, []string, []*netsim.Packet) error { return nil }
 
 // --- NCP marshal/decode ---
 

@@ -17,8 +17,8 @@ import (
 // the switch receive path alone, not a transport.
 type discardSender struct{ net *and.Network }
 
-func (d *discardSender) Network() *and.Network                    { return d.net }
-func (d *discardSender) Send(_, _ string, _ *netsim.Packet) error { return nil }
+func (d *discardSender) Network() *and.Network                              { return d.net }
+func (d *discardSender) SendBatch(string, []string, []*netsim.Packet) error { return nil }
 
 // e14Telemetry measures what INT sampling costs the two hot paths the
 // telemetry plane touches (the host send path and the switch-node

@@ -37,8 +37,8 @@ type Deployment struct {
 // transport is the backend seam of Fig. 3a as a deployment sees it: what
 // deploy and Stop call on the network under the nodes. *netsim.Fabric and
 // *runtime.UDPNet implement it. Anything only some backends have
-// (SendBatch, LinkFailed, InboxDepth, FailNode) is asked for by type
-// assertion where it is used.
+// (LinkFailed, InboxDepth, FailNode) is asked for by type assertion where
+// it is used.
 type transport interface {
 	netsim.Sender
 	Attach(netsim.Node) error

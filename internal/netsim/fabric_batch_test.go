@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -93,7 +96,7 @@ func TestDeliverHeldFullInboxCountsDrop(t *testing.T) {
 	fab.Attach(b)
 	// Not started: nothing drains, so the one-slot inbox stays full.
 	inbox := fab.inboxes["b"]
-	if !inbox.push(delivery{pkt: &Packet{Data: []byte{9}}, from: "a"}) {
+	if inbox.pushPkts([]*Packet{{Data: []byte{9}}}, "a") != 1 {
 		t.Fatal("first push must fit")
 	}
 	st := fab.Stats("a", "b")
@@ -125,7 +128,7 @@ func starNet(t *testing.T) *and.Network {
 
 // TestSendBatchDeliveryAndOrder: SendBatch with interleaved destinations
 // delivers everything, keeps per-destination FIFO order, stamps virtual
-// time, and counts each link exactly as per-packet Send would.
+// time, and counts each link once per packet.
 func TestSendBatchDeliveryAndOrder(t *testing.T) {
 	fab := New(starNet(t), Faults{})
 	s1 := &echoNode{label: "s1"}
@@ -174,91 +177,331 @@ func TestSendBatchDeliveryAndOrder(t *testing.T) {
 	}
 }
 
-// TestSendBatchDropAccountingParity: against a full inbox, SendBatch must
-// produce exactly the counters a loop of per-packet Sends produces —
-// every packet counted on Packets/Bytes, overflow counted on Dropped and
-// fabric.<label>.inbox_drops.
-func TestSendBatchDropAccountingParity(t *testing.T) {
-	run := func(t *testing.T, batched bool) (st *LinkStats, drops uint64) {
-		t.Helper()
-		fab := New(pairNet(t), Faults{})
-		reg := obs.NewRegistry()
-		fab.SetObs(reg)
-		fab.SetInboxCap(4)
-		a := &echoNode{label: "a"}
-		b := &echoNode{label: "b"}
-		fab.Attach(a)
-		fab.Attach(b)
-		// Not started: nothing drains, so exactly capacity packets fit.
-		const n = 10
-		var tos []string
-		var pkts []*Packet
-		for i := 0; i < n; i++ {
-			pkt := &Packet{Src: "a", Dst: "b", Data: []byte{byte(i), 0}}
-			if batched {
-				tos = append(tos, "b")
-				pkts = append(pkts, pkt)
-			} else if err := fab.Send("a", "b", pkt); err != nil {
+// oneLoopNet: a switch with three host neighbors — a and b live, z
+// attached as an inert sink.
+func oneLoopNet(t *testing.T) *and.Network {
+	t.Helper()
+	n, err := and.Parse("switch s1\nhost a\nhost b\nhost z\nlink a s1\nlink s1 b\nlink s1 z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// oneLoopResult is everything the one-loop differential compares: what
+// each inbox holds in order (duplicates and released hold-backs included),
+// what is still parked per link, the per-link counters, the overflow
+// counters, the stamp every sent packet ended with and the makespan.
+type oneLoopResult struct {
+	Delivered map[string][]string
+	Held      map[string]string
+	Links     map[string][3]uint64 // Packets, Bytes, Dropped
+	Overflow  map[string]uint64
+	VTimeUs   []float64
+	Makespan  float64
+}
+
+// runOneLoop sends the seeded stream from s1 over a fresh, never started
+// fabric — nothing drains, so the inboxes are the delivered sequence —
+// cut into SendBatch calls at cuts (nil: one Send per packet).
+func runOneLoop(t *testing.T, faults Faults, inboxCap int, prep func(*Fabric), tos []string, cuts []int) oneLoopResult {
+	t.Helper()
+	fab := New(oneLoopNet(t), faults)
+	reg := obs.NewRegistry()
+	fab.SetObs(reg)
+	fab.SetInboxCap(inboxCap)
+	for _, n := range []Node{&echoNode{label: "s1"}, &echoNode{label: "a"}, &echoNode{label: "b"}, NewNullNode("z")} {
+		if err := fab.Attach(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer fab.Stop()
+	if prep != nil {
+		prep(fab)
+	}
+	pkts := make([]*Packet, len(tos))
+	for i, to := range tos {
+		// Sizes differ so Bytes and the serialization delay tell packets apart;
+		// every third packet has already waited out a queue upstream.
+		pkts[i] = &Packet{Src: "s1", Dst: to, Data: make([]byte, 20+i), VTimeUs: float64(i % 3)}
+		pkts[i].Data[0] = byte(i)
+	}
+	if cuts == nil {
+		for i := range pkts {
+			if err := fab.Send("s1", tos[i], pkts[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if batched {
-			if err := fab.SendBatch("a", tos, pkts); err != nil {
+	} else {
+		start := 0
+		for _, end := range append(cuts, len(pkts)) {
+			if err := fab.SendBatch("s1", tos[start:end], pkts[start:end]); err != nil {
 				t.Fatal(err)
 			}
+			start = end
 		}
-		return fab.Stats("a", "b"), reg.Counter("fabric.b.inbox_drops").Load()
 	}
 
-	bst, bdrops := run(t, true)
-	sst, sdrops := run(t, false)
-	if bst.Packets.Load() != sst.Packets.Load() ||
-		bst.Bytes.Load() != sst.Bytes.Load() ||
-		bst.Dropped.Load() != sst.Dropped.Load() ||
-		bdrops != sdrops {
-		t.Errorf("batched (%d pkts, %d bytes, %d dropped, %d inbox_drops) != per-packet (%d, %d, %d, %d)",
-			bst.Packets.Load(), bst.Bytes.Load(), bst.Dropped.Load(), bdrops,
-			sst.Packets.Load(), sst.Bytes.Load(), sst.Dropped.Load(), sdrops)
+	res := oneLoopResult{
+		Delivered: map[string][]string{}, Held: map[string]string{},
+		Links: map[string][3]uint64{}, Overflow: map[string]uint64{},
+		Makespan: fab.MakespanUs(),
 	}
-	if bst.Dropped.Load() != 6 || bdrops != 6 {
-		t.Errorf("10 sends into a 4-slot undrained inbox: Dropped=%d inbox_drops=%d, want 6/6",
-			bst.Dropped.Load(), bdrops)
+	show := func(p *Packet) string { return fmt.Sprintf("#%d t=%.4f", p.Data[0], p.VTimeUs) }
+	for _, to := range []string{"a", "b", "z"} {
+		if inbox := fab.inboxes[to]; inbox != nil {
+			for _, d := range inbox.drain(nil, inboxCap) {
+				res.Delivered[to] = append(res.Delivered[to], show(d.pkt))
+			}
+			res.Overflow[to] = reg.Counter("fabric." + to + ".inbox_drops").Load()
+		}
+		st := fab.Stats("s1", to)
+		res.Links[to] = [3]uint64{st.Packets.Load(), st.Bytes.Load(), st.Dropped.Load()}
+	}
+	fab.rngMu.Lock()
+	for key, hp := range fab.pending {
+		res.Held[key.to] = show(hp.d.pkt)
+	}
+	fab.rngMu.Unlock()
+	for _, p := range pkts {
+		res.VTimeUs = append(res.VTimeUs, p.VTimeUs)
+	}
+	return res
+}
+
+// TestSendBatchOneLoop: SendBatch is the fabric's only send loop and Send
+// a batch of one, so how a packet stream is cut into calls — one Send per
+// packet, one SendBatch, random splits — must not change anything: the
+// delivered sequence per receiver, the seeded drops, duplicates and
+// hold-backs (the dice are rolled per packet in stream order), the
+// per-link and overflow counters, and every packet's virtual-time stamp.
+func TestSendBatchOneLoop(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		faults   Faults
+		inboxCap int
+		prep     func(*Fabric)
+		check    func(t *testing.T, res oneLoopResult, sent map[string]uint64)
+	}{
+		{name: "perfect", inboxCap: 4096},
+		{name: "full-inbox", inboxCap: 4, check: func(t *testing.T, res oneLoopResult, sent map[string]uint64) {
+			// Every packet counts on the link; what the 4 slots refuse counts
+			// on Dropped and inbox_drops alike.
+			for _, to := range []string{"a", "b"} {
+				l := res.Links[to]
+				if len(res.Delivered[to]) != 4 || l[2] != l[0]-4 || res.Overflow[to] != l[2] {
+					t.Errorf("->%s: %d delivered, link %v, inbox_drops %d", to, len(res.Delivered[to]), l, res.Overflow[to])
+				}
+			}
+		}},
+		{name: "drop-dup", faults: Faults{DropProb: 0.2, DupProb: 0.2, Seed: 7}, inboxCap: 4096,
+			check: func(t *testing.T, res oneLoopResult, sent map[string]uint64) {
+				// Packets counts what reached the inbox: sent - dropped + duplicated.
+				if l := res.Links["a"]; l[2] == 0 || l[0] <= sent["a"]-l[2] {
+					t.Errorf("->a: the stream saw no drop or no duplicate: %d sent, link %v", sent["a"], l)
+				}
+			}},
+		{name: "reorder-pinned-hold", faults: Faults{ReorderProb: 0.3, ReorderHold: time.Hour, Seed: 3}, inboxCap: 4096},
+		{name: "reorder-always", faults: Faults{ReorderProb: 1, ReorderHold: time.Hour, Seed: 1}, inboxCap: 4096,
+			check: func(t *testing.T, res oneLoopResult, sent map[string]uint64) {
+				// Each packet waits for the next on its link: everything arrives
+				// shifted by one slot and the last packet stays parked.
+				for _, to := range []string{"a", "b"} {
+					if res.Held[to] == "" || uint64(len(res.Delivered[to])) != sent[to]-1 {
+						t.Errorf("->%s: held %q, %d of %d delivered", to, res.Held[to], len(res.Delivered[to]), sent[to])
+					}
+				}
+			}},
+		{name: "dice-on-nothing-injected", faults: Faults{DupProb: 1e-12, Seed: 1}, inboxCap: 4096},
+		{name: "dice-on-full-inbox", faults: Faults{DupProb: 1e-12, Seed: 1}, inboxCap: 4},
+		{name: "failed-link-between-live-runs", inboxCap: 4096, prep: func(f *Fabric) { f.FailLink("s1", "b") }, check: blackholed},
+		{name: "failed-node-between-live-runs", faults: Faults{DupProb: 1e-12, Seed: 1}, inboxCap: 4096,
+			prep: func(f *Fabric) { f.FailNode("b") }, check: blackholed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(11))
+			var tos []string
+			sent := map[string]uint64{}
+			for len(tos) < 60 {
+				// Runs of one to five packets; the sink draws no dice and a
+				// blackholed run neither, so both shift the stream's sequence
+				// the same way however it is cut.
+				to := []string{"a", "b", "a", "b", "z"}[r.Intn(5)]
+				for n := 1 + r.Intn(5); n > 0; n-- {
+					tos = append(tos, to)
+					sent[to]++
+				}
+			}
+			want := runOneLoop(t, tc.faults, tc.inboxCap, tc.prep, tos, nil)
+			if want.Links["z"][0] == 0 || len(want.Delivered["a"]) == 0 {
+				t.Fatalf("the stream does not exercise every destination: %+v", want.Links)
+			}
+			if tc.check != nil {
+				tc.check(t, want, sent)
+			}
+			var cuts []int
+			for at := r.Intn(8); at < len(tos); at += 1 + r.Intn(12) {
+				cuts = append(cuts, at)
+			}
+			for name, c := range map[string][]int{"one-SendBatch": {}, "random-splits": cuts} {
+				if got := runOneLoop(t, tc.faults, tc.inboxCap, tc.prep, tos, c); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s diverges from one Send per packet:\n got %+v\nwant %+v", name, got, want)
+				}
+			}
+		})
 	}
 }
 
-// TestSendBatchFaultFallback: a faulted fabric routes SendBatch through
-// per-packet Send so fault injection (here the reorder hold-back slot)
-// behaves exactly as with individual sends: last packet parked, the rest
-// delivered shifted by one slot.
-func TestSendBatchFaultFallback(t *testing.T) {
-	fab := New(pairNet(t), Faults{ReorderProb: 1.0, ReorderHold: time.Hour, Seed: 1})
-	a := &echoNode{label: "a"}
-	b := &echoNode{label: "b"}
-	fab.Attach(a)
-	fab.Attach(b)
-	fab.Start()
-	defer fab.Stop()
+// blackholed checks a stream whose middle destination b is failed: its
+// packets are lost and counted, never stamped, and a's deliver around them.
+func blackholed(t *testing.T, res oneLoopResult, sent map[string]uint64) {
+	if l := res.Links["b"]; len(res.Delivered["b"]) != 0 || l != [3]uint64{0, 0, sent["b"]} {
+		t.Errorf("->b is failed: %d delivered, link %v, %d sent", len(res.Delivered["b"]), l, sent["b"])
+	}
+	if la := res.Links["a"]; uint64(len(res.Delivered["a"])) != sent["a"] || la[2] != 0 {
+		t.Errorf("->a is live: %d of %d delivered, link %v", len(res.Delivered["a"]), sent["a"], la)
+	}
+}
 
-	var tos []string
-	var pkts []*Packet
-	for i := 0; i < 4; i++ {
-		tos = append(tos, "b")
-		pkts = append(pkts, &Packet{Src: "a", Dst: "b", Data: []byte{byte(i)}})
+// TestSinkPacketsCarryNoVirtualTime: a packet that never occupies a link's
+// receiver — bound for a NullNode sink, or blackholed by a failed link or
+// node — gets no virtual-time stamp and moves neither the makespan nor the
+// link's free cursor, whichever entry sends it, alone or in a batch mixed
+// with a live destination; and the live runs around it still deliver.
+// (Send used to skip the stamp and SendBatch to apply it: one 100-byte
+// packet to a sink read 0 through one and 1.008 µs through the other.)
+func TestSinkPacketsCarryNoVirtualTime(t *testing.T) {
+	for name, dead := range map[string]struct {
+		to   string
+		prep func(*Fabric)
+	}{
+		"sink":        {"z", func(*Fabric) {}},
+		"failed-link": {"b", func(f *Fabric) { f.FailLink("b", "s1") }},
+		"failed-node": {"b", func(f *Fabric) { f.FailNode("b") }},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fab := New(oneLoopNet(t), Faults{})
+			a := &echoNode{label: "a"}
+			for _, n := range []Node{&echoNode{label: "s1"}, a, &echoNode{label: "b"}, NewNullNode("z")} {
+				if err := fab.Attach(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fab.Start()
+			defer fab.Stop()
+			dead.prep(fab)
+			pkt := func(to string) *Packet { return &Packet{Src: "s1", Dst: to, Data: make([]byte, 100)} }
+			untouched := func(step string, pkts ...*Packet) {
+				t.Helper()
+				for _, p := range pkts {
+					if p.VTimeUs != 0 {
+						t.Errorf("%s: packet to %s stamped VTimeUs = %v, want 0", step, dead.to, p.VTimeUs)
+					}
+				}
+				fab.vt.mu.Lock()
+				free, ok := fab.vt.linkFree[linkKey{"s1", dead.to}]
+				fab.vt.mu.Unlock()
+				if ok || free != 0 {
+					t.Errorf("%s: link s1->%s busy until %v in virtual time, want untouched", step, dead.to, free)
+				}
+			}
+
+			one := pkt(dead.to)
+			if err := fab.Send("s1", dead.to, one); err != nil {
+				t.Fatal(err)
+			}
+			untouched("Send", one)
+			two := []*Packet{pkt(dead.to), pkt(dead.to)}
+			if err := fab.SendBatch("s1", []string{dead.to, dead.to}, two); err != nil {
+				t.Fatal(err)
+			}
+			untouched("SendBatch", two...)
+			if got := fab.MakespanUs(); got != 0 {
+				t.Errorf("MakespanUs = %v after traffic that reached no host, want 0", got)
+			}
+
+			mixed := []*Packet{pkt(dead.to), pkt("a"), pkt(dead.to), pkt("a")}
+			if err := fab.SendBatch("s1", []string{dead.to, "a", dead.to, "a"}, mixed); err != nil {
+				t.Fatal(err)
+			}
+			untouched("mixed SendBatch", mixed[0], mixed[2])
+			waitCount(t, a, 2)
+			if mixed[1].VTimeUs <= 0 || mixed[3].VTimeUs <= mixed[1].VTimeUs {
+				t.Errorf("live packets stamped %v then %v, want increasing arrival times", mixed[1].VTimeUs, mixed[3].VTimeUs)
+			}
+			if got := fab.MakespanUs(); got != mixed[3].VTimeUs {
+				t.Errorf("MakespanUs = %v, want the last live arrival %v", got, mixed[3].VTimeUs)
+			}
+			st := fab.Stats("s1", dead.to)
+			if dead.to == "z" {
+				if st.Packets.Load() != 5 || st.Dropped.Load() != 0 {
+					t.Errorf("sink link: %d packets %d dropped, want 5/0", st.Packets.Load(), st.Dropped.Load())
+				}
+			} else if st.Packets.Load() != 0 || st.Dropped.Load() != 5 {
+				t.Errorf("blackholed link: %d packets %d dropped, want 0/5", st.Packets.Load(), st.Dropped.Load())
+			}
+		})
 	}
-	if err := fab.SendBatch("a", tos, pkts); err != nil {
-		t.Fatal(err)
+}
+
+// quietNode drains its inbox without allocating.
+type quietNode struct{ label string }
+
+func (q quietNode) Label() string                   { return q.label }
+func (q quietNode) Receive(Sender, *Packet, string) {}
+
+// TestFabricSendAllocs: the send loop allocates nothing per packet or per
+// call — for Send (a batch of one built on the stack) and for a 64-packet
+// SendBatch, with the fault dice off and on.
+func TestFabricSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
 	}
-	waitCount(t, b, 3)
-	time.Sleep(10 * time.Millisecond)
-	if b.count() != 3 {
-		t.Errorf("hold-back slot should retain one packet: got %d", b.count())
+	for name, faults := range map[string]Faults{
+		"perfect": {},
+		"dice-on": {DupProb: 1e-12, Seed: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fab := New(starNet(t), faults)
+			for _, n := range []Node{quietNode{"s1"}, quietNode{"a"}, quietNode{"b"}} {
+				if err := fab.Attach(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fab.Start()
+			defer fab.Stop()
+			const batch = 64
+			tos := make([]string, batch)
+			pkts := make([]*Packet, batch)
+			for i := range pkts {
+				tos[i] = []string{"a", "b"}[i/8%2]
+				pkts[i] = &Packet{Src: "s1", Dst: tos[i], Data: make([]byte, 64)}
+			}
+			if avg := testing.AllocsPerRun(200, func() {
+				if err := fab.Send("s1", "a", pkts[0]); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Errorf("Send allocates %.2f per packet, want 0", avg)
+			}
+			if avg := testing.AllocsPerRun(200, func() {
+				if err := fab.SendBatch("s1", tos, pkts); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Errorf("SendBatch allocates %.2f per %d-packet batch, want 0", avg, batch)
+			}
+			if st := fab.Stats("s1", "b"); st.Packets.Load() == 0 {
+				t.Error("nothing crossed the link")
+			}
+		})
 	}
 }
 
 // TestSendBatchDeliversPastBadDestination: one packet addressed to a
-// non-neighbor must not take the packets behind it down with it — on the
-// perfect-network fast path and on the faulted per-packet fallback alike.
-// Every deliverable packet arrives and the error names the bad one.
+// non-neighbor must not take the packets behind it down with it, with the
+// fault dice off or on. Every deliverable packet arrives and the error
+// names the bad one.
 func TestSendBatchDeliversPastBadDestination(t *testing.T) {
 	for name, faults := range map[string]Faults{
 		"perfect": {},

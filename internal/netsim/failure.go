@@ -53,19 +53,6 @@ func (f *Fabric) NodeFailed(label string) bool {
 	return fl != nil && (*fl)[label]
 }
 
-// FailedNodes returns the currently failed labels as a set (nil if none).
-func (f *Fabric) FailedNodes() map[string]bool {
-	fl := f.failed.Load()
-	if fl == nil {
-		return nil
-	}
-	out := make(map[string]bool, len(*fl))
-	for l := range *fl {
-		out[l] = true
-	}
-	return out
-}
-
 // FailLink marks the link between a and b as failed in both directions:
 // packets crossing it blackhole (counted Dropped on the link) until
 // RestoreLink. The nodes stay up — this is the partial-failure case a

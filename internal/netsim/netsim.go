@@ -5,8 +5,11 @@
 //
 // The fabric is intentionally simple: a goroutine per node draining an
 // inbox, direct neighbor-to-neighbor delivery, and atomic byte/packet
-// counters per link. Performance *shapes* for the evaluation come from
-// the counters plus the analytic model in internal/model — not from
+// counters per link. Nodes send through one seam, Sender.SendBatch, and the
+// fabric has one send loop behind it (a packet is a batch of one): the
+// only place virtual time is stamped, failed links blackhole and the
+// fault dice are rolled. Performance *shapes* for the evaluation come
+// from the counters plus the analytic model in internal/model — not from
 // wall-clock sleeps.
 package netsim
 
@@ -44,13 +47,20 @@ type Packet struct {
 	VTimeUs float64
 }
 
-// Sender abstracts the transport a node sends through: the in-memory
-// fabric here, or the UDP harness in internal/runtime. This is the
-// backend seam of Fig. 3a (POSIX/UDP vs DPDK-like in-memory).
+// Sender is the transport a node sends through: the in-memory fabric
+// here, or the UDP harness in internal/runtime. This is the backend seam
+// of Fig. 3a (POSIX/UDP vs DPDK-like in-memory), and SendBatch is its only
+// send: a node hands over whatever it has ready — one packet is a batch of
+// one — and the transport amortizes its per-call costs over it (stopped
+// check, virtual-time lock, inbox lock and wakeup here; syscalls in the
+// UDP backend).
 type Sender interface {
-	// Send transmits pkt from the node labeled `from` to its overlay
-	// neighbor `to`.
-	Send(from, to string, pkt *Packet) error
+	// SendBatch transmits pkts[i] from the node labeled `from` to its
+	// overlay neighbor tos[i], preserving order per destination.
+	// len(tos) must equal len(pkts). A packet that cannot be sent does not
+	// stop the ones behind it: every deliverable packet is delivered and
+	// the errors come back joined.
+	SendBatch(from string, tos []string, pkts []*Packet) error
 	// Network returns the AND overlay.
 	Network() *and.Network
 }
@@ -95,7 +105,7 @@ type Fabric struct {
 	net   *and.Network
 	nodes map[string]Node
 
-	inboxes  map[string]*ringInbox
+	inboxes  map[string]*ringInbox // by label; nil for a NullNode, an inert sink
 	stats    map[linkKey]*LinkStats
 	wg       sync.WaitGroup
 	stopped  chan struct{}
@@ -137,13 +147,12 @@ type Fabric struct {
 	obsReg     *obs.Registry
 	inboxDrops map[string]*obs.Counter
 
-	// sinks marks labels attached as NullNodes: inert packet sinks with no
-	// inbox, no ring buffer, and no drain goroutine. A k=32 fat-tree has
-	// 8192 hosts of which a deployment typically uses a handful; the rest
-	// must not cost a goroutine each. Deliveries to a sink count on the
-	// link stats and fabric.sink_packets, then vanish. Written only before
-	// Start (Attach), read lock-free on the send path.
-	sinks    map[string]bool
+	// sinkPkts counts deliveries to NullNodes: inert packet sinks with no
+	// inbox, no ring buffer, and no drain goroutine (a nil entry in
+	// inboxes). A k=32 fat-tree has 8192 hosts of which a deployment
+	// typically uses a handful; the rest must not cost a goroutine each.
+	// Deliveries to a sink count on the link stats and fabric.sink_packets,
+	// then vanish.
 	sinkPkts *obs.Counter
 }
 
@@ -177,7 +186,6 @@ func New(network *and.Network, faults Faults) *Fabric {
 		rng:        rand.New(rand.NewSource(faults.Seed)),
 		pending:    map[linkKey]*heldPkt{},
 		inboxDrops: map[string]*obs.Counter{},
-		sinks:      map[string]bool{},
 		vt:         vclock{linkFree: map[linkKey]float64{}},
 	}
 	f.SetObs(obs.NewRegistry()) // private until a deployment re-homes it
@@ -240,7 +248,7 @@ func (f *Fabric) Attach(n Node) error {
 	}
 	f.nodes[label] = n
 	if _, isSink := n.(*NullNode); isSink {
-		f.sinks[label] = true
+		f.inboxes[label] = nil
 		return nil
 	}
 	f.inboxes[label] = newRingInbox(f.inboxCap)
@@ -282,9 +290,11 @@ func (f *Fabric) Start() error {
 			return fmt.Errorf("netsim: AND node %q has no attached implementation", n.Label)
 		}
 	}
-	for label, inbox := range f.inboxes {
+	for label, ring := range f.inboxes {
+		if ring == nil {
+			continue // a sink drains nothing
+		}
 		node := f.nodes[label]
-		ring := inbox
 		f.wg.Add(1)
 		go func() {
 			defer f.wg.Done()
@@ -363,7 +373,7 @@ func (f *Fabric) deliverHeld(hp *heldPkt) {
 		return
 	default:
 	}
-	if hp.inbox.push(hp.d) {
+	if hp.inbox.pushPkts([]*Packet{hp.d.pkt}, hp.d.from) == 1 {
 		hp.st.Packets.Add(1)
 		hp.st.Bytes.Add(uint64(len(hp.d.pkt.Data)))
 		return
@@ -388,138 +398,19 @@ func (f *Fabric) flushHeld(key linkKey, hp *heldPkt) {
 	f.deliverHeld(hp)
 }
 
-// Send transmits pkt from `from` to the direct neighbor `to`. It applies
-// fault injection and accounting, then enqueues into the receiver's
-// inbox. Sending to a non-neighbor is a wiring bug and returns an error.
+// Send transmits one packet from `from` to the direct neighbor `to`: a
+// batch of one.
 func (f *Fabric) Send(from, to string, pkt *Packet) error {
-	select {
-	case <-f.stopped:
-		return fmt.Errorf("netsim: fabric stopped")
-	default:
-	}
-	key := linkKey{from, to}
-	st, ok := f.stats[key]
-	if !ok {
-		return fmt.Errorf("netsim: %s and %s are not overlay neighbors", from, to)
-	}
-	if fl := f.failed.Load(); fl != nil && ((*fl)[from] || (*fl)[to]) {
-		// A failed node neither sends nor receives: the packet blackholes
-		// like loss, and the reliable layer (or re-placement) recovers.
-		st.Dropped.Add(1)
-		return nil
-	}
-	if ll := f.failedLinks.Load(); ll != nil && (*ll)[key] {
-		// A failed link blackholes in both directions; ECMP senders steer
-		// around it (LinkFailed), stragglers lose the packet like loss.
-		st.Dropped.Add(1)
-		return nil
-	}
-	if f.sinks[to] {
-		// Inert sink: the packet crossed the link (count it) and vanishes.
-		// No virtual-time stamp and no fault dice — sinks carry no
-		// test-visible traffic and must not perturb the seeded rng sequence.
-		st.Packets.Add(1)
-		st.Bytes.Add(uint64(len(pkt.Data)))
-		f.sinkPkts.Inc()
-		return nil
-	}
-	inbox, ok := f.inboxes[to]
-	if !ok {
-		return fmt.Errorf("netsim: no node %q", to)
-	}
-
-	f.stampSend(from, to, pkt)
-	drops := f.inboxDrops[to]
-	deliver := func(d delivery) {
-		st.Packets.Add(1)
-		st.Bytes.Add(uint64(len(d.pkt.Data)))
-		if !inbox.push(d) {
-			// Full inbox: drop and count rather than blocking the sender
-			// goroutine (recovery is the transport's job — the reliable
-			// layer retransmits).
-			st.Dropped.Add(1)
-			if drops != nil {
-				drops.Inc()
-			}
-		}
-	}
-
-	d := delivery{pkt: pkt, from: from}
-	if f.faults == (Faults{}) || f.faults.onlySeed() {
-		deliver(d)
-		return nil
-	}
-
-	f.rngMu.Lock()
-	drop := f.rng.Float64() < f.faults.DropProb
-	dup := f.rng.Float64() < f.faults.DupProb
-	reorder := f.rng.Float64() < f.faults.ReorderProb
-	held := f.pending[key]
-	if held != nil {
-		held.timer.Stop()
-		delete(f.pending, key)
-	}
-	if reorder && !drop {
-		// Park this packet until the link's next send — or until
-		// ReorderHold expires, whichever comes first, so it cannot be
-		// stranded when no later send arrives.
-		hp := &heldPkt{d: d, st: st, inbox: inbox, drops: drops}
-		f.pending[key] = hp
-		hold := f.faults.ReorderHold
-		if hold <= 0 {
-			hold = 10 * time.Millisecond
-		}
-		hp.timer = time.AfterFunc(hold, func() { f.flushHeld(key, hp) })
-	}
-	f.rngMu.Unlock()
-
-	if drop {
-		st.Dropped.Add(1)
-		if held != nil {
-			deliver(held.d)
-		}
-		return nil
-	}
-	if !reorder {
-		deliver(d)
-	}
-	if held != nil {
-		deliver(held.d)
-	}
-	if dup {
-		// The duplicate carries the original's virtual timestamp: it is the
-		// same bits arriving again, not a fresh packet born at t=0. Without
-		// the copy, dups poisoned switch INT latency stamps and the vtime
-		// histograms with epoch-relative garbage.
-		dupPkt := &Packet{Src: pkt.Src, Dst: pkt.Dst, Data: append([]byte(nil), pkt.Data...), VTimeUs: pkt.VTimeUs, Via: pkt.Via}
-		deliver(delivery{pkt: dupPkt, from: from})
-	}
-	return nil
+	return f.SendBatch(from, []string{to}, []*Packet{pkt})
 }
 
-func (fl Faults) onlySeed() bool {
-	return fl.DropProb == 0 && fl.DupProb == 0 && fl.ReorderProb == 0
-}
-
-// BatchSender is the optional bulk seam on top of Sender: a node that has
-// several packets ready hands them over in one call so the transport can
-// amortize its per-packet costs (stopped check, virtual-time lock, inbox
-// lock and wakeup here; syscalls in the UDP backend).
-type BatchSender interface {
-	Sender
-	// SendBatch transmits pkts[i] from `from` to tos[i], preserving order
-	// per destination. len(tos) must equal len(pkts).
-	SendBatch(from string, tos []string, pkts []*Packet) error
-}
-
-// SendBatch transmits a batch of packets from one node, amortizing the
-// stopped check, the virtual-time lock, and — for runs of consecutive
-// packets to the same destination — the inbox lock and receiver wakeup.
-// Fault injection needs per-packet dice and the hold-back slot, so a
-// faulted fabric falls back to per-packet Send (the batched fast path is
-// the perfect-network case benchmarks and converged deployments run in).
-// A packet whose destination is not a neighbor does not stop the batch:
-// every deliverable packet is delivered and the errors come back joined.
+// SendBatch implements Sender — the fabric's one send loop. The stopped
+// check and the virtual-time lock are paid once per batch; everything
+// else once per run of consecutive packets to the same destination: the
+// neighbor check, the failed-node/failed-link blackhole, the sink, the
+// virtual-time stamp, and one inbox lock and receiver wakeup. Only a
+// fabric with fault injection on looks at the packets of a run one by one
+// (faultRun).
 func (f *Fabric) SendBatch(from string, tos []string, pkts []*Packet) error {
 	if len(tos) != len(pkts) {
 		return fmt.Errorf("netsim: SendBatch got %d destinations for %d packets", len(tos), len(pkts))
@@ -532,56 +423,145 @@ func (f *Fabric) SendBatch(from string, tos []string, pkts []*Packet) error {
 		return fmt.Errorf("netsim: fabric stopped")
 	default:
 	}
-	var errs []error
-	if !(f.faults == (Faults{}) || f.faults.onlySeed()) || f.failed.Load() != nil || f.failedLinks.Load() != nil {
-		// Fault injection, node failure, and link failure all need
-		// per-packet decisions.
-		for i := range pkts {
-			if err := f.Send(from, tos[i], pkts[i]); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		return errors.Join(errs...)
+	// One view of the failures for the whole batch. A failed node neither
+	// sends nor receives and a failed link carries nothing in either
+	// direction: what is sent there blackholes like loss, and the reliable
+	// layer, ECMP repair (LinkFailed) or re-placement recovers.
+	failed, failedLinks := f.failed.Load(), f.failedLinks.Load()
+	blackholed := func(key linkKey) bool {
+		return failed != nil && ((*failed)[key.from] || (*failed)[key.to]) || failedLinks != nil && (*failedLinks)[key]
 	}
-	f.stampSendBatch(from, tos, pkts)
+
+	// Virtual time first, for the whole batch under one lock acquisition
+	// that is released before any inbox is touched. Only packets that will
+	// occupy a link are stamped: a sink's or a blackholed run's carry no
+	// test-visible traffic and must not move the makespan.
+	f.vt.mu.Lock()
 	for i, j := 0, 0; i < len(pkts); i = j {
-		j = i + 1
-		for j < len(pkts) && tos[j] == tos[i] {
-			j++
+		j = runEnd(tos, i)
+		if key := (linkKey{from, tos[i]}); f.inboxes[key.to] != nil && !blackholed(key) {
+			f.stampRun(key, pkts[i:j])
 		}
-		to := tos[i]
-		st, ok := f.stats[linkKey{from, to}]
+	}
+	f.vt.mu.Unlock()
+
+	var errs []error
+	for i, j := 0, 0; i < len(pkts); i = j {
+		j = runEnd(tos, i)
+		run, key := pkts[i:j], linkKey{from, tos[i]}
+		st, ok := f.stats[key]
 		if !ok {
-			errs = append(errs, fmt.Errorf("netsim: %s and %s are not overlay neighbors", from, to))
+			// A wiring bug, not a loss: reported, and the runs behind it
+			// still go out.
+			errs = append(errs, fmt.Errorf("netsim: %s and %s are not overlay neighbors", from, key.to))
 			continue
 		}
-		run := pkts[i:j]
-		var bytes uint64
-		for _, p := range run {
-			bytes += uint64(len(p.Data))
+		if blackholed(key) {
+			st.Dropped.Add(uint64(len(run)))
+			continue
 		}
-		if f.sinks[to] {
+		inbox, ok := f.inboxes[key.to]
+		switch {
+		case !ok:
+			errs = append(errs, fmt.Errorf("netsim: no node %q", key.to))
+		case inbox == nil:
+			// Inert sink: the run crossed the link (count it) and vanishes,
+			// without a roll of the fault dice — it must not perturb the
+			// seeded rng sequence.
 			st.Packets.Add(uint64(len(run)))
-			st.Bytes.Add(bytes)
+			st.Bytes.Add(dataBytes(run))
 			f.sinkPkts.Add(uint64(len(run)))
-			continue
-		}
-		inbox, ok := f.inboxes[to]
-		if !ok {
-			errs = append(errs, fmt.Errorf("netsim: no node %q", to))
-			continue
-		}
-		st.Packets.Add(uint64(len(run)))
-		st.Bytes.Add(bytes)
-		if accepted := inbox.pushPkts(run, from); accepted < len(run) {
-			over := uint64(len(run) - accepted)
-			st.Dropped.Add(over)
-			if drops := f.inboxDrops[to]; drops != nil {
-				drops.Add(over)
-			}
+		case f.faults.onlySeed():
+			f.deliver(key, st, inbox, run)
+		default:
+			f.faultRun(key, st, inbox, run)
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// runEnd returns the end of the run of equal destinations starting at i.
+func runEnd(tos []string, i int) int {
+	j := i + 1
+	for j < len(tos) && tos[j] == tos[i] {
+		j++
+	}
+	return j
+}
+
+// faultRun is fault injection: the one place the seeded dice are rolled —
+// three draws per packet, in send order, whatever batches the packets
+// arrived in. A dropped packet counts Dropped; a reordered one parks in
+// its link's hold-back slot until the link's next packet (or ReorderHold)
+// releases it; a duplicated one is followed by a copy.
+func (f *Fabric) faultRun(key linkKey, st *LinkStats, inbox *ringInbox, run []*Packet) {
+	f.rngMu.Lock()
+	defer f.rngMu.Unlock()
+	for i, pkt := range run {
+		drop := f.rng.Float64() < f.faults.DropProb
+		dup := f.rng.Float64() < f.faults.DupProb
+		reorder := f.rng.Float64() < f.faults.ReorderProb
+		held := f.pending[key]
+		if held != nil {
+			held.timer.Stop()
+			delete(f.pending, key)
+		}
+		switch {
+		case drop:
+			st.Dropped.Add(1)
+		case reorder:
+			// Park this packet until the link's next send — or until
+			// ReorderHold expires, whichever comes first, so it cannot be
+			// stranded when no later send arrives.
+			hp := &heldPkt{d: delivery{pkt: pkt, from: key.from}, st: st, inbox: inbox, drops: f.inboxDrops[key.to]}
+			f.pending[key] = hp
+			hold := f.faults.ReorderHold
+			if hold <= 0 {
+				hold = 10 * time.Millisecond
+			}
+			hp.timer = time.AfterFunc(hold, func() { f.flushHeld(key, hp) })
+		default:
+			f.deliver(key, st, inbox, run[i:i+1])
+		}
+		if held != nil {
+			f.deliver(key, st, inbox, []*Packet{held.d.pkt})
+		}
+		if dup && !drop {
+			// The duplicate carries the original's virtual timestamp: it is the
+			// same bits arriving again, not a fresh packet born at t=0. Without
+			// the copy, dups poisoned switch INT latency stamps and the vtime
+			// histograms with epoch-relative garbage.
+			dupPkt := &Packet{Src: pkt.Src, Dst: pkt.Dst, Data: append([]byte(nil), pkt.Data...), VTimeUs: pkt.VTimeUs, Via: pkt.Via}
+			f.deliver(key, st, inbox, []*Packet{dupPkt})
+		}
+	}
+}
+
+func (fl Faults) onlySeed() bool {
+	return fl.DropProb == 0 && fl.DupProb == 0 && fl.ReorderProb == 0
+}
+
+// deliver credits pkts to the link and queues them at the receiver under
+// one inbox lock and one wakeup. What a full inbox refuses is dropped and
+// counted rather than blocking the sender goroutine (recovery is the
+// transport's job — the reliable layer retransmits).
+func (f *Fabric) deliver(key linkKey, st *LinkStats, inbox *ringInbox, pkts []*Packet) {
+	st.Packets.Add(uint64(len(pkts)))
+	st.Bytes.Add(dataBytes(pkts))
+	if accepted := inbox.pushPkts(pkts, key.from); accepted < len(pkts) {
+		over := uint64(len(pkts) - accepted)
+		st.Dropped.Add(over)
+		if drops := f.inboxDrops[key.to]; drops != nil {
+			drops.Add(over)
+		}
+	}
+}
+
+func dataBytes(pkts []*Packet) (n uint64) {
+	for _, p := range pkts {
+		n += uint64(len(p.Data))
+	}
+	return n
 }
 
 // Stats returns the counters for the directed link from→to (nil if the

@@ -4,7 +4,7 @@ import "sync"
 
 // ringInbox is a node's batched ingress queue: a fixed-capacity FIFO ring
 // of deliveries guarded by one short mutex, plus a one-slot wakeup
-// channel. Producers (Fabric.Send from any goroutine) append under the
+// channel. Producers (Fabric.SendBatch from any goroutine) append under the
 // lock and drop-not-block when the ring is full — exactly the old channel
 // inbox contract — while the node's drain goroutine takes *many* packets
 // per wakeup instead of one channel receive each, which is where the
@@ -35,29 +35,6 @@ func newRingInbox(capacity int) *ringInbox {
 		buf:    make([]delivery, capacity),
 		notify: make(chan struct{}, 1),
 	}
-}
-
-// push appends one delivery, reporting false when the ring is full (the
-// caller drops and counts — same drop-not-block semantics as the old
-// channel inbox).
-func (r *ringInbox) push(d delivery) bool {
-	r.mu.Lock()
-	if r.n == len(r.buf) {
-		r.mu.Unlock()
-		return false
-	}
-	tail := r.head + r.n
-	if tail >= len(r.buf) {
-		tail -= len(r.buf)
-	}
-	r.buf[tail] = d
-	r.n++
-	r.mu.Unlock()
-	select {
-	case r.notify <- struct{}{}:
-	default:
-	}
-	return true
 }
 
 // pushPkts appends up to len(pkts) packets (all from the same sender)

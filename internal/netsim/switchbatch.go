@@ -72,34 +72,23 @@ func (b *batchState) scratch() *nodeScratch {
 }
 
 // batchOut collects the packets a burst produces and hands them to the
-// transport in one SendBatch — per-destination order preserved — when the
-// transport supports it; otherwise it degrades to pass-through.
+// transport in one SendBatch, per-destination order preserved.
 type batchOut struct {
-	inner Sender
-	bs    BatchSender // nil: pass-through
-	tos   []string
-	pkts  []*Packet
+	tr   Sender
+	tos  []string
+	pkts []*Packet
 }
 
-func (o *batchOut) reset(f Sender) {
-	o.inner = f
-	o.bs, _ = f.(BatchSender)
-}
-
-func (o *batchOut) send(from, to string, pkt *Packet) error {
-	if o.bs == nil {
-		return o.inner.Send(from, to, pkt)
-	}
+func (o *batchOut) send(to string, pkt *Packet) {
 	o.tos = append(o.tos, to)
 	o.pkts = append(o.pkts, pkt)
-	return nil
 }
 
 // linkFailed consults the transport's LinkHealth when it has one: the
 // collector stands between the forwarder and the transport, and must not
 // hide a failed link from the ECMP repair.
 func (o *batchOut) linkFailed(from, to string) bool {
-	lh, ok := o.inner.(LinkHealth)
+	lh, ok := o.tr.(LinkHealth)
 	return ok && lh.LinkFailed(from, to)
 }
 
@@ -108,7 +97,7 @@ func (o *batchOut) flush(from string) error {
 	if len(o.pkts) == 0 {
 		return nil
 	}
-	err := o.bs.SendBatch(from, o.tos, o.pkts)
+	err := o.tr.SendBatch(from, o.tos, o.pkts)
 	o.tos = o.tos[:0]
 	o.pkts = o.pkts[:0]
 	return err
@@ -126,7 +115,7 @@ func (s *SwitchNode) Receive(f Sender, pkt *Packet, from string) {
 // drained burst.
 func (s *SwitchNode) receiveBatch(f Sender, batch []delivery) {
 	b := s.takeBatch()
-	b.out.reset(f)
+	b.out.tr = f
 	for i := range batch {
 		s.ingest(b, batch[i].pkt)
 	}

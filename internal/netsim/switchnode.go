@@ -316,7 +316,7 @@ func (s *SwitchNode) route(b *batchState, w *batchWin, j *pisa.BatchJob, kp *swK
 			// the overlay neighbors are the direct neighbors. Under
 			// placement, the controller installs the logical neighbor list
 			// and each copy is unicast-routed toward its overlay target.
-			targets = out.inner.Network().Neighbors(s.label)
+			targets = out.tr.Network().Neighbors(s.label)
 		}
 		for _, nb := range targets {
 			s.forward(out, &Packet{Src: s.label, Dst: nb, Data: data, VTimeUs: vtime})
@@ -441,9 +441,7 @@ func (s *SwitchNode) forward(out *batchOut, pkt *Packet) {
 			}
 		}
 	}
-	if err := out.send(s.label, hop, pkt); err != nil {
-		s.Errors.Add(1)
-	}
+	out.send(hop, pkt)
 }
 
 // repack re-serializes an executed window, encoding the payload into the

@@ -8,13 +8,13 @@ import (
 	"ncl/internal/pisa"
 )
 
-// nullSender satisfies Sender without touching the fabric: Send discards
+// nullSender satisfies Sender without touching the fabric: SendBatch discards
 // (no channel ops, no allocations attributable to delivery), so an
 // allocs run measures only the switch node's own data path.
 type nullSender struct{ net *and.Network }
 
-func (n *nullSender) Send(_, _ string, _ *Packet) error { return nil }
-func (n *nullSender) Network() *and.Network             { return n.net }
+func (n *nullSender) SendBatch(string, []string, []*Packet) error { return nil }
+func (n *nullSender) Network() *and.Network                       { return n.net }
 
 // TestSwitchProcessAllocsUntraced asserts the ISSUE acceptance bound:
 // INT stamping must not add allocations to the untraced receive path.
@@ -109,8 +109,10 @@ type captureSender struct {
 	out func(*Packet)
 }
 
-func (c *captureSender) Send(_, _ string, pkt *Packet) error {
-	c.out(pkt)
+func (c *captureSender) SendBatch(_ string, _ []string, pkts []*Packet) error {
+	for _, pkt := range pkts {
+		c.out(pkt)
+	}
 	return nil
 }
 func (c *captureSender) Network() *and.Network { return c.net }

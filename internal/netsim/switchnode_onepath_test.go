@@ -144,8 +144,7 @@ func onePathStream(t *testing.T, r *rand.Rand, n int) []*Packet {
 	return stream
 }
 
-// onePathRecorder is a plain transport that records what a switch sends;
-// onePathBatchRecorder adds SendBatch.
+// onePathRecorder is a transport that records what a switch sends.
 type onePathRecorder struct {
 	net  *and.Network
 	tos  []string
@@ -153,18 +152,9 @@ type onePathRecorder struct {
 }
 
 func (r *onePathRecorder) Network() *and.Network { return r.net }
-func (r *onePathRecorder) Send(_, to string, p *Packet) error {
-	r.tos = append(r.tos, to)
-	r.sent = append(r.sent, p)
-	return nil
-}
-
-type onePathBatchRecorder struct{ onePathRecorder }
-
-func (r *onePathBatchRecorder) SendBatch(from string, tos []string, pkts []*Packet) error {
-	for i := range pkts {
-		r.Send(from, tos[i], pkts[i])
-	}
+func (r *onePathRecorder) SendBatch(_ string, tos []string, pkts []*Packet) error {
+	r.tos = append(r.tos, tos...)
+	r.sent = append(r.sent, pkts...)
 	return nil
 }
 
@@ -180,7 +170,7 @@ type onePathResult struct {
 
 // runOnePath feeds the stream to a fresh switch, cut into bursts at the
 // given boundaries (nil: one Receive per packet).
-func runOnePath(t *testing.T, net *and.Network, stream []*Packet, cuts []int, batching bool) onePathResult {
+func runOnePath(t *testing.T, net *and.Network, stream []*Packet, cuts []int) onePathResult {
 	t.Helper()
 	sn := NewSwitchNode("s1", pisa.DefaultTarget())
 	reg := obs.NewRegistry()
@@ -192,23 +182,19 @@ func runOnePath(t *testing.T, net *and.Network, stream []*Packet, cuts []int, ba
 	sn.SetHosts(onePathHosts)
 	sn.SetDepthSource(func() int { return 5 })
 
-	rec := &onePathBatchRecorder{onePathRecorder{net: net}}
-	var f Sender = rec
-	if !batching {
-		f = &rec.onePathRecorder
-	}
+	rec := &onePathRecorder{net: net}
 	fresh := make([]delivery, len(stream))
 	for i, p := range stream {
 		fresh[i] = delivery{pkt: &Packet{Src: p.Src, Dst: p.Dst, Data: p.Data, VTimeUs: p.VTimeUs}, from: p.Src}
 	}
 	if cuts == nil {
 		for _, d := range fresh {
-			sn.Receive(f, d.pkt, d.from)
+			sn.Receive(rec, d.pkt, d.from)
 		}
 	} else {
 		start := 0
 		for _, end := range append(cuts, len(fresh)) {
-			sn.receiveBatch(f, fresh[start:end])
+			sn.receiveBatch(rec, fresh[start:end])
 			start = end
 		}
 	}
@@ -262,8 +248,8 @@ func runOnePath(t *testing.T, net *and.Network, stream []*Packet, cuts []int, ba
 
 // TestSwitchOnePathDifferential: the segment loop is the switch's only
 // receive path, so how a stream is cut into bursts — one Receive per
-// packet, one burst, random splits — and whether the transport batches
-// must not change what the switch does: per-next-hop output bytes, every
+// packet, one burst, random splits — must not change what the switch
+// does: per-next-hop output bytes, every
 // switch.* and pisa.* counter but acks_sent (ack coalescing follows the
 // segments), the set of windows acknowledged, the exec_ns sample count
 // and the final registers are identical.
@@ -275,7 +261,7 @@ func TestSwitchOnePathDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		stream := onePathStream(t, r, 400)
-		want := runOnePath(t, net, stream, nil, false)
+		want := runOnePath(t, net, stream, nil)
 		if want.counters["switch.s1.kernel_windows"] == 0 || want.counters["switch.s1.errors"] == 0 ||
 			want.counters["switch.s1.forwarded_raw"] == 0 || want.counters["switch.s1.dup_suppressed"] == 0 ||
 			want.execNs == 0 || len(want.acked) == 0 {
@@ -286,17 +272,8 @@ func TestSwitchOnePathDifferential(t *testing.T) {
 		for at := r.Intn(20); at < len(stream); at += 1 + r.Intn(70) {
 			cuts = append(cuts, at)
 		}
-		for name, mode := range map[string]struct {
-			cuts     []int
-			batching bool
-		}{
-			"per-packet/batching": {nil, true},
-			"one-burst/plain":     {[]int{}, false},
-			"one-burst/batching":  {[]int{}, true},
-			"splits/plain":        {cuts, false},
-			"splits/batching":     {cuts, true},
-		} {
-			got := runOnePath(t, net, stream, mode.cuts, mode.batching)
+		for name, burstCuts := range map[string][]int{"one-burst": {}, "splits": cuts} {
+			got := runOnePath(t, net, stream, burstCuts)
 			if reflect.DeepEqual(got, want) {
 				continue
 			}
@@ -314,92 +291,72 @@ func TestSwitchOnePathDifferential(t *testing.T) {
 
 // reentrantSender delivers synchronously and answers: every window the
 // switch sends toward a host makes it hand the switch another window from
-// inside Send/SendBatch, until the chain is depth windows long — the
-// pattern of the runtime tests' loopback transport, which acks
-// re-entrantly. A window's VTimeUs grows by SwitchDelayUs per executed
-// hop, which is how the chain knows its length.
+// inside SendBatch, until the chain is depth windows long — the pattern of
+// the runtime tests' loopback transport, which acks re-entrantly. A
+// window's VTimeUs grows by SwitchDelayUs per executed hop, which is how
+// the chain knows its length.
 type reentrantSender struct {
-	net      *and.Network
-	batching bool
-	sn       *SwitchNode
-	window   []byte
-	arrived  atomic.Uint64
+	net     *and.Network
+	sn      *SwitchNode
+	window  []byte
+	arrived atomic.Uint64
 }
 
 const reentrantDepth = 3
 
-func (r *reentrantSender) sender() Sender {
-	if r.batching {
-		return r
-	}
-	return plainSender{r}
-}
-
 func (r *reentrantSender) Network() *and.Network { return r.net }
-func (r *reentrantSender) Send(_, _ string, p *Packet) error {
-	r.arrived.Add(1)
-	if p.VTimeUs < reentrantDepth*SwitchDelayUs {
-		r.sn.Receive(r.sender(), &Packet{Src: "a", Dst: "b", Data: r.window, VTimeUs: p.VTimeUs}, "a")
+func (r *reentrantSender) SendBatch(_ string, _ []string, pkts []*Packet) error {
+	for _, p := range pkts {
+		r.arrived.Add(1)
+		if p.VTimeUs < reentrantDepth*SwitchDelayUs {
+			r.sn.Receive(r, &Packet{Src: "a", Dst: "b", Data: r.window, VTimeUs: p.VTimeUs}, "a")
+		}
 	}
 	return nil
 }
-func (r *reentrantSender) SendBatch(from string, tos []string, pkts []*Packet) error {
-	for i := range pkts {
-		r.Send(from, tos[i], pkts[i])
-	}
-	return nil
-}
-
-// plainSender hides SendBatch.
-type plainSender struct{ r *reentrantSender }
-
-func (p plainSender) Network() *and.Network                   { return p.r.net }
-func (p plainSender) Send(from, to string, pkt *Packet) error { return p.r.Send(from, to, pkt) }
 
 // TestSwitchReceiveReentrant: Receive is re-entered from inside the
-// transport while the outer burst is still executing (plain transport:
-// mid-segment; batching transport: mid-flush). The working set is taken
-// per call, so every window executes exactly once — none re-applied, none
-// lost; several goroutines drive the switch at once for the race detector.
+// transport while the outer burst is still flushing. The working set is
+// taken per call, so every window executes exactly once — none re-applied,
+// none lost; several goroutines drive the switch at once for the race
+// detector.
 func TestSwitchReceiveReentrant(t *testing.T) {
 	net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s1\nlink s1 b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batching := range []bool{false, true} {
-		sn := NewSwitchNode("s1", pisa.DefaultTarget())
-		if err := sn.Install(statefulSumProgram(), 1); err != nil {
-			t.Fatal(err)
-		}
-		sn.SetRoutes(net.NextHops()["s1"])
-		sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
-		rs := &reentrantSender{net: net, batching: batching, sn: sn, window: ncpPacket(t, 1, 1, 0)}
+	sn := NewSwitchNode("s1", pisa.DefaultTarget())
+	if err := sn.Install(statefulSumProgram(), 1); err != nil {
+		t.Fatal(err)
+	}
+	sn.SetRoutes(net.NextHops()["s1"])
+	sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
+	rs := &reentrantSender{net: net, sn: sn, window: ncpPacket(t, 1, 1, 0)}
 
-		const goroutines, perG, burst = 4, 50, 5
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < perG; i++ {
-					batch := make([]delivery, burst)
-					for k := range batch {
-						batch[k] = delivery{pkt: &Packet{Src: "a", Dst: "b", Data: rs.window}, from: "a"}
-					}
-					sn.receiveBatch(rs.sender(), batch)
+	const goroutines, perG, burst = 4, 50, 5
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				batch := make([]delivery, burst)
+				for k := range batch {
+					batch[k] = delivery{pkt: &Packet{Src: "a", Dst: "b", Data: rs.window}, from: "a"}
 				}
-			}()
-		}
-		wg.Wait()
-		const want = goroutines * perG * burst * reentrantDepth
-		if got := sn.KernelWindows.Load(); got != want {
-			t.Errorf("batching=%v: executed %d windows, want %d", batching, got, want)
-		}
-		if got, _ := sn.Device().ReadRegister("total", 0); got != want {
-			t.Errorf("batching=%v: total = %d, want %d (a window applied twice or lost)", batching, got, want)
-		}
-		if got := rs.arrived.Load(); got != want || sn.Errors.Load() != 0 {
-			t.Errorf("batching=%v: %d of %d windows left the switch, %d errors", batching, got, want, sn.Errors.Load())
-		}
+				sn.receiveBatch(rs, batch)
+			}
+		}()
+	}
+	wg.Wait()
+	const want = goroutines * perG * burst * reentrantDepth
+	if got := sn.KernelWindows.Load(); got != want {
+		t.Errorf("executed %d windows, want %d", got, want)
+	}
+	if got, _ := sn.Device().ReadRegister("total", 0); got != want {
+		t.Errorf("total = %d, want %d (a window applied twice or lost)", got, want)
+	}
+	if got := rs.arrived.Load(); got != want || sn.Errors.Load() != 0 {
+		t.Errorf("%d of %d windows left the switch, %d errors", got, want, sn.Errors.Load())
 	}
 }

@@ -264,8 +264,11 @@ type recordSender struct {
 	sent []*Packet
 }
 
-func (r *recordSender) Send(_, _ string, p *Packet) error { r.sent = append(r.sent, p); return nil }
-func (r *recordSender) Network() *and.Network             { return r.net }
+func (r *recordSender) SendBatch(_ string, _ []string, pkts []*Packet) error {
+	r.sent = append(r.sent, pkts...)
+	return nil
+}
+func (r *recordSender) Network() *and.Network { return r.net }
 
 // TestSwitchAcksCoalesce: the acknowledgments of one batch segment leave
 // as one range ack per (sender, wid) run that fits ncp.AckSpan, counted

@@ -111,8 +111,8 @@ func TestForwardAliasTerminates(t *testing.T) {
 
 type nopSender struct{}
 
-func (nopSender) Send(from, to string, pkt *Packet) error { return nil }
-func (nopSender) Network() *and.Network                   { return nil }
+func (nopSender) SendBatch(string, []string, []*Packet) error { return nil }
+func (nopSender) Network() *and.Network                       { return nil }
 
 func TestForwardECMPDeterministicSpread(t *testing.T) {
 	fab, s1, _, s2, b := diamondFabric(t)

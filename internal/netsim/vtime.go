@@ -23,74 +23,26 @@ type vclock struct {
 // SwitchDelayUs is the modeled per-window pipeline traversal delay.
 const SwitchDelayUs = 1.0
 
-// stampSend advances the packet's virtual time over the link from→to and
-// returns the arrival time.
-func (f *Fabric) stampSend(from, to string, pkt *Packet) {
-	link := f.net.LinkBetween(from, to)
+// stampRun advances the virtual time of a run of packets crossing the
+// link key.from→key.to, in order — the one place link arithmetic happens
+// (no link, no stamp: SendBatch reports the non-neighbor). Caller holds
+// vt.mu. Topology lookups and the link-free cursor are paid once per run,
+// not once per packet; they read immutable topology, so they add no
+// contention inside the lock.
+func (f *Fabric) stampRun(key linkKey, run []*Packet) {
+	link := f.net.LinkBetween(key.from, key.to)
 	if link == nil {
 		return
 	}
-	txUs := float64(len(pkt.Data)) * 8 / (link.GBitsPerS * 1e3)
-	key := linkKey{from, to}
-	f.vt.mu.Lock()
-	depart := pkt.VTimeUs
-	if free := f.vt.linkFree[key]; free > depart {
-		// The link is still serializing earlier traffic: the packet queues
-		// in virtual time. The wait is the fabric's congestion signal.
-		f.queueWait.Observe(free - depart)
-		depart = free
-	}
-	f.vt.linkFree[key] = depart + txUs
-	arrive := depart + txUs + link.LatencyUs
-	pkt.VTimeUs = arrive
-	if n := f.net.NodeByLabel(to); n != nil && n.Kind == and.HostNode {
-		if arrive > f.vt.maxHost {
-			f.vt.maxHost = arrive
-		}
-	}
-	f.vt.mu.Unlock()
-}
-
-// stampSendBatch stamps a whole batch under one vt.mu acquisition —
-// same arithmetic as stampSend per packet, minus per-packet lock
-// traffic. The network lookups inside the lock are reads of immutable
-// topology, so they add no contention.
-func (f *Fabric) stampSendBatch(from string, tos []string, pkts []*Packet) {
-	// Topology lookups and the link-free cursor are carried across runs of
-	// consecutive packets to the same destination — the common shape of a
-	// batch — so the loop pays the map accesses once per run, not once per
-	// packet.
-	var (
-		to     string
-		link   *and.Link
-		toHost bool
-		free   float64
-		haveTo bool
-	)
-	f.vt.mu.Lock()
-	flushRun := func() {
-		if haveTo && link != nil {
-			f.vt.linkFree[linkKey{from, to}] = free
-		}
-	}
-	for i, pkt := range pkts {
-		if !haveTo || tos[i] != to {
-			flushRun()
-			to = tos[i]
-			haveTo = true
-			link = f.net.LinkBetween(from, to)
-			if link != nil {
-				free = f.vt.linkFree[linkKey{from, to}]
-				n := f.net.NodeByLabel(to)
-				toHost = n != nil && n.Kind == and.HostNode
-			}
-		}
-		if link == nil {
-			continue
-		}
+	n := f.net.NodeByLabel(key.to)
+	toHost := n != nil && n.Kind == and.HostNode
+	free := f.vt.linkFree[key]
+	for _, pkt := range run {
 		txUs := float64(len(pkt.Data)) * 8 / (link.GBitsPerS * 1e3)
 		depart := pkt.VTimeUs
 		if free > depart {
+			// The link is still serializing earlier traffic: the packet queues
+			// in virtual time. The wait is the fabric's congestion signal.
 			f.queueWait.Observe(free - depart)
 			depart = free
 		}
@@ -101,8 +53,7 @@ func (f *Fabric) stampSendBatch(from string, tos []string, pkts []*Packet) {
 			f.vt.maxHost = arrive
 		}
 	}
-	flushRun()
-	f.vt.mu.Unlock()
+	f.vt.linkFree[key] = free
 }
 
 // MakespanUs returns the latest virtual arrival time observed at any

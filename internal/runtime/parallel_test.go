@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,8 +30,8 @@ func newNullSender(tb testing.TB) *nullSender {
 }
 
 func (n *nullSender) Network() *and.Network { return n.net }
-func (n *nullSender) Send(from, to string, pkt *netsim.Packet) error {
-	n.sent.Add(1)
+func (n *nullSender) SendBatch(_ string, _ []string, pkts []*netsim.Packet) error {
+	n.sent.Add(uint64(len(pkts)))
 	return nil
 }
 
@@ -57,7 +59,9 @@ func countAcks(tb testing.TB, lb *loopbackSender) map[uint32]int {
 // test: a multi-window packet carrying FlagAckRequest must be
 // acknowledged per sub-window, and a retransmit of the whole batch must
 // re-ack every sub-window without re-enqueuing any of them (the old
-// batch-split path never acked and re-enqueued every retransmit).
+// batch-split path never acked and re-enqueued every retransmit). The
+// acks of one packet reach the transport in one SendBatch call, and a
+// transport that refuses them is counted, not ignored.
 func TestReliableBatchAckedPerSubWindow(t *testing.T) {
 	lb := newLoopback(t)
 	cfg := testConfig(t, 4)
@@ -99,6 +103,19 @@ func TestReliableBatchAckedPerSubWindow(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["host.b.duplicates_dropped"]; got != 3 {
 		t.Errorf("duplicates_dropped = %d, want 3 (one per retransmitted sub-window)", got)
+	}
+	if !reflect.DeepEqual(lb.calls, []int{3, 3}) {
+		t.Errorf("acks left in SendBatch calls of %v packets, want one call of 3 per received packet", lb.calls)
+	}
+
+	lb.fail = errors.New("transport down")
+	recv.Receive(lb, &netsim.Packet{Dst: "b", Data: pkt}, "s1")
+	snap := reg.Snapshot()
+	if got := snap.Counters["host.b.ack_send_errors"]; got != 1 {
+		t.Errorf("ack_send_errors = %d after the transport refused a packet's acks, want 1", got)
+	}
+	if got := snap.Counters["host.b.packets_sent"]; got != 0 {
+		t.Errorf("packets_sent = %d: acks are not application packets", got)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ncl/internal/ncp"
-	"ncl/internal/netsim"
 )
 
 // Reliable window delivery — the optional extension over the paper's §6
@@ -177,9 +176,6 @@ func (h *Host) OutReliable(inv Invocation, arrays [][]uint64, opts ReliableOptio
 	h.ackMu.Unlock()
 
 	sc := h.getScratch()
-	if bs, ok := h.send.(netsim.BatchSender); ok {
-		sc.bs = bs
-	}
 	var (
 		next     int                            // lowest sequence never transmitted
 		inflight = make([]uint32, 0, window)    // transmitted, not yet seen done
@@ -194,15 +190,14 @@ func (h *Host) OutReliable(inv Invocation, arrays [][]uint64, opts ReliableOptio
 			s.timer.Stop()
 		}
 		h.met.inflight.Add(-int64(len(inflight)))
-		sc.bs = nil
-		h.putScratch(sc)
+		h.putScratch(sc, nil) // every burst was flushed when it was sent
 	}()
 
 	for {
 		// One step under the lock: retire finished windows, re-arm the
 		// overdue ones and admit as many new ones as the window allows.
 		// The transport is called after the lock is dropped — the loopback
-		// transport delivers acks re-entrantly inside Send.
+		// transport delivers acks re-entrantly inside SendBatch.
 		was := len(inflight)
 		burst = burst[:0]
 		h.ackMu.Lock()
@@ -262,10 +257,8 @@ func (h *Host) OutReliable(inv Invocation, arrays [][]uint64, opts ReliableOptio
 				break
 			}
 		}
-		if sc.bs != nil {
-			if err := h.flushSendQueue(sc); sendErr == nil {
-				sendErr = err
-			}
+		if err := h.flushSendQueue(sc); sendErr == nil {
+			sendErr = err
 		}
 		if sendErr != nil {
 			h.ackMu.Lock()
@@ -375,14 +368,14 @@ func (h *Host) closeSends() {
 	h.ackMu.Unlock()
 }
 
-// sendAck emits an acknowledgment for a received reliable window. Called
+// sendAck queues an acknowledgment for a received reliable window. Called
 // only after the window was enqueued for the application (or recognized
 // as a duplicate of one that was) — acking a dropped window would lie to
 // the sender about delivery.
-func (h *Host) sendAck(hd *ncp.Header) {
+func (h *Host) sendAck(hd *ncp.Header, sc *sendScratch) error {
 	target, ok := h.cfg.HostLabels[hd.Sender]
 	if !ok {
-		return
+		return nil
 	}
 	ack := ncp.Header{
 		Flags:     ncp.FlagAck,
@@ -394,7 +387,9 @@ func (h *Host) sendAck(hd *ncp.Header) {
 		Wid:       hd.Wid,
 		FragCount: 1,
 	}
-	if pkt, err := ncp.Marshal(&ack, nil, nil); err == nil {
-		_ = h.transmit(target, pkt)
+	pkt, err := ncp.Marshal(&ack, nil, nil)
+	if err != nil {
+		return err
 	}
+	return h.queuePacket(target, pkt, sc)
 }

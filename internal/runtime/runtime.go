@@ -14,7 +14,10 @@
 // per-worker counter batching; the receive side shards reassembly and
 // duplicate-guard state per sender so concurrent upstream devices do not
 // serialize on one host-wide lock. SendWorkers=1 restores the serial,
-// deterministic send order.
+// deterministic send order. Everything a host sends — Out and OutReliable
+// bursts, a lone OutWindow, the acks of a received packet — queues in a
+// pooled sendScratch and leaves through the transport's one send,
+// netsim.Sender.SendBatch (flushSendQueue).
 package runtime
 
 import (
@@ -156,6 +159,7 @@ type hostMetrics struct {
 	decodeErrors    *obs.Counter // undecodable packets dropped
 	retransmits     *obs.Counter
 	staleAcks       *obs.Counter // late/duplicate acks ignored
+	ackSendErrors   *obs.Counter // received packets whose acks could not all be sent
 	tracedWindows   *obs.Counter
 	inflight        *obs.Gauge     // reliable windows in flight
 	ackRtt          *obs.Histogram // ack RTT of never-retransmitted windows, µs
@@ -178,6 +182,7 @@ func newHostMetrics(r *obs.Registry, p string) hostMetrics {
 		decodeErrors:    r.Counter(p + "decode_errors"),
 		retransmits:     r.Counter(p + "retransmits"),
 		staleAcks:       r.Counter(p + "stale_acks"),
+		ackSendErrors:   r.Counter(p + "ack_send_errors"),
 		tracedWindows:   r.Counter(p + "traced_windows"),
 		inflight:        r.Gauge(p + "reliable_inflight"),
 		ackRtt:          r.Histogram(p+"ack_rtt_us", nil),
@@ -314,12 +319,22 @@ func (h *Host) Receive(_ netsim.Sender, pkt *netsim.Packet, from string) {
 			(*sink)(hd, d.Hops)
 		}
 	}
-	// Acks are emitted outside the shard lock (transmit can block on a
+	// Acks are emitted outside the shard lock (the transport can block on a
 	// congested fabric) and only for windows that were enqueued or are
 	// confirmed duplicates of enqueued ones — never for overflow-dropped
-	// windows, which the sender must retransmit.
-	for i := range acks {
-		h.sendAck(&acks[i])
+	// windows, which the sender must retransmit. The acks of one packet
+	// leave in one transport call.
+	if len(acks) > 0 {
+		sc := h.getScratch()
+		var err error
+		for i := range acks {
+			if aerr := h.sendAck(&acks[i], sc); err == nil {
+				err = aerr
+			}
+		}
+		if h.putScratch(sc, err) != nil {
+			h.met.ackSendErrors.Inc()
+		}
 	}
 }
 
@@ -609,33 +624,49 @@ type Invocation struct {
 	User   map[string]uint64
 }
 
-// sendScratch is per-worker reusable send state: a pooled encode buffer,
-// a user-value scratch slice, and locally batched counter deltas flushed
-// once per worker chunk so the shared atomics aren't contended per
-// window. When bs is set (outRange over a batch-capable transport),
-// encoded packets queue in qTos/qPkts and leave in SendBatch groups of
-// sendFlushEvery instead of one transport call each.
+// sendScratch is per-sender reusable send state: a pooled encode buffer,
+// a user-value scratch slice, locally batched counter deltas flushed once
+// per owner so the shared atomics aren't contended per window, and the
+// queue every outgoing packet waits in (qTos/qPkts) until it leaves in a
+// SendBatch group of up to sendFlushEvery. The owner flushes the queue
+// before it waits for anything, and putScratch before the scratch is
+// pooled.
 type sendScratch struct {
 	payload []byte
 	user    []uint64
 	windows uint64
 	packets uint64
 
-	bs    netsim.BatchSender
 	qTos  []string
 	qPkts []*netsim.Packet
 }
 
-// sendFlushEvery is how many queued packets outRange accumulates before
+// sendFlushEvery is how many queued packets a scratch accumulates before
 // handing them to the transport in one SendBatch.
 const sendFlushEvery = 32
 
-// flushSendQueue hands all queued packets to the batch transport.
+// queuePacket queues one encoded packet toward dest, flushing when the
+// queue is full.
+func (h *Host) queuePacket(dest string, data []byte, sc *sendScratch) error {
+	hop, via, err := h.resolveHop(dest)
+	if err != nil {
+		return err
+	}
+	sc.qTos = append(sc.qTos, hop)
+	sc.qPkts = append(sc.qPkts, &netsim.Packet{Src: h.label, Dst: dest, Via: via, Data: data})
+	if len(sc.qPkts) >= sendFlushEvery {
+		return h.flushSendQueue(sc)
+	}
+	return nil
+}
+
+// flushSendQueue hands all queued packets to the transport: the one place
+// a packet leaves the host.
 func (h *Host) flushSendQueue(sc *sendScratch) error {
 	if len(sc.qPkts) == 0 {
 		return nil
 	}
-	err := sc.bs.SendBatch(h.label, sc.qTos, sc.qPkts)
+	err := h.send.SendBatch(h.label, sc.qTos, sc.qPkts)
 	for i := range sc.qPkts {
 		sc.qPkts[i] = nil
 	}
@@ -648,14 +679,12 @@ var sendPool = sync.Pool{New: func() any { return new(sendScratch) }}
 
 func (h *Host) getScratch() *sendScratch { return sendPool.Get().(*sendScratch) }
 
-// putScratch flushes the scratch's batched counters and returns it to
-// the pool.
-func (h *Host) putScratch(sc *sendScratch) {
-	h.flushScratch(sc)
-	sendPool.Put(sc)
-}
-
-func (h *Host) flushScratch(sc *sendScratch) {
+// putScratch flushes the scratch's queued packets and batched counters and
+// returns it to the pool. It returns err, or the flush error if err is nil.
+func (h *Host) putScratch(sc *sendScratch, err error) error {
+	if ferr := h.flushSendQueue(sc); err == nil {
+		err = ferr
+	}
 	if sc.windows > 0 {
 		h.met.windowsSent.Add(sc.windows)
 		sc.windows = 0
@@ -664,6 +693,8 @@ func (h *Host) flushScratch(sc *sendScratch) {
 		h.met.packetsSent.Add(sc.packets)
 		sc.packets = 0
 	}
+	sendPool.Put(sc)
+	return err
 }
 
 // userVals fills the scratch's user-value slice in wire order. The
@@ -742,8 +773,7 @@ func (h *Host) Out(inv Invocation, arrays [][]uint64) error {
 	}
 	if workers <= 1 {
 		sc := h.getScratch()
-		defer h.putScratch(sc)
-		return h.outRange(inv, wid, arrays, specs, 0, units, batch, windows, sc)
+		return h.putScratch(sc, h.outRange(inv, wid, arrays, specs, 0, units, batch, windows, sc))
 	}
 	var (
 		wg       sync.WaitGroup
@@ -761,8 +791,7 @@ func (h *Host) Out(inv Invocation, arrays [][]uint64) error {
 		go func(lo, hi int) {
 			defer wg.Done()
 			sc := h.getScratch()
-			defer h.putScratch(sc)
-			if err := h.outRange(inv, wid, arrays, specs, lo, hi, batch, windows, sc); err != nil {
+			if err := h.putScratch(sc, h.outRange(inv, wid, arrays, specs, lo, hi, batch, windows, sc)); err != nil {
 				errMu.Lock()
 				if firstErr == nil || lo < errUnit {
 					firstErr, errUnit = err, lo
@@ -775,27 +804,12 @@ func (h *Host) Out(inv Invocation, arrays [][]uint64) error {
 	return firstErr
 }
 
-// outRange encodes and transmits units [lo, hi) of one invocation:
-// single windows when batch <= 1, else multi-window packets of batch
-// consecutive windows (the trailing partial batch ships smaller). The
-// scratch provides the reusable encode buffer and counter batching.
-// Over a batch-capable transport the encoded packets leave in SendBatch
-// groups (per-destination order preserved) rather than one Send each.
+// outRange encodes and queues units [lo, hi) of one invocation: single
+// windows when batch <= 1, else multi-window packets of batch consecutive
+// windows (the trailing partial batch ships smaller). The scratch
+// provides the reusable encode buffer, counter batching and the send
+// queue; the caller's putScratch flushes what is still queued.
 func (h *Host) outRange(inv Invocation, wid uint32, arrays [][]uint64, specs []ncp.ParamSpec, lo, hi, batch, windows int, sc *sendScratch) error {
-	if bs, ok := h.send.(netsim.BatchSender); ok {
-		sc.bs = bs
-	}
-	err := h.outRangeSend(inv, wid, arrays, specs, lo, hi, batch, windows, sc)
-	if sc.bs != nil {
-		if ferr := h.flushSendQueue(sc); err == nil {
-			err = ferr
-		}
-		sc.bs = nil
-	}
-	return err
-}
-
-func (h *Host) outRangeSend(inv Invocation, wid uint32, arrays [][]uint64, specs []ncp.ParamSpec, lo, hi, batch, windows int, sc *sendScratch) error {
 	winData := make([][]uint64, len(specs))
 	winAt := func(seq int) [][]uint64 {
 		return windowSlices(winData, arrays, specs, h.cfg.WindowLen, seq)
@@ -823,7 +837,7 @@ func (h *Host) outRangeSend(inv Invocation, wid uint32, arrays [][]uint64, specs
 			}
 		}
 		sc.payload = payload
-		if err := h.sendBatch(inv, wid, uint32(seq), uint8(n), payload, sc); err != nil {
+		if err := h.sendPayload(inv, wid, uint32(seq), uint8(n), 0, payload, sc); err != nil {
 			return err
 		}
 	}
@@ -841,35 +855,6 @@ func windowSlices(dst, arrays [][]uint64, specs []ncp.ParamSpec, W, seq int) [][
 		}
 	}
 	return dst
-}
-
-// sendBatch transmits one multi-window packet.
-func (h *Host) sendBatch(inv Invocation, wid, firstSeq uint32, count uint8, payload []byte, sc *sendScratch) error {
-	kid, ok := h.cfg.KernelIDs[inv.Kernel]
-	if !ok {
-		return fmt.Errorf("runtime: kernel %q has no id", inv.Kernel)
-	}
-	hdr := ncp.Header{
-		KernelID:   kid,
-		WindowSeq:  firstSeq,
-		WindowLen:  uint16(h.cfg.WindowLen),
-		Sender:     h.id,
-		FromRole:   h.role,
-		Wid:        wid,
-		FragIdx:    0,
-		FragCount:  1,
-		BatchCount: count,
-	}
-	pkt, err := ncp.MarshalHops(&hdr, h.userVals(inv, sc), h.traceHops(int(count), kid), payload)
-	if err != nil {
-		return err
-	}
-	if err := h.transmitSc(inv.Dest, pkt, sc); err != nil {
-		return err
-	}
-	sc.windows += uint64(count)
-	sc.packets++
-	return nil
 }
 
 // traceHops advances the sent-window counter by count and, when trace
@@ -931,7 +916,8 @@ func (h *Host) OutWindow(inv Invocation, wid, seq uint32, winData [][]uint64) er
 	if err := h.checkUserFields(inv); err != nil {
 		return err
 	}
-	return h.sendWindow(inv, wid, seq, winData, specs)
+	sc := h.getScratch()
+	return h.putScratch(sc, h.sendWindowScratch(inv, wid, seq, winData, specs, 0, sc))
 }
 
 // NewWid allocates a fresh invocation id for OutWindow sequences.
@@ -947,23 +933,9 @@ func (h *Host) outSpecs(kernel string) ([]ncp.ParamSpec, error) {
 	return specs, nil
 }
 
-// sendWindow transmits one window with fresh pooled scratch and
-// immediate metric flush (the one-shot path; hot loops hold a scratch
-// across windows via sendWindowScratch).
-func (h *Host) sendWindow(inv Invocation, wid, seq uint32, winData [][]uint64, specs []ncp.ParamSpec) error {
-	sc := h.getScratch()
-	defer h.putScratch(sc)
-	return h.sendWindowScratch(inv, wid, seq, winData, specs, 0, sc)
-}
-
-// sendWindowScratch encodes and transmits one window using the given
-// scratch. Oversized payloads fragment at the MTU — except reliable
-// windows (FlagAckRequest), which must fit one packet.
+// sendWindowScratch encodes one window into the given scratch and queues
+// it as a lone window.
 func (h *Host) sendWindowScratch(inv Invocation, wid, seq uint32, winData [][]uint64, specs []ncp.ParamSpec, flags uint8, sc *sendScratch) error {
-	kid, ok := h.cfg.KernelIDs[inv.Kernel]
-	if !ok {
-		return fmt.Errorf("runtime: kernel %q has no id", inv.Kernel)
-	}
 	for pi, sp := range specs {
 		if len(winData[pi]) != sp.Elems {
 			return fmt.Errorf("runtime: window array %d has %d elements, kernel wants %d", pi, len(winData[pi]), sp.Elems)
@@ -974,58 +946,58 @@ func (h *Host) sendWindowScratch(inv Invocation, wid, seq uint32, winData [][]ui
 		return err
 	}
 	sc.payload = payload
-	userVals := h.userVals(inv, sc)
+	return h.sendPayload(inv, wid, seq, 0, flags, payload, sc)
+}
+
+// sendPayload is the one header/marshal/queue site: it sends the encoded
+// payload of a lone window (batch 0) or of a multi-window packet of batch
+// consecutive windows starting at seq (§4.2). Only a lone window may
+// exceed the MTU: it fragments (§6's multi-packet extension) — unless it
+// is reliable (FlagAckRequest), which must fit one packet.
+func (h *Host) sendPayload(inv Invocation, wid, seq uint32, batch, flags uint8, payload []byte, sc *sendScratch) error {
+	kid, ok := h.cfg.KernelIDs[inv.Kernel]
+	if !ok {
+		return fmt.Errorf("runtime: kernel %q has no id", inv.Kernel)
+	}
 	hdr := ncp.Header{
-		Flags:     flags,
-		KernelID:  kid,
-		WindowSeq: seq,
-		WindowLen: uint16(h.cfg.WindowLen),
-		Sender:    h.id,
-		FromRole:  h.role,
-		Wid:       wid,
+		Flags:      flags,
+		KernelID:   kid,
+		WindowSeq:  seq,
+		WindowLen:  uint16(h.cfg.WindowLen),
+		Sender:     h.id,
+		FromRole:   h.role,
+		Wid:        wid,
+		BatchCount: batch,
 	}
+	userVals := h.userVals(inv, sc)
+	hops := h.traceHops(int(batch), kid)
 
-	hops := h.traceHops(1, kid)
-
-	// Single-packet fast path (the §6 prototype scope), else fragment.
-	if len(payload) <= h.cfg.MTU {
-		hdr.FragIdx, hdr.FragCount = 0, 1
-		pkt, err := ncp.MarshalHops(&hdr, userVals, hops, payload)
-		if err != nil {
-			return err
+	frags, mtu := 1, h.cfg.MTU
+	if batch == 0 && len(payload) > mtu {
+		if flags&ncp.FlagAckRequest != 0 {
+			return fmt.Errorf("runtime: reliable windows must fit one packet (payload %dB > MTU %dB)", len(payload), mtu)
 		}
-		if err := h.transmitSc(inv.Dest, pkt, sc); err != nil {
-			return err
+		if frags = (len(payload) + mtu - 1) / mtu; frags > 0xFFFF {
+			return fmt.Errorf("runtime: window needs %d fragments", frags)
 		}
-		sc.windows++
-		sc.packets++
-		return nil
 	}
-	if flags&ncp.FlagAckRequest != 0 {
-		return fmt.Errorf("runtime: reliable windows must fit one packet (payload %dB > MTU %dB)", len(payload), h.cfg.MTU)
-	}
-	frags := (len(payload) + h.cfg.MTU - 1) / h.cfg.MTU
-	if frags > 0xFFFF {
-		return fmt.Errorf("runtime: window needs %d fragments", frags)
-	}
+	hdr.FragCount = uint16(frags)
 	for i := 0; i < frags; i++ {
-		lo := i * h.cfg.MTU
-		hi := lo + h.cfg.MTU
-		if hi > len(payload) {
-			hi = len(payload)
+		part := payload
+		if frags > 1 {
+			part = payload[i*mtu : min((i+1)*mtu, len(payload))]
 		}
-		fh := hdr
-		fh.FragIdx, fh.FragCount = uint16(i), uint16(frags)
-		pkt, err := ncp.MarshalHops(&fh, userVals, hops, payload[lo:hi])
+		hdr.FragIdx = uint16(i)
+		pkt, err := ncp.MarshalHops(&hdr, userVals, hops, part)
 		if err != nil {
 			return err
 		}
-		if err := h.transmitSc(inv.Dest, pkt, sc); err != nil {
+		if err := h.queuePacket(inv.Dest, pkt, sc); err != nil {
 			return err
 		}
 		sc.packets++
 	}
-	sc.windows++
+	sc.windows += uint64(max(1, batch))
 	return nil
 }
 
@@ -1068,35 +1040,6 @@ func (h *Host) resolveHop(dest string) (hop, via string, err error) {
 		}
 	}
 	return hop, via, nil
-}
-
-func (h *Host) transmit(dest string, data []byte) error {
-	hop, via, err := h.resolveHop(dest)
-	if err != nil {
-		return err
-	}
-	return h.send.Send(h.label, hop, &netsim.Packet{Src: h.label, Dst: dest, Via: via, Data: data})
-}
-
-// transmitSc is transmit with scratch-local send batching: when the
-// scratch carries a batch transport (outRange and OutReliable set sc.bs),
-// the packet queues and leaves with the next SendBatch group; the owner
-// flushes the queue before it waits or returns. Acks go through transmit
-// directly.
-func (h *Host) transmitSc(dest string, data []byte, sc *sendScratch) error {
-	if sc.bs == nil {
-		return h.transmit(dest, data)
-	}
-	hop, via, err := h.resolveHop(dest)
-	if err != nil {
-		return err
-	}
-	sc.qTos = append(sc.qTos, hop)
-	sc.qPkts = append(sc.qPkts, &netsim.Packet{Src: h.label, Dst: dest, Via: via, Data: data})
-	if len(sc.qPkts) >= sendFlushEvery {
-		return h.flushSendQueue(sc)
-	}
-	return nil
 }
 
 // checkUserFields rejects invocation window-field values that do not

@@ -25,6 +25,8 @@ type loopbackSender struct {
 	mu    sync.Mutex
 	nodes map[string]netsim.Node
 	sent  []*netsim.Packet
+	calls []int // packets per SendBatch call
+	fail  error // when set, SendBatch sends nothing and returns it
 }
 
 func newLoopback(t testing.TB) *loopbackSender {
@@ -37,13 +39,22 @@ func newLoopback(t testing.TB) *loopbackSender {
 }
 
 func (l *loopbackSender) Network() *and.Network { return l.net }
-func (l *loopbackSender) Send(from, to string, pkt *netsim.Packet) error {
+func (l *loopbackSender) SendBatch(from string, _ []string, pkts []*netsim.Packet) error {
 	l.mu.Lock()
-	l.sent = append(l.sent, pkt)
-	node := l.nodes[pkt.Dst] // deliver straight to the destination
+	l.calls = append(l.calls, len(pkts))
+	fail := l.fail
 	l.mu.Unlock()
-	if node != nil {
-		node.Receive(l, pkt, from)
+	if fail != nil {
+		return fail
+	}
+	for _, pkt := range pkts {
+		l.mu.Lock()
+		l.sent = append(l.sent, pkt)
+		node := l.nodes[pkt.Dst] // deliver straight to the destination
+		l.mu.Unlock()
+		if node != nil {
+			node.Receive(l, pkt, from)
+		}
 	}
 	return nil
 }

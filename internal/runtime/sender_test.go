@@ -23,11 +23,16 @@ type dropSender struct {
 	drop func(hd *ncp.Header) bool
 }
 
-func (d *dropSender) Send(from, to string, pkt *netsim.Packet) error {
-	if hd, _, _, err := ncp.Decode(pkt.Data); err == nil && d.drop(hd) {
-		return nil
+func (d *dropSender) SendBatch(from string, tos []string, pkts []*netsim.Packet) error {
+	var keptTos []string
+	var kept []*netsim.Packet
+	for i, pkt := range pkts {
+		if hd, _, _, err := ncp.Decode(pkt.Data); err == nil && d.drop(hd) {
+			continue
+		}
+		keptTos, kept = append(keptTos, tos[i]), append(kept, pkt)
 	}
-	return d.loopbackSender.Send(from, to, pkt)
+	return d.loopbackSender.SendBatch(from, keptTos, kept)
 }
 
 // firstAttemptsOf returns a loss rule dropping the first transmission of
@@ -284,10 +289,6 @@ type rangeAcker struct {
 }
 
 func (r *rangeAcker) Network() *and.Network { return r.net }
-
-func (r *rangeAcker) Send(from, to string, pkt *netsim.Packet) error {
-	return r.SendBatch(from, []string{to}, []*netsim.Packet{pkt})
-}
 
 func (r *rangeAcker) SendBatch(from string, tos []string, pkts []*netsim.Packet) error {
 	r.peakGorts = max(r.peakGorts, gort.NumGoroutine())

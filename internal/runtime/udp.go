@@ -27,10 +27,10 @@ import (
 // The conn/addr tables are immutable once the sockets are bound, so the
 // send hot path reads them through an atomically-published snapshot
 // (udpView) instead of taking a mutex per packet; Stop publishes a
-// closed view before closing the sockets. SendBatch queues a burst of
-// frames and hands them to the kernel in one sendmmsg on Linux (one
-// syscall for the whole batch), falling back to a WriteToUDP loop
-// elsewhere.
+// closed view before closing the sockets. SendBatch — the only send; one
+// packet is a batch of one — queues a burst of frames and hands them to
+// the kernel in one sendmmsg on Linux (one syscall for the whole batch),
+// falling back to a WriteToUDP loop elsewhere.
 type UDPNet struct {
 	network *and.Network
 
@@ -48,7 +48,7 @@ type UDPNet struct {
 	frameErrs, sendErrs *obs.Counter
 }
 
-// udpView is the immutable state Send needs per packet. A fresh view is
+// udpView is the immutable state a send needs per packet. A fresh view is
 // published at bind time and again (closed=true) at Stop; readers never
 // see a partially-updated table.
 type udpView struct {
@@ -171,29 +171,9 @@ func (u *UDPNet) sendView(from, to string) (*net.UDPConn, *net.UDPAddr, error) {
 	return conn, addr, nil
 }
 
-// Send implements netsim.Sender over UDP.
-func (u *UDPNet) Send(from, to string, pkt *netsim.Packet) (err error) {
-	defer func() {
-		if err != nil {
-			u.sendErrs.Inc()
-		}
-	}()
-	conn, addr, err := u.sendView(from, to)
-	if err != nil {
-		return err
-	}
-	// WriteToUDP copies the frame into the kernel before returning, so
-	// the buffer can be pooled across sends.
-	bufp := framePool.Get().(*[]byte)
-	frame, err := appendFrame((*bufp)[:0], from, pkt)
-	if err != nil {
-		framePool.Put(bufp)
-		return err
-	}
-	*bufp = frame
-	_, err = conn.WriteToUDP(frame, addr)
-	framePool.Put(bufp)
-	return err
+// Send transmits one packet: a batch of one.
+func (u *UDPNet) Send(from, to string, pkt *netsim.Packet) error {
+	return u.SendBatch(from, []string{to}, []*netsim.Packet{pkt})
 }
 
 // batchScratch is the reusable frame queue of one SendBatch call.
@@ -218,9 +198,10 @@ func (b *batchScratch) release() {
 	batchPool.Put(b)
 }
 
-// SendBatch implements netsim.BatchSender over UDP: all frames are
-// encoded into pooled buffers first, then handed to the kernel in one
-// sendmmsg per run on Linux (WriteToUDP loop elsewhere). All packets
+// SendBatch implements netsim.Sender over UDP: all frames are encoded into
+// pooled buffers first (the kernel copies a frame before the call
+// returns, so the buffers are pooled across sends), then handed to the
+// kernel in one sendmmsg per run on Linux (WriteToUDP loop elsewhere). All packets
 // share one source node, so one socket carries the whole batch. A packet
 // that cannot be framed or addressed does not stop the batch: every
 // deliverable packet is sent and the errors come back joined.

@@ -11,7 +11,7 @@ import (
 )
 
 // frameCapture is a transport that keeps what a UDPNet would put on the
-// wire: every packet framed exactly as UDPNet.Send frames it.
+// wire: every packet framed exactly as UDPNet.SendBatch frames it.
 type frameCapture struct {
 	net    *and.Network
 	pkts   []*netsim.Packet
@@ -19,13 +19,15 @@ type frameCapture struct {
 }
 
 func (c *frameCapture) Network() *and.Network { return c.net }
-func (c *frameCapture) Send(from, to string, pkt *netsim.Packet) error {
-	frame, err := appendFrame(nil, from, pkt)
-	if err != nil {
-		return err
+func (c *frameCapture) SendBatch(from string, _ []string, pkts []*netsim.Packet) error {
+	for _, pkt := range pkts {
+		frame, err := appendFrame(nil, from, pkt)
+		if err != nil {
+			return err
+		}
+		c.pkts = append(c.pkts, pkt)
+		c.frames = append(c.frames, frame)
 	}
-	c.pkts = append(c.pkts, pkt)
-	c.frames = append(c.frames, frame)
 	return nil
 }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # How much mechanism the repo carries, one line per ROADMAP metric. Prints
 # the non-test line count of internal/{netsim,core,pisa,runtime} (7545
-# before the one-packet-path change), the same count for
+# before the one-packet-path change, 7225 before the one-send-path change,
+# 7026 after it), the same count for
 # internal/controller and for internal/ncl/hostgen (the host-plan compiler
 # Host.In runs on: data-path mechanism that lives outside the four counted
 # directories), the number of exported names of the ncl facade, and — the
