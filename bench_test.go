@@ -157,8 +157,10 @@ func BenchmarkReliableLossy(b *testing.B) {
 // (pisa.Reference) against the compiled execution plan on the Fig. 4
 // kernel (the plan's ≥2x claim, DESIGN.md §5.9). The batch-of-1
 // variant is the entry point the SwitchNode data plane uses, in its
-// degenerate case; -benchmem shows the pooled scratch keeping the plan
-// paths allocation-flat.
+// degenerate case, where taking the kernel's lock set is a fifth of the
+// time; batch64 is one lock set per 64 windows, what the benchmark's
+// pisa.exec_ns_per_window probe times. -benchmem shows the pooled scratch
+// keeping the plan paths allocation-flat. ns/op is per window in every row.
 func BenchmarkSwitchExec(b *testing.B) {
 	art, err := bench.BuildAllReduce(2, 256, 8)
 	if err != nil {
@@ -219,6 +221,109 @@ func BenchmarkSwitchExec(b *testing.B) {
 			if job[0].Err != nil {
 				b.Fatal(job[0].Err)
 			}
+		}
+	})
+	b.Run("compiled-batch64", func(b *testing.B) {
+		sw := pisa.NewSwitch(art.Target)
+		if err := sw.Load(prog); err != nil {
+			b.Fatal(err)
+		}
+		if err := sw.WriteRegister("nworkers", 0, 1); err != nil {
+			b.Fatal(err)
+		}
+		jobs := make([]pisa.BatchJob, 64)
+		for j := range jobs {
+			jobs[j].Data = [][]uint64{make([]uint64, 8)}
+		}
+		execBatches(b, sw, kern.ID, jobs, prog.LocID)
+	})
+}
+
+// execBatches runs b.N windows through ExecWindowBatch, len(jobs) at a time.
+func execBatches(b *testing.B, sw *pisa.Switch, kernel uint32, jobs []pisa.BatchJob, loc uint32) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += len(jobs) {
+		batch := jobs[:min(len(jobs), b.N-done)]
+		if err := sw.ExecWindowBatch(kernel, batch, loc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	for j := range jobs {
+		if jobs[j].Err != nil {
+			b.Fatal(jobs[j].Err)
+		}
+	}
+}
+
+// BenchmarkSwitchExecKVS is the same pair on the Fig. 5 cache's GET-hit
+// path (a table lookup, a predicated SALU read per value byte and a
+// reflect), warmed through the kernel's own update path: the oracle one
+// window per call, the plan in 64-window batches as the benchmark's
+// pisa.kvs_hit_ns_per_window probe runs it. ns/op is per window.
+func BenchmarkSwitchExecKVS(b *testing.B) {
+	const cached, valBytes, server, client = 64, 16, 1, 2
+	art, err := core.Build(bench.KVSNCL(cached, valBytes), bench.KVSAND,
+		core.BuildOptions{WindowLen: valBytes, ModuleName: "kvs"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := art.Programs["s1"]
+	kid := prog.KernelByName("query").ID
+	warm := func(b *testing.B, dev interface {
+		Load(*pisa.Program) error
+		InstallEntry(string, uint64, uint64) error
+		ExecWindow(uint32, *interp.Window) (interp.Decision, error)
+	}) {
+		if err := dev.Load(prog); err != nil {
+			b.Fatal(err)
+		}
+		for k := uint64(0); k < cached; k++ {
+			if err := dev.InstallEntry("Idx", k, k); err != nil {
+				b.Fatal(err)
+			}
+			val := make([]uint64, valBytes)
+			for i := range val {
+				val[i] = (k + uint64(i)) & 0x7F
+			}
+			update := &interp.Window{Data: [][]uint64{{k}, val, {1}}, Meta: map[string]uint64{"from": server, "len": valBytes}}
+			if _, err := dev.ExecWindow(kid, update); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	hit := func(b *testing.B, key uint64, dec interp.Decision, val []uint64) {
+		if dec.Kind != interp.Reflect || val[1] != (key+1)&0x7F {
+			b.Fatalf("GET of cached key %d did not hit: %+v %v", key, dec, val)
+		}
+	}
+	b.Run("reference", func(b *testing.B) {
+		ref := pisa.NewReference(art.Target)
+		warm(b, ref)
+		win := &interp.Window{Data: [][]uint64{{0}, make([]uint64, valBytes), {0}}, Meta: map[string]uint64{"from": client, "len": valBytes}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			win.Data[0][0] = uint64(i % cached)
+			dec, err := ref.ExecWindow(kid, win)
+			if err != nil {
+				b.Fatal(err)
+			}
+			hit(b, win.Data[0][0], dec, win.Data[1])
+		}
+	})
+	b.Run("compiled", func(b *testing.B) {
+		sw := pisa.NewSwitch(art.Target)
+		warm(b, sw)
+		jobs := make([]pisa.BatchJob, 64)
+		for j := range jobs {
+			jobs[j].Data = [][]uint64{{uint64(j % cached)}, make([]uint64, valBytes), {0}}
+			jobs[j].Meta = pisa.WindowMeta{Len: valBytes, From: client}
+		}
+		execBatches(b, sw, kid, jobs, prog.LocID)
+		for j := range jobs[:min(len(jobs), b.N)] {
+			hit(b, uint64(j%cached), jobs[j].Dec, jobs[j].Data[1])
 		}
 	})
 }

@@ -24,8 +24,7 @@ type Switch struct {
 	plan atomic.Pointer[plan]
 	met  atomic.Pointer[pisaMetrics]
 
-	loadMu  sync.Mutex // serializes Load (plan construction + swap)
-	scratch sync.Pool  // *execScratch
+	loadMu sync.Mutex // serializes Load (plan construction + swap)
 
 	// obsMu guards the registry/label SetObs stored so Load can rebuild
 	// the metrics struct when a merged program brings new tenants.
@@ -34,18 +33,22 @@ type Switch struct {
 	obsLabel string
 }
 
-// execScratch is the pooled per-batch working set: the PHV and one
-// persistent stage-input snapshot buffer.
+// execScratch is one kernel's pooled per-batch working set: the value file
+// (kernelPlan.image) and the batch's counter deltas, which execBatch
+// publishes once per call instead of once per window, pass and stage.
 type execScratch struct {
-	phv  []uint64
-	snap []uint64
+	vals []uint64
+
+	passes, tableHits, tableMisses, dupSuppressed uint64
+	stageExecs                                    []uint64 // by position in the pass
+	shadowSlots                                   int      // after the batch's last admission; -1: none
 }
 
 // pisaMetrics caches the device's registry handles, named
 // pisa.<label>.*. Stage counters are indexed by the stage's position in
 // its pass (sized to the target's stage budget at SetObs time). The
 // struct is published through an atomic pointer and every handle is
-// itself atomic, so the hot path updates metrics without any lock.
+// itself atomic, so a batch publishes its counts without any lock.
 type pisaMetrics struct {
 	windows       *obs.Counter // pisa.<label>.windows
 	passes        *obs.Counter // pisa.<label>.passes
@@ -319,20 +322,38 @@ func normalize(v uint64, bits int, signed bool) uint64 {
 	return v & types.TruncMask(bits)
 }
 
-// getScratch returns a scratch sized for n fields (execBatch zeroes the
-// PHV per window).
-func (sw *Switch) getScratch(n int) *execScratch {
-	s, _ := sw.scratch.Get().(*execScratch)
-	if s == nil {
-		s = &execScratch{}
+// getScratch returns a pooled scratch for the kernel, or a fresh one whose
+// value file starts as the plan's image (execBatch resets only the fields).
+func (kp *kernelPlan) getScratch() *execScratch {
+	if s, _ := kp.scratch.Get().(*execScratch); s != nil {
+		return s
 	}
-	if cap(s.phv) < n {
-		s.phv = make([]uint64, n)
-		s.snap = make([]uint64, n)
+	return &execScratch{
+		vals:        append([]uint64(nil), kp.image...),
+		stageExecs:  make([]uint64, kp.maxStages),
+		shadowSlots: -1,
 	}
-	s.phv = s.phv[:n]
-	s.snap = s.snap[:n]
-	return s
+}
+
+// publish adds the batch's counter deltas to the registry and zeroes them.
+func (s *execScratch) publish(met *pisaMetrics) {
+	flush := func(c *obs.Counter, n *uint64) {
+		if *n != 0 {
+			c.Add(*n)
+			*n = 0
+		}
+	}
+	flush(met.passes, &s.passes)
+	flush(met.tableHits, &s.tableHits)
+	flush(met.tableMisses, &s.tableMisses)
+	flush(met.dupSuppressed, &s.dupSuppressed)
+	for si := range s.stageExecs {
+		flush(met.stageExecs[si], &s.stageExecs[si])
+	}
+	if s.shadowSlots >= 0 {
+		met.shadowSlots.Set(int64(s.shadowSlots))
+		s.shadowSlots = -1
+	}
 }
 
 // WindowMeta carries per-window metadata bound through the kernel plan's
@@ -440,57 +461,44 @@ func (sw *Switch) execBatch(pl *plan, kp *kernelPlan, jobs []BatchJob, loc uint3
 			c.Add(uint64(len(jobs)))
 		}
 	}
-	s := sw.getScratch(kp.numFields)
-	defer sw.scratch.Put(s)
+	// Deferred in reverse: unlock, publish the batch's counts, pool the scratch.
+	s := kp.getScratch()
+	defer kp.scratch.Put(s)
+	defer s.publish(met)
 	kp.lockState()
 	defer kp.unlockState()
+	phv := s.vals[:kp.numFields]
 	for i := range jobs {
 		j := &jobs[i]
-		for k := range s.phv {
-			s.phv[k] = 0
-		}
-		if err := kp.parse(j.Data, s.phv); err != nil {
+		clear(phv)
+		if err := kp.parse(j.Data, phv); err != nil {
 			j.Err = err
 			continue
 		}
+		builtin := [metaUser0]uint64{j.Meta.Seq, j.Meta.Len, j.Meta.From, j.Meta.Sender, j.Meta.Wid}
 		for _, mb := range kp.metaBind {
 			var v uint64
-			switch mb.src {
-			case metaSeq:
-				v = j.Meta.Seq
-			case metaLen:
-				v = j.Meta.Len
-			case metaFrom:
-				v = j.Meta.From
-			case metaSender:
-				v = j.Meta.Sender
-			case metaWid:
-				v = j.Meta.Wid
-			case metaMissing:
-				v = 0
-			default:
-				if ui := mb.src - metaUser0; ui < len(j.Meta.User) {
-					v = j.Meta.User[ui]
-				}
+			if mb.src < metaUser0 {
+				v = builtin[mb.src]
+			} else if ui := mb.src - metaUser0; ui < len(j.Meta.User) {
+				v = j.Meta.User[ui]
 			}
-			s.phv[mb.f] = normalize(v, mb.bits, mb.signed)
+			phv[mb.f] = mb.norm.apply(v)
 		}
 		if kp.locField != NoField {
-			s.phv[kp.locField] = uint64(loc)
+			phv[kp.locField] = uint64(loc)
 		}
 		// Exactly-once admission: a fresh window (or a recycled slot)
 		// executes normally; a duplicate executes with its state-mutating
 		// SALUs suppressed.
 		fresh, suppress := false, false
 		if j.Meta.ExactlyOnce {
-			var size int
-			fresh, size = pl.shadow.admit(kp.tenant, j.Meta.Seq, j.Meta.Sender, j.Meta.Wid)
-			met.shadowSlots.Set(int64(size))
+			fresh, s.shadowSlots = pl.shadow.admit(kp.tenant, j.Meta.Seq, j.Meta.Sender, j.Meta.Wid)
 			if suppress = !fresh; suppress {
-				met.dupSuppressed.Inc()
+				s.dupSuppressed++
 			}
 		}
-		if err := kp.execPasses(met, s, suppress); err != nil {
+		if err := kp.execPasses(s, suppress); err != nil {
 			if fresh {
 				// Roll the admission back: the retransmit must be allowed to
 				// apply.
@@ -499,8 +507,8 @@ func (sw *Switch) execBatch(pl *plan, kp *kernelPlan, jobs []BatchJob, loc uint3
 			j.Err = err
 			continue
 		}
-		kp.deparse(j.Data, s.phv)
-		j.Dec = kp.decision(pl, s.phv)
+		kp.deparse(j.Data, phv)
+		j.Dec = kp.decision(pl, phv)
 		j.Dec.Suppressed = suppress
 	}
 }
@@ -510,97 +518,4 @@ func boolBit(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// evalAction evaluates one VLIW op against the stage snapshot. dstBits is
-// the destination field width, which scopes shift counts the way the IR's
-// type widths do.
-func evalAction(op ActionOp, snap []uint64, dstBits int) (uint64, error) {
-	switch op.Op {
-	case "mov":
-		return readOperand(op.A, snap), nil
-	case "not":
-		if readOperand(op.A, snap) == 0 {
-			return 1, nil
-		}
-		return 0, nil
-	case "csel":
-		if readOperand(op.C, snap) != 0 {
-			return readOperand(op.A, snap), nil
-		}
-		return readOperand(op.B, snap), nil
-	case "hash":
-		return uint64(interp.BloomBit(readOperand(op.A, snap), op.HashSeed, op.HashBits)), nil
-	}
-	return alu(op.Op, op.Signed, readOperand(op.A, snap), readOperand(op.B, snap), dstBits)
-}
-
-// alu implements the shared two-operand ALU for VLIW and SALU ops over
-// canonical 64-bit values. Division by zero yields zero (the documented
-// NCL runtime semantics); shifts mask their count to the operand width,
-// matching the IR's type-width shift semantics.
-func alu(op string, signed bool, a, b uint64, bits int) (uint64, error) {
-	shmask := uint64(bits - 1)
-	switch op {
-	case "add":
-		return a + b, nil
-	case "sub":
-		return a - b, nil
-	case "mul":
-		return a * b, nil
-	case "div":
-		if b == 0 {
-			return 0, nil
-		}
-		if signed {
-			return uint64(int64(a) / int64(b)), nil
-		}
-		return a / b, nil
-	case "mod":
-		if b == 0 {
-			return 0, nil
-		}
-		if signed {
-			return uint64(int64(a) % int64(b)), nil
-		}
-		return a % b, nil
-	case "and":
-		return a & b, nil
-	case "or":
-		return a | b, nil
-	case "xor":
-		return a ^ b, nil
-	case "shl":
-		return a << (b & shmask), nil
-	case "shr":
-		if signed {
-			return uint64(int64(a) >> (b & shmask)), nil
-		}
-		return (a & types.TruncMask(bits)) >> (b & shmask), nil
-	case "eq":
-		return boolBit(a == b), nil
-	case "ne":
-		return boolBit(a != b), nil
-	case "lt":
-		if signed {
-			return boolBit(int64(a) < int64(b)), nil
-		}
-		return boolBit(a < b), nil
-	case "gt":
-		if signed {
-			return boolBit(int64(a) > int64(b)), nil
-		}
-		return boolBit(a > b), nil
-	case "le":
-		if signed {
-			return boolBit(int64(a) <= int64(b)), nil
-		}
-		return boolBit(a <= b), nil
-	case "ge":
-		if signed {
-			return boolBit(int64(a) >= int64(b)), nil
-		}
-		return boolBit(a >= b), nil
-	}
-	return 0, fmt.Errorf("unknown ALU op %q", op)
 }

@@ -102,7 +102,8 @@ type Pred struct {
 // ActionOp is one VLIW action slot: Dst = Op(A, B[, C]). All operands read
 // the stage's input snapshot. Ops: mov, add, sub, mul, div, mod, and, or,
 // xor, shl, shr, not, eq, ne, lt, gt, le, ge, csel (C ? A : B), hash
-// (bloom/bucket hashing: Dst = BloomBit(A, HashSeed, HashBits)).
+// (bloom/bucket hashing: Dst = BloomBit(A, HashSeed, HashBits)). Validate
+// rejects any other name.
 type ActionOp struct {
 	Op       string
 	Signed   bool // signed variants of div/mod/shr/lt/gt/le/ge
@@ -151,8 +152,8 @@ func PhvOperand(f FieldRef) MOperand { return MOperand{Kind: MFromField, Field: 
 func ImmOperand(v uint64) MOperand { return MOperand{Kind: MFromConst, Const: v} }
 
 // MicroOp is one stateful-ALU micro-instruction: Dst = Op(A, B). Ops as in
-// ActionOp (minus hash/csel) plus "sel" (Dst = A if tmp-cond else B, with
-// the condition in C).
+// ActionOp (minus not/hash/csel) plus "sel" (Dst = A if tmp-cond else B,
+// with the condition in C).
 type MicroOp struct {
 	Op      string
 	Signed  bool
@@ -308,7 +309,7 @@ func (p *Program) Validate(t TargetConfig) error {
 	regStage := map[string]int{}
 	regBitsPerStage := map[int]int{}
 	for _, r := range p.Registers {
-		if r.Elems <= 0 || r.Bits <= 0 {
+		if r.Elems <= 0 || r.Bits <= 0 || r.Bits > 64 {
 			return fmt.Errorf("pisa: register %s has invalid shape", r.Name)
 		}
 		if _, dup := regStage[r.Name]; dup {
@@ -433,7 +434,16 @@ func (p *Program) validateKernel(k *Kernel, t TargetConfig, regStage map[string]
 					}
 				}
 				for _, mo := range sa.Prog {
+					if _, ok := microOpcodes[mo.Op]; !ok {
+						return fmt.Errorf("salu %s: unknown micro-op %q", sa.Global, mo.Op)
+					}
+					if mo.Dst < 0 || mo.Dst >= numMSlots {
+						return fmt.Errorf("salu %s micro-op writes slot %d of %d", sa.Global, mo.Dst, numMSlots)
+					}
 					for _, op := range []MOperand{mo.A, mo.B, mo.C} {
+						if op.Kind == MFromSlot && (op.Slot < 0 || op.Slot >= numMSlots) {
+							return fmt.Errorf("salu %s micro-op reads slot %d of %d", sa.Global, op.Slot, numMSlots)
+						}
 						if op.Kind == MFromField {
 							if err := checkRef(op.Field, "salu operand"); err != nil {
 								return err
@@ -441,11 +451,23 @@ func (p *Program) validateKernel(k *Kernel, t TargetConfig, regStage map[string]
 						}
 					}
 				}
+				if err := checkRef(sa.Out, "salu "+sa.Global+" out"); err != nil {
+					return err
+				}
 				if err := noteWrite(sa.Out, "salu "+sa.Global); err != nil {
 					return err
 				}
 			}
 			for _, op := range st.VLIW {
+				if _, ok := vliwOpcodes[op.Op]; !ok {
+					return fmt.Errorf("pass %d stage %d: unknown VLIW op %q", pi, si, op.Op)
+				}
+				if op.Op == "hash" && op.HashBits <= 0 {
+					return fmt.Errorf("pass %d stage %d: hash into %d buckets", pi, si, op.HashBits)
+				}
+				if op.Dst == NoField {
+					return fmt.Errorf("pass %d stage %d: vliw %s has no destination", pi, si, op.Op)
+				}
 				if err := checkRef(op.Dst, "vliw dst"); err != nil {
 					return err
 				}

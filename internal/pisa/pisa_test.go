@@ -150,6 +150,39 @@ func TestValidateViolations(t *testing.T) {
 		{"register sram over budget", mutate(func(p *Program) {
 			p.Registers[0].Elems = 1 << 30
 		}), "SRAM"},
+		{"register wider than a word", mutate(func(p *Program) {
+			p.Registers[0].Bits = 65
+		}), "invalid shape"},
+		{"unknown vliw op", mutate(func(p *Program) {
+			p.Kernels[0].Passes[0][1].VLIW[0].Op = "ad"
+		}), `unknown VLIW op "ad"`},
+		{"micro-op in a vliw slot", mutate(func(p *Program) {
+			p.Kernels[0].Passes[0][1].VLIW[0].Op = "sel"
+		}), `unknown VLIW op "sel"`},
+		{"unknown micro-op", mutate(func(p *Program) {
+			p.Kernels[0].Passes[0][0].SALUs[0].Prog[0].Op = "ad"
+		}), `unknown micro-op "ad"`},
+		{"vliw csel in a salu", mutate(func(p *Program) {
+			p.Kernels[0].Passes[0][0].SALUs[0].Prog[1].Op = "csel"
+		}), `unknown micro-op "csel"`},
+		{"vliw hash in a salu", mutate(func(p *Program) {
+			p.Kernels[0].Passes[0][0].SALUs[0].Prog[1].Op = "hash"
+		}), `unknown micro-op "hash"`},
+		{"micro-op writes outside the slot file", mutate(func(p *Program) {
+			p.Kernels[0].Passes[0][0].SALUs[0].Prog[1].Dst = numMSlots
+		}), "writes slot 6 of 6"},
+		{"micro-op reads outside the slot file", mutate(func(p *Program) {
+			p.Kernels[0].Passes[0][0].SALUs[0].Prog[1].A = SlotOperand(-1)
+		}), "reads slot -1 of 6"},
+		{"hash into no buckets", mutate(func(p *Program) {
+			p.Kernels[0].Passes[0][1].VLIW[0] = ActionOp{Op: "hash", Dst: 2, A: FieldOperand(3)}
+		}), "hash into 0 buckets"},
+		{"vliw without destination", mutate(func(p *Program) {
+			p.Kernels[0].Passes[0][1].VLIW[0].Dst = NoField
+		}), "no destination"},
+		{"salu out outside the phv", mutate(func(p *Program) {
+			p.Kernels[0].Passes[0][0].SALUs[0].Out = 99
+		}), "references field 99"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -163,6 +196,28 @@ func TestValidateViolations(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.frag)
 			}
 		})
+	}
+}
+
+// TestLoadRejectsUnknownOpcode: a misspelt or misplaced opcode is refused
+// where the program is loaded, on both engines — at the parent it loaded
+// and then failed every window with "unknown ALU op".
+func TestLoadRejectsUnknownOpcode(t *testing.T) {
+	for name, e := range map[string]engine{
+		"compiled":  NewSwitch(tinyTarget()),
+		"reference": NewReference(tinyTarget()),
+	} {
+		for _, p := range []*Program{
+			mutate(func(p *Program) { p.Kernels[0].Passes[0][1].VLIW[0].Op = "ad" }),
+			mutate(func(p *Program) { p.Kernels[0].Passes[0][0].SALUs[0].Prog[0].Op = "csel" }),
+		} {
+			if err := e.Load(p); err == nil || !strings.Contains(err.Error(), "unknown") {
+				t.Errorf("%s: Load = %v, want an unknown-opcode error", name, err)
+			}
+		}
+		if err := e.Load(handProgram()); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -303,8 +358,16 @@ func TestALUSemantics(t *testing.T) {
 		if got != c.want {
 			t.Errorf("alu(%s,signed=%v,%d,%d) = %#x, want %#x", c.op, c.signed, c.a, c.b, got, c.want)
 		}
+		// The plan's opcode ALU writes a field, so it sees the value at the
+		// field's width.
+		if got, want := planALU(c.op, c.signed, c.a, c.b, c.bits, c.signed), normalize(c.want, c.bits, c.signed); got != want {
+			t.Errorf("plan %s(signed=%v,%d,%d) = %#x, want %#x", c.op, c.signed, c.a, c.b, got, want)
+		}
 	}
 	if _, err := alu("frob", false, 1, 2, 32); err == nil {
 		t.Error("unknown op must error")
+	}
+	if _, ok := vliwOpcodes["frob"]; ok {
+		t.Error("unknown op must not intern")
 	}
 }

@@ -9,15 +9,15 @@ import (
 )
 
 // This file is the compile-at-load half of the device model. Load turns a
-// validated Program into a plan: every string-keyed lookup the old
-// tree-walker did per window (register name -> array, table name ->
-// entries, meta name -> field) is resolved once into dense indices and
-// pointer-carrying instruction slices, so the per-window executor touches
-// no maps and allocates nothing. State access is fine-grained: each
-// register array carries its own mutex and each match table an RWMutex
-// (control-plane installs vs. data-plane lookups); a batch takes exactly
-// the set its kernel can touch, so kernels on disjoint state never
-// contend.
+// validated Program into a plan: every name (register, table, meta field)
+// is resolved to a dense index, every opcode string is interned to a small
+// integer, and every operand — field, immediate or SALU micro slot — becomes
+// one index into the kernel's value file, so the per-window executor
+// compares no strings, touches no maps but the match tables, and allocates
+// nothing. State access is fine-grained: each register array carries its
+// own mutex and each match table an RWMutex (control-plane installs vs.
+// data-plane lookups); a batch takes exactly the set its kernel can touch,
+// so kernels on disjoint state never contend.
 
 // regArray is one register array's mutable state. The mutex scopes a
 // batch's SALU read-modify-writes and control-plane accesses; arrays are
@@ -50,11 +50,11 @@ type plan struct {
 	tableIdx   map[string]int
 	kernels    map[uint32]*kernelPlan
 	userFields []string     // NCP wire order for WindowMeta.User
-	maxFields  int          // widest kernel PHV, sizes pooled scratch
 	shadow     *shadowState // exactly-once duplicate filter (state, reset by Load)
 }
 
-// metaBind sources for the slot-bound fast path.
+// metaBind sources for the slot-bound fast path: an index into the
+// window's builtin values (execBatch), or metaUser0+i.
 const (
 	metaSeq = iota
 	metaLen
@@ -65,64 +65,140 @@ const (
 	metaUser0   // metaUser0+i reads WindowMeta.User[i]
 )
 
+var builtinMeta = map[string]int{"seq": metaSeq, "len": metaLen, "from": metaFrom, "sender": metaSender, "wid": metaWid}
+
+// norm is a destination's canonical form, precomputed from its (bits,
+// signed) as a shift pair: left by 64-bits, then back arithmetically
+// (sign-extend) or logically (truncate). Width 64 is the identity.
+type norm struct {
+	sh     uint8
+	signed bool
+}
+
+func normOf(bits int, signed bool) norm { return norm{uint8(64 - bits), signed} }
+
+func (n norm) apply(v uint64) uint64 {
+	if n.signed {
+		return uint64(int64(v<<(n.sh&63)) >> (n.sh & 63))
+	}
+	return v << (n.sh & 63) >> (n.sh & 63)
+}
+
+// opcode is an operation interned at Load from ActionOp.Op / MicroOp.Op.
+// Signedness is part of the opcode, so the executor branches on neither a
+// string nor a flag. Validate admits exactly the names in vliwOpcodes and
+// microOpcodes: a plan cannot hold an unknown operation.
+type opcode uint8
+
+const (
+	opMov opcode = iota
+	opNot
+	opSel // "csel" in a VLIW slot, "sel" in a SALU: C ? A : B
+	opHash
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opMod
+	opAnd
+	opOr
+	opXor
+	opShl
+	opShr
+	opEq
+	opNe
+	opLt
+	opGt
+	opLe
+	opGe
+	opDivS // signed variants, chosen when the op's Signed flag is set
+	opModS
+	opShrS
+	opLtS
+	opGtS
+	opLeS
+	opGeS
+)
+
+var (
+	aluOpcodes = map[string]opcode{
+		"add": opAdd, "sub": opSub, "mul": opMul, "div": opDiv, "mod": opMod,
+		"and": opAnd, "or": opOr, "xor": opXor, "shl": opShl, "shr": opShr,
+		"eq": opEq, "ne": opNe, "lt": opLt, "gt": opGt, "le": opLe, "ge": opGe,
+	}
+	signedOpcodes = map[opcode]opcode{
+		opDiv: opDivS, opMod: opModS, opShr: opShrS, opLt: opLtS, opGt: opGtS, opLe: opLeS, opGe: opGeS,
+	}
+	vliwOpcodes  = withALU(map[string]opcode{"mov": opMov, "not": opNot, "csel": opSel, "hash": opHash})
+	microOpcodes = withALU(map[string]opcode{"mov": opMov, "sel": opSel})
+)
+
+func withALU(unit map[string]opcode) map[string]opcode {
+	for name, op := range aluOpcodes {
+		unit[name] = op
+	}
+	return unit
+}
+
+// instr is one lowered VLIW op or SALU micro-op: v[dst] = norm(op(v[a],
+// v[b], v[c])) over the kernel's value file v (see kernelPlan.image).
+// Shift counts wrap at the destination width, which norm already carries.
+type instr struct {
+	op      opcode
+	norm    norm
+	dst     int32
+	a, b, c int32
+}
+
 // metaBind writes one window-metadata value into a PHV field without
 // consulting a name map.
 type metaBind struct {
-	src    int
-	f      FieldRef
-	bits   int
-	signed bool
+	src  int
+	f    FieldRef
+	norm norm
 }
 
 // paramPlan is one window parameter's ingest/deparse layout.
 type paramPlan struct {
 	name   string
 	elems  int
-	bits   int
-	signed bool
+	norm   norm
 	boolP  bool
 	fields []FieldRef
 }
 
-// tableInstr is one match-table access with its destination widths
-// resolved.
+// tableInstr is one match-table access: key is a value-file slot, hit and
+// val are pending slots (-1 when the table has no such output).
 type tableInstr struct {
-	tbl       *matTable
-	key       Operand
-	hit, val  FieldRef
-	hitBits   int
-	hitSigned bool
-	valBits   int
-	valSigned bool
+	tbl              *matTable
+	key, hit, val    int32
+	hitNorm, valNorm norm
 }
 
-// saluInstr is one stateful-ALU access bound to its register array.
+// saluInstr is one stateful-ALU access bound to its register array. Its
+// micro-program runs over the value file's micro slots at register width.
 type saluInstr struct {
-	reg       *regArray
-	name      string
-	index     Operand
-	pred      *Pred
-	prog      []MicroOp
-	out       FieldRef
-	outBits   int
-	outSigned bool
-	bits      int
-	signed    bool
-	mutates   bool // micro-program writes MReg: suppressed on duplicates
+	reg     *regArray
+	name    string
+	index   int32 // value-file slot of the element index
+	pred    int32 // field predicating the access, -1 when unconditional
+	negate  bool
+	mutates bool // micro-program writes MReg: suppressed on duplicates
+	prog    []instr
+	out     int32 // field receiving MOut, -1 when unused
+	outNorm norm
+	norm    norm // register width
 }
 
-// vliwInstr is one VLIW action slot with its destination width resolved.
-type vliwInstr struct {
-	op        ActionOp
-	dstBits   int
-	dstSigned bool
-}
-
-// stagePlan is one flattened match-action stage.
+// stagePlan is one flattened match-action stage. writes is its write set:
+// units write a field's pending slot, and the stage ends by committing
+// exactly these fields, so every unit read the stage-input values (the
+// VLIW parallel-read rule) without the PHV ever being copied.
 type stagePlan struct {
 	tables []tableInstr
 	salus  []saluInstr
-	vliw   []vliwInstr
+	vliw   []instr
+	writes []int32
 }
 
 // kernelPlan is one kernel's closure-free instruction stream.
@@ -138,6 +214,16 @@ type kernelPlan struct {
 	userFields    []string // wire order of WindowMeta.User (kernel override or program's)
 	tenant        uint32   // tenant slot from the kernel id (0 untenanted)
 	passes        [][]stagePlan
+	maxStages     int // longest pass, sizes the per-batch stage counters
+
+	// image is the initial value file, one uint64 per slot: the PHV fields
+	// [0,n), one pending slot per field [n,2n) (where a stage's units write),
+	// the SALU micro slots, then the interned constants at the tail. Only
+	// the fields are reset per window; scratch pools execScratch values that
+	// start as a copy of it.
+	image   []uint64
+	consts  map[uint64]int32 // immediate -> slot while lowering
+	scratch sync.Pool
 
 	// regsUsed/tablesUsed are the deduped state the kernel's instruction
 	// stream can touch, in plan-index order — the batch path's lock set
@@ -180,9 +266,6 @@ func compilePlan(p *Program) (*plan, error) {
 			return nil, fmt.Errorf("pisa: kernel %s: %w", k.Name, err)
 		}
 		pl.kernels[k.ID] = kp
-		if kp.numFields > pl.maxFields {
-			pl.maxFields = kp.numFields
-		}
 	}
 	return pl, nil
 }
@@ -198,21 +281,13 @@ func userFieldUnion(p *Program) []string {
 	var out []string
 	for _, k := range p.Kernels {
 		for name := range k.WinMeta {
-			switch name {
-			case "seq", "len", "from", "sender", "wid":
-				continue
-			}
-			if !seen[name] {
+			if _, builtin := builtinMeta[name]; !builtin && !seen[name] {
 				seen[name] = true
 				out = append(out, name)
 			}
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Strings(out)
 	return out
 }
 
@@ -225,6 +300,8 @@ func (pl *plan) compileKernel(k *Kernel) (*kernelPlan, error) {
 		fwdLabelField: k.FieldByName(FieldFwdLabel),
 		labels:        pl.labels,
 		tenant:        TenantSlotOfKernel(k.ID),
+		image:         make([]uint64, 2*len(k.Fields)+numMSlots),
+		consts:        map[uint64]int32{},
 	}
 	if k.Labels != nil {
 		kp.labels = k.Labels
@@ -237,26 +314,16 @@ func (pl *plan) compileKernel(k *Kernel) (*kernelPlan, error) {
 		kp.params = append(kp.params, paramPlan{
 			name:   p.Name,
 			elems:  p.Elems,
-			bits:   p.Bits,
-			signed: p.Signed,
+			norm:   normOf(p.Bits, p.Signed),
 			boolP:  p.Bool,
 			fields: p.Fields,
 		})
 	}
 	for name, f := range k.WinMeta {
-		mb := metaBind{f: f, bits: k.Fields[f].Bits, signed: k.Fields[f].Signed}
-		switch name {
-		case "seq":
-			mb.src = metaSeq
-		case "len":
-			mb.src = metaLen
-		case "from":
-			mb.src = metaFrom
-		case "sender":
-			mb.src = metaSender
-		case "wid":
-			mb.src = metaWid
-		default:
+		mb := metaBind{f: f, norm: kp.fieldNorm(f)}
+		if src, ok := builtinMeta[name]; ok {
+			mb.src = src
+		} else {
 			mb.src = metaMissing
 			for i, uf := range kp.userFields {
 				if uf == name {
@@ -270,16 +337,61 @@ func (pl *plan) compileKernel(k *Kernel) (*kernelPlan, error) {
 	for _, pass := range k.Passes {
 		var sps []stagePlan
 		for _, st := range pass {
-			sp, err := pl.compileStage(k, st)
+			sp, err := pl.compileStage(kp, st)
 			if err != nil {
 				return nil, err
 			}
 			sps = append(sps, sp)
 		}
 		kp.passes = append(kp.passes, sps)
+		kp.maxStages = max(kp.maxStages, len(sps))
 	}
+	kp.consts = nil // lowering is over
 	kp.collectState(pl)
 	return kp, nil
+}
+
+func (kp *kernelPlan) fieldNorm(f FieldRef) norm {
+	return normOf(kp.k.Fields[f].Bits, kp.k.Fields[f].Signed)
+}
+
+// konst interns an immediate at the value file's tail.
+func (kp *kernelPlan) konst(c uint64) int32 {
+	slot, ok := kp.consts[c]
+	if !ok {
+		slot = int32(len(kp.image))
+		kp.image = append(kp.image, c)
+		kp.consts[c] = slot
+	}
+	return slot
+}
+
+// operand resolves a VLIW/table operand to its value-file slot.
+func (kp *kernelPlan) operand(o Operand) int32 {
+	if o.IsConst {
+		return kp.konst(o.Const)
+	}
+	return int32(o.Field)
+}
+
+// moperand resolves a SALU micro-operand to its value-file slot.
+func (kp *kernelPlan) moperand(o MOperand) int32 {
+	switch o.Kind {
+	case MFromSlot:
+		return int32(2*kp.numFields) + int32(o.Slot)
+	case MFromField:
+		return int32(o.Field)
+	}
+	return kp.konst(o.Const)
+}
+
+// intern picks the opcode for a validated op name of one unit.
+func intern(unit map[string]opcode, name string, signed bool) opcode {
+	op := unit[name]
+	if s, ok := signedOpcodes[op]; ok && signed {
+		return s
+	}
+	return op
 }
 
 // collectState records the deduped register arrays and match tables the
@@ -357,10 +469,19 @@ func (kp *kernelPlan) unlockState() {
 	}
 }
 
-func (pl *plan) compileStage(k *Kernel, st *Stage) (stagePlan, error) {
+func (pl *plan) compileStage(kp *kernelPlan, st *Stage) (stagePlan, error) {
 	var sp stagePlan
+	// pending adds f to the stage's write set and returns where its writer
+	// puts the value.
+	pending := func(f FieldRef) (int32, norm) {
+		if f == NoField {
+			return -1, norm{}
+		}
+		sp.writes = append(sp.writes, int32(f))
+		return int32(kp.numFields) + int32(f), kp.fieldNorm(f)
+	}
 	for _, tb := range st.Tables {
-		ti := tableInstr{key: tb.Key, hit: tb.Hit, val: tb.Val}
+		ti := tableInstr{key: kp.operand(tb.Key)}
 		if i, ok := pl.tableIdx[tb.Name]; ok {
 			ti.tbl = pl.tables[i]
 		} else {
@@ -369,14 +490,8 @@ func (pl *plan) compileStage(k *Kernel, st *Stage) (stagePlan, error) {
 			// InstallEntry) preserves that.
 			ti.tbl = &matTable{}
 		}
-		if tb.Hit != NoField {
-			ti.hitBits = k.Fields[tb.Hit].Bits
-			ti.hitSigned = k.Fields[tb.Hit].Signed
-		}
-		if tb.Val != NoField {
-			ti.valBits = k.Fields[tb.Val].Bits
-			ti.valSigned = k.Fields[tb.Val].Signed
-		}
+		ti.hit, ti.hitNorm = pending(tb.Hit)
+		ti.val, ti.valNorm = pending(tb.Val)
 		sp.tables = append(sp.tables, ti)
 	}
 	for _, sa := range st.SALUs {
@@ -388,36 +503,33 @@ func (pl *plan) compileStage(k *Kernel, st *Stage) (stagePlan, error) {
 		si := saluInstr{
 			reg:     reg,
 			name:    sa.Global,
-			index:   sa.Index,
-			pred:    sa.Pred,
-			prog:    sa.Prog,
-			out:     sa.Out,
-			bits:    reg.bits,
-			signed:  reg.signed,
+			index:   kp.operand(sa.Index),
+			pred:    -1,
 			mutates: saluMutates(sa),
+			out:     int32(sa.Out),
+			norm:    normOf(reg.bits, reg.signed),
 		}
-		if sa.Out != NoField {
-			si.outBits = k.Fields[sa.Out].Bits
-			si.outSigned = k.Fields[sa.Out].Signed
+		if sa.Pred != nil {
+			si.pred, si.negate = int32(sa.Pred.Field), sa.Pred.Negate
 		}
+		_, si.outNorm = pending(sa.Out)
 		for _, mo := range sa.Prog {
-			if mo.Dst < 0 || mo.Dst >= numMSlots {
-				return sp, fmt.Errorf("salu %s micro-op writes slot %d of %d", sa.Global, mo.Dst, numMSlots)
-			}
-			for _, o := range []MOperand{mo.A, mo.B, mo.C} {
-				if o.Kind == MFromSlot && (o.Slot < 0 || o.Slot >= numMSlots) {
-					return sp, fmt.Errorf("salu %s micro-op reads slot %d of %d", sa.Global, o.Slot, numMSlots)
-				}
-			}
+			si.prog = append(si.prog, instr{
+				op:   intern(microOpcodes, mo.Op, mo.Signed),
+				norm: si.norm,
+				dst:  kp.moperand(SlotOperand(mo.Dst)),
+				a:    kp.moperand(mo.A), b: kp.moperand(mo.B), c: kp.moperand(mo.C),
+			})
 		}
 		sp.salus = append(sp.salus, si)
 	}
 	for _, op := range st.VLIW {
-		sp.vliw = append(sp.vliw, vliwInstr{
-			op:        op,
-			dstBits:   k.Fields[op.Dst].Bits,
-			dstSigned: k.Fields[op.Dst].Signed,
-		})
+		in := instr{op: intern(vliwOpcodes, op.Op, op.Signed), a: kp.operand(op.A), b: kp.operand(op.B), c: kp.operand(op.C)}
+		if in.op == opHash {
+			in.b, in.c = kp.konst(uint64(op.HashSeed)), kp.konst(uint64(op.HashBits))
+		}
+		in.dst, in.norm = pending(op.Dst)
+		sp.vliw = append(sp.vliw, in)
 	}
 	return sp, nil
 }
@@ -425,137 +537,145 @@ func (pl *plan) compileStage(k *Kernel, st *Stage) (stagePlan, error) {
 // ---------------------------------------------------------------------------
 // Execution
 
-// readOperand resolves a VLIW/table operand against the stage snapshot.
-func readOperand(o Operand, snap []uint64) uint64 {
-	if o.IsConst {
-		return o.Const
+// run executes a lowered instruction sequence over the value file: a
+// stage's VLIW slots (writing pending slots) or one SALU micro-program
+// (writing micro slots). Division by zero yields zero (the documented NCL
+// runtime semantics); shift counts wrap at the destination width, matching
+// the IR's type-width shift semantics.
+func run(code []instr, v []uint64) {
+	for i := range code {
+		in := &code[i]
+		a, b := v[in.a], v[in.b]
+		sh := in.norm.sh & 63
+		cnt := b & uint64(63-sh)
+		var r uint64
+		switch in.op {
+		case opMov:
+			r = a
+		case opNot:
+			r = boolBit(a == 0)
+		case opSel:
+			if r = b; v[in.c] != 0 {
+				r = a
+			}
+		case opHash:
+			r = uint64(interp.BloomBit(a, int(b), int(v[in.c])))
+		case opAdd:
+			r = a + b
+		case opSub:
+			r = a - b
+		case opMul:
+			r = a * b
+		case opDiv:
+			if b != 0 {
+				r = a / b
+			}
+		case opDivS:
+			if b != 0 {
+				r = uint64(int64(a) / int64(b))
+			}
+		case opMod:
+			if b != 0 {
+				r = a % b
+			}
+		case opModS:
+			if b != 0 {
+				r = uint64(int64(a) % int64(b))
+			}
+		case opAnd:
+			r = a & b
+		case opOr:
+			r = a | b
+		case opXor:
+			r = a ^ b
+		case opShl:
+			r = a << cnt
+		case opShr:
+			r = a << sh >> sh >> cnt
+		case opShrS:
+			r = uint64(int64(a) >> cnt)
+		case opEq:
+			r = boolBit(a == b)
+		case opNe:
+			r = boolBit(a != b)
+		case opLt:
+			r = boolBit(a < b)
+		case opLtS:
+			r = boolBit(int64(a) < int64(b))
+		case opGt:
+			r = boolBit(a > b)
+		case opGtS:
+			r = boolBit(int64(a) > int64(b))
+		case opLe:
+			r = boolBit(a <= b)
+		case opLeS:
+			r = boolBit(int64(a) <= int64(b))
+		case opGe:
+			r = boolBit(a >= b)
+		case opGeS:
+			r = boolBit(int64(a) >= int64(b))
+		}
+		v[in.dst] = in.norm.apply(r)
 	}
-	return snap[o.Field]
 }
 
-// readMOperand resolves a SALU micro-operand.
-func readMOperand(o MOperand, snap []uint64, slots *[numMSlots]uint64) uint64 {
-	switch o.Kind {
-	case MFromSlot:
-		return slots[o.Slot]
-	case MFromField:
-		return snap[o.Field]
-	default:
-		return o.Const
-	}
-}
-
-// execPasses runs the kernel's pipeline passes over the PHV in s.phv,
-// using s.snap as the reusable stage-input snapshot. The caller holds the
-// kernel's whole lock set (lockState); nothing below locks.
-func (kp *kernelPlan) execPasses(met *pisaMetrics, s *execScratch, suppress bool) error {
+// execPasses runs the kernel's pipeline passes over the value file in s,
+// counting into s. Within a stage every unit reads fields and writes
+// pending slots; the stage's write set is committed when it ends. suppress
+// skips state-mutating SALUs (exactly-once duplicate windows): the register
+// keeps its value and the SALU's Out field keeps its own, so a duplicate
+// contribution neither re-applies nor re-triggers the kernel's completion
+// path. The caller holds the kernel's whole lock set (lockState).
+func (kp *kernelPlan) execPasses(s *execScratch, suppress bool) error {
+	v, n := s.vals, int32(kp.numFields)
+	micro := v[2*n : 2*n+numMSlots]
 	for _, pass := range kp.passes {
-		met.passes.Inc()
+		s.passes++
 		for si := range pass {
-			if si < len(met.stageExecs) {
-				met.stageExecs[si].Inc()
+			sp := &pass[si]
+			s.stageExecs[si]++
+			for i := range sp.tables {
+				ti := &sp.tables[i]
+				val, hit := ti.tbl.entries[v[ti.key]]
+				if hit {
+					s.tableHits++
+				} else {
+					s.tableMisses++
+				}
+				if ti.hit >= 0 {
+					v[ti.hit] = ti.hitNorm.apply(boolBit(hit))
+				}
+				if ti.val >= 0 {
+					v[ti.val] = ti.valNorm.apply(val)
+				}
 			}
-			if err := pass[si].exec(met, s.phv, s.snap, suppress); err != nil {
-				return err
+			for i := range sp.salus {
+				sa := &sp.salus[i]
+				if suppress && sa.mutates || sa.pred >= 0 && (v[sa.pred] != 0) == sa.negate {
+					if sa.out >= 0 {
+						v[n+sa.out] = v[sa.out]
+					}
+					continue
+				}
+				// One stateful read-modify-write, atomic under the batch's
+				// lock on the array.
+				idx := v[sa.index]
+				if idx >= uint64(len(sa.reg.vals)) {
+					return fmt.Errorf("pisa: register %s index %d out of range (%d elements)", sa.name, idx, len(sa.reg.vals))
+				}
+				clear(micro)
+				micro[MReg] = sa.reg.vals[idx]
+				run(sa.prog, v)
+				sa.reg.vals[idx] = sa.norm.apply(micro[MReg])
+				if sa.out >= 0 {
+					v[n+sa.out] = sa.outNorm.apply(micro[MOut])
+				}
 			}
-		}
-	}
-	return nil
-}
-
-// exec runs one stage: every unit reads the stage-input snapshot and
-// writes the output PHV, giving the VLIW parallel semantics. suppress
-// skips state-mutating SALUs (exactly-once duplicate windows): the
-// register keeps its value and the SALU's Out field is not written, so a
-// duplicate contribution neither re-applies nor re-triggers the kernel's
-// completion path.
-func (sp *stagePlan) exec(met *pisaMetrics, phv, snap []uint64, suppress bool) error {
-	copy(snap, phv)
-	for i := range sp.tables {
-		ti := &sp.tables[i]
-		key := readOperand(ti.key, snap)
-		val, hit := ti.tbl.entries[key]
-		if hit {
-			met.tableHits.Inc()
-		} else {
-			met.tableMisses.Inc()
-			val = 0
-		}
-		if ti.hit != NoField {
-			phv[ti.hit] = normalize(boolBit(hit), ti.hitBits, ti.hitSigned)
-		}
-		if ti.val != NoField {
-			phv[ti.val] = normalize(val, ti.valBits, ti.valSigned)
-		}
-	}
-	for i := range sp.salus {
-		sa := &sp.salus[i]
-		if suppress && sa.mutates {
-			continue
-		}
-		if sa.pred != nil {
-			ok := snap[sa.pred.Field] != 0
-			if sa.pred.Negate {
-				ok = !ok
-			}
-			if !ok {
-				continue
+			run(sp.vliw, v)
+			for _, f := range sp.writes {
+				v[f] = v[n+f]
 			}
 		}
-		if err := sa.exec(snap, phv); err != nil {
-			return err
-		}
-	}
-	for i := range sp.vliw {
-		vi := &sp.vliw[i]
-		v, err := evalAction(vi.op, snap, vi.dstBits)
-		if err != nil {
-			return err
-		}
-		phv[vi.op.Dst] = normalize(v, vi.dstBits, vi.dstSigned)
-	}
-	return nil
-}
-
-// exec runs one stateful read-modify-write, atomic under the batch's lock
-// on the array. The slot file lives on the stack, so the hot path
-// allocates nothing.
-func (sa *saluInstr) exec(snap, phv []uint64) error {
-	idxv := sa.index.Const
-	if !sa.index.IsConst {
-		idxv = snap[sa.index.Field]
-	}
-	reg := sa.reg
-	var slots [numMSlots]uint64
-	if idxv >= uint64(len(reg.vals)) {
-		return fmt.Errorf("pisa: register %s index %d out of range (%d elements)", sa.name, idxv, len(reg.vals))
-	}
-	slots[MReg] = reg.vals[idxv]
-	for i := range sa.prog {
-		mo := &sa.prog[i]
-		var v uint64
-		switch mo.Op {
-		case "mov":
-			v = readMOperand(mo.A, snap, &slots)
-		case "sel":
-			if readMOperand(mo.C, snap, &slots) != 0 {
-				v = readMOperand(mo.A, snap, &slots)
-			} else {
-				v = readMOperand(mo.B, snap, &slots)
-			}
-		default:
-			var err error
-			v, err = alu(mo.Op, mo.Signed, readMOperand(mo.A, snap, &slots), readMOperand(mo.B, snap, &slots), sa.bits)
-			if err != nil {
-				return fmt.Errorf("pisa: salu %s: %w", sa.name, err)
-			}
-		}
-		// Register-width semantics inside the SALU.
-		slots[mo.Dst] = normalize(v, sa.bits, sa.signed)
-	}
-	reg.vals[idxv] = normalize(slots[MReg], sa.bits, sa.signed)
-	if sa.out != NoField {
-		phv[sa.out] = normalize(slots[MOut], sa.outBits, sa.outSigned)
 	}
 	return nil
 }
@@ -572,7 +692,7 @@ func (kp *kernelPlan) parse(data [][]uint64, phv []uint64) error {
 			return fmt.Errorf("pisa: param %s has %d elements, expected %d", p.name, len(data[pi]), p.elems)
 		}
 		for ei, f := range p.fields {
-			v := normalize(data[pi][ei], p.bits, p.signed)
+			v := p.norm.apply(data[pi][ei])
 			if p.boolP {
 				v = boolBit(v != 0)
 			}

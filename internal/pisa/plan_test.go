@@ -1,10 +1,12 @@
 package pisa
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"ncl/internal/ncl/interp"
+	"ncl/internal/obs"
 )
 
 // statelessProgram builds a register-free kernel (id 1): an 8-element
@@ -325,5 +327,149 @@ func TestLoadResetsState(t *testing.T) {
 	}
 	if v != 0 {
 		t.Fatalf("register survived reload: total[0] = %d, want 0", v)
+	}
+}
+
+// countersProgram is a two-pass kernel with a table in stages 0 and 1, a
+// mutating SALU in stage 0 and a data-indexed SALU in stage 2 (d1 >= 2
+// traps there); pass 1 is one VLIW stage. Kernel 2 is a stateless
+// bystander with its own scratch pool.
+func countersProgram() *Program {
+	fields := []Field{
+		{Name: "d0", Bits: 32}, {Name: "d1", Bits: 32}, {Name: FieldFwd, Bits: 8},
+		{Name: "hit", Bits: 1}, {Name: "val", Bits: 32}, {Name: "sum", Bits: 32}, {Name: "m_seq", Bits: 32},
+	}
+	k := &Kernel{
+		Name: "mixed", ID: 1, WindowLen: 2, Fields: fields,
+		Params:  []ParamLayout{{Name: "a", Elems: 2, Bits: 32, Fields: []FieldRef{0, 1}}},
+		WinMeta: map[string]FieldRef{"seq": 6},
+		Passes: [][]*Stage{{
+			{
+				Tables: []*Table{{Name: "t", Key: FieldOperand(0), Hit: 3, Val: 4}},
+				SALUs: []*SALU{{Global: "acc", Index: ConstOperand(0), Out: 5, Prog: []MicroOp{
+					{Op: "add", Dst: MReg, A: SlotOperand(MReg), B: PhvOperand(0)},
+					{Op: "mov", Dst: MOut, A: SlotOperand(MReg)},
+				}}},
+			},
+			{Tables: []*Table{{Name: "t", Key: FieldOperand(1), Hit: 3, Val: NoField}}},
+			{SALUs: []*SALU{{Global: "byidx", Index: FieldOperand(1), Out: NoField, Prog: []MicroOp{
+				{Op: "mov", Dst: MReg, A: PhvOperand(5)},
+			}}}},
+			{VLIW: []ActionOp{{Op: "mov", Dst: 0, A: FieldOperand(5)}}},
+		}, {
+			{VLIW: []ActionOp{{Op: "add", Dst: 1, A: FieldOperand(4), B: FieldOperand(3)}}},
+		}},
+	}
+	return &Program{
+		Name:   "counters",
+		Tables: []string{"t"},
+		Registers: []RegisterDef{
+			{Name: "acc", Elems: 1, Bits: 32, Stage: 0},
+			{Name: "byidx", Elems: 2, Bits: 32, Stage: 2},
+		},
+		Kernels: []*Kernel{k, {
+			Name: "bystander", ID: 2, WindowLen: 1, Fields: []Field{{Name: "d0", Bits: 32}},
+			Params: []ParamLayout{{Name: "a", Elems: 1, Bits: 32, Fields: []FieldRef{0}}},
+			Passes: [][]*Stage{{{VLIW: []ActionOp{{Op: "add", Dst: 0, A: FieldOperand(0), B: ConstOperand(1)}}}}},
+		}},
+	}
+}
+
+// TestExecCountersPerBatch: the device's counters are accumulated per
+// batch and published once, with the totals per-window publication gave
+// (the expected values were recorded from the parent of that change, which
+// incremented an atomic per pass, stage and lookup). The batch mixes a
+// plain exactly-once window, its suppressed duplicate, a window that traps
+// in stage 2 after counting a pass, three stages and two lookups, and a
+// window of the wrong shape, which counts as a window and nothing else.
+func TestExecCountersPerBatch(t *testing.T) {
+	sw := NewSwitch(DefaultTarget())
+	if err := sw.Load(countersProgram()); err != nil {
+		t.Fatal(err)
+	}
+	r := obs.NewRegistry()
+	sw.SetObs(r, "x")
+	if err := sw.InstallEntry("t", 7, 40); err != nil {
+		t.Fatal(err)
+	}
+	once := func(wid uint64) WindowMeta { return WindowMeta{Seq: 1, Sender: 2, Wid: wid, ExactlyOnce: true} }
+	jobs := []BatchJob{
+		{Data: [][]uint64{{7, 1}}, Meta: once(1)},
+		{Data: [][]uint64{{7, 1}}, Meta: once(1)},
+		{Data: [][]uint64{{7, 9}}, Meta: WindowMeta{Seq: 2, Sender: 2, Wid: 1, ExactlyOnce: true}},
+		{Data: [][]uint64{{7}}},
+	}
+	if err := sw.ExecWindowBatch(1, jobs, 0); err != nil {
+		t.Fatal(err)
+	}
+	if jobs[0].Err != nil || jobs[1].Err != nil || !jobs[1].Dec.Suppressed || jobs[2].Err == nil || jobs[3].Err == nil {
+		t.Fatalf("batch outcome: %v / %v suppressed=%v / %v / %v", jobs[0].Err, jobs[1].Err, jobs[1].Dec.Suppressed, jobs[2].Err, jobs[3].Err)
+	}
+	if got := jobs[0].Data[0]; got[0] != 7 || got[1] != 40 {
+		t.Fatalf("plain window = %v, want [7 40]", got)
+	}
+	want := map[string]uint64{
+		"windows": 4, "passes": 5, "table_hits": 3, "table_misses": 3, "dup_suppressed": 1,
+		"stage.0.execs": 5, "stage.1.execs": 3, "stage.2.execs": 3, "stage.3.execs": 2, "stage.4.execs": 0,
+	}
+	for name, w := range want {
+		if got := r.Counter("pisa.x." + name).Load(); got != w {
+			t.Errorf("pisa.x.%s = %d, want %d", name, got, w)
+		}
+	}
+	// The gauge holds the size after the batch's last admission; the trapped
+	// window's rollback is not an admission.
+	if got := r.Gauge("pisa.x.shadow_slots").Load(); got != 2 {
+		t.Errorf("pisa.x.shadow_slots = %d, want 2", got)
+	}
+	if sw.PassesExecuted() != 5 {
+		t.Errorf("PassesExecuted = %d, want 5", sw.PassesExecuted())
+	}
+
+	// A batch publishes only what it counted: after another kernel's
+	// admissions moved the gauge, a batch with no exactly-once window leaves
+	// it alone (the scratch it reuses must not remember the old size).
+	other := []BatchJob{{Data: [][]uint64{{1}}, Meta: once(5)}, {Data: [][]uint64{{1}}, Meta: once(6)}}
+	other[0].Meta.Sender, other[1].Meta.Sender = 3, 4
+	if err := sw.ExecWindowBatch(2, other, 0); err != nil || other[0].Err != nil || other[1].Err != nil {
+		t.Fatal(err, other[0].Err, other[1].Err)
+	}
+	plain := []BatchJob{{Data: [][]uint64{{7, 1}}}}
+	if err := sw.ExecWindowBatch(1, plain, 0); err != nil || plain[0].Err != nil {
+		t.Fatal(err, plain[0].Err)
+	}
+	if got := r.Gauge("pisa.x.shadow_slots").Load(); got != 3 {
+		t.Errorf("pisa.x.shadow_slots = %d after a batch without admissions, want 3", got)
+	}
+	if got := r.Counter("pisa.x.passes").Load(); got != 9 {
+		t.Errorf("pisa.x.passes = %d, want 9", got)
+	}
+}
+
+// TestConstantsInternedExactly: immediates share the value file with the
+// fields, so each must get its own slot — including ones that differ only
+// above bit 32, equal a field's index, or equal what a field holds.
+func TestConstantsInternedExactly(t *testing.T) {
+	consts := []uint64{0, 1, 2, 1<<32 | 1, 1<<32 | 2, 1 << 63, ^uint64(0), 9}
+	k := &Kernel{Name: "consts", ID: 1, WindowLen: len(consts), Passes: [][]*Stage{{{}}}}
+	p := ParamLayout{Name: "x", Elems: len(consts), Bits: 64}
+	for i, c := range consts {
+		k.Fields = append(k.Fields, Field{Name: fmt.Sprintf("d%d", i), Bits: 64})
+		p.Fields = append(p.Fields, FieldRef(i))
+		k.Passes[0][0].VLIW = append(k.Passes[0][0].VLIW, ActionOp{Op: "mov", Dst: FieldRef(i), A: ConstOperand(c)})
+	}
+	k.Params = []ParamLayout{p}
+	sw := NewSwitch(DefaultTarget())
+	if err := sw.Load(&Program{Name: "consts", Kernels: []*Kernel{k}}); err != nil {
+		t.Fatal(err)
+	}
+	data := [][]uint64{{9, 9, 9, 9, 9, 9, 9, 9}}
+	if err := execBatchOfOne(sw, &[1]BatchJob{{Data: data}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range consts {
+		if data[0][i] != c {
+			t.Errorf("d%d = %#x, want the immediate %#x", i, data[0][i], c)
+		}
 	}
 }

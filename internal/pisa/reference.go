@@ -5,15 +5,16 @@ import (
 	"sync"
 
 	"ncl/internal/ncl/interp"
+	"ncl/internal/ncl/types"
 )
 
 // Reference is the original tree-walking execution engine: one global
-// mutex, string-keyed state maps, per-stage snapshot allocation, and a
-// map-based SALU slot file. It is kept as the semantic oracle for the
-// compiled plan (the differential property tests drive both engines
-// with the same programs and windows and require bit-identical results)
-// and as the "before" baseline for the switch-path benchmarks (E12,
-// BenchmarkSwitchExec).
+// mutex, string-keyed state maps and opcodes, per-stage snapshot
+// allocation, and a map-based SALU slot file. It is kept as the semantic
+// oracle for the compiled plan (the differential property tests drive both
+// engines with the same programs and windows and require bit-identical
+// results; the two share Validate, the shadow filter and normalize, no
+// arithmetic) and as the "before" baseline of BenchmarkSwitchExec.
 type Reference struct {
 	target TargetConfig
 
@@ -244,7 +245,7 @@ func (rf *Reference) execStage(k *Kernel, st *Stage, phv []uint64, suppress bool
 	}
 
 	for _, op := range st.VLIW {
-		v, err := evalAction(op, snap, k.Fields[op.Dst].Bits)
+		v, err := evalAction(op, read, k.Fields[op.Dst].Bits)
 		if err != nil {
 			return err
 		}
@@ -305,4 +306,96 @@ func (rf *Reference) execSALU(k *Kernel, sa *SALU, snap, phv []uint64) error {
 		phv[sa.Out] = normalize(slots[MOut], fd.Bits, fd.Signed)
 	}
 	return nil
+}
+
+// evalAction evaluates one VLIW op, dispatching on its name; read resolves
+// an operand against the stage snapshot. dstBits is the destination field
+// width, which scopes shift counts the way the IR's type widths do. The
+// oracle's alone: the plan runs interned opcodes (plan.go) and shares no
+// arithmetic with it.
+func evalAction(op ActionOp, read func(Operand) uint64, dstBits int) (uint64, error) {
+	switch op.Op {
+	case "mov":
+		return read(op.A), nil
+	case "not":
+		return boolBit(read(op.A) == 0), nil
+	case "csel":
+		if read(op.C) != 0 {
+			return read(op.A), nil
+		}
+		return read(op.B), nil
+	case "hash":
+		return uint64(interp.BloomBit(read(op.A), op.HashSeed, op.HashBits)), nil
+	}
+	return alu(op.Op, op.Signed, read(op.A), read(op.B), dstBits)
+}
+
+// alu is the oracle's two-operand ALU for VLIW and SALU ops over
+// canonical 64-bit values. Division by zero yields zero (the documented
+// NCL runtime semantics); shifts mask their count to the operand width,
+// matching the IR's type-width shift semantics.
+func alu(op string, signed bool, a, b uint64, bits int) (uint64, error) {
+	shmask := uint64(bits - 1)
+	switch op {
+	case "add":
+		return a + b, nil
+	case "sub":
+		return a - b, nil
+	case "mul":
+		return a * b, nil
+	case "div":
+		if b == 0 {
+			return 0, nil
+		}
+		if signed {
+			return uint64(int64(a) / int64(b)), nil
+		}
+		return a / b, nil
+	case "mod":
+		if b == 0 {
+			return 0, nil
+		}
+		if signed {
+			return uint64(int64(a) % int64(b)), nil
+		}
+		return a % b, nil
+	case "and":
+		return a & b, nil
+	case "or":
+		return a | b, nil
+	case "xor":
+		return a ^ b, nil
+	case "shl":
+		return a << (b & shmask), nil
+	case "shr":
+		if signed {
+			return uint64(int64(a) >> (b & shmask)), nil
+		}
+		return (a & types.TruncMask(bits)) >> (b & shmask), nil
+	case "eq":
+		return boolBit(a == b), nil
+	case "ne":
+		return boolBit(a != b), nil
+	case "lt":
+		if signed {
+			return boolBit(int64(a) < int64(b)), nil
+		}
+		return boolBit(a < b), nil
+	case "gt":
+		if signed {
+			return boolBit(int64(a) > int64(b)), nil
+		}
+		return boolBit(a > b), nil
+	case "le":
+		if signed {
+			return boolBit(int64(a) <= int64(b)), nil
+		}
+		return boolBit(a <= b), nil
+	case "ge":
+		if signed {
+			return boolBit(int64(a) >= int64(b)), nil
+		}
+		return boolBit(a >= b), nil
+	}
+	return 0, fmt.Errorf("unknown ALU op %q", op)
 }

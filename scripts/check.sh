@@ -29,6 +29,15 @@ if [ -n "$oracle" ]; then
     echo "$oracle" >&2
     exit 1
 fi
+# The oracle's string-dispatched ALU is the oracle's alone: the plan runs
+# interned opcodes, and an arithmetic bug must not be able to hide in code
+# the two share.
+oracle=$(grep -nE '\balu\(|evalAction\(' internal/pisa/*.go | grep -vE '_test\.go:|^internal/pisa/reference\.go:' || true)
+if [ -n "$oracle" ]; then
+    echo "pisa's oracle ALU used outside internal/pisa/reference.go and tests:" >&2
+    echo "$oracle" >&2
+    exit 1
+fi
 
 # README.md, DESIGN.md and EXPERIMENTS.md describe the code that exists:
 # every back-ticked word in them that is a repo path (scripts/, cmd/,
