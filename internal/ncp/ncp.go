@@ -307,6 +307,10 @@ func DecodeFullInto(pkt []byte, d *Decoded) error {
 	if unknown := h.Flags &^ KnownFlags; unknown != 0 {
 		return fmt.Errorf("ncp: unknown flag bits %#02x (known: %#02x)", unknown, uint8(KnownFlags))
 	}
+	if h.UserCount > MaxUserFields {
+		// MarshalHops never writes one: a switch could not re-emit it.
+		return fmt.Errorf("ncp: %d user fields exceed the maximum of %d", h.UserCount, MaxUserFields)
+	}
 	want := HeaderSize + 8*int(h.UserCount) + int(h.PayloadLen)
 	traceOff := HeaderSize + 8*int(h.UserCount)
 	nHops := 0
@@ -320,7 +324,7 @@ func DecodeFullInto(pkt []byte, d *Decoded) error {
 	if len(pkt) < want {
 		return fmt.Errorf("ncp: truncated packet: %d bytes, header implies %d", len(pkt), want)
 	}
-	if got := verifyChecksum(pkt[:want]); got != h.Checksum {
+	if got := checksum(pkt[:want]); got != h.Checksum {
 		return fmt.Errorf("ncp: checksum mismatch (%#04x != %#04x)", got, h.Checksum)
 	}
 	off := HeaderSize
@@ -339,26 +343,62 @@ func DecodeFullInto(pkt []byte, d *Decoded) error {
 	return nil
 }
 
-// checksum computes the 16-bit one's-complement sum over buf with the
-// checksum field zeroed.
-func checksum(buf []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(buf); i += 2 {
-		if i == 32 {
-			continue // checksum field
-		}
-		sum += uint32(binary.BigEndian.Uint16(buf[i : i+2]))
+// Reseal finishes an in-place edit of a packet DecodeFullInto accepted —
+// the switch's way of forwarding a window in the bytes it arrived in. It
+// trims pkt to the length its header implies, stores flags (which must
+// keep the packet's FlagTrace bit), writes a batch count of 0 as the 1 it
+// means and recomputes the checksum: the result is the packet MarshalHops
+// builds from the same header, user values, hops and payload.
+func Reseal(pkt []byte, flags uint8) []byte {
+	be := binary.BigEndian
+	off := HeaderSize + 8*int(pkt[30])
+	n := off + int(be.Uint16(pkt[34:36]))
+	if pkt[3]&FlagTrace != 0 {
+		n += 1 + HopRecordBytes*int(pkt[off])
 	}
-	if len(buf)%2 == 1 {
-		sum += uint32(buf[len(buf)-1]) << 8
+	pkt = pkt[:n]
+	pkt[3] = flags
+	if pkt[31] == 0 {
+		pkt[31] = 1
+	}
+	be.PutUint16(pkt[32:34], checksum(pkt))
+	return pkt
+}
+
+// checksum computes the 16-bit one's-complement sum over buf with the
+// checksum field (bytes 32-33) left out. It adds 32-bit halves of 64-bit
+// words and folds once at the end: 2^16 ≡ 1 modulo 0xFFFF, so the folded
+// sum is the one 16-bit words give, and the field's offset is even, so
+// summing the bytes before and after it keeps every word aligned.
+func checksum(buf []byte) uint16 {
+	var sum uint64
+	if len(buf) >= 34 {
+		sum = sumWords(buf[:32]) + sumWords(buf[34:])
+	} else {
+		sum = sumWords(buf)
 	}
 	for sum > 0xFFFF {
-		sum = (sum & 0xFFFF) + (sum >> 16)
+		sum = sum&0xFFFF + sum>>16
 	}
 	return ^uint16(sum)
 }
 
-func verifyChecksum(buf []byte) uint16 { return checksum(buf) }
+// sumWords adds buf as big-endian 16-bit words (a trailing odd byte is
+// the high half of a word) without folding carries.
+func sumWords(buf []byte) (sum uint64) {
+	be := binary.BigEndian
+	for ; len(buf) >= 8; buf = buf[8:] {
+		v := be.Uint64(buf)
+		sum += v>>32 + v&0xFFFFFFFF
+	}
+	for ; len(buf) >= 2; buf = buf[2:] {
+		sum += uint64(be.Uint16(buf))
+	}
+	if len(buf) == 1 {
+		sum += uint64(buf[0]) << 8
+	}
+	return sum
+}
 
 // ---------------------------------------------------------------------------
 // Window payload encoding

@@ -25,12 +25,18 @@ import (
 	"ncl/internal/obs"
 )
 
-// Packet is one unit on the wire. Data is owned by the receiver after
-// delivery (senders must not mutate it).
+// Packet is one unit on the wire. Ownership: a sender gives up the struct
+// and Data when it sends. The receiver owns a delivered *Packet and its
+// Data — it may rewrite Data and forward the same struct, as a switch
+// does with the windows it executes — until Receive returns on UDP (the
+// reader recycles the buffer) and for good on the fabric. The exception
+// is a packet marked Shared: it copies Data before writing into it.
 type Packet struct {
 	Src  string // originating node label
 	Dst  string // final destination label
 	Data []byte
+
+	Shared bool // Data is aliased by other packets (a broadcast's copies)
 
 	// Via is an optional waypoint: when set, switches route toward Via
 	// instead of Dst until the waypoint switch clears it. The placement
@@ -373,9 +379,10 @@ func (f *Fabric) deliverHeld(hp *heldPkt) {
 		return
 	default:
 	}
+	n := uint64(len(hp.d.pkt.Data)) // once pushed, the receiver owns the packet
 	if hp.inbox.pushPkts([]*Packet{hp.d.pkt}, hp.d.from) == 1 {
 		hp.st.Packets.Add(1)
-		hp.st.Bytes.Add(uint64(len(hp.d.pkt.Data)))
+		hp.st.Bytes.Add(n)
 		return
 	}
 	hp.st.Dropped.Add(1)
@@ -501,6 +508,13 @@ func (f *Fabric) faultRun(key linkKey, st *LinkStats, inbox *ringInbox, run []*P
 		drop := f.rng.Float64() < f.faults.DropProb
 		dup := f.rng.Float64() < f.faults.DupProb
 		reorder := f.rng.Float64() < f.faults.ReorderProb
+		var dupPkt *Packet
+		if dup && !drop {
+			// The same bits arriving again, virtual timestamp included (a dup
+			// born at t=0 poisoned INT latency stamps), copied before the
+			// original is delivered: its receiver may rewrite it.
+			dupPkt = &Packet{Src: pkt.Src, Dst: pkt.Dst, Data: append([]byte(nil), pkt.Data...), VTimeUs: pkt.VTimeUs, Via: pkt.Via}
+		}
 		held := f.pending[key]
 		if held != nil {
 			held.timer.Stop()
@@ -526,12 +540,7 @@ func (f *Fabric) faultRun(key linkKey, st *LinkStats, inbox *ringInbox, run []*P
 		if held != nil {
 			f.deliver(key, st, inbox, []*Packet{held.d.pkt})
 		}
-		if dup && !drop {
-			// The duplicate carries the original's virtual timestamp: it is the
-			// same bits arriving again, not a fresh packet born at t=0. Without
-			// the copy, dups poisoned switch INT latency stamps and the vtime
-			// histograms with epoch-relative garbage.
-			dupPkt := &Packet{Src: pkt.Src, Dst: pkt.Dst, Data: append([]byte(nil), pkt.Data...), VTimeUs: pkt.VTimeUs, Via: pkt.Via}
+		if dupPkt != nil {
 			f.deliver(key, st, inbox, []*Packet{dupPkt})
 		}
 	}

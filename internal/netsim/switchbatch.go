@@ -11,64 +11,56 @@ import (
 // The switch receive path — the only one. The fabric drains a burst of
 // packets from the switch's ring inbox and hands it to receiveBatch; a
 // direct Receive is a burst of one. Every packet is NCP-decoded exactly
-// once. Consecutive windows for the same kernel form a segment that runs
-// through pisa.ExecWindowBatch — one plan load, one pooled scratch, the
-// kernel's whole lock set acquired once — and whatever the loop cannot
-// execute (non-NCP, acks, fragments, unknown kernels) is forwarded in
-// place from the header already decoded, after the open segment has
-// executed, so per-source FIFO order holds. Every output of the burst
-// leaves through one collector and one SendBatch.
+// once; its payload bytes go to the device as they are. Consecutive
+// windows for the same kernel form a segment that runs through
+// pisa.ExecWindowBatch — one plan load, one pooled scratch, the kernel's
+// whole lock set acquired once — and whatever the loop cannot execute
+// (non-NCP, acks, fragments, unknown kernels) is forwarded in place from
+// the header already decoded, after the open segment has executed, so
+// per-source FIFO order holds. Every output of the burst leaves through
+// one collector and one SendBatch.
 
 // batchWin is one window parked in the open segment — the routing half of
-// its pisa.BatchJob, which carries the data and user values. sc holds the
-// window's header and decoded data; hops aliases the decode scratch of the
-// packet it arrived in.
+// its pisa.BatchJob, which carries the payload bytes and user values. dec
+// holds the window's header; hops aliases the decode scratch of the packet
+// it arrived in.
 type batchWin struct {
-	sc         *nodeScratch
+	dec        *ncp.Decoded
 	hops       []ncp.Hop
 	pkt        *Packet
 	switchAcks bool
+	inPlace    bool   // leaves in pkt itself: the packet carries it alone, untraced
 	qdepth     uint16 // ingress backlog at arrival (traced windows only)
-}
-
-// nodeScratch is the decode working set of one window: the zero-copy NCP
-// decode target (its header is the window's own — a multi-window packet's
-// sub-windows each get a copy with their sequence number) and the decoded
-// window data, which the device rewrites in place.
-type nodeScratch struct {
-	dec  ncp.Decoded
-	data [][]uint64
 }
 
 // batchState is the working set of one receiveBatch call: the open
 // segment (wins+jobs, parallel slices) and its kernel, the decode
-// scratches handed out so far, the repack buffer, and the output
-// collector. Each call takes its own (takeBatch), never a set shared on
-// the node: a transport that delivers synchronously re-enters Receive
-// from inside a send, and Receive may be called from several goroutines.
-// What a finished burst leaves parked in it (packets, decoded data) is
-// overwritten by the next burst; zeroing it per burst would put a write
-// barrier on every window.
+// scratches handed out so far, and the output collector. Each call takes
+// its own (takeBatch), never a set shared on the node: a transport that
+// delivers synchronously re-enters Receive from inside a send, and Receive
+// may be called from several goroutines. What a finished burst leaves
+// parked in it (packets, decoded headers) is overwritten by the next
+// burst; zeroing it per burst would put a write barrier on every window.
 type batchState struct {
-	kp      *swKernel
-	wins    []batchWin
-	jobs    []pisa.BatchJob
-	scs     []*nodeScratch // grown on demand, reused burst after burst
-	used    int            // scs[:used] belong to the current burst
-	payload []byte
-	out     batchOut
+	kp   *swKernel
+	wins []batchWin
+	jobs []pisa.BatchJob
+	decs []*ncp.Decoded // grown on demand, reused burst after burst
+	used int            // decs[:used] belong to the current burst
+	out  batchOut
 }
 
-// scratch hands out the burst's next decode scratch. Scratches live until
-// the burst ends, so a parked window may alias its packet's user values
-// and hop records however many segments the packet spans.
-func (b *batchState) scratch() *nodeScratch {
-	if b.used == len(b.scs) {
-		b.scs = append(b.scs, &nodeScratch{})
+// scratch hands out the burst's next decode target, whose header is a
+// window's own. Targets live until the burst ends, so a parked window may
+// alias its packet's user values and hop records however many segments
+// the packet spans.
+func (b *batchState) scratch() *ncp.Decoded {
+	if b.used == len(b.decs) {
+		b.decs = append(b.decs, &ncp.Decoded{})
 	}
-	sc := b.scs[b.used]
+	d := b.decs[b.used]
 	b.used++
-	return sc
+	return d
 }
 
 // batchOut collects the packets a burst produces and hands them to the
@@ -153,13 +145,13 @@ func (s *SwitchNode) ingest(b *batchState, pkt *Packet) {
 		s.forward(&b.out, pkt)
 		return
 	}
-	sc := b.scratch()
-	if err := ncp.DecodeFullInto(pkt.Data, &sc.dec); err != nil {
+	d := b.scratch()
+	if err := ncp.DecodeFullInto(pkt.Data, d); err != nil {
 		// Corrupted NCP traffic is dropped, like a failed checksum anywhere.
 		s.Errors.Add(1)
 		return
 	}
-	h := &sc.dec.Header
+	h := &d.Header
 	traced := h.Flags&ncp.FlagTrace != 0
 	kp := s.kplans[h.KernelID]
 	if kp == nil || h.FragCount > 1 || h.Flags&ncp.FlagAck != 0 {
@@ -171,13 +163,13 @@ func (s *SwitchNode) ingest(b *batchState, pkt *Packet) {
 		if traced {
 			// Traced windows still record the pass-through hop, with the
 			// queue depth at arrival (no kernel ran, so no latency/kernel).
-			hops := append(sc.dec.Hops, ncp.Hop{
+			hops := append(d.Hops, ncp.Hop{
 				Loc: uint16(s.locID), Kind: ncp.HopSwitch,
 				Event: ncp.EventForward, TimeNs: switchTimeNs(pkt.VTimeUs),
 				QueueDepth: s.queueDepth(),
 			})
-			if out, err := ncp.MarshalHops(h, sc.dec.User, hops, sc.dec.Payload); err == nil {
-				pkt = &Packet{Src: pkt.Src, Dst: pkt.Dst, Via: pkt.Via, Data: out, VTimeUs: pkt.VTimeUs}
+			if out, err := ncp.MarshalHops(h, d.User, hops, d.Payload); err == nil {
+				pkt.Data, pkt.Shared = out, false
 			}
 		}
 		s.forward(&b.out, pkt)
@@ -186,16 +178,20 @@ func (s *SwitchNode) ingest(b *batchState, pkt *Packet) {
 
 	// Multi-window packets (§4.2) unbatch at the first executing switch:
 	// each window runs the kernel and follows its own forwarding decision.
-	n, per, payload := 1, len(sc.dec.Payload), sc.dec.Payload
-	if h.BatchCount > 1 {
-		n, per = int(h.BatchCount), kp.payloadBytes
-		if len(payload) != per*n {
-			// The payload must split exactly; anything else is a framing
-			// error, not a remainder to drop silently.
-			s.Errors.Add(1)
-			return
-		}
-		h.BatchCount = 1
+	// The payload must split exactly; anything else is a framing error,
+	// not a remainder to drop silently.
+	n, per := max(1, int(h.BatchCount)), kp.payloadBytes
+	if len(d.Payload) != per*n {
+		s.Errors.Add(1)
+		return
+	}
+	h.BatchCount = 1
+	if pkt.Shared {
+		// A broadcast copy: the device is about to write bytes its
+		// siblings read, so the first switch to execute one takes its own.
+		off := cap(pkt.Data) - cap(d.Payload) // where the payload starts
+		pkt.Data, pkt.Shared = append([]byte(nil), pkt.Data...), false
+		d.Payload = pkt.Data[off : off+len(d.Payload)]
 	}
 	// INT ingress snapshot: the queue depth every hop record of this
 	// packet reports is the backlog when the packet arrived, probed once
@@ -205,20 +201,14 @@ func (s *SwitchNode) ingest(b *batchState, pkt *Packet) {
 		qdepth = s.queueDepth()
 	}
 	xonce := h.Flags&ncp.FlagExactlyOnce != 0
-	user, hops := sc.dec.User, sc.dec.Hops
+	user, hops, payload := d.User, d.Hops, d.Payload
 	for k := 0; k < n; k++ {
 		if k > 0 {
 			prev := h
-			sc = b.scratch()
-			h = &sc.dec.Header
+			d = b.scratch()
+			h = &d.Header
 			*h = *prev
 			h.WindowSeq++
-		}
-		data, err := ncp.DecodePayloadInto(sc.data, payload[k*per:(k+1)*per], kp.specs)
-		sc.data = data
-		if err != nil {
-			s.Errors.Add(1)
-			continue
 		}
 		// A segment is one kernel's run of untraced windows; a traced
 		// window is a segment of one, so exec_ns and its INT hop record
@@ -228,17 +218,18 @@ func (s *SwitchNode) ingest(b *batchState, pkt *Packet) {
 		}
 		b.kp = kp
 		b.wins = append(b.wins, batchWin{
-			sc: sc, hops: hops, pkt: pkt,
+			dec: d, hops: hops, pkt: pkt,
 			// A reliable window for a non-idempotent kernel runs through the
 			// device's duplicate shadow state, and the switch — not the
 			// unreachable destination — acknowledges it when the kernel
 			// consumes it on-path (drop/reflect/bcast): retransmits neither
 			// double-apply nor time out (DESIGN §5.4).
 			switchAcks: xonce && h.Flags&ncp.FlagAckRequest != 0,
+			inPlace:    n == 1 && !traced,
 			qdepth:     qdepth,
 		})
 		b.jobs = append(b.jobs, pisa.BatchJob{
-			Data: data,
+			Raw: payload[k*per : (k+1)*per],
 			Meta: pisa.WindowMeta{
 				Seq:         uint64(h.WindowSeq),
 				Len:         uint64(h.WindowLen),
@@ -265,7 +256,7 @@ func (s *SwitchNode) execSegment(b *batchState) {
 	kp := b.kp
 	// Time the pipeline only for traced windows: the measurement (two
 	// clock reads + a histogram observe) never touches the untraced path.
-	traced := b.wins[0].sc.dec.Header.Flags&ncp.FlagTrace != 0
+	traced := b.wins[0].dec.Header.Flags&ncp.FlagTrace != 0
 	var execStart time.Time
 	if traced {
 		execStart = time.Now()
@@ -297,7 +288,7 @@ func (s *SwitchNode) execSegment(b *batchState) {
 			if traced {
 				hops = s.execHop(w, execWallNs)
 			}
-			s.route(b, w, j, kp, hops, &acks)
+			s.route(&b.out, w, j, hops, &acks)
 		}
 		s.flushAcks(&b.out, &acks)
 	}
@@ -321,6 +312,6 @@ func (s *SwitchNode) execHop(w *batchWin, execWallNs uint64) []ncp.Hop {
 	return append(w.hops[:len(w.hops):len(w.hops)], ncp.Hop{
 		Loc: uint16(s.locID), Kind: ncp.HopSwitch,
 		Event: ncp.EventExec, TimeNs: switchTimeNs(w.pkt.VTimeUs + SwitchDelayUs),
-		LatencyNs: uint32(lat), QueueDepth: w.qdepth, KernelID: w.sc.dec.Header.KernelID,
+		LatencyNs: uint32(lat), QueueDepth: w.qdepth, KernelID: w.dec.Header.KernelID,
 	})
 }

@@ -43,7 +43,7 @@ type SwitchNode struct {
 	KernelWindows *obs.Counter // windows executed by kernels
 	ForwardedRaw  *obs.Counter // non-NCP or unknown-kernel packets routed
 	Errors        *obs.Counter
-	Repacks       *obs.Counter // window re-serializations (one per broadcast)
+	Repacks       *obs.Counter // executed windows re-emitted, in place or re-serialized (one per broadcast)
 	DupSuppressed *obs.Counter // exactly-once duplicates executed suppressed
 	AcksSent      *obs.Counter // switch-emitted acks for consumed xonce windows
 
@@ -68,12 +68,10 @@ type SwitchNode struct {
 	idle   []*batchState
 }
 
-// swKernel is one kernel's precomputed receive-path state: the NCP wire
-// specs its window parameters use, the per-window payload size, and the
-// per-kernel counter (resolved once, so the hot path takes no lock).
+// swKernel is one kernel's receive-path state: the per-window payload size
+// and the per-kernel counter (resolved once, so the hot path takes no lock).
 type swKernel struct {
 	k            *pisa.Kernel
-	specs        []ncp.ParamSpec
 	payloadBytes int
 	windows      *obs.Counter // switch.<label>.kernel.<name>.windows
 }
@@ -155,14 +153,9 @@ func (s *SwitchNode) Install(p *pisa.Program, locID uint32) error {
 	s.obsMu.Lock()
 	s.kplans = map[uint32]*swKernel{}
 	for _, k := range p.Kernels {
-		specs := make([]ncp.ParamSpec, len(k.Params))
-		for i, pl := range k.Params {
-			specs[i] = ncp.ParamSpec{Elems: pl.Elems, Bytes: pl.Bits / 8, Signed: pl.Signed}
-		}
 		s.kplans[k.ID] = &swKernel{
 			k:            k,
-			specs:        specs,
-			payloadBytes: ncp.PayloadSize(specs),
+			payloadBytes: k.PayloadBytes(),
 			windows:      s.reg.Counter("switch." + s.label + ".kernel." + k.Name + ".windows"),
 		}
 	}
@@ -194,6 +187,9 @@ type SwitchRouting struct {
 	Bcast []string
 
 	self map[string]bool // own label + aliases, built at install
+
+	nbOnce sync.Once // resolves nbs, the identity Bcast list, on first use
+	nbs    []string
 }
 
 // SetRouting installs the full forwarding state (placement-aware path).
@@ -205,6 +201,17 @@ func (s *SwitchNode) SetRouting(rt *SwitchRouting) {
 		rt.self[a] = true
 	}
 	s.routing.Store(rt)
+}
+
+// bcastTargets is the list _bcast() sends to: the overlay list the
+// controller installs under placement (each copy is unicast-routed toward
+// its target) or, on an identity deployment, the direct neighbors.
+func (rt *SwitchRouting) bcastTargets(net *and.Network, self string) []string {
+	if len(rt.Bcast) > 0 {
+		return rt.Bcast
+	}
+	rt.nbOnce.Do(func() { rt.nbs = net.Neighbors(self) })
+	return rt.nbs
 }
 
 // SetRoutes installs a plain single-path next-hop table
@@ -259,42 +266,30 @@ func switchTimeNs(us float64) uint64 {
 // route applies an executed window's forwarding decision, sending into
 // the burst's collector. acks is touched only when the window is one the
 // switch acknowledges.
-func (s *SwitchNode) route(b *batchState, w *batchWin, j *pisa.BatchJob, kp *swKernel, hops []ncp.Hop, acks *ackRun) {
-	out, pkt, h, dec := &b.out, w.pkt, &w.sc.dec.Header, j.Dec
+func (s *SwitchNode) route(out *batchOut, w *batchWin, j *pisa.BatchJob, hops []ncp.Hop, acks *ackRun) {
+	pkt, dec, flags := w.pkt, j.Dec, w.dec.Header.Flags
 	// The window's reliable flags stay on pass-through (the destination
 	// host acknowledges delivery) but are stripped from on-path outputs:
 	// the switch acknowledges those itself, and the derived reflect/bcast
 	// windows are new unreliable traffic, not the acknowledged window.
-	var clearFlags uint8
-	if w.switchAcks {
-		clearFlags = ncp.FlagAckRequest | ncp.FlagExactlyOnce
-	}
 	if w.switchAcks && dec.Kind != interp.Pass {
 		s.ackConsumed(out, w, acks)
+		flags &^= ncp.FlagAckRequest | ncp.FlagExactlyOnce
 	}
 	vtime := pkt.VTimeUs + SwitchDelayUs
+	src, targets := pkt.Src, []string{pkt.Dst}
 	switch dec.Kind {
 	case interp.Pass:
-		data := s.repack(b, w, j, kp, hops, 0, 0)
-		if data == nil {
-			return
-		}
-		npkt := &Packet{Src: pkt.Src, Dst: pkt.Dst, Data: data, VTimeUs: vtime}
 		if dec.Label != "" {
-			npkt.Dst = dec.Label
+			targets[0] = dec.Label
 		}
-		s.forward(out, npkt)
 	case interp.Reflect:
-		target, ok := s.hostByID[h.Sender]
+		target, ok := s.hostByID[w.dec.Header.Sender]
 		if !ok {
 			s.Errors.Add(1)
 			return
 		}
-		data := s.repack(b, w, j, kp, hops, ncp.FlagReflected, clearFlags)
-		if data == nil {
-			return
-		}
-		s.forward(out, &Packet{Src: s.label, Dst: target, Data: data, VTimeUs: vtime})
+		src, targets[0], flags = s.label, target, flags|ncp.FlagReflected
 	case interp.Bcast:
 		// §4.1 verbatim: "_bcast() sends a window to all devices, one hop
 		// away - in the overlay - from the current location". That
@@ -302,25 +297,36 @@ func (s *SwitchNode) route(b *batchState, w *batchWin, j *pisa.BatchJob, kp *swK
 		// (e.g. a phase flag in window data — see the hierarchical
 		// AllReduce test), which is exactly the programmable-forwarding
 		// control the paper gives kernels.
-		//
-		// One serialization serves every neighbor: delivered packet
-		// bytes are read-only by convention, so the Packet structs may
-		// share the encoded window.
-		data := s.repack(b, w, j, kp, hops, ncp.FlagBcast, clearFlags)
-		if data == nil {
+		src, flags = s.label, flags|ncp.FlagBcast
+		targets = s.routing.Load().bcastTargets(out.tr.Network(), s.label)
+	default:
+		return
+	}
+	// The device deparsed the payload in place: a lone untraced window
+	// leaves in its packet, resealed; a traced one (its hop list grows) or
+	// one of a multi-window packet in fresh bytes. Both give the same bytes.
+	if w.inPlace {
+		pkt.Data = ncp.Reseal(pkt.Data, flags)
+	} else {
+		nh := w.dec.Header
+		nh.Flags = flags
+		data, err := ncp.MarshalHops(&nh, j.Meta.User, hops, j.Raw)
+		if err != nil {
+			s.Errors.Add(1)
 			return
 		}
-		targets := s.routing.Load().Bcast
-		if len(targets) == 0 {
-			// Identity deployment: the physical network is the overlay, so
-			// the overlay neighbors are the direct neighbors. Under
-			// placement, the controller installs the logical neighbor list
-			// and each copy is unicast-routed toward its overlay target.
-			targets = out.tr.Network().Neighbors(s.label)
+		pkt = &Packet{Data: data}
+	}
+	s.Repacks.Add(1)
+	// One set of bytes serves every broadcast neighbor: copies beyond the
+	// first are new Packets over the same Data, all marked Shared.
+	for i, to := range targets {
+		p := pkt
+		if i > 0 {
+			p = &Packet{Data: pkt.Data}
 		}
-		for _, nb := range targets {
-			s.forward(out, &Packet{Src: s.label, Dst: nb, Data: data, VTimeUs: vtime})
-		}
+		p.Src, p.Dst, p.Via, p.VTimeUs, p.Shared = src, to, "", vtime, len(targets) > 1
+		s.forward(out, p)
 	}
 }
 
@@ -344,7 +350,7 @@ type ackRun struct {
 // continues it; otherwise the run is flushed and a new one starts. Same
 // wire shape as the host runtime's ack; Sender names the acking location.
 func (s *SwitchNode) ackConsumed(out *batchOut, w *batchWin, run *ackRun) {
-	h := &w.sc.dec.Header
+	h := &w.dec.Header
 	vtime := w.pkt.VTimeUs + SwitchDelayUs
 	if run.open && run.sender == h.Sender && run.hdr.Wid == h.Wid {
 		// Unsigned distance: a window below the base wraps out of range.
@@ -442,26 +448,4 @@ func (s *SwitchNode) forward(out *batchOut, pkt *Packet) {
 		}
 	}
 	out.send(hop, pkt)
-}
-
-// repack re-serializes an executed window, encoding the payload into the
-// burst's scratch buffer. The returned packet bytes are fresh (the
-// receiver owns them); nil means a serialization error was counted.
-func (s *SwitchNode) repack(b *batchState, w *batchWin, j *pisa.BatchJob, kp *swKernel, hops []ncp.Hop, extraFlags, clearFlags uint8) []byte {
-	payload, err := ncp.AppendPayload(b.payload[:0], j.Data, kp.specs)
-	if err != nil {
-		s.Errors.Add(1)
-		return nil
-	}
-	b.payload = payload
-	nh := w.sc.dec.Header
-	nh.Flags |= extraFlags
-	nh.Flags &^= clearFlags
-	out, err := ncp.MarshalHops(&nh, j.Meta.User, hops, payload)
-	if err != nil {
-		s.Errors.Add(1)
-		return nil
-	}
-	s.Repacks.Add(1)
-	return out
 }

@@ -16,42 +16,51 @@ type nullSender struct{ net *and.Network }
 func (n *nullSender) SendBatch(string, []string, []*Packet) error { return nil }
 func (n *nullSender) Network() *and.Network                       { return n.net }
 
-// TestSwitchProcessAllocsUntraced asserts the ISSUE acceptance bound:
-// INT stamping must not add allocations to the untraced receive path.
-// The whole Receive pipeline — decode, unbatch, kernel exec, repack —
-// stays allocation-flat when FlagTrace is off, depth probing and exec
-// timing included only for traced windows.
+// TestSwitchProcessAllocsUntraced: the whole untraced Receive pipeline —
+// decode, exec on the payload bytes, in-place edit, forward — allocates
+// nothing; depth probing and exec timing run only for traced windows. An
+// untraced window leaves in the Packet it arrived in, so a pass costs 0
+// and a broadcast exactly one Packet per neighbor beyond the first (the
+// copies share the bytes).
 func TestSwitchProcessAllocsUntraced(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; allocation counts are meaningless")
 	}
-	net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s1\nlink s1 b")
+	net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nhost c role=1\nlink a s1\nlink s1 b\nlink s1 c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn := NewSwitchNode("s1", pisa.DefaultTarget())
-	if err := sn.Install(passProgram(), 1); err != nil {
-		t.Fatal(err)
-	}
-	sn.SetRoutes(net.NextHops()["s1"])
-	sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
-	fab := New(net, Faults{})
-	sn.SetDepthSource(func() int { return fab.InboxDepth("s1") })
-	sender := &nullSender{net: net}
+	for _, tc := range []struct {
+		name   string
+		prog   *pisa.Program
+		budget float64
+	}{{"pass", passProgram(), 0}, {"bcast", bcastProgram(), 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sn := NewSwitchNode("s1", pisa.DefaultTarget())
+			if err := sn.Install(tc.prog, 1); err != nil {
+				t.Fatal(err)
+			}
+			sn.SetRoutes(net.NextHops()["s1"])
+			sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
+			fab := New(net, Faults{})
+			sn.SetDepthSource(func() int { return fab.InboxDepth("s1") })
+			sender := &nullSender{net: net}
 
-	pkt := &Packet{Src: "a", Dst: "b", Data: ncpPacket(t, 1, 41, 0)}
-	// Warm the scratch pool and one-time lazy state.
-	for i := 0; i < 8; i++ {
-		sn.Receive(sender, pkt, "a")
-	}
-	avg := testing.AllocsPerRun(500, func() {
-		sn.Receive(sender, pkt, "a")
-	})
-	// Budget 2: the repacked packet bytes and the Packet struct handed to
-	// the fabric are genuinely fresh per forward (the receiver owns
-	// them); everything else is pooled. INT must not raise this.
-	if avg > 2 {
-		t.Fatalf("untraced Receive: %.1f allocs/window, budget 2", avg)
+			data := ncpPacket(t, 1, 41, 0)
+			pkt := new(Packet)
+			receive := func() {
+				// A fresh delivery each time, in the same storage: the switch
+				// rewrites the struct it forwards.
+				*pkt = Packet{Src: "a", Dst: "b", Data: data}
+				sn.Receive(sender, pkt, "a")
+			}
+			for i := 0; i < 8; i++ { // warm the working set and the neighbor list
+				receive()
+			}
+			if avg := testing.AllocsPerRun(500, receive); avg != tc.budget {
+				t.Fatalf("untraced Receive (%s): %.2f allocs/window, want %.0f", tc.name, avg, tc.budget)
+			}
+		})
 	}
 }
 

@@ -185,7 +185,10 @@ func runOnePath(t *testing.T, net *and.Network, stream []*Packet, cuts []int) on
 	rec := &onePathRecorder{net: net}
 	fresh := make([]delivery, len(stream))
 	for i, p := range stream {
-		fresh[i] = delivery{pkt: &Packet{Src: p.Src, Dst: p.Dst, Data: p.Data, VTimeUs: p.VTimeUs}, from: p.Src}
+		// Each delivery owns its bytes: the switch edits executed windows
+		// in place, and the runs compared replay the same stream.
+		data := append([]byte(nil), p.Data...)
+		fresh[i] = delivery{pkt: &Packet{Src: p.Src, Dst: p.Dst, Data: data, VTimeUs: p.VTimeUs}, from: p.Src}
 	}
 	if cuts == nil {
 		for _, d := range fresh {
@@ -304,12 +307,16 @@ type reentrantSender struct {
 
 const reentrantDepth = 3
 
+// bytes copies the window for one delivery: the receiver owns what it is
+// handed and the switch edits executed windows in place.
+func (r *reentrantSender) bytes() []byte { return append([]byte(nil), r.window...) }
+
 func (r *reentrantSender) Network() *and.Network { return r.net }
 func (r *reentrantSender) SendBatch(_ string, _ []string, pkts []*Packet) error {
 	for _, p := range pkts {
 		r.arrived.Add(1)
 		if p.VTimeUs < reentrantDepth*SwitchDelayUs {
-			r.sn.Receive(r, &Packet{Src: "a", Dst: "b", Data: r.window, VTimeUs: p.VTimeUs}, "a")
+			r.sn.Receive(r, &Packet{Src: "a", Dst: "b", Data: r.bytes(), VTimeUs: p.VTimeUs}, "a")
 		}
 	}
 	return nil
@@ -342,7 +349,7 @@ func TestSwitchReceiveReentrant(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				batch := make([]delivery, burst)
 				for k := range batch {
-					batch[k] = delivery{pkt: &Packet{Src: "a", Dst: "b", Data: rs.window}, from: "a"}
+					batch[k] = delivery{pkt: &Packet{Src: "a", Dst: "b", Data: rs.bytes()}, from: "a"}
 				}
 				sn.receiveBatch(rs, batch)
 			}

@@ -112,9 +112,9 @@ func bcastProgram() *pisa.Program {
 	return &pisa.Program{Name: "b", Kernels: []*pisa.Kernel{k}}
 }
 
-// TestSwitchNodeBcastEncodesOnce: a broadcast serializes the window once
-// and hands every neighbor the same encoded bytes (delivered packet data
-// is read-only by convention).
+// TestSwitchNodeBcastEncodesOnce: a broadcast emits the window once and
+// hands every neighbor the same bytes (the copies are marked Shared, so a
+// switch that executes one copies it first).
 func TestSwitchNodeBcastEncodesOnce(t *testing.T) {
 	net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nhost c role=1\nlink a s1\nlink s1 b\nlink s1 c")
 	if err != nil {
@@ -150,7 +150,7 @@ func TestSwitchNodeBcastEncodesOnce(t *testing.T) {
 	if got := sn.Repacks.Load(); got != 1 {
 		t.Fatalf("broadcast re-serialized %d times, want exactly 1", got)
 	}
-	// Same backing array everywhere: one encode, shared bytes.
+	// Same backing array everywhere: one emit, shared bytes.
 	if &a.got[0].Data[0] != &b.got[0].Data[0] || &b.got[0].Data[0] != &c.got[0].Data[0] {
 		t.Error("broadcast copies diverged: each neighbor got a separate encoding")
 	}

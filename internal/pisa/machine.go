@@ -38,6 +38,7 @@ type Switch struct {
 // publishes once per call instead of once per window, pass and stage.
 type execScratch struct {
 	vals []uint64
+	raw  []byte // a Data job's payload bytes
 
 	passes, tableHits, tableMisses, dupSuppressed uint64
 	stageExecs                                    []uint64 // by position in the pass
@@ -330,6 +331,7 @@ func (kp *kernelPlan) getScratch() *execScratch {
 	}
 	return &execScratch{
 		vals:        append([]uint64(nil), kp.image...),
+		raw:         make([]byte, kp.payloadBytes),
 		stageExecs:  make([]uint64, kp.maxStages),
 		shadowSlots: -1,
 	}
@@ -374,11 +376,14 @@ type WindowMeta struct {
 	ExactlyOnce bool
 }
 
-// BatchJob is one window in an ExecWindowBatch call: Data and Meta are
-// the inputs (Data is read and deparsed in place); Dec and Err are filled
-// per window by the call.
+// BatchJob is one window in an ExecWindowBatch call; Dec and Err are
+// filled per window by the call. Raw is the window's payload bytes in NCP
+// wire order (on the switch, the packet's own), parsed into the PHV and
+// deparsed back in place. A job without Raw carries Data, encoded into
+// scratch bytes for the same core and decoded back.
 type BatchJob struct {
 	Data [][]uint64
+	Raw  []byte
 	Meta WindowMeta
 	Dec  interp.Decision
 	Err  error
@@ -470,11 +475,17 @@ func (sw *Switch) execBatch(pl *plan, kp *kernelPlan, jobs []BatchJob, loc uint3
 	phv := s.vals[:kp.numFields]
 	for i := range jobs {
 		j := &jobs[i]
-		clear(phv)
-		if err := kp.parse(j.Data, phv); err != nil {
-			j.Err = err
+		raw := j.Raw
+		if raw == nil {
+			if raw, j.Err = s.raw, kp.encode(j.Data, s.raw); j.Err != nil {
+				continue
+			}
+		} else if len(raw) != kp.payloadBytes {
+			j.Err = fmt.Errorf("pisa: window payload is %d bytes, kernel %s takes %d", len(raw), kp.k.Name, kp.payloadBytes)
 			continue
 		}
+		clear(phv)
+		kp.parse(raw, phv)
 		builtin := [metaUser0]uint64{j.Meta.Seq, j.Meta.Len, j.Meta.From, j.Meta.Sender, j.Meta.Wid}
 		for _, mb := range kp.metaBind {
 			var v uint64
@@ -507,7 +518,10 @@ func (sw *Switch) execBatch(pl *plan, kp *kernelPlan, jobs []BatchJob, loc uint3
 			j.Err = err
 			continue
 		}
-		kp.deparse(j.Data, phv)
+		kp.deparse(raw, phv)
+		if j.Raw == nil {
+			kp.decode(raw, j.Data)
+		}
 		j.Dec = kp.decision(pl, phv)
 		j.Dec.Suppressed = suppress
 	}

@@ -205,7 +205,7 @@ type ParamLayout struct {
 	Bits   int
 	Signed bool
 	Bool   bool       // canonicalize ingested bytes to 0/1 (C bool semantics)
-	Fields []FieldRef // len == Elems
+	Fields []FieldRef // len == Elems (Load checks)
 }
 
 // Kernel is one compiled outgoing kernel.

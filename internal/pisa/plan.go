@@ -1,6 +1,7 @@
 package pisa
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -158,13 +159,45 @@ type metaBind struct {
 	norm norm
 }
 
-// paramPlan is one window parameter's ingest/deparse layout.
-type paramPlan struct {
-	name   string
-	elems  int
-	norm   norm
-	boolP  bool
-	fields []FieldRef
+// elemPlan binds one window element to its PHV field and to payload bytes
+// [off, off+size), big-endian (hostgen's opElem reads Raw the same way).
+type elemPlan struct {
+	f         FieldRef
+	off, size int
+	norm      norm
+	boolP     bool
+}
+
+func (e *elemPlan) load(raw []byte) (v uint64) {
+	b := raw[e.off : e.off+e.size]
+	if e.size == 4 { // int, unsigned: the common case
+		return uint64(binary.BigEndian.Uint32(b))
+	}
+	for _, c := range b {
+		v = v<<8 | uint64(c)
+	}
+	return v
+}
+
+func (e *elemPlan) store(raw []byte, v uint64) {
+	b := raw[e.off : e.off+e.size]
+	if e.size == 4 {
+		binary.BigEndian.PutUint32(b, uint32(v))
+		return
+	}
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i], v = byte(v), v>>8
+	}
+}
+
+// PayloadBytes is the size of one window of the kernel on the wire: its
+// parameters' elements back to back (NCL types are whole bytes; a
+// narrower hand-built field travels in one).
+func (k *Kernel) PayloadBytes() (n int) {
+	for _, p := range k.Params {
+		n += p.Elems * ((p.Bits + 7) / 8)
+	}
+	return n
 }
 
 // tableInstr is one match-table access: key is a value-file slot, hit and
@@ -205,7 +238,8 @@ type stagePlan struct {
 type kernelPlan struct {
 	k             *Kernel
 	numFields     int
-	params        []paramPlan
+	elems         []elemPlan // every parameter element, in payload order
+	payloadBytes  int
 	metaBind      []metaBind
 	locField      FieldRef
 	fwdField      FieldRef
@@ -311,13 +345,14 @@ func (pl *plan) compileKernel(k *Kernel) (*kernelPlan, error) {
 		kp.userFields = k.UserFields
 	}
 	for _, p := range k.Params {
-		kp.params = append(kp.params, paramPlan{
-			name:   p.Name,
-			elems:  p.Elems,
-			norm:   normOf(p.Bits, p.Signed),
-			boolP:  p.Bool,
-			fields: p.Fields,
-		})
+		if len(p.Fields) != p.Elems {
+			return nil, fmt.Errorf("param %s has %d fields for %d elements", p.Name, len(p.Fields), p.Elems)
+		}
+		size := (p.Bits + 7) / 8
+		for _, f := range p.Fields {
+			kp.elems = append(kp.elems, elemPlan{f: f, off: kp.payloadBytes, size: size, norm: normOf(p.Bits, p.Signed), boolP: p.Bool})
+			kp.payloadBytes += size
+		}
 	}
 	for name, f := range k.WinMeta {
 		mb := metaBind{f: f, norm: kp.fieldNorm(f)}
@@ -680,33 +715,52 @@ func (kp *kernelPlan) execPasses(s *execScratch, suppress bool) error {
 	return nil
 }
 
-// parse ingests window data into the PHV (the parser half of the
-// pipeline). phv must be zeroed.
-func (kp *kernelPlan) parse(data [][]uint64, phv []uint64) error {
-	if len(data) != len(kp.params) {
-		return fmt.Errorf("pisa: window has %d params, kernel %s expects %d", len(data), kp.k.Name, len(kp.params))
-	}
-	for pi := range kp.params {
-		p := &kp.params[pi]
-		if len(data[pi]) != p.elems {
-			return fmt.Errorf("pisa: param %s has %d elements, expected %d", p.name, len(data[pi]), p.elems)
+// parse is the parser half of the pipeline: every window element straight
+// from the payload bytes into its PHV field.
+func (kp *kernelPlan) parse(raw []byte, phv []uint64) {
+	for i := range kp.elems {
+		e := &kp.elems[i]
+		v := e.norm.apply(e.load(raw))
+		if e.boolP {
+			v = boolBit(v != 0)
 		}
-		for ei, f := range p.fields {
-			v := p.norm.apply(data[pi][ei])
-			if p.boolP {
-				v = boolBit(v != 0)
-			}
-			phv[f] = v
+		phv[e.f] = v
+	}
+}
+
+// deparse writes every element back into its bytes, so a non-canonical
+// bool byte leaves as 0 or 1 whether or not the kernel wrote it.
+func (kp *kernelPlan) deparse(raw []byte, phv []uint64) {
+	for i := range kp.elems {
+		kp.elems[i].store(raw, phv[kp.elems[i].f])
+	}
+}
+
+// encode lays a Data job out as the bytes the core runs on; decode reads
+// them back, each element canonical for its parameter's type.
+func (kp *kernelPlan) encode(data [][]uint64, raw []byte) error {
+	params, i := kp.k.Params, 0
+	if len(data) != len(params) {
+		return fmt.Errorf("pisa: window has %d params, kernel %s expects %d", len(data), kp.k.Name, len(params))
+	}
+	for pi, p := range params {
+		if len(data[pi]) != p.Elems {
+			return fmt.Errorf("pisa: param %s has %d elements, expected %d", p.Name, len(data[pi]), p.Elems)
+		}
+		for _, v := range data[pi] {
+			kp.elems[i].store(raw, v)
+			i++
 		}
 	}
 	return nil
 }
 
-// deparse writes modified PHV fields back into the window data.
-func (kp *kernelPlan) deparse(data [][]uint64, phv []uint64) {
-	for pi := range kp.params {
-		for ei, f := range kp.params[pi].fields {
-			data[pi][ei] = phv[f]
+func (kp *kernelPlan) decode(raw []byte, data [][]uint64) {
+	i := 0
+	for _, vals := range data {
+		for ei := range vals {
+			vals[ei] = kp.elems[i].norm.apply(kp.elems[i].load(raw))
+			i++
 		}
 	}
 }

@@ -114,8 +114,9 @@ func (u *UDPNet) Attach(n netsim.Node) error {
 // recvPool recycles per-datagram receive buffers. A buffer is handed to
 // the node zero-copy (the decoded payload aliases it) and reclaimed as
 // soon as Receive returns: nothing in the system retains pkt.Data past
-// that point — hosts copy window payloads at enqueue, switches repack
-// into fresh bytes, and UDP forwards copy into the kernel synchronously.
+// that point — hosts copy window payloads at enqueue, and a switch that
+// executes a window in place (netsim.Packet's ownership rule) forwards it
+// through SendBatch, which frames it, copying, before Receive returns.
 var recvPool = sync.Pool{New: func() any {
 	b := make([]byte, 65536)
 	return &b

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Repo health check: vet, formatting, oracle callers, doc lint, staticcheck
-# (when installed), and the full test suite under the race detector.
+# Repo health check: vet, formatting, oracle callers, the switch's one
+# buffer, doc lint, staticcheck (when installed), and the full test suite
+# under the race detector.
 # CI-equivalent; run before sending a change. Set NCL_CHECK_SKIP_TESTS=1 to
 # run only the static checks (CI's lint job does this; the race suite runs
 # in its own job).
@@ -36,6 +37,17 @@ oracle=$(grep -nE '\balu\(|evalAction\(' internal/pisa/*.go | grep -vE '_test\.g
 if [ -n "$oracle" ]; then
     echo "pisa's oracle ALU used outside internal/pisa/reference.go and tests:" >&2
     echo "$oracle" >&2
+    exit 1
+fi
+
+# A switch hop holds one buffer: the device parses and deparses the
+# packet's payload bytes itself (pisa.BatchJob.Raw), so the switch never
+# decodes a window into arrays or encodes one back.
+echo "== one buffer per switch hop"
+onebuf=$(grep -nE 'ncp\.(DecodePayloadInto|AppendPayload)\(' internal/netsim/*.go | grep -v '_test\.go:' || true)
+if [ -n "$onebuf" ]; then
+    echo "window payload codec on the switch data path (internal/netsim):" >&2
+    echo "$onebuf" >&2
     exit 1
 fi
 
