@@ -62,11 +62,7 @@ func TestDeliverHeldAfterStopCountsDropped(t *testing.T) {
 	fab.Stop()
 
 	st := fab.Stats("a", "b")
-	hp := &heldPkt{
-		d:     delivery{pkt: &Packet{Src: "a", Dst: "b", Data: []byte{1, 2, 3}}, from: "a"},
-		st:    st,
-		inbox: fab.inboxes["b"],
-	}
+	hp := &heldPkt{pkt: &Packet{Src: "a", Dst: "b", Data: []byte{1, 2, 3}}, p: fab.port("a", "b")}
 	fab.deliverHeld(hp)
 	if got := st.Packets.Load(); got != 0 {
 		t.Errorf("Packets = %d after stopped-fabric flush, want 0 (nothing was delivered)", got)
@@ -95,17 +91,12 @@ func TestDeliverHeldFullInboxCountsDrop(t *testing.T) {
 	fab.Attach(a)
 	fab.Attach(b)
 	// Not started: nothing drains, so the one-slot inbox stays full.
-	inbox := fab.inboxes["b"]
+	inbox := fab.eps["b"].inbox
 	if inbox.pushPkts([]*Packet{{Data: []byte{9}}}, "a") != 1 {
 		t.Fatal("first push must fit")
 	}
 	st := fab.Stats("a", "b")
-	hp := &heldPkt{
-		d:     delivery{pkt: &Packet{Data: []byte{1}}, from: "a"},
-		st:    st,
-		inbox: inbox,
-		drops: reg.Counter("fabric.b.inbox_drops"),
-	}
+	hp := &heldPkt{pkt: &Packet{Data: []byte{1}}, p: fab.port("a", "b")}
 	fab.deliverHeld(hp)
 	if st.Packets.Load() != 0 || st.Dropped.Load() != 1 {
 		t.Errorf("full-inbox flush: Packets=%d Dropped=%d, want 0/1", st.Packets.Load(), st.Dropped.Load())
@@ -117,7 +108,7 @@ func TestDeliverHeldFullInboxCountsDrop(t *testing.T) {
 
 // starNet: one switch with two host neighbors, for multi-destination
 // batch sends.
-func starNet(t *testing.T) *and.Network {
+func starNet(t testing.TB) *and.Network {
 	t.Helper()
 	n, err := and.Parse("switch s1\nhost a\nhost b\nlink a s1\nlink s1 b")
 	if err != nil {
@@ -249,7 +240,7 @@ func runOneLoop(t *testing.T, faults Faults, inboxCap int, prep func(*Fabric), t
 	}
 	show := func(p *Packet) string { return fmt.Sprintf("#%d t=%.4f", p.Data[0], p.VTimeUs) }
 	for _, to := range []string{"a", "b", "z"} {
-		if inbox := fab.inboxes[to]; inbox != nil {
+		if inbox := fab.eps[to].inbox; inbox != nil {
 			for _, d := range inbox.drain(nil, inboxCap) {
 				res.Delivered[to] = append(res.Delivered[to], show(d.pkt))
 			}
@@ -259,8 +250,10 @@ func runOneLoop(t *testing.T, faults Faults, inboxCap int, prep func(*Fabric), t
 		res.Links[to] = [3]uint64{st.Packets.Load(), st.Bytes.Load(), st.Dropped.Load()}
 	}
 	fab.rngMu.Lock()
-	for key, hp := range fab.pending {
-		res.Held[key.to] = show(hp.d.pkt)
+	for _, to := range []string{"a", "b", "z"} {
+		if hp := fab.port("s1", to).held; hp != nil {
+			res.Held[to] = show(hp.pkt)
+		}
 	}
 	fab.rngMu.Unlock()
 	for _, p := range pkts {
@@ -275,6 +268,9 @@ func runOneLoop(t *testing.T, faults Faults, inboxCap int, prep func(*Fabric), t
 // delivered sequence per receiver, the seeded drops, duplicates and
 // hold-backs (the dice are rolled per packet in stream order), the
 // per-link and overflow counters, and every packet's virtual-time stamp.
+// A call groups its packets by destination, so the streams include a
+// broadcast's shape — no two consecutive packets to one destination — and
+// one longer than a grouping chunk.
 func TestSendBatchOneLoop(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -319,34 +315,49 @@ func TestSendBatchOneLoop(t *testing.T) {
 			prep: func(f *Fabric) { f.FailNode("b") }, check: blackholed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(11))
-			var tos []string
-			sent := map[string]uint64{}
-			for len(tos) < 60 {
-				// Runs of one to five packets; the sink draws no dice and a
-				// blackholed run neither, so both shift the stream's sequence
-				// the same way however it is cut.
-				to := []string{"a", "b", "a", "b", "z"}[r.Intn(5)]
-				for n := 1 + r.Intn(5); n > 0; n-- {
-					tos = append(tos, to)
-					sent[to]++
-				}
-			}
-			want := runOneLoop(t, tc.faults, tc.inboxCap, tc.prep, tos, nil)
-			if want.Links["z"][0] == 0 || len(want.Delivered["a"]) == 0 {
-				t.Fatalf("the stream does not exercise every destination: %+v", want.Links)
-			}
-			if tc.check != nil {
-				tc.check(t, want, sent)
-			}
-			var cuts []int
-			for at := r.Intn(8); at < len(tos); at += 1 + r.Intn(12) {
-				cuts = append(cuts, at)
-			}
-			for name, c := range map[string][]int{"one-SendBatch": {}, "random-splits": cuts} {
-				if got := runOneLoop(t, tc.faults, tc.inboxCap, tc.prep, tos, c); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s diverges from one Send per packet:\n got %+v\nwant %+v", name, got, want)
-				}
+			for _, stream := range []struct {
+				name string
+				n    int
+				runs bool // random runs of one to five packets, else a, b, z, a, b, z, …
+			}{
+				{"runs", 60, true},
+				{"alternating", 60, false},
+				{"longer-than-a-chunk", 2*sendChunk + 7, true},
+			} {
+				t.Run(stream.name, func(t *testing.T) {
+					r := rand.New(rand.NewSource(11))
+					var tos []string
+					sent := map[string]uint64{}
+					for len(tos) < stream.n {
+						// The sink draws no dice and a blackholed packet neither, so
+						// both shift the stream's sequence the same way however it is
+						// cut.
+						to, n := []string{"a", "b", "z"}[len(tos)%3], 1
+						if stream.runs {
+							to, n = []string{"a", "b", "a", "b", "z"}[r.Intn(5)], 1+r.Intn(5)
+						}
+						for ; n > 0; n-- {
+							tos = append(tos, to)
+							sent[to]++
+						}
+					}
+					want := runOneLoop(t, tc.faults, tc.inboxCap, tc.prep, tos, nil)
+					if want.Links["z"][0] == 0 || len(want.Delivered["a"]) == 0 {
+						t.Fatalf("the stream does not exercise every destination: %+v", want.Links)
+					}
+					if tc.check != nil {
+						tc.check(t, want, sent)
+					}
+					var cuts []int
+					for at := r.Intn(8); at < len(tos); at += 1 + r.Intn(12) {
+						cuts = append(cuts, at)
+					}
+					for name, c := range map[string][]int{"one-SendBatch": {}, "random-splits": cuts} {
+						if got := runOneLoop(t, tc.faults, tc.inboxCap, tc.prep, tos, c); !reflect.DeepEqual(got, want) {
+							t.Errorf("%s diverges from one Send per packet:\n got %+v\nwant %+v", name, got, want)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -399,9 +410,9 @@ func TestSinkPacketsCarryNoVirtualTime(t *testing.T) {
 					}
 				}
 				fab.vt.mu.Lock()
-				free, ok := fab.vt.linkFree[linkKey{"s1", dead.to}]
+				free := fab.port("s1", dead.to).free
 				fab.vt.mu.Unlock()
-				if ok || free != 0 {
+				if free != 0 {
 					t.Errorf("%s: link s1->%s busy until %v in virtual time, want untouched", step, dead.to, free)
 				}
 			}
@@ -451,8 +462,10 @@ func (q quietNode) Label() string                   { return q.label }
 func (q quietNode) Receive(Sender, *Packet, string) {}
 
 // TestFabricSendAllocs: the send loop allocates nothing per packet or per
-// call — for Send (a batch of one built on the stack) and for a 64-packet
-// SendBatch, with the fault dice off and on.
+// call — for Send (a batch of one built on the stack), for a 64-packet
+// SendBatch of 8-packet runs and for a 128-packet one alternating between
+// its two destinations (a broadcast's shape), with the fault dice off and
+// on.
 func TestFabricSendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -470,13 +483,7 @@ func TestFabricSendAllocs(t *testing.T) {
 			}
 			fab.Start()
 			defer fab.Stop()
-			const batch = 64
-			tos := make([]string, batch)
-			pkts := make([]*Packet, batch)
-			for i := range pkts {
-				tos[i] = []string{"a", "b"}[i/8%2]
-				pkts[i] = &Packet{Src: "s1", Dst: tos[i], Data: make([]byte, 64)}
-			}
+			tos, pkts := fabricBatch(64, 8)
 			if avg := testing.AllocsPerRun(200, func() {
 				if err := fab.Send("s1", "a", pkts[0]); err != nil {
 					t.Fatal(err)
@@ -489,11 +496,60 @@ func TestFabricSendAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}); avg != 0 {
-				t.Errorf("SendBatch allocates %.2f per %d-packet batch, want 0", avg, batch)
+				t.Errorf("SendBatch allocates %.2f per %d-packet batch of runs, want 0", avg, len(pkts))
+			}
+			tos, pkts = fabricBatch(128, 1)
+			if avg := testing.AllocsPerRun(200, func() {
+				if err := fab.SendBatch("s1", tos, pkts); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Errorf("SendBatch allocates %.2f per alternating %d-packet batch, want 0", avg, len(pkts))
 			}
 			if st := fab.Stats("s1", "b"); st.Packets.Load() == 0 {
 				t.Error("nothing crossed the link")
 			}
+		})
+	}
+}
+
+// fabricBatch builds n 64-byte packets from s1 that alternate between a and
+// b every run packets.
+func fabricBatch(n, run int) ([]string, []*Packet) {
+	tos := make([]string, n)
+	pkts := make([]*Packet, n)
+	for i := range pkts {
+		tos[i] = []string{"a", "b"}[i/run%2]
+		pkts[i] = &Packet{Src: "s1", Dst: tos[i], Data: make([]byte, 64)}
+	}
+	return tos, pkts
+}
+
+// BenchmarkFabricSendBatch times the send loop from s1 to its two hosts,
+// which drain and discard: runs-64 sends two 32-packet runs per call,
+// alternating-128 a broadcast's shape, a, b, a, b, … ns/pkt is per packet.
+func BenchmarkFabricSendBatch(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		n, run int
+	}{{"runs-64", 64, 32}, {"alternating-128", 128, 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			fab := New(starNet(b), Faults{})
+			for _, n := range []Node{quietNode{"s1"}, quietNode{"a"}, quietNode{"b"}} {
+				if err := fab.Attach(n); err != nil {
+					b.Fatal(err)
+				}
+			}
+			fab.Start()
+			defer fab.Stop()
+			tos, pkts := fabricBatch(bc.n, bc.run)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := fab.SendBatch("s1", tos, pkts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.n), "ns/pkt")
 		})
 	}
 }
@@ -551,7 +607,73 @@ func TestSendBatchLenMismatch(t *testing.T) {
 // against a draining receiver (run it with -race: it exercises the ring
 // push/drain handoff, the batched virtual-clock stamp, and the counters
 // under contention). Conservation must hold: delivered + dropped == sent.
+// Then two goroutines send alternating batches as one switch label, as a
+// node's SendWorkers do: each one's packets keep their order per
+// destination, and every link counts every packet once.
 func TestSendBatchConcurrentStress(t *testing.T) {
+	t.Run("one-destination", testSendBatchOneDestinationStress)
+	t.Run("one-label-two-goroutines", func(t *testing.T) {
+		fab := New(starNet(t), Faults{})
+		a, b := &echoNode{label: "a"}, &echoNode{label: "b"}
+		for _, n := range []Node{&echoNode{label: "s1"}, a, b} {
+			if err := fab.Attach(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fab.Start()
+		defer fab.Stop()
+
+		const (
+			goroutines = 2
+			batches    = 50
+			perBatch   = 64 // alternating a, b: 32 packets to each per call
+		)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; n < batches; n++ {
+					tos := make([]string, perBatch)
+					pkts := make([]*Packet, perBatch)
+					for i := range pkts {
+						// Data: the goroutine, then the packet's sequence number on its
+						// destination.
+						seq := n*perBatch/2 + i/2
+						tos[i] = []string{"a", "b"}[i%2]
+						pkts[i] = &Packet{Src: "s1", Dst: tos[i], Data: []byte{byte(g), byte(seq >> 8), byte(seq)}}
+					}
+					if err := fab.SendBatch("s1", tos, pkts); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		const perDest = goroutines * batches * perBatch / 2
+		for _, n := range []*echoNode{a, b} {
+			waitCount(t, n, perDest)
+			st := fab.Stats("s1", n.label)
+			if st.Packets.Load() != perDest || st.Dropped.Load() != 0 {
+				t.Errorf("link s1->%s: %d packets %d dropped, want %d/0", n.label, st.Packets.Load(), st.Dropped.Load(), perDest)
+			}
+			n.mu.Lock()
+			next := [goroutines]int{}
+			for _, p := range n.got {
+				g, seq := p.Data[0], int(p.Data[1])<<8|int(p.Data[2])
+				if seq != next[g] {
+					t.Errorf("->%s: goroutine %d's packet %d arrived where %d was due", n.label, g, seq, next[g])
+					break
+				}
+				next[g]++
+			}
+			n.mu.Unlock()
+		}
+	})
+}
+
+func testSendBatchOneDestinationStress(t *testing.T) {
 	fab := New(pairNet(t), Faults{})
 	a := &echoNode{label: "a"}
 	b := &echoNode{label: "b"}

@@ -8,49 +8,22 @@ package netsim
 // reliable transport's retransmits then flow over the new paths.
 
 // FailNode marks a node as failed. Packets to or from it are dropped
-// until RestoreNode. Unknown labels are recorded all the same (harmless).
-func (f *Fabric) FailNode(label string) {
-	for {
-		old := f.failed.Load()
-		next := map[string]bool{label: true}
-		if old != nil {
-			for l := range *old {
-				next[l] = true
-			}
-		}
-		if f.failed.CompareAndSwap(old, &next) {
-			return
-		}
-	}
-}
+// until RestoreNode. Unknown labels are ignored.
+func (f *Fabric) FailNode(label string) { f.setNodeDown(label, true) }
 
 // RestoreNode clears a node's failed state.
-func (f *Fabric) RestoreNode(label string) {
-	for {
-		old := f.failed.Load()
-		if old == nil || !(*old)[label] {
-			return
-		}
-		next := map[string]bool{}
-		for l := range *old {
-			if l != label {
-				next[l] = true
-			}
-		}
-		ptr := &next
-		if len(next) == 0 {
-			ptr = nil
-		}
-		if f.failed.CompareAndSwap(old, ptr) {
-			return
-		}
+func (f *Fabric) RestoreNode(label string) { f.setNodeDown(label, false) }
+
+func (f *Fabric) setNodeDown(label string, down bool) {
+	if ep := f.eps[label]; ep != nil {
+		ep.down.Store(down)
 	}
 }
 
 // NodeFailed reports whether a node is currently failed.
 func (f *Fabric) NodeFailed(label string) bool {
-	fl := f.failed.Load()
-	return fl != nil && (*fl)[label]
+	ep := f.eps[label]
+	return ep != nil && ep.down.Load()
 }
 
 // FailLink marks the link between a and b as failed in both directions:
@@ -58,52 +31,34 @@ func (f *Fabric) NodeFailed(label string) bool {
 // RestoreLink. The nodes stay up — this is the partial-failure case a
 // whole-node FailNode cannot express: ECMP flows shift onto surviving
 // equal-cost hops (forwarders consult LinkFailed) while single-path
-// traffic loses packets like loss. Unknown labels record all the same.
-func (f *Fabric) FailLink(a, b string) {
-	for {
-		old := f.failedLinks.Load()
-		next := map[linkKey]bool{{a, b}: true, {b, a}: true}
-		if old != nil {
-			for k := range *old {
-				next[k] = true
-			}
-		}
-		if f.failedLinks.CompareAndSwap(old, &next) {
-			return
-		}
-	}
-}
+// traffic loses packets like loss. Labels that share no link are ignored.
+func (f *Fabric) FailLink(a, b string) { f.setLinkDown(a, b, true) }
 
 // RestoreLink clears a link's failed state (both directions).
-func (f *Fabric) RestoreLink(a, b string) {
-	for {
-		old := f.failedLinks.Load()
-		if old == nil || (!(*old)[linkKey{a, b}] && !(*old)[linkKey{b, a}]) {
-			return
-		}
-		next := map[linkKey]bool{}
-		for k := range *old {
-			if (k == linkKey{a, b}) || (k == linkKey{b, a}) {
-				continue
+func (f *Fabric) RestoreLink(a, b string) { f.setLinkDown(a, b, false) }
+
+// setLinkDown flips both directions' port bits, keeping linksDown in step.
+func (f *Fabric) setLinkDown(a, b string, down bool) {
+	for _, dir := range [2][2]string{{a, b}, {b, a}} {
+		if p := f.port(dir[0], dir[1]); p != nil && p.down.Swap(down) != down {
+			delta := int32(-1)
+			if down {
+				delta = 1
 			}
-			next[k] = true
-		}
-		ptr := &next
-		if len(next) == 0 {
-			ptr = nil
-		}
-		if f.failedLinks.CompareAndSwap(old, ptr) {
-			return
+			f.linksDown.Add(delta)
 		}
 	}
 }
 
 // LinkFailed reports whether the directed link from→to is currently
-// failed. One atomic load on the healthy path — cheap enough for
+// failed. One atomic load while no link is down — cheap enough for
 // forwarders to consult per packet.
 func (f *Fabric) LinkFailed(from, to string) bool {
-	ll := f.failedLinks.Load()
-	return ll != nil && (*ll)[linkKey{from, to}]
+	if f.linksDown.Load() == 0 {
+		return false
+	}
+	p := f.port(from, to)
+	return p != nil && p.down.Load()
 }
 
 // LinkHealth is the data-plane view of link liveness: transports that

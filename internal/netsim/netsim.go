@@ -5,18 +5,21 @@
 //
 // The fabric is intentionally simple: a goroutine per node draining an
 // inbox, direct neighbor-to-neighbor delivery, and atomic byte/packet
-// counters per link. Nodes send through one seam, Sender.SendBatch, and the
-// fabric has one send loop behind it (a packet is a batch of one): the
-// only place virtual time is stamped, failed links blackhole and the
-// fault dice are rolled. Performance *shapes* for the evaluation come
-// from the counters plus the analytic model in internal/model — not from
-// wall-clock sleeps.
+// counters per link. Each node reaches its neighbors through dense ports
+// built once with the fabric, so a send looks no link up by label. Nodes
+// send through one seam, Sender.SendBatch, and the fabric has one send loop
+// behind it (a packet is a batch of one): it groups a call's packets by
+// destination, and it is the only place virtual time is stamped, failed
+// links blackhole and the fault dice are rolled. Performance *shapes* for
+// the evaluation come from the counters plus the analytic model in
+// internal/model — not from wall-clock sleeps.
 package netsim
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,9 +60,10 @@ type Packet struct {
 // here, or the UDP harness in internal/runtime. This is the backend seam
 // of Fig. 3a (POSIX/UDP vs DPDK-like in-memory), and SendBatch is its only
 // send: a node hands over whatever it has ready — one packet is a batch of
-// one — and the transport amortizes its per-call costs over it (stopped
-// check, virtual-time lock, inbox lock and wakeup here; syscalls in the
-// UDP backend).
+// one — and the transport amortizes its costs over it: here the stopped
+// check per call, the virtual-time lock per call of up to 128 packets and
+// one inbox lock and wakeup per destination of such a call; syscalls in
+// the UDP backend.
 type Sender interface {
 	// SendBatch transmits pkts[i] from the node labeled `from` to its
 	// overlay neighbor tos[i], preserving order per destination.
@@ -104,35 +108,26 @@ type Faults struct {
 	Seed        int64
 }
 
-type linkKey struct{ from, to string }
-
 // Fabric connects nodes according to an AND network.
 type Fabric struct {
-	net   *and.Network
-	nodes map[string]Node
+	net *and.Network
 
-	inboxes  map[string]*ringInbox // by label; nil for a NullNode, an inert sink
-	stats    map[linkKey]*LinkStats
+	// eps holds one endpoint per AND node, by label (New builds them, Attach
+	// fills them in): a send's one label lookup resolves its sender.
+	eps      map[string]*endpoint
 	wg       sync.WaitGroup
 	stopped  chan struct{}
 	stopOnce sync.Once
 
 	inboxCap int // per-node inbox capacity (SetInboxCap before Attach)
 
-	faults  Faults
-	rngMu   sync.Mutex
-	rng     *rand.Rand
-	pending map[linkKey]*heldPkt // reorder hold-back slot per link
+	faults Faults
+	rngMu  sync.Mutex // guards rng and every port's hold-back slot
+	rng    *rand.Rand
 
-	// failed holds the set of failed node labels (FailNode): packets to or
-	// from a failed node blackhole. nil when no node has ever failed, so
-	// the healthy fast path pays one atomic load.
-	failed atomic.Pointer[map[string]bool]
-
-	// failedLinks holds failed directed links (FailLink records both
-	// directions): packets crossing one blackhole. Same copy-on-write
-	// discipline as failed — nil until the first failure.
-	failedLinks atomic.Pointer[map[linkKey]bool]
+	// linksDown counts failed directed links (failure.go): while it is
+	// zero, LinkFailed reads nothing else.
+	linksDown atomic.Int32
 
 	vt vclock // virtual-time bookkeeping (vtime.go)
 
@@ -146,20 +141,49 @@ type Fabric struct {
 	// (also added to the link's Dropped).
 	reorderFlushed  *obs.Counter
 	reorderStranded *obs.Counter
-	// obsReg is the current registry; inboxDrops counts packets dropped
-	// at a full inbox (fabric.<label>.inbox_drops) instead of blocking
-	// the sender goroutine. Both maps are configured before traffic
-	// (Attach/SetObs) and read lock-free on the send path.
-	obsReg     *obs.Registry
-	inboxDrops map[string]*obs.Counter
+	// obsReg is the registry the endpoints' inbox_drops counters live in.
+	obsReg *obs.Registry
 
 	// sinkPkts counts deliveries to NullNodes: inert packet sinks with no
-	// inbox, no ring buffer, and no drain goroutine (a nil entry in
-	// inboxes). A k=32 fat-tree has 8192 hosts of which a deployment
-	// typically uses a handful; the rest must not cost a goroutine each.
-	// Deliveries to a sink count on the link stats and fabric.sink_packets,
-	// then vanish.
+	// inbox, no ring buffer, and no drain goroutine (a nil inbox). A k=32
+	// fat-tree has 8192 hosts of which a deployment typically uses a
+	// handful; the rest must not cost a goroutine each. Deliveries to a
+	// sink count on the link stats and fabric.sink_packets, then vanish.
 	sinkPkts *obs.Counter
+}
+
+// endpoint is one AND node as the fabric sees it.
+type endpoint struct {
+	label string
+	node  Node         // nil until Attach
+	inbox *ringInbox   // nil for a NullNode, an inert sink, and until Attach
+	drops *obs.Counter // fabric.<label>.inbox_drops: packets a full inbox refused
+	ports []port       // one per overlay neighbor, sorted by label
+	down  atomic.Bool  // FailNode: packets to or from it blackhole
+}
+
+// port is one directed link as its sender sees it: everything a send over
+// it touches, resolved once by New. Its fields are immutable but for the
+// counters, the cursor, the hold-back slot and the failure bit.
+type port struct {
+	from, to string
+	dst      *endpoint
+	link     *and.Link
+	toHost   bool
+	st       LinkStats
+	free     float64     // virtual time the link finishes serializing; guarded by vt.mu
+	held     *heldPkt    // reorder hold-back slot; guarded by rngMu
+	down     atomic.Bool // FailLink: packets crossing it blackhole
+}
+
+// port returns ep's port to the neighbor labeled to, or nil.
+func (ep *endpoint) port(to string) *port {
+	for i := range ep.ports {
+		if ep.ports[i].to == to {
+			return &ep.ports[i]
+		}
+	}
+	return nil
 }
 
 type delivery struct {
@@ -167,14 +191,11 @@ type delivery struct {
 	from string
 }
 
-// heldPkt is one reorder hold-back packet with everything needed to
-// deliver it later: the link counters, the destination inbox, and the
+// heldPkt is one reorder hold-back packet, parked on its port with the
 // deliver-on-timeout timer.
 type heldPkt struct {
-	d     delivery
-	st    *LinkStats
-	inbox *ringInbox
-	drops *obs.Counter
+	pkt   *Packet
+	p     *port
 	timer *time.Timer
 }
 
@@ -182,24 +203,47 @@ type heldPkt struct {
 // before Start.
 func New(network *and.Network, faults Faults) *Fabric {
 	f := &Fabric{
-		net:        network,
-		nodes:      map[string]Node{},
-		inboxes:    map[string]*ringInbox{},
-		stats:      map[linkKey]*LinkStats{},
-		stopped:    make(chan struct{}),
-		inboxCap:   DefaultInboxCap,
-		faults:     faults,
-		rng:        rand.New(rand.NewSource(faults.Seed)),
-		pending:    map[linkKey]*heldPkt{},
-		inboxDrops: map[string]*obs.Counter{},
-		vt:         vclock{linkFree: map[linkKey]float64{}},
+		net:      network,
+		eps:      make(map[string]*endpoint, len(network.Nodes)),
+		stopped:  make(chan struct{}),
+		inboxCap: DefaultInboxCap,
+		faults:   faults,
+		rng:      rand.New(rand.NewSource(faults.Seed)),
 	}
 	f.SetObs(obs.NewRegistry()) // private until a deployment re-homes it
-	for _, l := range network.Links {
-		f.stats[linkKey{l.A, l.B}] = &LinkStats{}
-		f.stats[linkKey{l.B, l.A}] = &LinkStats{}
+	for _, n := range network.Nodes {
+		f.eps[n.Label] = &endpoint{label: n.Label}
+	}
+	// The port builder: one port per overlay neighbor (parallel links share
+	// one), the only place the fabric looks a link or a node up by label.
+	for _, ep := range f.eps {
+		nbs := slices.Compact(network.Neighbors(ep.label))
+		ep.ports = make([]port, len(nbs))
+		for i, nb := range nbs {
+			p := &ep.ports[i]
+			p.from, p.to, p.dst = ep.label, nb, f.eps[nb]
+			p.link = network.LinkBetween(ep.label, nb)
+			p.toHost = network.NodeByLabel(nb).Kind == and.HostNode
+		}
 	}
 	return f
+}
+
+// eachPort calls fn on every port of every node.
+func (f *Fabric) eachPort(fn func(*port)) {
+	for _, ep := range f.eps {
+		for i := range ep.ports {
+			fn(&ep.ports[i])
+		}
+	}
+}
+
+// port returns the port of the directed link from→to, or nil.
+func (f *Fabric) port(from, to string) *port {
+	if ep := f.eps[from]; ep != nil {
+		return ep.port(to)
+	}
+	return nil
 }
 
 // SetObs re-homes the fabric's histogram and counters into the given
@@ -213,8 +257,10 @@ func (f *Fabric) SetObs(r *obs.Registry) {
 	f.reorderFlushed = r.Counter("fabric.reorder_flushed")
 	f.reorderStranded = r.Counter("fabric.reorder_stranded")
 	f.sinkPkts = r.Counter("fabric.sink_packets")
-	for label := range f.inboxDrops {
-		f.inboxDrops[label] = r.Counter("fabric." + label + ".inbox_drops")
+	for _, ep := range f.eps {
+		if ep.inbox != nil {
+			ep.drops = r.Counter("fabric." + ep.label + ".inbox_drops")
+		}
 	}
 	f.rngMu.Unlock()
 }
@@ -246,35 +292,34 @@ func (f *Fabric) Network() *and.Network { return f.net }
 // them are counted and discarded inline on the sender's goroutine.
 func (f *Fabric) Attach(n Node) error {
 	label := n.Label()
-	if f.net.NodeByLabel(label) == nil {
+	ep := f.eps[label]
+	if ep == nil {
 		return fmt.Errorf("netsim: no AND node labeled %q", label)
 	}
-	if _, dup := f.nodes[label]; dup {
+	if ep.node != nil {
 		return fmt.Errorf("netsim: node %q already attached", label)
 	}
-	f.nodes[label] = n
+	ep.node = n
 	if _, isSink := n.(*NullNode); isSink {
-		f.inboxes[label] = nil
 		return nil
 	}
-	f.inboxes[label] = newRingInbox(f.inboxCap)
+	ep.inbox = newRingInbox(f.inboxCap)
 	f.rngMu.Lock()
-	f.inboxDrops[label] = f.obsReg.Counter("fabric." + label + ".inbox_drops")
+	ep.drops = f.obsReg.Counter("fabric." + label + ".inbox_drops")
 	f.rngMu.Unlock()
 	return nil
 }
 
 // InboxDepth reports the number of packets queued at a node's inbox
-// (0 for unknown labels). The inbox map is written only before Start,
-// so the lookup is safe concurrent with traffic; the depth itself is a
+// (0 for unknown labels). Inboxes are created only before Start, so the
+// lookup is safe concurrent with traffic; the depth itself is a
 // point-in-time sample. INT stamping uses this as the switch's
 // queue-depth source.
 func (f *Fabric) InboxDepth(label string) int {
-	r := f.inboxes[label]
-	if r == nil {
-		return 0
+	if ep := f.eps[label]; ep != nil && ep.inbox != nil {
+		return ep.inbox.depth()
 	}
-	return r.depth()
+	return 0
 }
 
 // batchReceiver is the optional path a node can implement to take a whole
@@ -292,15 +337,15 @@ type batchReceiver interface {
 // otherwise via per-packet Receive in arrival order.
 func (f *Fabric) Start() error {
 	for _, n := range f.net.Nodes {
-		if f.nodes[n.Label] == nil {
+		if f.eps[n.Label].node == nil {
 			return fmt.Errorf("netsim: AND node %q has no attached implementation", n.Label)
 		}
 	}
-	for label, ring := range f.inboxes {
+	for _, ep := range f.eps {
+		node, ring := ep.node, ep.inbox
 		if ring == nil {
 			continue // a sink drains nothing
 		}
-		node := f.nodes[label]
 		f.wg.Add(1)
 		go func() {
 			defer f.wg.Done()
@@ -343,7 +388,7 @@ func (f *Fabric) Start() error {
 func (f *Fabric) Stop() {
 	f.stopOnce.Do(func() {
 		for _, hp := range f.takePending() {
-			hp.st.Dropped.Add(1)
+			hp.p.st.Dropped.Add(1)
 			f.reorderStranded.Inc()
 		}
 		close(f.stopped)
@@ -357,12 +402,14 @@ func (f *Fabric) Stop() {
 func (f *Fabric) takePending() []*heldPkt {
 	f.rngMu.Lock()
 	defer f.rngMu.Unlock()
-	out := make([]*heldPkt, 0, len(f.pending))
-	for key, hp := range f.pending {
-		hp.timer.Stop()
-		delete(f.pending, key)
-		out = append(out, hp)
-	}
+	var out []*heldPkt
+	f.eachPort(func(p *port) {
+		if hp := p.held; hp != nil {
+			hp.timer.Stop()
+			p.held = nil
+			out = append(out, hp)
+		}
+	})
 	return out
 }
 
@@ -373,33 +420,34 @@ func (f *Fabric) takePending() []*heldPkt {
 // first and then threw it away, so a Stop racing a hold-back flush
 // inflated the link's delivered counters.
 func (f *Fabric) deliverHeld(hp *heldPkt) {
+	st := &hp.p.st
 	select {
 	case <-f.stopped:
-		hp.st.Dropped.Add(1)
+		st.Dropped.Add(1)
 		return
 	default:
 	}
-	n := uint64(len(hp.d.pkt.Data)) // once pushed, the receiver owns the packet
-	if hp.inbox.pushPkts([]*Packet{hp.d.pkt}, hp.d.from) == 1 {
-		hp.st.Packets.Add(1)
-		hp.st.Bytes.Add(n)
+	n := uint64(len(hp.pkt.Data)) // once pushed, the receiver owns the packet
+	if hp.p.dst.inbox.pushPkts([]*Packet{hp.pkt}, hp.p.from) == 1 {
+		st.Packets.Add(1)
+		st.Bytes.Add(n)
 		return
 	}
-	hp.st.Dropped.Add(1)
-	if hp.drops != nil {
-		hp.drops.Inc()
+	st.Dropped.Add(1)
+	if drops := hp.p.dst.drops; drops != nil {
+		drops.Inc()
 	}
 }
 
 // flushHeld delivers a hold-back packet whose ReorderHold expired before
 // any later send on its link flushed it.
-func (f *Fabric) flushHeld(key linkKey, hp *heldPkt) {
+func (f *Fabric) flushHeld(hp *heldPkt) {
 	f.rngMu.Lock()
-	if f.pending[key] != hp {
+	if hp.p.held != hp {
 		f.rngMu.Unlock()
 		return // already flushed by a later send, ResetStats, or Stop
 	}
-	delete(f.pending, key)
+	hp.p.held = nil
 	f.rngMu.Unlock()
 	f.reorderFlushed.Inc()
 	f.deliverHeld(hp)
@@ -411,13 +459,30 @@ func (f *Fabric) Send(from, to string, pkt *Packet) error {
 	return f.SendBatch(from, []string{to}, []*Packet{pkt})
 }
 
+// sendChunk bounds how many packets SendBatch groups at once, on the
+// sender's stack: a switch's broadcast flush (a 64-packet drain to each of
+// two neighbors) in one chunk, group indices in a byte.
+const sendChunk = 128
+
+const noPort = sendChunk // a packet whose destination is not an overlay neighbor
+
+// portGroups is one chunk of a SendBatch call grouped by destination port.
+// It lives on the sending goroutine's stack, never on the node: several
+// goroutines may send as one label at once (SendWorkers).
+type portGroups struct {
+	n     int
+	ports [sendChunk + 1]*port // group g's port; nil once settled without a delivery, and at noPort
+	of    [sendChunk]uint8     // the group of the chunk's packet i, or noPort
+	pkts  [sendChunk]*Packet   // grouped, send order kept within a group
+	at    [sendChunk + 2]uint8 // group g is pkts[at[g]:at[g+1]]
+}
+
 // SendBatch implements Sender — the fabric's one send loop. The stopped
-// check and the virtual-time lock are paid once per batch; everything
-// else once per run of consecutive packets to the same destination: the
-// neighbor check, the failed-node/failed-link blackhole, the sink, the
-// virtual-time stamp, and one inbox lock and receiver wakeup. Only a
-// fabric with fault injection on looks at the packets of a run one by one
-// (faultRun).
+// check and the sender's lookup are paid once per call and the
+// virtual-time lock once per chunk; each destination of a chunk costs one
+// blackhole check and one inbox lock and receiver wakeup, however its
+// packets interleave with the others'. Only a fabric with fault injection
+// on looks at the packets one by one (faultChunk).
 func (f *Fabric) SendBatch(from string, tos []string, pkts []*Packet) error {
 	if len(tos) != len(pkts) {
 		return fmt.Errorf("netsim: SendBatch got %d destinations for %d packets", len(tos), len(pkts))
@@ -430,81 +495,109 @@ func (f *Fabric) SendBatch(from string, tos []string, pkts []*Packet) error {
 		return fmt.Errorf("netsim: fabric stopped")
 	default:
 	}
-	// One view of the failures for the whole batch. A failed node neither
-	// sends nor receives and a failed link carries nothing in either
-	// direction: what is sent there blackholes like loss, and the reliable
-	// layer, ECMP repair (LinkFailed) or re-placement recovers.
-	failed, failedLinks := f.failed.Load(), f.failedLinks.Load()
-	blackholed := func(key linkKey) bool {
-		return failed != nil && ((*failed)[key.from] || (*failed)[key.to]) || failedLinks != nil && (*failedLinks)[key]
+	src := f.eps[from]
+	if src == nil {
+		return fmt.Errorf("netsim: no AND node %q", from)
 	}
-
-	// Virtual time first, for the whole batch under one lock acquisition
-	// that is released before any inbox is touched. Only packets that will
-	// occupy a link are stamped: a sink's or a blackholed run's carry no
-	// test-visible traffic and must not move the makespan.
-	f.vt.mu.Lock()
-	for i, j := 0, 0; i < len(pkts); i = j {
-		j = runEnd(tos, i)
-		if key := (linkKey{from, tos[i]}); f.inboxes[key.to] != nil && !blackholed(key) {
-			f.stampRun(key, pkts[i:j])
-		}
-	}
-	f.vt.mu.Unlock()
-
+	var c portGroups
 	var errs []error
-	for i, j := 0, 0; i < len(pkts); i = j {
-		j = runEnd(tos, i)
-		run, key := pkts[i:j], linkKey{from, tos[i]}
-		st, ok := f.stats[key]
-		if !ok {
-			// A wiring bug, not a loss: reported, and the runs behind it
-			// still go out.
-			errs = append(errs, fmt.Errorf("netsim: %s and %s are not overlay neighbors", from, key.to))
-			continue
-		}
-		if blackholed(key) {
-			st.Dropped.Add(uint64(len(run)))
-			continue
-		}
-		inbox, ok := f.inboxes[key.to]
-		switch {
-		case !ok:
-			errs = append(errs, fmt.Errorf("netsim: no node %q", key.to))
-		case inbox == nil:
-			// Inert sink: the run crossed the link (count it) and vanishes,
-			// without a roll of the fault dice — it must not perturb the
-			// seeded rng sequence.
-			st.Packets.Add(uint64(len(run)))
-			st.Bytes.Add(dataBytes(run))
-			f.sinkPkts.Add(uint64(len(run)))
-		case f.faults.onlySeed():
-			f.deliver(key, st, inbox, run)
-		default:
-			f.faultRun(key, st, inbox, run)
-		}
+	for len(pkts) > 0 {
+		n := min(len(pkts), sendChunk)
+		errs = f.sendChunk(src, &c, tos[:n], pkts[:n], errs)
+		tos, pkts = tos[n:], pkts[n:]
 	}
 	return errors.Join(errs...)
 }
 
-// runEnd returns the end of the run of equal destinations starting at i.
-func runEnd(tos []string, i int) int {
-	j := i + 1
-	for j < len(tos) && tos[j] == tos[i] {
-		j++
+func (f *Fabric) sendChunk(src *endpoint, c *portGroups, tos []string, pkts []*Packet, errs []error) []error {
+	// Resolve each destination: the previous packet's group, else a scan of
+	// the chunk's groups, else a new group on the sender's port to it.
+	c.n, c.at[0], c.at[1] = 0, 0, 0
+	g := 0
+	for i, to := range tos {
+		if g == c.n || c.ports[g].to != to {
+			for g = 0; g < c.n && c.ports[g].to != to; g++ {
+			}
+			if g == c.n {
+				if c.ports[g] = src.port(to); c.ports[g] == nil {
+					// A wiring bug, not a loss: reported, and the packets behind it
+					// still go out.
+					errs = append(errs, fmt.Errorf("netsim: %s and %s are not overlay neighbors", src.label, to))
+					c.of[i] = noPort
+					continue
+				}
+				c.at[g+2] = 0
+				c.n++
+			}
+		}
+		c.of[i] = uint8(g)
+		c.at[g+2]++
 	}
-	return j
+	// A stable counting sort lays the groups out back to back: at[g+1] runs
+	// from group g's start to its end.
+	for g := 0; g < c.n; g++ {
+		c.at[g+2] += c.at[g+1]
+	}
+	for i, pkt := range pkts {
+		if g := c.of[i]; g != noPort {
+			c.pkts[c.at[g+1]] = pkt
+			c.at[g+1]++
+		}
+	}
+
+	// Virtual time for every live group under one lock acquisition, released
+	// before any inbox is touched. What is sent to or from a failed node, or
+	// over a failed link, blackholes like loss (the reliable layer, ECMP
+	// repair or re-placement recovers). A group that occupies no receiver —
+	// blackholed, or bound for a sink or an unattached node — is settled
+	// here, never stamped nor rolled for: it must move neither the makespan
+	// nor the seeded rng sequence.
+	f.vt.mu.Lock()
+	for g := 0; g < c.n; g++ {
+		p, grp := c.ports[g], c.pkts[c.at[g]:c.at[g+1]]
+		switch {
+		case src.down.Load() || p.dst.down.Load() || p.down.Load():
+			p.st.Dropped.Add(uint64(len(grp)))
+		case p.dst.node == nil:
+			errs = append(errs, fmt.Errorf("netsim: no node %q", p.to))
+		case p.dst.inbox == nil:
+			// Inert sink: the packets crossed the link (count them) and vanish.
+			p.st.Packets.Add(uint64(len(grp)))
+			p.st.Bytes.Add(dataBytes(grp))
+			f.sinkPkts.Add(uint64(len(grp)))
+		default:
+			f.stamp(p, grp)
+			continue
+		}
+		c.ports[g] = nil
+	}
+	f.vt.mu.Unlock()
+
+	if !f.faults.onlySeed() {
+		f.faultChunk(c, pkts)
+		return errs
+	}
+	for g := 0; g < c.n; g++ {
+		if p := c.ports[g]; p != nil {
+			f.deliver(p, c.pkts[c.at[g]:c.at[g+1]])
+		}
+	}
+	return errs
 }
 
-// faultRun is fault injection: the one place the seeded dice are rolled —
-// three draws per packet, in send order, whatever batches the packets
+// faultChunk is fault injection: the one place the seeded dice are rolled —
+// three draws per live packet, in send order, whatever batches the packets
 // arrived in. A dropped packet counts Dropped; a reordered one parks in
-// its link's hold-back slot until the link's next packet (or ReorderHold)
+// its port's hold-back slot until the port's next packet (or ReorderHold)
 // releases it; a duplicated one is followed by a copy.
-func (f *Fabric) faultRun(key linkKey, st *LinkStats, inbox *ringInbox, run []*Packet) {
+func (f *Fabric) faultChunk(c *portGroups, pkts []*Packet) {
 	f.rngMu.Lock()
 	defer f.rngMu.Unlock()
-	for i, pkt := range run {
+	for i, pkt := range pkts {
+		p := c.ports[c.of[i]]
+		if p == nil {
+			continue
+		}
 		drop := f.rng.Float64() < f.faults.DropProb
 		dup := f.rng.Float64() < f.faults.DupProb
 		reorder := f.rng.Float64() < f.faults.ReorderProb
@@ -515,33 +608,33 @@ func (f *Fabric) faultRun(key linkKey, st *LinkStats, inbox *ringInbox, run []*P
 			// original is delivered: its receiver may rewrite it.
 			dupPkt = &Packet{Src: pkt.Src, Dst: pkt.Dst, Data: append([]byte(nil), pkt.Data...), VTimeUs: pkt.VTimeUs, Via: pkt.Via}
 		}
-		held := f.pending[key]
+		held := p.held
 		if held != nil {
 			held.timer.Stop()
-			delete(f.pending, key)
+			p.held = nil
 		}
 		switch {
 		case drop:
-			st.Dropped.Add(1)
+			p.st.Dropped.Add(1)
 		case reorder:
 			// Park this packet until the link's next send — or until
 			// ReorderHold expires, whichever comes first, so it cannot be
 			// stranded when no later send arrives.
-			hp := &heldPkt{d: delivery{pkt: pkt, from: key.from}, st: st, inbox: inbox, drops: f.inboxDrops[key.to]}
-			f.pending[key] = hp
+			hp := &heldPkt{pkt: pkt, p: p}
+			p.held = hp
 			hold := f.faults.ReorderHold
 			if hold <= 0 {
 				hold = 10 * time.Millisecond
 			}
-			hp.timer = time.AfterFunc(hold, func() { f.flushHeld(key, hp) })
+			hp.timer = time.AfterFunc(hold, func() { f.flushHeld(hp) })
 		default:
-			f.deliver(key, st, inbox, run[i:i+1])
+			f.deliver(p, pkts[i:i+1])
 		}
 		if held != nil {
-			f.deliver(key, st, inbox, []*Packet{held.d.pkt})
+			f.deliver(p, []*Packet{held.pkt})
 		}
 		if dupPkt != nil {
-			f.deliver(key, st, inbox, []*Packet{dupPkt})
+			f.deliver(p, []*Packet{dupPkt})
 		}
 	}
 }
@@ -550,17 +643,17 @@ func (fl Faults) onlySeed() bool {
 	return fl.DropProb == 0 && fl.DupProb == 0 && fl.ReorderProb == 0
 }
 
-// deliver credits pkts to the link and queues them at the receiver under
-// one inbox lock and one wakeup. What a full inbox refuses is dropped and
-// counted rather than blocking the sender goroutine (recovery is the
+// deliver credits pkts to the port's link and queues them at the receiver
+// under one inbox lock and one wakeup. What a full inbox refuses is dropped
+// and counted rather than blocking the sender goroutine (recovery is the
 // transport's job — the reliable layer retransmits).
-func (f *Fabric) deliver(key linkKey, st *LinkStats, inbox *ringInbox, pkts []*Packet) {
-	st.Packets.Add(uint64(len(pkts)))
-	st.Bytes.Add(dataBytes(pkts))
-	if accepted := inbox.pushPkts(pkts, key.from); accepted < len(pkts) {
+func (f *Fabric) deliver(p *port, pkts []*Packet) {
+	p.st.Packets.Add(uint64(len(pkts)))
+	p.st.Bytes.Add(dataBytes(pkts))
+	if accepted := p.dst.inbox.pushPkts(pkts, p.from); accepted < len(pkts) {
 		over := uint64(len(pkts) - accepted)
-		st.Dropped.Add(over)
-		if drops := f.inboxDrops[key.to]; drops != nil {
+		p.st.Dropped.Add(over)
+		if drops := p.dst.drops; drops != nil {
 			drops.Add(over)
 		}
 	}
@@ -576,36 +669,32 @@ func dataBytes(pkts []*Packet) (n uint64) {
 // Stats returns the counters for the directed link from→to (nil if the
 // link does not exist).
 func (f *Fabric) Stats(from, to string) *LinkStats {
-	return f.stats[linkKey{from, to}]
+	if p := f.port(from, to); p != nil {
+		return &p.st
+	}
+	return nil
 }
 
 // TotalBytes sums bytes over all directed links.
-func (f *Fabric) TotalBytes() uint64 {
-	var sum uint64
-	for _, st := range f.stats {
-		sum += st.Bytes.Load()
-	}
+func (f *Fabric) TotalBytes() (sum uint64) {
+	f.eachPort(func(p *port) { sum += p.st.Bytes.Load() })
 	return sum
 }
 
 // TotalPackets sums packets over all directed links.
-func (f *Fabric) TotalPackets() uint64 {
-	var sum uint64
-	for _, st := range f.stats {
-		sum += st.Packets.Load()
-	}
+func (f *Fabric) TotalPackets() (sum uint64) {
+	f.eachPort(func(p *port) { sum += p.st.Packets.Load() })
 	return sum
 }
 
 // HostBytes sums bytes on links whose receiving end is a host — the
 // "bytes hosts must process", which in-network aggregation reduces.
-func (f *Fabric) HostBytes() uint64 {
-	var sum uint64
-	for key, st := range f.stats {
-		if n := f.net.NodeByLabel(key.to); n != nil && n.Kind == and.HostNode {
-			sum += st.Bytes.Load()
+func (f *Fabric) HostBytes() (sum uint64) {
+	f.eachPort(func(p *port) {
+		if p.toHost {
+			sum += p.st.Bytes.Load()
 		}
-	}
+	})
 	return sum
 }
 
@@ -618,10 +707,10 @@ func (f *Fabric) ResetStats() {
 		f.reorderFlushed.Inc()
 		f.deliverHeld(hp)
 	}
-	for _, st := range f.stats {
-		st.Packets.Store(0)
-		st.Bytes.Store(0)
-		st.Dropped.Store(0)
-	}
+	f.eachPort(func(p *port) {
+		p.st.Packets.Store(0)
+		p.st.Bytes.Store(0)
+		p.st.Dropped.Store(0)
+	})
 	f.resetVTime()
 }

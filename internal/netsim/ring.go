@@ -5,11 +5,12 @@ import "sync"
 // ringInbox is a node's batched ingress queue: a fixed-capacity FIFO ring
 // of deliveries guarded by one short mutex, plus a one-slot wakeup
 // channel. Producers (Fabric.SendBatch from any goroutine) append under the
-// lock and drop-not-block when the ring is full — exactly the old channel
-// inbox contract — while the node's drain goroutine takes *many* packets
-// per wakeup instead of one channel receive each, which is where the
-// batched fabric's throughput comes from: one lock acquire, one wakeup,
-// and one node hand-off amortize over a whole burst.
+// lock — one pushPkts per destination of a call, whatever the call's
+// interleaving — and drop-not-block when the ring is full, exactly the old
+// channel inbox contract, while the node's drain goroutine takes *many*
+// packets per wakeup instead of one channel receive each, which is where
+// the batched fabric's throughput comes from: one lock acquire, one
+// wakeup, and one node hand-off amortize over a whole burst.
 //
 // The ring replaces the per-node `chan delivery` inboxes: a channel wakes
 // its receiver once per send and hands over one element per receive,

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"sync"
-
-	"ncl/internal/and"
-)
+import "sync"
 
 // Virtual time: the fabric computes, per packet, the time (in µs) at
 // which it would arrive over the AND's nominal links — serialization
@@ -13,32 +9,22 @@ import (
 // causal bookkeeping carried on packets, so a run's makespan is the
 // maximum arrival time observed at a host. This is what turns the
 // fabric's byte counters into the completion-time curves of E2 without a
-// wall-clock-scaled simulation.
+// wall-clock-scaled simulation. mu guards maxHost and every port's
+// link-free cursor.
 type vclock struct {
-	mu       sync.Mutex
-	linkFree map[linkKey]float64
-	maxHost  float64
+	mu      sync.Mutex
+	maxHost float64
 }
 
 // SwitchDelayUs is the modeled per-window pipeline traversal delay.
 const SwitchDelayUs = 1.0
 
-// stampRun advances the virtual time of a run of packets crossing the
-// link key.from→key.to, in order — the one place link arithmetic happens
-// (no link, no stamp: SendBatch reports the non-neighbor). Caller holds
-// vt.mu. Topology lookups and the link-free cursor are paid once per run,
-// not once per packet; they read immutable topology, so they add no
-// contention inside the lock.
-func (f *Fabric) stampRun(key linkKey, run []*Packet) {
-	link := f.net.LinkBetween(key.from, key.to)
-	if link == nil {
-		return
-	}
-	n := f.net.NodeByLabel(key.to)
-	toHost := n != nil && n.Kind == and.HostNode
-	free := f.vt.linkFree[key]
-	for _, pkt := range run {
-		txUs := float64(len(pkt.Data)) * 8 / (link.GBitsPerS * 1e3)
+// stamp advances the virtual time of a group of packets crossing port p,
+// in order — the one place link arithmetic happens. Caller holds vt.mu.
+func (f *Fabric) stamp(p *port, grp []*Packet) {
+	free := p.free
+	for _, pkt := range grp {
+		txUs := float64(len(pkt.Data)) * 8 / (p.link.GBitsPerS * 1e3)
 		depart := pkt.VTimeUs
 		if free > depart {
 			// The link is still serializing earlier traffic: the packet queues
@@ -47,13 +33,13 @@ func (f *Fabric) stampRun(key linkKey, run []*Packet) {
 			depart = free
 		}
 		free = depart + txUs
-		arrive := free + link.LatencyUs
+		arrive := free + p.link.LatencyUs
 		pkt.VTimeUs = arrive
-		if toHost && arrive > f.vt.maxHost {
+		if p.toHost && arrive > f.vt.maxHost {
 			f.vt.maxHost = arrive
 		}
 	}
-	f.vt.linkFree[key] = free
+	p.free = free
 }
 
 // MakespanUs returns the latest virtual arrival time observed at any
@@ -69,6 +55,6 @@ func (f *Fabric) MakespanUs() float64 {
 func (f *Fabric) resetVTime() {
 	f.vt.mu.Lock()
 	defer f.vt.mu.Unlock()
-	f.vt.linkFree = map[linkKey]float64{}
+	f.eachPort(func(p *port) { p.free = 0 })
 	f.vt.maxHost = 0
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo health check: vet, formatting, oracle callers, the switch's one
-# buffer, doc lint, staticcheck (when installed), and the full test suite
-# under the race detector.
+# buffer, the fabric's ports, doc lint, staticcheck (when installed), and
+# the full test suite under the race detector.
 # CI-equivalent; run before sending a change. Set NCL_CHECK_SKIP_TESTS=1 to
 # run only the static checks (CI's lint job does this; the race suite runs
 # in its own job).
@@ -48,6 +48,19 @@ onebuf=$(grep -nE 'ncp\.(DecodePayloadInto|AppendPayload)\(' internal/netsim/*.g
 if [ -n "$onebuf" ]; then
     echo "window payload codec on the switch data path (internal/netsim):" >&2
     echo "$onebuf" >&2
+    exit 1
+fi
+
+# The fabric reaches a link through its sender's port. The port builder (in
+# netsim.New) is the one place that looks a link or a node up by label, and
+# per-link state lives on the port, not in a map keyed by the label pair.
+echo "== fabric links through ports"
+ports=$(awk '/^func /{fn=$0} /(LinkBetween|NodeByLabel)\(/ && fn !~ /^func New\(/ {print FILENAME ":" FNR ": " $0}' \
+    $(ls internal/netsim/*.go | grep -v '_test\.go$'))
+ports="$ports$(grep -nE 'map\[(linkKey|\[2\]string)\]' internal/netsim/*.go | grep -v '_test\.go:' || true)"
+if [ -n "$ports" ]; then
+    echo "link looked up by label, or per-link state keyed by label, outside the port builder (internal/netsim):" >&2
+    echo "$ports" >&2
     exit 1
 fi
 
