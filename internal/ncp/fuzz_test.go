@@ -77,8 +77,9 @@ func examplePackets(t testing.TB) [][]byte {
 // FuzzNCPPacket holds the decoder and the switch's in-place edit to the
 // marshaller: DecodeFullInto never panics; checksum agrees with the 16-bit
 // loop on any bytes; an untraced packet that decodes re-marshals to its own
-// bytes (trimmed to the length its header implies); and a flag edit sealed
-// by Reseal decodes with the new flags and nothing else changed.
+// bytes (trimmed to the length its header implies), also appended into a
+// MarshalLen-sized buffer of junk; and a flag edit sealed by Reseal decodes
+// with the new flags and nothing else changed.
 func FuzzNCPPacket(f *testing.F) {
 	for i, pkt := range examplePackets(f) {
 		f.Add(pkt, uint8(i))
@@ -107,6 +108,14 @@ func FuzzNCPPacket(f *testing.F) {
 			again, err := MarshalHops(&hc, d.User, nil, d.Payload)
 			if err != nil || !bytes.Equal(again, want) {
 				t.Fatalf("% x decoded to %+v, which marshals to % x (%v)", pkt, d.Header, again, err)
+			}
+			// The same encoder into a buffer MarshalLen sized, its spare bytes
+			// junk: the same packet, written where the buffer is.
+			hc = h
+			junk := bytes.Repeat([]byte{0xEE}, MarshalLen(&hc, d.User, nil, d.Payload))
+			into, err := AppendHops(junk[:0], &hc, d.User, nil, d.Payload)
+			if err != nil || !bytes.Equal(into, want) || &into[0] != &junk[0] {
+				t.Fatalf("% x appended into a %d-byte buffer as % x (%v)", pkt, len(junk), into, err)
 			}
 		}
 

@@ -18,6 +18,7 @@ package ncp
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -169,6 +170,22 @@ func Marshal(h *Header, userVals []uint64, payload []byte) ([]byte, error) {
 // section in the user-field space: a one-byte hop count followed by one
 // packed 8-byte record per hop, between the user values and the payload.
 func MarshalHops(h *Header, userVals []uint64, hops []Hop, payload []byte) ([]byte, error) {
+	return AppendHops(nil, h, userVals, hops, payload)
+}
+
+// MarshalLen is the length of the packet MarshalHops builds from the same
+// arguments: a caller sizes a buffer with it and encodes with AppendHops.
+func MarshalLen(h *Header, userVals []uint64, hops []Hop, payload []byte) int {
+	n := HeaderSize + 8*len(userVals) + len(payload)
+	if len(hops) > 0 || h.Flags&FlagTrace != 0 {
+		n += 1 + HopRecordBytes*min(len(hops), MaxHops)
+	}
+	return n
+}
+
+// AppendHops is MarshalHops appending the packet to dst: into dst's spare
+// capacity when it holds MarshalLen bytes, so the encode allocates nothing.
+func AppendHops(dst []byte, h *Header, userVals []uint64, hops []Hop, payload []byte) ([]byte, error) {
 	if len(userVals) > MaxUserFields {
 		return nil, fmt.Errorf("ncp: %d user fields exceed the maximum of %d", len(userVals), MaxUserFields)
 	}
@@ -181,14 +198,12 @@ func MarshalHops(h *Header, userVals []uint64, hops []Hop, payload []byte) ([]by
 	if len(hops) > 0 {
 		h.Flags |= FlagTrace
 	}
-	traceBytes := 0
-	if h.Flags&FlagTrace != 0 {
-		traceBytes = 1 + HopRecordBytes*len(hops)
-	}
 	h.Version = Version
 	h.UserCount = uint8(len(userVals))
 	h.PayloadLen = uint16(len(payload))
-	buf := make([]byte, HeaderSize+8*len(userVals)+traceBytes+len(payload))
+	base, n := len(dst), MarshalLen(h, userVals, hops, payload)
+	dst = slices.Grow(dst, n)[:base+n]
+	buf := dst[base:]
 	be := binary.BigEndian
 	be.PutUint16(buf[0:2], Magic)
 	buf[2] = Version
@@ -223,9 +238,9 @@ func MarshalHops(h *Header, userVals []uint64, hops []Hop, payload []byte) ([]by
 		}
 	}
 	copy(buf[off:], payload)
-	h.Checksum = checksum(buf)
+	h.Checksum = checksum(buf) // skips the field, whatever dst's spare bytes held
 	be.PutUint16(buf[32:34], h.Checksum)
-	return buf, nil
+	return dst, nil
 }
 
 // Decode parses an NCP packet, verifying magic, version, structure, and

@@ -92,6 +92,9 @@ func TestMarshalHopsCapsLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := MarshalLen(&Header{}, nil, hops, nil); n != len(pkt) {
+		t.Errorf("MarshalLen = %d for a %d-byte packet", n, len(pkt))
+	}
 	_, _, got, _, err := DecodeFull(pkt)
 	if err != nil {
 		t.Fatal(err)

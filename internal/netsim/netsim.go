@@ -25,15 +25,16 @@ import (
 	"time"
 
 	"ncl/internal/and"
+	"ncl/internal/ncp"
 	"ncl/internal/obs"
 )
 
 // Packet is one unit on the wire. Ownership: a sender gives up the struct
-// and Data when it sends. The receiver owns a delivered *Packet and its
-// Data — it may rewrite Data and forward the same struct, as a switch
-// does with the windows it executes — until Receive returns on UDP (the
-// reader recycles the buffer) and for good on the fabric. The exception
-// is a packet marked Shared: it copies Data before writing into it.
+// and Data when it sends; the receiver owns a delivered *Packet and its Data
+// for good, on every transport. It may rewrite Data and forward the same
+// struct, as a switch does with the windows it executes, or keep reading
+// Data, as a host's queued windows do. The exception is a packet marked
+// Shared: its Data is read-only, and a receiver copies it before writing.
 type Packet struct {
 	Src  string // originating node label
 	Dst  string // final destination label
@@ -54,6 +55,34 @@ type Packet struct {
 	// Nodes deriving new packets from a received one should copy it (the
 	// SwitchNode adds its pipeline delay).
 	VTimeUs float64
+}
+
+// inlineData is how many bytes of Data NewPacket allocates in the Packet's
+// own object: every window and ack the benchmark's workloads send (68-byte
+// allreduce windows, 61-byte KVS requests, 36–44-byte acks) fits, and the
+// Packet with its bytes fills one 208-byte size class.
+const inlineData = 120
+
+// NewPacket returns a Packet with empty Data of capacity n: one allocation
+// holding the struct and the bytes when n fits inlineData, two beyond.
+func NewPacket(n int) *Packet {
+	if n > inlineData {
+		return &Packet{Data: make([]byte, 0, n)}
+	}
+	p := new(struct {
+		Packet
+		buf [inlineData]byte
+	})
+	p.Data = p.buf[:0:n]
+	return &p.Packet
+}
+
+// MarshalPacket encodes an NCP packet (ncp.MarshalHops) into a NewPacket
+// sized for it, one allocation in all for a packet that fits inlineData.
+func MarshalPacket(h *ncp.Header, userVals []uint64, hops []ncp.Hop, payload []byte) (pkt *Packet, err error) {
+	pkt = NewPacket(ncp.MarshalLen(h, userVals, hops, payload))
+	pkt.Data, err = ncp.AppendHops(pkt.Data, h, userVals, hops, payload)
+	return pkt, err
 }
 
 // Sender is the transport a node sends through: the in-memory fabric
@@ -606,7 +635,9 @@ func (f *Fabric) faultChunk(c *portGroups, pkts []*Packet) {
 			// The same bits arriving again, virtual timestamp included (a dup
 			// born at t=0 poisoned INT latency stamps), copied before the
 			// original is delivered: its receiver may rewrite it.
-			dupPkt = &Packet{Src: pkt.Src, Dst: pkt.Dst, Data: append([]byte(nil), pkt.Data...), VTimeUs: pkt.VTimeUs, Via: pkt.Via}
+			dupPkt = NewPacket(len(pkt.Data))
+			dupPkt.Src, dupPkt.Dst, dupPkt.Via, dupPkt.VTimeUs = pkt.Src, pkt.Dst, pkt.Via, pkt.VTimeUs
+			dupPkt.Data = append(dupPkt.Data, pkt.Data...)
 		}
 		held := p.held
 		if held != nil {

@@ -96,8 +96,8 @@ func (o *batchOut) flush(from string) error {
 }
 
 // Receive implements Node: a burst of one, executed and flushed to the
-// transport before it returns (UDP readers recycle pkt.Data right after).
-// Safe to re-enter and to call from several goroutines.
+// transport before it returns. Safe to re-enter and to call from several
+// goroutines.
 func (s *SwitchNode) Receive(f Sender, pkt *Packet, from string) {
 	one := [1]delivery{{pkt: pkt, from: from}}
 	s.receiveBatch(f, one[:])

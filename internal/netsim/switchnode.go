@@ -310,12 +310,11 @@ func (s *SwitchNode) route(out *batchOut, w *batchWin, j *pisa.BatchJob, hops []
 	} else {
 		nh := w.dec.Header
 		nh.Flags = flags
-		data, err := ncp.MarshalHops(&nh, j.Meta.User, hops, j.Raw)
-		if err != nil {
+		var err error
+		if pkt, err = MarshalPacket(&nh, j.Meta.User, hops, j.Raw); err != nil {
 			s.Errors.Add(1)
 			return
 		}
-		pkt = &Packet{Data: data}
 	}
 	s.Repacks.Add(1)
 	// One set of bytes serves every broadcast neighbor: copies beyond the
@@ -392,13 +391,14 @@ func (s *SwitchNode) flushAcks(out *batchOut, run *ackRun) {
 	}
 	run.open = false
 	var bitmap [8]byte
-	data, err := ncp.Marshal(&run.hdr, nil, ncp.AppendAckRange(bitmap[:0], run.more))
+	pkt, err := MarshalPacket(&run.hdr, nil, nil, ncp.AppendAckRange(bitmap[:0], run.more))
 	if err != nil {
 		s.Errors.Add(1)
 		return
 	}
 	s.AcksSent.Add(1)
-	s.forward(out, &Packet{Src: s.label, Dst: run.target, Data: data, VTimeUs: run.vtime})
+	pkt.Src, pkt.Dst, pkt.VTimeUs = s.label, run.target, run.vtime
+	s.forward(out, pkt)
 }
 
 // forward routes pkt toward pkt.Dst via the next-hop table, honoring the

@@ -21,7 +21,8 @@ func (n *nullSender) Network() *and.Network                       { return n.net
 // nothing; depth probing and exec timing run only for traced windows. An
 // untraced window leaves in the Packet it arrived in, so a pass costs 0
 // and a broadcast exactly one Packet per neighbor beyond the first (the
-// copies share the bytes).
+// copies share the bytes). A burst of exactly-once windows the kernel
+// consumes costs its one range ack: a Packet with its bytes inline.
 func TestSwitchProcessAllocsUntraced(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; allocation counts are meaningless")
@@ -33,8 +34,14 @@ func TestSwitchProcessAllocsUntraced(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		prog   *pisa.Program
-		budget float64
-	}{{"pass", passProgram(), 0}, {"bcast", bcastProgram(), 2}} {
+		flags  uint8
+		burst  int     // windows 0..burst-1 of one invocation, one receive call
+		budget float64 // per call
+	}{
+		{"pass", passProgram(), 0, 1, 0},
+		{"bcast", bcastProgram(), 0, 1, 2},
+		{"xonce-range-ack", dropProgram(), ncp.FlagAckRequest | ncp.FlagExactlyOnce, 16, 1},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sn := NewSwitchNode("s1", pisa.DefaultTarget())
 			if err := sn.Install(tc.prog, 1); err != nil {
@@ -46,19 +53,34 @@ func TestSwitchProcessAllocsUntraced(t *testing.T) {
 			sn.SetDepthSource(func() int { return fab.InboxDepth("s1") })
 			sender := &nullSender{net: net}
 
-			data := ncpPacket(t, 1, 41, 0)
-			pkt := new(Packet)
-			receive := func() {
-				// A fresh delivery each time, in the same storage: the switch
-				// rewrites the struct it forwards.
-				*pkt = Packet{Src: "a", Dst: "b", Data: data}
-				sn.Receive(sender, pkt, "a")
+			data, bufs := make([][]byte, tc.burst), make([][]byte, tc.burst)
+			pkts := make([]Packet, tc.burst)
+			burst := make([]delivery, tc.burst)
+			for i := range data {
+				data[i] = ncpPacketSeq(t, 1, 41, tc.flags, uint32(i))
+				bufs[i] = make([]byte, len(data[i]))
+				burst[i] = delivery{pkt: &pkts[i], from: "a"}
 			}
-			for i := 0; i < 8; i++ { // warm the working set and the neighbor list
+			receive := func() {
+				// Fresh deliveries each time, in the same storage: the switch
+				// rewrites the structs it forwards and the bytes it executes.
+				for i := range pkts {
+					pkts[i] = Packet{Src: "a", Dst: "b", Data: bufs[i][:copy(bufs[i], data[i])]}
+				}
+				if tc.burst == 1 {
+					sn.Receive(sender, &pkts[0], "a")
+				} else {
+					sn.receiveBatch(sender, burst)
+				}
+			}
+			for i := 0; i < 8; i++ { // warm the working set, the neighbor list and the shadow state
 				receive()
 			}
 			if avg := testing.AllocsPerRun(500, receive); avg != tc.budget {
-				t.Fatalf("untraced Receive (%s): %.2f allocs/window, want %.0f", tc.name, avg, tc.budget)
+				t.Fatalf("untraced Receive (%s): %.2f allocs per call of %d windows, want %.0f", tc.name, avg, tc.burst, tc.budget)
+			}
+			if tc.flags != 0 && sn.AcksSent.Load() != 8+501 {
+				t.Fatalf("acks_sent = %d after %d bursts, want one range ack per burst", sn.AcksSent.Load(), 8+501)
 			}
 		})
 	}

@@ -193,6 +193,17 @@ func statefulSumProgram() *pisa.Program {
 	}
 }
 
+// dropProgram is passProgram ending in _drop: every window is consumed
+// on-path, so the switch acknowledges reliable exactly-once ones itself.
+func dropProgram() *pisa.Program {
+	prog := passProgram()
+	k := prog.Kernels[0]
+	k.Passes[0] = append(k.Passes[0], &pisa.Stage{VLIW: []pisa.ActionOp{
+		{Op: "mov", Dst: k.FieldByName(pisa.FieldFwd), A: pisa.ConstOperand(1)},
+	}})
+	return prog
+}
+
 // blockingNode parks every Receive until released.
 type blockingNode struct {
 	label    string
@@ -279,13 +290,8 @@ func TestSwitchAcksCoalesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := passProgram()
-	k := prog.Kernels[0]
-	k.Passes[0] = append(k.Passes[0], &pisa.Stage{VLIW: []pisa.ActionOp{
-		{Op: "mov", Dst: k.FieldByName(pisa.FieldFwd), A: pisa.ConstOperand(1)}, // _drop: consumed on-path
-	}})
 	sn := NewSwitchNode("s1", pisa.DefaultTarget())
-	if err := sn.Install(prog, 1); err != nil {
+	if err := sn.Install(dropProgram(), 1); err != nil {
 		t.Fatal(err)
 	}
 	sn.SetRoutes(net.NextHops()["s1"])

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ncl/internal/ncp"
+	"ncl/internal/netsim"
 )
 
 // Reliable window delivery — the optional extension over the paper's §6
@@ -387,7 +388,7 @@ func (h *Host) sendAck(hd *ncp.Header, sc *sendScratch) error {
 		Wid:       hd.Wid,
 		FragCount: 1,
 	}
-	pkt, err := ncp.Marshal(&ack, nil, nil)
+	pkt, err := netsim.MarshalPacket(&ack, nil, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -92,7 +92,10 @@ const DefaultMTU = 1400
 type RecvWindow struct {
 	Header *ncp.Header
 	User   []uint64
-	Raw    []byte // payload bytes, as they arrived
+	// Raw is the payload, aliasing the packet it arrived in. Read-only: a
+	// broadcast's copies share their bytes (netsim.Packet.Shared), so two
+	// hosts' windows may alias one array.
+	Raw []byte
 	// Trace holds the reassembled hop records of a traced window
 	// (FlagTrace), ending with this host's deliver record. Fragmented
 	// windows report the first-arriving fragment's path.
@@ -200,7 +203,7 @@ type fragBuf struct {
 	header ncp.Header
 	user   []uint64
 	hops   []ncp.Hop // trace of the first-arriving fragment
-	parts  [][]byte
+	parts  [][]byte  // payloads in the packets they arrived in; concatenated once, at completion
 	have   int
 }
 
@@ -271,9 +274,9 @@ func (h *Host) shardFor(sender uint32) *recvShard {
 	return &h.shards[sender%recvShards]
 }
 
-// decodedPool recycles DecodeFullInto scratch across Receive calls: the
-// zero-copy receive path decodes into pooled scratch and makes exactly
-// one defensive copy per window at enqueue time (ownedWindow).
+// decodedPool recycles DecodeFullInto scratch across Receive calls. A
+// queued window keeps the payload, which aliases the packet, and copies
+// out only the user values and hops, which alias the scratch (ownedWindow).
 var decodedPool = sync.Pool{New: func() any { return new(ncp.Decoded) }}
 
 // Receive implements netsim.Node: NCP packets are decoded, reassembled,
@@ -427,7 +430,7 @@ func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) (acks []ncp.Header, 
 		h.met.dupsDropped.Inc()
 		return nil, false // duplicate or malformed fragment
 	}
-	fb.parts[hd.FragIdx] = append([]byte(nil), payload...)
+	fb.parts[hd.FragIdx] = payload // the host's own packet: kept as it arrived
 	fb.have++
 	if fb.have == len(fb.parts) {
 		delete(sh.frags, key)
@@ -454,18 +457,18 @@ func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) (acks []ncp.Header, 
 	return nil, false
 }
 
-// ownedWindow copies a decoded window out of pooled decode scratch into
-// a RecvWindow the application owns — the single defensive copy of the
-// receive path.
+// ownedWindow builds the RecvWindow of a decoded window: Raw stays in the
+// packet, which the host owns for good (netsim.Packet), and only the user
+// values and hops, which live in pooled decode scratch, are copied out.
 func ownedWindow(hd *ncp.Header, user []uint64, hops []ncp.Hop, payload []byte) *RecvWindow {
-	// The window and its header are one object: one allocation, and the
-	// interior pointers keep it whole.
+	// The window and its header are one object: the receive path's one
+	// allocation, and the interior pointers keep it whole.
 	own := &struct {
 		rw RecvWindow
 		hd ncp.Header
 	}{hd: *hd}
 	rw := &own.rw
-	rw.Header, rw.Raw = &own.hd, append([]byte(nil), payload...)
+	rw.Header, rw.Raw = &own.hd, payload
 	if len(user) > 0 {
 		rw.User = append([]uint64(nil), user...)
 	}
@@ -645,15 +648,16 @@ type sendScratch struct {
 // handing them to the transport in one SendBatch.
 const sendFlushEvery = 32
 
-// queuePacket queues one encoded packet toward dest, flushing when the
-// queue is full.
-func (h *Host) queuePacket(dest string, data []byte, sc *sendScratch) error {
+// queuePacket addresses one encoded packet to dest and queues it, flushing
+// when the queue is full.
+func (h *Host) queuePacket(dest string, pkt *netsim.Packet, sc *sendScratch) error {
 	hop, via, err := h.resolveHop(dest)
 	if err != nil {
 		return err
 	}
+	pkt.Src, pkt.Dst, pkt.Via = h.label, dest, via
 	sc.qTos = append(sc.qTos, hop)
-	sc.qPkts = append(sc.qPkts, &netsim.Packet{Src: h.label, Dst: dest, Via: via, Data: data})
+	sc.qPkts = append(sc.qPkts, pkt)
 	if len(sc.qPkts) >= sendFlushEvery {
 		return h.flushSendQueue(sc)
 	}
@@ -988,7 +992,7 @@ func (h *Host) sendPayload(inv Invocation, wid, seq uint32, batch, flags uint8, 
 			part = payload[i*mtu : min((i+1)*mtu, len(payload))]
 		}
 		hdr.FragIdx = uint16(i)
-		pkt, err := ncp.MarshalHops(&hdr, userVals, hops, part)
+		pkt, err := netsim.MarshalPacket(&hdr, userVals, hops, part)
 		if err != nil {
 			return err
 		}

@@ -391,7 +391,7 @@ func TestUDPFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	from, pkt, err := decodeFrameZero(frame)
+	from, pkt, err := decodeFrame(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestUDPFrameRoundTrip(t *testing.T) {
 		t.Errorf("frame round trip: from %q, %+v", from, pkt)
 	}
 	for _, bad := range [][]byte{{}, {5}, {3, 'a', 'b'}, {1, 'a', 1, 'b'}, {1, 'a', 1, 'b', 1, 'c'}, {1, 'a', 1, 'b', 1, 'c', 2, 'd'}} {
-		if _, _, err := decodeFrameZero(bad); err == nil {
+		if _, _, err := decodeFrame(bad); err == nil {
 			t.Errorf("malformed frame %v accepted", bad)
 		}
 	}
@@ -466,11 +466,7 @@ func TestUDPNetSmoke(t *testing.T) {
 	reg := obs.NewRegistry()
 	un.SetObs(reg)
 	got := make(chan netsim.Packet, 1)
-	recv := nodeFunc{label: "b", fn: func(pkt *netsim.Packet) {
-		cp := *pkt
-		cp.Data = append([]byte(nil), pkt.Data...) // the reader recycles it
-		got <- cp
-	}}
+	recv := nodeFunc{label: "b", fn: func(pkt *netsim.Packet) { got <- *pkt }}
 	send := nodeFunc{label: "a", fn: func(*netsim.Packet) {}}
 	if err := un.Attach(recv); err != nil {
 		t.Fatal(err)

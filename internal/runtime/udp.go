@@ -111,18 +111,10 @@ func (u *UDPNet) Attach(n netsim.Node) error {
 	return nil
 }
 
-// recvPool recycles per-datagram receive buffers. A buffer is handed to
-// the node zero-copy (the decoded payload aliases it) and reclaimed as
-// soon as Receive returns: nothing in the system retains pkt.Data past
-// that point — hosts copy window payloads at enqueue, and a switch that
-// executes a window in place (netsim.Packet's ownership rule) forwards it
-// through SendBatch, which frames it, copying, before Receive returns.
-var recvPool = sync.Pool{New: func() any {
-	b := make([]byte, 65536)
-	return &b
-}}
-
-// Start launches a reader goroutine per socket.
+// Start launches a reader goroutine per socket. A reader reads into the
+// one buffer it holds and hands the node a packet copied out of it
+// (decodeFrame), which the node owns for good, as it owns one the fabric
+// delivers (netsim.Packet): a host queues windows that alias it.
 func (u *UDPNet) Start() error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -136,22 +128,18 @@ func (u *UDPNet) Start() error {
 		u.wg.Add(1)
 		go func(node netsim.Node, conn *net.UDPConn) {
 			defer u.wg.Done()
+			buf := make([]byte, 65536)
 			for {
-				bufp := recvPool.Get().(*[]byte)
-				buf := *bufp
 				n, _, err := conn.ReadFromUDP(buf)
 				if err != nil {
-					recvPool.Put(bufp)
 					return // socket closed
 				}
-				from, pkt, err := decodeFrameZero(buf[:n])
+				from, pkt, err := decodeFrame(buf[:n])
 				if err != nil {
 					u.frameErrs.Inc()
-					recvPool.Put(bufp)
 					continue
 				}
 				node.Receive(u, pkt, from)
-				recvPool.Put(bufp)
 			}
 		}(node, conn)
 	}
@@ -300,11 +288,10 @@ func appendFrame(buf []byte, from string, pkt *netsim.Packet) ([]byte, error) {
 	return append(buf, pkt.Data...), nil
 }
 
-// decodeFrameZero parses a frame into the previous hop and the packet it
-// sent, with Data aliasing the input — the reader's pooled-buffer path
-// (the buffer outlives Receive, which is all any node needs; see
-// recvPool).
-func decodeFrameZero(frame []byte) (from string, pkt *netsim.Packet, err error) {
+// decodeFrame parses a frame into the previous hop and the packet it sent.
+// The packet's Data is a right-sized copy of the frame's payload
+// (netsim.NewPacket), never the frame itself: the reader reuses that.
+func decodeFrame(frame []byte) (from string, pkt *netsim.Packet, err error) {
 	var labels [4]string
 	for i := range labels {
 		if len(frame) < 1 || len(frame) < 1+int(frame[0]) {
@@ -313,5 +300,8 @@ func decodeFrameZero(frame []byte) (from string, pkt *netsim.Packet, err error) 
 		n := 1 + int(frame[0])
 		labels[i], frame = string(frame[1:n]), frame[n:]
 	}
-	return labels[0], &netsim.Packet{Src: labels[1], Dst: labels[2], Via: labels[3], Data: frame}, nil
+	pkt = netsim.NewPacket(len(frame))
+	pkt.Src, pkt.Dst, pkt.Via = labels[1], labels[2], labels[3]
+	pkt.Data = append(pkt.Data, frame...)
+	return labels[0], pkt, nil
 }

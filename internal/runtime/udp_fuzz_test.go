@@ -64,7 +64,7 @@ func allreduceFrames(t testing.TB) *frameCapture {
 // FuzzUDPFrame holds the UDP frame codec to its contract in both
 // directions. Encoding: appendFrame accepts exactly the label quadruples
 // that fit a length byte, and what it accepts decodes to the same from,
-// src, dst, via and payload. Decoding: decodeFrameZero never panics on
+// src, dst, via and payload. Decoding: decodeFrame never panics on
 // arbitrary bytes, and whatever it accepts re-encodes to the very bytes it
 // was given — so it read every byte once and none past the end.
 func FuzzUDPFrame(f *testing.F) {
@@ -94,7 +94,7 @@ func FuzzUDPFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("appendFrame(%q, %+v): %v", from, in, err)
 			}
-			f2, out, err := decodeFrameZero(frame)
+			f2, out, err := decodeFrame(frame)
 			if err != nil {
 				t.Fatalf("own frame rejected: %v", err)
 			}
@@ -103,7 +103,7 @@ func FuzzUDPFrame(f *testing.F) {
 			}
 		}
 
-		f3, out, err := decodeFrameZero(payload)
+		f3, out, err := decodeFrame(payload)
 		if err != nil {
 			return
 		}

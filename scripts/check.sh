@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repo health check: vet, formatting, oracle callers, the switch's one
-# buffer, the fabric's ports, doc lint, staticcheck (when installed), and
-# the full test suite under the race detector.
+# buffer, read-only received windows, the fabric's ports, doc lint,
+# staticcheck (when installed), and the full test suite under the race
+# detector.
 # CI-equivalent; run before sending a change. Set NCL_CHECK_SKIP_TESTS=1 to
 # run only the static checks (CI's lint job does this; the race suite runs
 # in its own job).
@@ -48,6 +49,19 @@ onebuf=$(grep -nE 'ncp\.(DecodePayloadInto|AppendPayload)\(' internal/netsim/*.g
 if [ -n "$onebuf" ]; then
     echo "window payload codec on the switch data path (internal/netsim):" >&2
     echo "$onebuf" >&2
+    exit 1
+fi
+
+# A received window's Raw aliases the packet it arrived in, and a
+# broadcast's copies share one array, so two hosts' windows may read the
+# same bytes: outside the switch (internal/pisa, internal/netsim, which
+# copy a Shared packet before executing it) nothing writes through a Raw.
+echo "== read-only Raw"
+raw=$(grep -rnE '\.Raw\[[^]]*\] *([-+*/%&|^]|<<|>>|&\^)?= |\.Raw\[[^]]*\](\+\+|--)|copy\([A-Za-z_][A-Za-z0-9_.]*\.Raw\b' \
+    --include='*.go' --exclude-dir=.bench_build . | grep -vE '_test\.go:|^\./internal/(pisa|netsim)/' || true)
+if [ -n "$raw" ]; then
+    echo "write through a Raw outside internal/pisa and internal/netsim:" >&2
+    echo "$raw" >&2
     exit 1
 fi
 
