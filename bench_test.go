@@ -110,7 +110,8 @@ const reliableBenchAND = "switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s
 // 10%-lossy fabric with the stop-and-wait degenerate case (Window=1)
 // against the pipelined sliding window (Window=32). Serial mode pays
 // each loss's retransmit timeout sequentially; the sliding window
-// overlaps them, which is the whole point of the transport.
+// overlaps them and detects most losses from the acks of later windows,
+// which is the whole point of the transport.
 func BenchmarkReliableLossy(b *testing.B) {
 	const (
 		W       = 8
@@ -130,7 +131,7 @@ func BenchmarkReliableLossy(b *testing.B) {
 		wnd  int
 	}{{"serial", 1}, {"pipelined-32", 32}} {
 		b.Run(bc.name, func(b *testing.B) {
-			var retx uint64
+			var retx, fast uint64
 			for i := 0; i < b.N; i++ {
 				dep, err := art.Deploy(ncl.Faults{DropProb: 0.1, Seed: int64(i + 1)})
 				if err != nil {
@@ -143,10 +144,13 @@ func BenchmarkReliableLossy(b *testing.B) {
 					dep.Stop()
 					b.Fatal(err)
 				}
-				retx += dep.Obs.Snapshot().Counters["host.a.retransmits"]
+				snap := dep.Obs.Snapshot()
+				retx += snap.Counters["host.a.retransmits"]
+				fast += snap.Counters["host.a.fast_retransmits"]
 				dep.Stop()
 			}
 			b.ReportMetric(float64(retx)/float64(b.N), "retransmits")
+			b.ReportMetric(float64(fast)/float64(b.N), "fast-retransmits")
 		})
 	}
 }

@@ -88,6 +88,33 @@ func TestExactlyOnceLossyAllreduce(t *testing.T) {
 	}
 
 	opts := runtime.ReliableOptions{Timeout: 8 * time.Millisecond, Retries: 12, Window: 16}
+	allreduceRounds(t, dep, W, dataLen, workers, rounds, opts)
+
+	sw := dep.Switches["s1"]
+	// Consumed-on-path contributions are switch-acked (that's why none of
+	// the OutReliable calls above timed out).
+	if sw.AcksSent.Load() == 0 {
+		t.Error("switch emitted no acks for consumed exactly-once windows")
+	}
+	// With 12% duplication plus retransmits over this many windows, the
+	// shadow layer must have suppressed real duplicates.
+	if sw.DupSuppressed.Load() == 0 {
+		t.Error("no duplicates suppressed despite injected duplication")
+	}
+	if dep.Obs.Gauge("pisa.s1.shadow_slots").Load() == 0 {
+		t.Error("shadow_slots gauge never populated")
+	}
+	t.Logf("rounds=%d windows=%d dup_suppressed=%d acks_sent=%d retransmits≈%v",
+		rounds, rounds*workers*windows, sw.DupSuppressed.Load(), sw.AcksSent.Load(),
+		dep.Obs.Counter("host.worker0.retransmits").Load())
+}
+
+// allreduceRounds runs rounds of exactly-once allreduce on a deployment of
+// lossyAllreduceNCL, every worker one OutReliable call per round, and
+// checks the switch registers: every contribution applied exactly once,
+// every count slot recycled to zero.
+func allreduceRounds(t *testing.T, dep *Deployment, W, dataLen, workers, rounds int, opts runtime.ReliableOptions) {
+	t.Helper()
 	expected := make([]int64, dataLen)
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
@@ -128,7 +155,7 @@ func TestExactlyOnceLossyAllreduce(t *testing.T) {
 		}
 	}
 	// Completed rounds recycle their slots: count must be back to zero.
-	for s := 0; s < windows; s++ {
+	for s := 0; s < dataLen/W; s++ {
 		v, err := dep.Controller.ReadRegister("s1", "count", s)
 		if err != nil {
 			t.Fatal(err)
@@ -137,24 +164,52 @@ func TestExactlyOnceLossyAllreduce(t *testing.T) {
 			t.Fatalf("count[%d] = %d, want 0 (round did not complete cleanly)", s, v)
 		}
 	}
+}
 
-	sw := dep.Switches["s1"]
-	// Consumed-on-path contributions are switch-acked (that's why none of
-	// the OutReliable calls above timed out).
-	if sw.AcksSent.Load() == 0 {
-		t.Error("switch emitted no acks for consumed exactly-once windows")
+// TestFastRetransmitOverFabric guards ack-driven loss detection on the
+// real fabric, where switch range acks report the windows that arrived:
+// it never fires without loss, fires under loss, and the exactly-once
+// registers stay bit-exact either way.
+func TestFastRetransmitOverFabric(t *testing.T) {
+	const (
+		W       = 8
+		dataLen = 64
+		workers = 4
+		rounds  = 20
+	)
+	overlay := fmt.Sprintf("switch s1 id=1\nhost worker count=%d role=0\nlink worker s1\n", workers)
+	art, err := Build(lossyAllreduceNCL, overlay, BuildOptions{WindowLen: W, ModuleName: "fastrtx"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// With 12% duplication plus retransmits over this many windows, the
-	// shadow layer must have suppressed real duplicates.
-	if sw.DupSuppressed.Load() == 0 {
-		t.Error("no duplicates suppressed despite injected duplication")
+	for _, tc := range []struct {
+		name string
+		drop float64
+	}{{"no loss", 0}, {"5% drop", 0.05}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dep, err := art.Deploy(netsim.Faults{DropProb: tc.drop, Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dep.Stop()
+			if err := dep.Controller.CtrlWrite("nworkers", 0, workers); err != nil {
+				t.Fatal(err)
+			}
+			allreduceRounds(t, dep, W, dataLen, workers, rounds, runtime.ReliableOptions{Window: 16})
+			var retx, fast uint64
+			for w := 0; w < workers; w++ {
+				retx += dep.Obs.Counter(fmt.Sprintf("host.worker%d.retransmits", w)).Load()
+				fast += dep.Obs.Counter(fmt.Sprintf("host.worker%d.fast_retransmits", w)).Load()
+			}
+			t.Logf("retransmits=%d fast_retransmits=%d", retx, fast)
+			if tc.drop == 0 && fast != 0 {
+				t.Errorf("fast_retransmits = %d without loss, want 0", fast)
+			}
+			if tc.drop > 0 && fast == 0 {
+				t.Error("no ack-driven retransmit at 5% drop")
+			}
+		})
 	}
-	if dep.Obs.Gauge("pisa.s1.shadow_slots").Load() == 0 {
-		t.Error("shadow_slots gauge never populated")
-	}
-	t.Logf("rounds=%d windows=%d dup_suppressed=%d acks_sent=%d retransmits≈%v",
-		rounds, rounds*workers*windows, sw.DupSuppressed.Load(), sw.AcksSent.Load(),
-		dep.Obs.Counter("host.worker0.retransmits").Load())
 }
 
 // TestExactlyOnceFlagOnWire: OutReliable marks windows for the derived

@@ -22,11 +22,15 @@ import (
 // invocation's wid, one timer is armed at the earliest outstanding
 // deadline, and acknowledgments (one window, or a range of up to
 // ncp.AckSpan from a switch) mark the array and poke one notify channel.
-// New and timed-out windows leave in bursts through the batch transport;
-// retransmission is selective, on a measured timeout (rto.go). A window
-// that is never acknowledged does not abandon the others — every
-// outstanding window runs to completion and the first hard error (lowest
-// window sequence) is reported.
+// New and lost windows leave in bursts through the batch transport, and
+// retransmission is selective. A window is lost once dupThresh windows
+// transmitted after it are acknowledged on their only transmission (the
+// ack-driven detection of RFC 6675's DupThresh and RACK, in transmission
+// order), or once its measured timeout expires (rto.go) — the backstop
+// for a window nothing later overtakes. A window that is never
+// acknowledged does not abandon the others — every outstanding window
+// runs to completion and the first hard error (lowest window sequence)
+// is reported.
 //
 // Non-idempotent kernels: retransmission re-executes on-path kernels, so
 // a retried window would double-apply switch-side aggregation. When the
@@ -72,24 +76,36 @@ func (o ReliableOptions) withDefaults() ReliableOptions {
 	return o
 }
 
+// dupThresh is how many windows transmitted after an unacknowledged one
+// must be acknowledged before it is declared lost. Three tolerates the
+// fabric's swap-with-next reordering; once every window of a call has been
+// admitted nothing new will overtake the tail, and the threshold drops to
+// one (RFC 5827 early retransmit).
+const dupThresh = 3
+
 // relWindow is one window's slot in an invocation's state array. Times
 // are offsets from relSend.start.
 type relWindow struct {
 	first    time.Duration // first transmission: the RTT baseline
 	deadline time.Duration // when the latest transmission times out
 	attempts int32         // transmissions so far
+	timeouts int32         // deadlines expired so far: the backoff exponent
+	tx       uint32        // order number of the latest transmission (relSend.txs)
 	done     bool          // acknowledged or failed
 }
 
 // relSend is one OutReliable call in progress, registered in Host.sends
-// under its wid. wins is guarded by Host.ackMu (the receive path marks
-// acknowledged windows); everything else belongs to the calling goroutine.
+// under its wid. wins, txs and ackedTx are guarded by Host.ackMu (the
+// receive path marks acknowledged windows); everything else belongs to
+// the calling goroutine.
 type relSend struct {
-	wins   []relWindow
-	est    *rttEstimator
-	start  time.Time
-	notify chan struct{} // cap 1: acks and Close poke it
-	timer  *time.Timer   // created at the first wait, then reused
+	wins    []relWindow
+	txs     uint32 // transmissions stamped so far, in send order
+	ackedTx uint32 // highest tx acknowledged on a window's only transmission (0: none)
+	est     *rttEstimator
+	start   time.Time
+	notify  chan struct{} // cap 1: acks and Close poke it
+	timer   *time.Timer   // created at the first wait, then reused
 
 	err    error // first hard error: lowest failing window sequence
 	errSeq uint32
@@ -208,23 +224,40 @@ func (h *Host) OutReliable(inv Invocation, arrays [][]uint64, opts ReliableOptio
 		}
 		now := time.Since(s.start)
 		rto := s.est.rto(opts.Timeout)
+		thresh := uint32(dupThresh)
+		if next == windows {
+			thresh = 1
+		}
 		earliest := time.Duration(math.MaxInt64)
 		keep := inflight[:0]
+		fast := 0
 		for _, seq := range inflight {
 			w := &s.wins[seq]
+			// Overtaken, and not yet through its Retries: ack-driven
+			// resends never outnumber what the timer schedule would send.
+			lost := w.tx+thresh <= s.ackedTx && int(w.attempts) <= opts.Retries
 			switch {
 			case w.done:
 				continue
-			case now < w.deadline:
+			case now < w.deadline && !lost:
 			case int(w.attempts) > opts.Retries && now-w.first >= patience:
 				s.fail(seq, fmt.Errorf("runtime: window %d of invocation %d was never acknowledged after %d attempts (consumed on-path, or the destination is unreachable)",
 					seq, wid, w.attempts))
 				continue
 			default:
-				iv := retransmitInterval(rto, int(w.attempts))
+				// Only an expired deadline backs the timer off: a window
+				// resent at round-trip pace keeps its interval.
+				if lost {
+					fast++
+				} else {
+					w.timeouts++
+				}
+				iv := retransmitInterval(rto, int(w.timeouts))
 				h.met.backoffUs.Observe(float64(iv) / float64(time.Microsecond))
 				w.deadline = now + iv
 				w.attempts++
+				s.txs++
+				w.tx = s.txs
 				burst = append(burst, seq)
 			}
 			earliest = min(earliest, w.deadline)
@@ -233,7 +266,8 @@ func (h *Host) OutReliable(inv Invocation, arrays [][]uint64, opts ReliableOptio
 		inflight = keep
 		retransmits := len(burst)
 		for ; next < windows && len(inflight) < window; next++ {
-			s.wins[next] = relWindow{first: now, deadline: now + rto, attempts: 1}
+			s.txs++
+			s.wins[next] = relWindow{first: now, deadline: now + rto, attempts: 1, tx: s.txs}
 			earliest = min(earliest, now+rto)
 			inflight = append(inflight, uint32(next))
 			burst = append(burst, uint32(next))
@@ -249,6 +283,7 @@ func (h *Host) OutReliable(inv Invocation, arrays [][]uint64, opts ReliableOptio
 			continue
 		}
 		h.met.retransmits.Add(uint64(retransmits))
+		h.met.fastRetransmits.Add(uint64(fast))
 		// Transport and encoding errors are not transient: the burst is
 		// failed instead of retried.
 		var sendErr error
@@ -300,11 +335,12 @@ func (h *Host) windowCount(kernel string, arrays [][]uint64, specs []ncp.ParamSp
 // window the header names plus, with a range payload, the following ones
 // its bitmap selects (ncp.AckRange) — applied under one lock with one
 // wake-up of the sender. A window's round trip is sampled, for the
-// histogram and the estimator alike, only if it was transmitted once:
-// the ack of a retransmitted window cannot be attributed to an attempt
-// (Karn). An ack naming anything that is not outstanding — a finished
-// invocation, a window already acknowledged, a bit past the window count —
-// counts once in stale_acks and changes nothing for those windows.
+// histogram and the estimator alike, and its transmission advances
+// relSend.ackedTx, only if it was transmitted once: the ack of a
+// retransmitted window cannot be attributed to an attempt (Karn). An ack
+// naming anything that is not outstanding — a finished invocation, a
+// window already acknowledged, a bit past the window count — counts once
+// in stale_acks and changes nothing for those windows.
 func (h *Host) handleAck(hd *ncp.Header, payload []byte) {
 	more, ok := ncp.AckRange(payload)
 	if !ok {
@@ -354,6 +390,7 @@ func (h *Host) ackWindow(s *relSend, seq uint64, at time.Duration) bool {
 		rtt := at - w.first
 		s.est.observe(rtt)
 		h.met.ackRtt.Observe(float64(rtt) / float64(time.Microsecond))
+		s.ackedTx = max(s.ackedTx, w.tx)
 	}
 	return true
 }

@@ -57,12 +57,13 @@ func (e *rttEstimator) rto(timeout time.Duration) time.Duration {
 	return min(max(e.srtt+4*e.rttvar, rtoFloor), timeout)
 }
 
-// retransmitInterval is how long a window waits for its ack after its
-// attempt-th transmission (0 = the first): rto doubled per attempt up to
-// the cap, jittered from the second transmission on.
-func retransmitInterval(rto time.Duration, attempt int) time.Duration {
-	iv := rto << min(attempt, backoffShift)
-	if j := int64(iv / jitterDiv); attempt > 0 && j > 0 {
+// retransmitInterval is how long a window waits for its ack once its
+// deadline has expired `expired` times (0 = never): rto doubled per expiry
+// up to the cap, jittered once backed off. Without ack-driven resends
+// that is the number of transmissions before this one.
+func retransmitInterval(rto time.Duration, expired int) time.Duration {
+	iv := rto << min(expired, backoffShift)
+	if j := int64(iv / jitterDiv); expired > 0 && j > 0 {
 		iv += time.Duration(rand.Int63n(2*j+1) - j)
 	}
 	return iv

@@ -161,6 +161,7 @@ type hostMetrics struct {
 	fragEvictions   *obs.Counter // stale fragment buffers dropped
 	decodeErrors    *obs.Counter // undecodable packets dropped
 	retransmits     *obs.Counter
+	fastRetransmits *obs.Counter // the retransmits of windows overtaken by acknowledged later ones
 	staleAcks       *obs.Counter // late/duplicate acks ignored
 	ackSendErrors   *obs.Counter // received packets whose acks could not all be sent
 	tracedWindows   *obs.Counter
@@ -184,6 +185,7 @@ func newHostMetrics(r *obs.Registry, p string) hostMetrics {
 		fragEvictions:   r.Counter(p + "frag_evictions"),
 		decodeErrors:    r.Counter(p + "decode_errors"),
 		retransmits:     r.Counter(p + "retransmits"),
+		fastRetransmits: r.Counter(p + "fast_retransmits"),
 		staleAcks:       r.Counter(p + "stale_acks"),
 		ackSendErrors:   r.Counter(p + "ack_send_errors"),
 		tracedWindows:   r.Counter(p + "traced_windows"),

@@ -491,3 +491,227 @@ func TestRangeAcks(t *testing.T) {
 		}
 	})
 }
+
+// Ack-driven loss detection: a window is resent once dupThresh windows
+// transmitted after it are acknowledged on their only transmission,
+// without waiting out its timer.
+
+// retransmitCounts reads the sender's retransmits and the ack-driven
+// subset of them.
+func retransmitCounts(reg *obs.Registry) (retransmits, fast uint64) {
+	snap := reg.Snapshot()
+	return snap.Counters["host.a.retransmits"], snap.Counters["host.a.fast_retransmits"]
+}
+
+// windowsOf is the single array of n windows at the test config's W=4.
+func windowsOf(n int) [][]uint64 { return [][]uint64{make([]uint64, n*4)} }
+
+// TestFastRetransmitLostWindow: a lost window is resent as soon as three
+// later windows are acknowledged — here within the same call, although
+// its timer (no round-trip sample yet) would wait 10 s.
+func TestFastRetransmitLostWindow(t *testing.T) {
+	_, sender, reg := lossyPair(t, firstAttemptsOf(func(seq uint32) bool { return seq == 3 }))
+	start := time.Now()
+	if err := sender.OutReliable(Invocation{Kernel: "k", Dest: "b"}, windowsOf(64),
+		ReliableOptions{Timeout: 10 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("the call took %v: the lost window waited for its timer", d)
+	}
+	if retx, fast := retransmitCounts(reg); retx != 1 || fast != 1 {
+		t.Errorf("retransmits = %d, fast_retransmits = %d, want 1 and 1", retx, fast)
+	}
+
+	// The resend re-arms the window at one RTO: only an expired deadline
+	// backs off. A Timeout at the floor pins the RTO there.
+	_, sender, reg = lossyPair(t, firstAttemptsOf(func(seq uint32) bool { return seq == 3 }))
+	if err := sender.OutReliable(Invocation{Kernel: "k", Dest: "b"}, windowsOf(64),
+		ReliableOptions{Timeout: rtoFloor}); err != nil {
+		t.Fatal(err)
+	}
+	want := float64(rtoFloor / time.Microsecond)
+	if h := reg.Snapshot().Histograms["host.a.backoff_us"]; h.Count != 1 || h.Sum != want {
+		t.Errorf("backoff_us has %d observations summing to %v µs, want one of %v", h.Count, h.Sum, want)
+	}
+}
+
+// TestFastRetransmitLostAck: when the ack is what was lost, the resend
+// reaches a receiver that already has the window. It is deduplicated and
+// re-acknowledged, and the application sees every window once.
+func TestFastRetransmitLostAck(t *testing.T) {
+	const windows = 64
+	acked3 := false
+	lb, sender, reg := lossyPair(t, func(hd *ncp.Header) bool {
+		if hd.Flags&ncp.FlagAck == 0 || hd.WindowSeq != 3 || acked3 {
+			return false
+		}
+		acked3 = true
+		return true
+	})
+	if err := sender.OutReliable(Invocation{Kernel: "k", Dest: "b"}, windowsOf(windows),
+		ReliableOptions{Timeout: 10 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	if retx, fast := retransmitCounts(reg); retx != 1 || fast != 1 {
+		t.Errorf("retransmits = %d, fast_retransmits = %d, want 1 and 1", retx, fast)
+	}
+	if got := reg.Snapshot().Counters["host.b.duplicates_dropped"]; got != 1 {
+		t.Errorf("duplicates_dropped = %d, want 1 (the resent window 3)", got)
+	}
+	recv := lb.nodes["b"].(*Host)
+	seen := map[uint32]bool{}
+	for i := 0; i < windows; i++ {
+		rw, err := recv.Recv(time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[rw.Header.WindowSeq] {
+			t.Fatalf("window %d delivered twice", rw.Header.WindowSeq)
+		}
+		seen[rw.Header.WindowSeq] = true
+	}
+	if rw, err := recv.Recv(10 * time.Millisecond); err == nil {
+		t.Errorf("window %d delivered after all %d", rw.Header.WindowSeq, windows)
+	}
+}
+
+// burstSwapper delivers each of the sender's bursts with its last two
+// packets swapped, the earlier one held until the sender's next burst, so
+// the sender's step in between sees the later window acknowledged and the
+// earlier one still in flight. The burst carrying the call's final window
+// is left in order: after it the threshold is 1, and a swap there would
+// be resent (see TestFastRetransmitTail).
+type burstSwapper struct {
+	*loopbackSender
+	final  uint32 // sequence of the call's last window
+	held   *netsim.Packet
+	heldTo string
+	swaps  int
+}
+
+func (b *burstSwapper) SendBatch(from string, tos []string, pkts []*netsim.Packet) error {
+	if from != "a" {
+		return b.loopbackSender.SendBatch(from, tos, pkts)
+	}
+	var outTos []string
+	var out []*netsim.Packet
+	if b.held != nil {
+		outTos, out = append(outTos, b.heldTo), append(out, b.held)
+		b.held = nil
+	}
+	n := len(pkts)
+	swap := false
+	if n >= 2 {
+		hd, _, _, err := ncp.Decode(pkts[n-1].Data)
+		swap = err == nil && hd.WindowSeq != b.final
+	}
+	for i, pkt := range pkts {
+		if swap && i == n-2 {
+			b.held, b.heldTo = pkt, tos[i]
+			b.swaps++
+			continue
+		}
+		outTos, out = append(outTos, tos[i]), append(out, pkt)
+	}
+	return b.loopbackSender.SendBatch(from, outTos, out)
+}
+
+// TestFastRetransmitToleratesReorder: a window overtaken by the one sent
+// right after it is reordered, not lost — the threshold of three keeps
+// swap-with-next reordering from triggering resends.
+func TestFastRetransmitToleratesReorder(t *testing.T) {
+	const windows = 64
+	lb := newLoopback(t)
+	bs := &burstSwapper{loopbackSender: lb, final: windows - 1}
+	cfg := testConfig(t, 4)
+	cfg.HostLabels = map[uint32]string{1: "a", 2: "b"}
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	sender := NewHost("a", 1, 0, cfg, bs, map[string]string{"b": "s1"})
+	lb.nodes["a"] = sender
+	lb.nodes["b"] = NewHost("b", 2, 1, cfg, bs, map[string]string{"a": "s1"})
+
+	if err := sender.OutReliable(Invocation{Kernel: "k", Dest: "b"}, windowsOf(windows),
+		ReliableOptions{Timeout: 10 * time.Second, Window: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if bs.swaps < 5 {
+		t.Fatalf("only %d bursts were reordered", bs.swaps)
+	}
+	if _, fast := retransmitCounts(reg); fast != 0 {
+		t.Errorf("fast_retransmits = %d over %d swapped pairs, want 0", fast, bs.swaps)
+	}
+}
+
+// TestFastRetransmitTail: once every window is admitted the threshold is
+// 1, so the second-to-last window is recovered from the last one's ack.
+// The last window has nothing after it to be overtaken by: its loss waits
+// for the timer. This is the detector's documented limit.
+func TestFastRetransmitTail(t *testing.T) {
+	const windows = 64
+	for _, tc := range []struct {
+		lost                  uint32
+		retransmits, fastRetx uint64
+	}{
+		{lost: windows - 2, retransmits: 1, fastRetx: 1},
+		{lost: windows - 1, retransmits: 1, fastRetx: 0},
+	} {
+		_, sender, reg := lossyPair(t, firstAttemptsOf(func(seq uint32) bool { return seq == tc.lost }))
+		if err := sender.OutReliable(Invocation{Kernel: "k", Dest: "b"}, windowsOf(windows),
+			ReliableOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if retx, fast := retransmitCounts(reg); retx != tc.retransmits || fast != tc.fastRetx {
+			t.Errorf("window %d lost: retransmits = %d, fast_retransmits = %d, want %d and %d",
+				tc.lost, retx, fast, tc.retransmits, tc.fastRetx)
+		}
+	}
+}
+
+// TestFastRetransmitBoundedByRetries: a window whose every attempt is
+// lost while the others are acknowledged is overtaken again after each
+// resend. Ack-driven resends stop at Retries; the window then follows the
+// timer schedule and is reported after patience, as without detection.
+func TestFastRetransmitBoundedByRetries(t *testing.T) {
+	_, sender, reg := lossyPair(t, func(hd *ncp.Header) bool {
+		return hd.Flags&ncp.FlagAckRequest != 0 && hd.WindowSeq == 5
+	})
+	opts := ReliableOptions{Timeout: 2 * time.Millisecond, Retries: 3, Window: 8}
+	start := time.Now()
+	err := sender.OutReliable(Invocation{Kernel: "k", Dest: "b"}, windowsOf(64), opts)
+	elapsed := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "window 5 of invocation") ||
+		!strings.Contains(err.Error(), "was never acknowledged after") {
+		t.Fatalf("black-holed window 5: %v", err)
+	}
+	if elapsed < opts.patience() {
+		t.Errorf("gave up after %v, before the patience of %v", elapsed, opts.patience())
+	}
+	if _, fast := retransmitCounts(reg); fast == 0 || fast > uint64(opts.Retries) {
+		t.Errorf("fast_retransmits = %d, want 1..%d", fast, opts.Retries)
+	}
+}
+
+// TestFastRetransmitIgnoresRetransmittedAcks: the ack of a retransmitted
+// window may answer its earlier attempt (Karn), so it overtakes nothing.
+// Every first attempt is lost and window 0's second too: the other three
+// are acknowledged only on their retransmissions, and window 0 waits for
+// its timer.
+func TestFastRetransmitIgnoresRetransmittedAcks(t *testing.T) {
+	attempts := map[uint32]int{}
+	_, sender, reg := lossyPair(t, func(hd *ncp.Header) bool {
+		if hd.Flags&ncp.FlagAckRequest == 0 {
+			return false
+		}
+		attempts[hd.WindowSeq]++
+		return attempts[hd.WindowSeq] == 1 || hd.WindowSeq == 0 && attempts[0] == 2
+	})
+	if err := sender.OutReliable(Invocation{Kernel: "k", Dest: "b"}, windowsOf(4),
+		ReliableOptions{Timeout: 10 * time.Millisecond, Window: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if retx, fast := retransmitCounts(reg); retx != 5 || fast != 0 {
+		t.Errorf("retransmits = %d, fast_retransmits = %d, want 5 timed out and 0", retx, fast)
+	}
+}
