@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ncl/internal/ncp"
 	"ncl/internal/netsim"
 	"ncl/internal/runtime"
 )
@@ -240,5 +241,87 @@ _net_ _in_ void sink(int *data, _ext_ int *out) { out[0] = data[0]; }
 	}
 	if n := dep.Switches["s1"].AcksSent.Load(); n != 0 {
 		t.Fatalf("switch acked %d plain reliable windows", n)
+	}
+}
+
+// TestHeldResultsOutliveRecycledPackets: the switch sends its broadcast
+// copies and acks in the packets of the contributions it consumed. Every
+// worker holds every result window of every round while the later rounds
+// run, and each still reads its round's sums at the end: no recycled
+// packet aliases bytes a host reads. Meant for -race.
+func TestHeldResultsOutliveRecycledPackets(t *testing.T) {
+	const (
+		W       = 8
+		dataLen = 64
+		workers = 4
+		windows = dataLen / W
+		rounds  = 12
+	)
+	overlay := fmt.Sprintf("switch s1 id=1\nhost worker count=%d role=0\nlink worker s1\n", workers)
+	art, err := Build(lossyAllreduceNCL, overlay, BuildOptions{WindowLen: W, ModuleName: "heldar"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := art.Deploy(netsim.Faults{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Stop()
+	if err := dep.Controller.CtrlWrite("nworkers", 0, workers); err != nil {
+		t.Fatal(err)
+	}
+	type held struct {
+		rw   *runtime.RecvWindow
+		want []int64 // the window's sums
+	}
+	var all []held
+	sums := make([]int64, dataLen)
+	for round := 0; round < rounds; round++ {
+		for i := range sums {
+			for w := 0; w < workers; w++ {
+				sums[i] += int64(w + i + round)
+			}
+		}
+		all = append(all, make([]held, workers*windows)...)
+		var wg sync.WaitGroup
+		errs := make([]error, workers)
+		for w := 0; w < workers; w++ {
+			grad := make([]uint64, dataLen)
+			for i := range grad {
+				grad[i] = uint64(w + i + round)
+			}
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				host := dep.Hosts[fmt.Sprintf("worker%d", w)]
+				errs[w] = host.OutReliable(runtime.Invocation{Kernel: "allreduce", Dest: "s1"}, [][]uint64{grad}, runtime.ReliableOptions{})
+				for n := 0; n < windows && errs[w] == nil; n++ {
+					var rw *runtime.RecvWindow
+					if rw, errs[w] = host.Recv(10 * time.Second); errs[w] == nil {
+						seq := int(rw.Header.WindowSeq)
+						all[(round*workers+w)*windows+n] = held{rw, append([]int64(nil), sums[seq*W:(seq+1)*W]...)}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d worker %d: %v", round, w, err)
+			}
+		}
+	}
+	spec := []ncp.ParamSpec{{Elems: W, Bytes: 4, Signed: true}}
+	for i, h := range all {
+		vals, err := ncp.DecodePayload(h.rw.Raw, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range vals[0] {
+			if int64(int32(v)) != h.want[j] {
+				t.Fatalf("round %d worker %d window %d element %d reads %d after %d later rounds, want %d",
+					i/(workers*windows), i/windows%workers, h.rw.Header.WindowSeq, j, int64(int32(v)), rounds-1-i/(workers*windows), h.want[j])
+			}
+		}
 	}
 }

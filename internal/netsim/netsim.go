@@ -31,10 +31,10 @@ import (
 
 // Packet is one unit on the wire. Ownership: a sender gives up the struct
 // and Data when it sends; the receiver owns a delivered *Packet and its Data
-// for good, on every transport. It may rewrite Data and forward the same
-// struct, as a switch does with the windows it executes, or keep reading
-// Data, as a host's queued windows do. The exception is a packet marked
-// Shared: its Data is read-only, and a receiver copies it before writing.
+// for good, on every transport. It may rewrite Data and forward the struct
+// (a switch's executed windows), keep reading Data (a host's queued windows)
+// or reuse a packet it consumed for one it sends (a switch's drops). The
+// Data of a packet marked Shared is read-only, and copied before any write.
 type Packet struct {
 	Src  string // originating node label
 	Dst  string // final destination label

@@ -66,9 +66,38 @@ func (b *batchState) scratch() *ncp.Decoded {
 // batchOut collects the packets a burst produces and hands them to the
 // transport in one SendBatch, per-destination order preserved.
 type batchOut struct {
-	tr   Sender
-	tos  []string
-	pkts []*Packet
+	tr      Sender
+	tos     []string
+	pkts    []*Packet
+	spare   []*Packet // packets the switch consumed, at most maxSpare
+	closing *Packet   // the burst's last ack, sent twice
+}
+
+// maxSpare bounds spare (≈ maxSpare × 208 B per working set, none if
+// nothing is consumed): a streaming allreduce consumes one worker's round,
+// 512 windows, before the other's broadcasts; at 256, 17 % still allocated.
+const maxSpare = 1024
+
+// packet hands out a Packet, zero but for empty Data with room for n
+// bytes: the last consumed one when n is 0 or its own bytes fit, else a
+// new one. It is the only place the switch path allocates a Packet.
+func (o *batchOut) packet(n int) *Packet {
+	if k := len(o.spare) - 1; k >= 0 && (n == 0 || !o.spare[k].Shared && cap(o.spare[k].Data) >= n) {
+		p := o.spare[k]
+		o.spare, *p = o.spare[:k], Packet{Data: p.Data[:0]}
+		return p
+	}
+	if n == 0 {
+		return &Packet{}
+	}
+	return NewPacket(n)
+}
+
+// marshal is MarshalPacket into a packet from o.packet.
+func (o *batchOut) marshal(h *ncp.Header, user []uint64, hops []ncp.Hop, payload []byte) (p *Packet, err error) {
+	p = o.packet(ncp.MarshalLen(h, user, hops, payload))
+	p.Data, err = ncp.AppendHops(p.Data, h, user, hops, payload)
+	return p, err
 }
 
 func (o *batchOut) send(to string, pkt *Packet) {
@@ -112,6 +141,15 @@ func (s *SwitchNode) receiveBatch(f Sender, batch []delivery) {
 		s.ingest(b, batch[i].pkt)
 	}
 	s.execSegment(b)
+	// The burst's last ack leaves twice, the copies sharing bytes: later
+	// acks cover later windows, so losing it would cost its windows a timer.
+	if c := b.out.closing; c != nil {
+		p := b.out.packet(0)
+		c.Shared, b.out.closing = true, nil
+		*p = *c
+		s.AcksRepeated.Add(1)
+		s.forward(&b.out, p)
+	}
 	if err := b.out.flush(s.label); err != nil {
 		s.Errors.Add(1)
 	}

@@ -46,6 +46,7 @@ type SwitchNode struct {
 	Repacks       *obs.Counter // executed windows re-emitted, in place or re-serialized (one per broadcast)
 	DupSuppressed *obs.Counter // exactly-once duplicates executed suppressed
 	AcksSent      *obs.Counter // switch-emitted acks for consumed xonce windows
+	AcksRepeated  *obs.Counter // second copies of each burst's last ack (not in AcksSent)
 
 	obsMu sync.Mutex
 	reg   *obs.Registry
@@ -121,6 +122,7 @@ func (s *SwitchNode) SetObs(r *obs.Registry) {
 	s.Repacks = r.Counter(p + "repacks")
 	s.DupSuppressed = r.Counter(p + "dup_suppressed")
 	s.AcksSent = r.Counter(p + "acks_sent")
+	s.AcksRepeated = r.Counter(p + "acks_repeated")
 	s.execNs = r.Histogram(p+"exec_ns", ExecNsBuckets)
 	for _, kp := range s.kplans {
 		kp.windows = r.Counter(p + "kernel." + kp.k.Name + ".windows")
@@ -300,6 +302,10 @@ func (s *SwitchNode) route(out *batchOut, w *batchWin, j *pisa.BatchJob, hops []
 		src, flags = s.label, flags|ncp.FlagBcast
 		targets = s.routing.Load().bcastTargets(out.tr.Network(), s.label)
 	default:
+		// Dropped: a lone untraced window's packet is the switch's alone.
+		if w.inPlace && len(out.spare) < maxSpare {
+			out.spare = append(out.spare, pkt)
+		}
 		return
 	}
 	// The device deparsed the payload in place: a lone untraced window
@@ -311,20 +317,20 @@ func (s *SwitchNode) route(out *batchOut, w *batchWin, j *pisa.BatchJob, hops []
 		nh := w.dec.Header
 		nh.Flags = flags
 		var err error
-		if pkt, err = MarshalPacket(&nh, j.Meta.User, hops, j.Raw); err != nil {
+		if pkt, err = out.marshal(&nh, j.Meta.User, hops, j.Raw); err != nil {
 			s.Errors.Add(1)
 			return
 		}
 	}
 	s.Repacks.Add(1)
 	// One set of bytes serves every broadcast neighbor: copies beyond the
-	// first are new Packets over the same Data, all marked Shared.
+	// first are other Packets over the same Data, all marked Shared.
 	for i, to := range targets {
 		p := pkt
 		if i > 0 {
-			p = &Packet{Data: pkt.Data}
+			p = out.packet(0)
 		}
-		p.Src, p.Dst, p.Via, p.VTimeUs, p.Shared = src, to, "", vtime, len(targets) > 1
+		p.Src, p.Dst, p.Data, p.Via, p.VTimeUs, p.Shared = src, to, pkt.Data, "", vtime, len(targets) > 1
 		s.forward(out, p)
 	}
 }
@@ -391,13 +397,14 @@ func (s *SwitchNode) flushAcks(out *batchOut, run *ackRun) {
 	}
 	run.open = false
 	var bitmap [8]byte
-	pkt, err := MarshalPacket(&run.hdr, nil, nil, ncp.AppendAckRange(bitmap[:0], run.more))
+	pkt, err := out.marshal(&run.hdr, nil, nil, ncp.AppendAckRange(bitmap[:0], run.more))
 	if err != nil {
 		s.Errors.Add(1)
 		return
 	}
 	s.AcksSent.Add(1)
 	pkt.Src, pkt.Dst, pkt.VTimeUs = s.label, run.target, run.vtime
+	out.closing = pkt
 	s.forward(out, pkt)
 }
 

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"ncl/internal/and"
@@ -16,33 +17,66 @@ type nullSender struct{ net *and.Network }
 func (n *nullSender) SendBatch(string, []string, []*Packet) error { return nil }
 func (n *nullSender) Network() *and.Network                       { return n.net }
 
+// fwdProgram is a kernel over w int32 elements whose forwarding decision
+// is its first element: 0 pass, 1 drop, 2 reflect, 3 bcast.
+func fwdProgram(w int) *pisa.Program {
+	k := &pisa.Kernel{
+		Name: "fwd", ID: 1, WindowLen: w,
+		Fields:  []pisa.Field{{Name: pisa.FieldFwd, Bits: 8}},
+		Params:  []pisa.ParamLayout{{Name: "x", Elems: w, Bits: 32, Signed: true}},
+		WinMeta: map[string]pisa.FieldRef{},
+		Passes:  [][]*pisa.Stage{{{VLIW: []pisa.ActionOp{{Op: "mov", Dst: 0, A: pisa.FieldOperand(1)}}}}},
+	}
+	for i := 0; i < w; i++ {
+		k.Params[0].Fields = append(k.Params[0].Fields, pisa.FieldRef(len(k.Fields)))
+		k.Fields = append(k.Fields, pisa.Field{Name: fmt.Sprintf("d_x_%d", i), Bits: 32, Signed: true})
+	}
+	return &pisa.Program{Name: "fwd", Kernels: []*pisa.Kernel{k}}
+}
+
 // TestSwitchProcessAllocsUntraced: the whole untraced Receive pipeline —
 // decode, exec on the payload bytes, in-place edit, forward — allocates
 // nothing; depth probing and exec timing run only for traced windows. An
-// untraced window leaves in the Packet it arrived in, so a pass costs 0
-// and a broadcast exactly one Packet per neighbor beyond the first (the
-// copies share the bytes). A burst of exactly-once windows the kernel
-// consumes costs its one range ack: a Packet with its bytes inline.
+// untraced window leaves in the Packet it arrived in, so a pass costs 0.
+// A broadcast copy beyond the first is another Packet over the same bytes:
+// a packet the switch consumed earlier when there is one, so a drop
+// followed by a broadcast to two neighbors costs 0, and a new one
+// otherwise. A burst of exactly-once windows the kernel consumes costs
+// nothing either: its range ack is built in a consumed packet, and the
+// ack's repeat is another packet over the same bytes. A window too short
+// to hold the range ack (40 bytes against 44) leaves the ack one new
+// Packet with its bytes inline.
 func TestSwitchProcessAllocsUntraced(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; allocation counts are meaningless")
 	}
-	net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nhost c role=1\nlink a s1\nlink s1 b\nlink s1 c")
+	star, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nhost c role=1\nlink a s1\nlink s1 b\nlink s1 c")
 	if err != nil {
 		t.Fatal(err)
 	}
+	pair, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s1\nlink s1 b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xonce := uint8(ncp.FlagAckRequest | ncp.FlagExactlyOnce)
 	for _, tc := range []struct {
 		name   string
+		net    *and.Network
 		prog   *pisa.Program
+		elems  int // int32 elements per window
 		flags  uint8
-		burst  int     // windows 0..burst-1 of one invocation, one receive call
-		budget float64 // per call
+		vals   []uint64 // window i of a call carries vals[i % len(vals)]
+		burst  int      // windows 0..burst-1 of one invocation, one receive call
+		budget float64  // per call
 	}{
-		{"pass", passProgram(), 0, 1, 0},
-		{"bcast", bcastProgram(), 0, 1, 2},
-		{"xonce-range-ack", dropProgram(), ncp.FlagAckRequest | ncp.FlagExactlyOnce, 16, 1},
+		{"pass", star, passProgram(), 1, 0, []uint64{41}, 1, 0},
+		{"bcast", star, bcastProgram(), 1, 0, []uint64{41}, 1, 2},
+		{"drop-then-bcast", pair, fwdProgram(8), 8, 0, []uint64{1, 3}, 2, 0},
+		{"xonce-range-ack", star, fwdProgram(8), 8, xonce, []uint64{1}, 16, 0},
+		{"xonce-range-ack-short-windows", star, dropProgram(), 1, xonce, []uint64{41}, 16, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			net := tc.net
 			sn := NewSwitchNode("s1", pisa.DefaultTarget())
 			if err := sn.Install(tc.prog, 1); err != nil {
 				t.Fatal(err)
@@ -57,7 +91,7 @@ func TestSwitchProcessAllocsUntraced(t *testing.T) {
 			pkts := make([]Packet, tc.burst)
 			burst := make([]delivery, tc.burst)
 			for i := range data {
-				data[i] = ncpPacketSeq(t, 1, 41, tc.flags, uint32(i))
+				data[i] = ncpWindow(t, 1, tc.elems, tc.vals[i%len(tc.vals)], tc.flags, uint32(i))
 				bufs[i] = make([]byte, len(data[i]))
 				burst[i] = delivery{pkt: &pkts[i], from: "a"}
 			}
@@ -79,8 +113,12 @@ func TestSwitchProcessAllocsUntraced(t *testing.T) {
 			if avg := testing.AllocsPerRun(500, receive); avg != tc.budget {
 				t.Fatalf("untraced Receive (%s): %.2f allocs per call of %d windows, want %.0f", tc.name, avg, tc.burst, tc.budget)
 			}
-			if tc.flags != 0 && sn.AcksSent.Load() != 8+501 {
-				t.Fatalf("acks_sent = %d after %d bursts, want one range ack per burst", sn.AcksSent.Load(), 8+501)
+			if n := sn.Errors.Load(); n != 0 {
+				t.Fatalf("%d errors", n)
+			}
+			if tc.flags != 0 && (sn.AcksSent.Load() != 8+501 || sn.AcksRepeated.Load() != 8+501) {
+				t.Fatalf("acks_sent = %d, acks_repeated = %d after %d bursts, want one range ack per burst, sent twice",
+					sn.AcksSent.Load(), sn.AcksRepeated.Load(), 8+501)
 			}
 		})
 	}

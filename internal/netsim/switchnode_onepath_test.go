@@ -162,7 +162,7 @@ func (r *onePathRecorder) SendBatch(_ string, tos []string, pkts []*Packet) erro
 type onePathResult struct {
 	out       map[string][]string // next hop -> packets in order (acks the switch emitted excluded)
 	acked     []string            // sorted set of (target, wid, seq) the switch acknowledged
-	counters  map[string]uint64   // switch.* and pisa.* except acks_sent
+	counters  map[string]uint64   // switch.* and pisa.* except acks_sent and acks_repeated
 	gauges    map[string]int64
 	execNs    uint64 // exec_ns sample count
 	registers []uint64
@@ -228,7 +228,7 @@ func runOnePath(t *testing.T, net *and.Network, stream []*Packet, cuts []int) on
 	sort.Strings(res.acked)
 	snap := reg.Snapshot()
 	for name, v := range snap.Counters {
-		if !strings.HasSuffix(name, ".acks_sent") {
+		if !strings.HasSuffix(name, ".acks_sent") && !strings.HasSuffix(name, ".acks_repeated") {
 			res.counters[name] = v
 		}
 	}
@@ -253,8 +253,8 @@ func runOnePath(t *testing.T, net *and.Network, stream []*Packet, cuts []int) on
 // receive path, so how a stream is cut into bursts — one Receive per
 // packet, one burst, random splits — must not change what the switch
 // does: per-next-hop output bytes, every
-// switch.* and pisa.* counter but acks_sent (ack coalescing follows the
-// segments), the set of windows acknowledged, the exec_ns sample count
+// switch.* and pisa.* counter but acks_sent and acks_repeated (ack
+// coalescing follows the segments, ack repeats the bursts), the set of windows acknowledged, the exec_ns sample count
 // and the final registers are identical.
 func TestSwitchOnePathDifferential(t *testing.T) {
 	net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=0\nhost c role=1\nlink a s1\nlink b s1\nlink s1 c")

@@ -284,7 +284,8 @@ func (r *recordSender) Network() *and.Network { return r.net }
 // TestSwitchAcksCoalesce: the acknowledgments of one batch segment leave
 // as one range ack per (sender, wid) run that fits ncp.AckSpan, counted
 // once each in acks_sent; a lone window's ack keeps the empty payload
-// every host sends.
+// every host sends. Each burst's last ack leaves a second time, counted in
+// acks_repeated.
 func TestSwitchAcksCoalesce(t *testing.T) {
 	net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s1\nlink s1 b")
 	if err != nil {
@@ -335,7 +336,9 @@ func TestSwitchAcksCoalesce(t *testing.T) {
 		{"a", 7, 100, 0},
 		{"b", 3, 5, 1},
 		{"a", 7, 2, 0},
+		{"a", 7, 2, 0}, // the first burst's closing ack, repeated
 		{"b", 4, 9, 0},
+		{"b", 4, 9, 0}, // the second burst's
 	}
 	if len(rec.sent) != len(want) {
 		t.Fatalf("switch sent %d packets, want %d acks", len(rec.sent), len(want))
@@ -356,8 +359,14 @@ func TestSwitchAcksCoalesce(t *testing.T) {
 			t.Errorf("ack %d: a single window's ack carries %d payload bytes", i, len(body))
 		}
 	}
-	if got := sn.AcksSent.Load(); got != uint64(len(want)) {
-		t.Errorf("acks_sent = %d, want %d (it counts packets)", got, len(want))
+	if got := sn.AcksSent.Load(); got != uint64(len(want)-2) {
+		t.Errorf("acks_sent = %d, want %d (it counts distinct ack packets)", got, len(want)-2)
+	}
+	if a, b := rec.sent[3], rec.sent[4]; &a.Data[0] != &b.Data[0] || !a.Shared || !b.Shared {
+		t.Error("a repeated ack and its original are not two Shared packets over one array")
+	}
+	if got := sn.AcksRepeated.Load(); got != 2 {
+		t.Errorf("acks_repeated = %d, want one per burst", got)
 	}
 	if got := sn.DupSuppressed.Load(); got != 2 {
 		t.Errorf("dup_suppressed = %d, want the 2 retransmits", got)

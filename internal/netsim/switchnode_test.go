@@ -59,17 +59,22 @@ func chainFabric(t *testing.T) (*Fabric, *SwitchNode, *echoNode, *echoNode) {
 
 func ncpPacket(t *testing.T, kid uint32, val uint64, flags uint8) []byte {
 	t.Helper()
-	return ncpPacketSeq(t, kid, val, flags, 0)
+	return ncpWindow(t, kid, 1, val, flags, 0)
 }
 
-// ncpPacketSeq is ncpPacket for window seq of the invocation.
-func ncpPacketSeq(t *testing.T, kid uint32, val uint64, flags uint8, seq uint32) []byte {
+// ncpWindow is window seq of kernel kid over w int32 elements, every one
+// val, from sender 1.
+func ncpWindow(t *testing.T, kid uint32, w int, val uint64, flags uint8, seq uint32) []byte {
 	t.Helper()
-	payload, err := ncp.EncodePayload([][]uint64{{val}}, []ncp.ParamSpec{{Elems: 1, Bytes: 4, Signed: true}})
+	vals := make([]uint64, w)
+	for i := range vals {
+		vals[i] = val
+	}
+	payload, err := ncp.EncodePayload([][]uint64{vals}, []ncp.ParamSpec{{Elems: w, Bytes: 4, Signed: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := ncp.Marshal(&ncp.Header{KernelID: kid, WindowLen: 1, WindowSeq: seq, Sender: 1, FragCount: 1, Flags: flags}, nil, payload)
+	pkt, err := ncp.Marshal(&ncp.Header{KernelID: kid, WindowLen: uint16(w), WindowSeq: seq, Sender: 1, FragCount: 1, Flags: flags}, nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}

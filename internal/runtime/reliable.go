@@ -198,8 +198,11 @@ func (h *Host) OutReliable(inv Invocation, arrays [][]uint64, opts ReliableOptio
 		inflight = make([]uint32, 0, window)    // transmitted, not yet seen done
 		burst    = make([]uint32, 0, window)    // to transmit this step
 		winData  = make([][]uint64, len(specs)) // one window's array slices
+		timed    uint64                         // 1 once a window's deadline expired
 	)
 	defer func() {
+		h.met.reliableCalls.Inc()
+		h.met.timerCalls.Add(timed)
 		h.ackMu.Lock()
 		delete(h.sends, wid)
 		h.ackMu.Unlock()
@@ -241,6 +244,7 @@ func (h *Host) OutReliable(inv Invocation, arrays [][]uint64, opts ReliableOptio
 				continue
 			case now < w.deadline && !lost:
 			case int(w.attempts) > opts.Retries && now-w.first >= patience:
+				timed = 1 // not lost: out of attempts, so its deadline expired
 				s.fail(seq, fmt.Errorf("runtime: window %d of invocation %d was never acknowledged after %d attempts (consumed on-path, or the destination is unreachable)",
 					seq, wid, w.attempts))
 				continue
@@ -251,6 +255,7 @@ func (h *Host) OutReliable(inv Invocation, arrays [][]uint64, opts ReliableOptio
 					fast++
 				} else {
 					w.timeouts++
+					timed = 1
 				}
 				iv := retransmitInterval(rto, int(w.timeouts))
 				h.met.backoffUs.Observe(float64(iv) / float64(time.Microsecond))

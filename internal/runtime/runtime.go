@@ -162,6 +162,8 @@ type hostMetrics struct {
 	decodeErrors    *obs.Counter // undecodable packets dropped
 	retransmits     *obs.Counter
 	fastRetransmits *obs.Counter // the retransmits of windows overtaken by acknowledged later ones
+	reliableCalls   *obs.Counter // OutReliable calls that sent windows
+	timerCalls      *obs.Counter // the reliable calls in which a window's deadline expired
 	staleAcks       *obs.Counter // late/duplicate acks ignored
 	ackSendErrors   *obs.Counter // received packets whose acks could not all be sent
 	tracedWindows   *obs.Counter
@@ -186,6 +188,8 @@ func newHostMetrics(r *obs.Registry, p string) hostMetrics {
 		decodeErrors:    r.Counter(p + "decode_errors"),
 		retransmits:     r.Counter(p + "retransmits"),
 		fastRetransmits: r.Counter(p + "fast_retransmits"),
+		reliableCalls:   r.Counter(p + "reliable_calls"),
+		timerCalls:      r.Counter(p + "timer_calls"),
 		staleAcks:       r.Counter(p + "stale_acks"),
 		ackSendErrors:   r.Counter(p + "ack_send_errors"),
 		tracedWindows:   r.Counter(p + "traced_windows"),

@@ -11,6 +11,7 @@ import (
 	"ncl/internal/ncp"
 	"ncl/internal/netsim"
 	"ncl/internal/obs"
+	"ncl/internal/pisa"
 )
 
 // Tests of the event-driven reliable sender: one state machine per
@@ -713,5 +714,60 @@ func TestFastRetransmitIgnoresRetransmittedAcks(t *testing.T) {
 	}
 	if retx, fast := retransmitCounts(reg); retx != 5 || fast != 0 {
 		t.Errorf("retransmits = %d, fast_retransmits = %d, want 5 timed out and 0", retx, fast)
+	}
+}
+
+// firstAckLost is the loopback transport over a real switch, losing the
+// first ack of every batch the switch sends. The loopback hands the switch
+// one packet at a time, so each batch is one burst's acks.
+type firstAckLost struct {
+	net   *and.Network
+	nodes map[string]netsim.Node
+	lost  int
+}
+
+func (x *firstAckLost) Network() *and.Network { return x.net }
+func (x *firstAckLost) SendBatch(from string, _ []string, pkts []*netsim.Packet) error {
+	for i, pkt := range pkts {
+		if hd, _, _, err := ncp.Decode(pkt.Data); i == 0 && from == "s1" && err == nil && hd.Flags&ncp.FlagAck != 0 {
+			x.lost++
+			continue
+		}
+		x.nodes[pkt.Dst].Receive(x, pkt, from)
+	}
+	return nil
+}
+
+// TestLostClosingAckRepeated: a switch sends each burst's closing ack
+// twice, so losing one copy of every burst's ack costs the sender no
+// timer and no retransmit.
+func TestLostClosingAckRepeated(t *testing.T) {
+	const w, windows = 4, 64
+	tr := &firstAckLost{net: newLoopback(t).net, nodes: map[string]netsim.Node{}}
+	sn := netsim.NewSwitchNode("s1", pisa.DefaultTarget())
+	drop := addBcastProgram(w, 0)
+	drop.Kernels[0].Passes[0][0].VLIW[0].A = pisa.ConstOperand(1) // _drop() instead of _bcast()
+	if err := sn.Install(drop, 1); err != nil {
+		t.Fatal(err)
+	}
+	sn.SetRoutes(tr.net.NextHops()["s1"])
+	sn.SetHosts(map[uint32]string{1: "a"})
+	cfg := ownershipConfig(w)
+	a := NewHost("a", 1, 0, cfg, tr, map[string]string{"s1": "s1"})
+	tr.nodes["a"], tr.nodes["s1"] = a, sn
+
+	if err := a.OutReliable(Invocation{Kernel: "k", Dest: "s1"}, windowsOf(windows),
+		ReliableOptions{Timeout: 5 * time.Millisecond, ExactlyOnce: true}); err != nil {
+		t.Fatal(err)
+	}
+	snap := cfg.Obs.Snapshot()
+	if calls, timer := snap.Counters["host.a.reliable_calls"], snap.Counters["host.a.timer_calls"]; calls != 1 || timer != 0 {
+		t.Errorf("reliable_calls = %d, timer_calls = %d, want 1 and 0", calls, timer)
+	}
+	if retx, _ := retransmitCounts(cfg.Obs); retx != 0 {
+		t.Errorf("retransmits = %d, want 0", retx)
+	}
+	if tr.lost != windows || sn.AcksRepeated.Load() != windows {
+		t.Errorf("lost %d acks, repeated %d, want one each per window", tr.lost, sn.AcksRepeated.Load())
 	}
 }

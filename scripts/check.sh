@@ -1,8 +1,8 @@
 #!/bin/sh
 # Repo health check: vet, formatting, oracle callers, the switch's one
-# buffer, read-only received windows, the fabric's ports, doc lint,
-# staticcheck (when installed), and the full test suite under the race
-# detector.
+# buffer and one packet allocator, read-only received windows, the
+# fabric's ports, doc lint, staticcheck (when installed), and the full test
+# suite under the race detector.
 # CI-equivalent; run before sending a change. Set NCL_CHECK_SKIP_TESTS=1 to
 # run only the static checks (CI's lint job does this; the race suite runs
 # in its own job).
@@ -49,6 +49,18 @@ onebuf=$(grep -nE 'ncp\.(DecodePayloadInto|AppendPayload)\(' internal/netsim/*.g
 if [ -n "$onebuf" ]; then
     echo "window payload codec on the switch data path (internal/netsim):" >&2
     echo "$onebuf" >&2
+    exit 1
+fi
+
+# A switch sends the packets it consumed before it allocates new ones:
+# batchOut.packet is the one place on the switch path that makes a Packet,
+# so a new per-window allocation there fails this rule.
+echo "== one packet allocator on the switch path"
+alloc=$(awk '/^func /{fn=$0} /&Packet\{|NewPacket\(|MarshalPacket\(/ && fn !~ /^func \(o \*batchOut\) packet\(/ {print FILENAME ":" FNR ": " $0}' \
+    $(ls internal/netsim/switch*.go | grep -v '_test\.go$'))
+if [ -n "$alloc" ]; then
+    echo "a Packet allocated on the switch path outside batchOut.packet (internal/netsim):" >&2
+    echo "$alloc" >&2
     exit 1
 fi
 
