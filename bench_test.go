@@ -161,10 +161,10 @@ func BenchmarkReliableLossy(b *testing.B) {
 // (pisa.Reference) against the compiled execution plan on the Fig. 4
 // kernel (the plan's ≥2x claim, DESIGN.md §5.9). The batch-of-1
 // variant is the entry point the SwitchNode data plane uses, in its
-// degenerate case, where taking the kernel's lock set is a fifth of the
-// time; batch64 is one lock set per 64 windows, what the benchmark's
-// pisa.exec_ns_per_window probe times. -benchmem shows the pooled scratch
-// keeping the plan paths allocation-flat. ns/op is per window in every row.
+// degenerate case, which takes the device lock once per window; batch64
+// takes it once per 64 windows, what the benchmark's
+// pisa.exec_ns_per_window probe times. -benchmem shows the kernel's one
+// scratch keeping the plan paths allocation-flat. ns/op is per window in every row.
 func BenchmarkSwitchExec(b *testing.B) {
 	art, err := bench.BuildAllReduce(2, 256, 8)
 	if err != nil {

@@ -13,11 +13,11 @@ import (
 // direct Receive is a burst of one. Every packet is NCP-decoded exactly
 // once; its payload bytes go to the device as they are. Consecutive
 // windows for the same kernel form a segment that runs through
-// pisa.ExecWindowBatch — one plan load, one pooled scratch, the kernel's
-// whole lock set acquired once — and whatever the loop cannot execute
-// (non-NCP, acks, fragments, unknown kernels) is forwarded in place from
-// the header already decoded, after the open segment has executed, so
-// per-source FIFO order holds. Every output of the burst leaves through
+// pisa.ExecWindowBatch — one plan lookup and one device lock per
+// segment — and whatever the loop cannot execute (non-NCP, acks,
+// fragments, unknown kernels) is forwarded in place from the header
+// already decoded, after the open segment has executed, so per-source
+// FIFO order holds. Every output of the burst leaves through
 // one collector and one SendBatch.
 
 // batchWin is one window parked in the open segment — the routing half of

@@ -22,7 +22,7 @@ import (
 // reused burst after burst, per-kernel wire specs and counters are resolved once
 // at Install, and window metadata binds to PHV slots through the device's
 // compiled plan (no per-packet maps). State correctness under concurrent
-// Receive calls comes from the device's per-kernel lock sets.
+// Receive calls comes from the device's one lock.
 type SwitchNode struct {
 	label   string
 	sw      *pisa.Switch

@@ -2,8 +2,8 @@ package pisa
 
 import (
 	"fmt"
+	"maps"
 	"sync"
-	"sync/atomic"
 
 	"ncl/internal/ncl/interp"
 	"ncl/internal/ncl/types"
@@ -13,30 +13,33 @@ import (
 // Switch is a loaded, running PISA device: a compiled execution plan
 // plus its mutable state (register arrays and table entries). Load is
 // the compile step: it resolves every name to a dense index and swaps
-// the plan in atomically, so the data plane reads program structure
-// lock-free. State locking is fine-grained — one mutex per register
-// array, one RWMutex per table — so windows touching disjoint state
-// execute concurrently, like independent packets in a real PISA
-// pipeline.
+// the plan in. One mutex serialises the device, as a PISA driver holds
+// control-plane writes and reprogramming back until the packet in
+// flight is done: a batch holds it from the plan lookup to its last
+// window, and every control operation from its lookup to its return. A
+// load or control write therefore waits for the batch in flight, and a
+// batch never straddles two plans.
 type Switch struct {
 	target TargetConfig
 
-	plan atomic.Pointer[plan]
-	met  atomic.Pointer[pisaMetrics]
-
-	loadMu sync.Mutex // serializes Load (plan construction + swap)
-
-	// obsMu guards the registry/label SetObs stored so Load can rebuild
-	// the metrics struct when a merged program brings new tenants.
-	obsMu    sync.Mutex
+	mu   sync.Mutex
+	plan *plan
+	met  *pisaMetrics
+	// obsReg/obsLabel are what SetObs stored, so Load can rebuild met
+	// when a merged program brings new tenants.
 	obsReg   *obs.Registry
 	obsLabel string
 }
 
-// execScratch is one kernel's pooled per-batch working set: the value file
-// (kernelPlan.image) and the batch's counter deltas, which execBatch
-// publishes once per call instead of once per window, pass and stage.
+// execScratch is one kernel's per-batch working set: the value file and
+// the batch's counter deltas, which execBatch publishes once per call
+// instead of once per window, pass and stage. Batches run under the
+// device lock, so each kernel owns exactly one.
 type execScratch struct {
+	// vals is the value file, one uint64 per slot: the PHV fields [0,n),
+	// one pending slot per field [n,2n) (where a stage's units write), the
+	// SALU micro slots, then the interned constants at the tail. Only the
+	// fields are reset per window.
 	vals []uint64
 	raw  []byte // a Data job's payload bytes
 
@@ -47,9 +50,8 @@ type execScratch struct {
 
 // pisaMetrics caches the device's registry handles, named
 // pisa.<label>.*. Stage counters are indexed by the stage's position in
-// its pass (sized to the target's stage budget at SetObs time). The
-// struct is published through an atomic pointer and every handle is
-// itself atomic, so a batch publishes its counts without any lock.
+// its pass (sized to the target's stage budget at SetObs time). Every
+// handle is atomic, so a registry can be scraped while a batch runs.
 type pisaMetrics struct {
 	windows       *obs.Counter // pisa.<label>.windows
 	passes        *obs.Counter // pisa.<label>.passes
@@ -79,21 +81,17 @@ func NewSwitch(target TargetConfig) *Switch {
 // is remembered so a later Load can add per-tenant counters for a merged
 // program's tenants.
 func (sw *Switch) SetObs(r *obs.Registry, label string) {
-	sw.obsMu.Lock()
-	sw.obsReg = r
-	sw.obsLabel = label
-	sw.obsMu.Unlock()
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	sw.obsReg, sw.obsLabel = r, label
 	sw.refreshMetrics()
 }
 
-// refreshMetrics rebuilds the atomic metrics struct from the stored
-// registry, including per-tenant window counters for the currently
-// loaded program's tenant slices.
+// refreshMetrics rebuilds the metrics struct from the stored registry,
+// including per-tenant window counters for the loaded program's tenant
+// slices. The caller holds sw.mu.
 func (sw *Switch) refreshMetrics() {
-	sw.obsMu.Lock()
-	r, label := sw.obsReg, sw.obsLabel
-	sw.obsMu.Unlock()
-	p := "pisa." + label + "."
+	r, p := sw.obsReg, "pisa."+sw.obsLabel+"."
 	m := &pisaMetrics{
 		windows:       r.Counter(p + "windows"),
 		passes:        r.Counter(p + "passes"),
@@ -106,47 +104,38 @@ func (sw *Switch) refreshMetrics() {
 	for i := range m.stageExecs {
 		m.stageExecs[i] = r.Counter(fmt.Sprintf("%sstage.%d.execs", p, i))
 	}
-	if pl := sw.plan.Load(); pl != nil && len(pl.program.Tenants) > 0 {
+	if pl := sw.plan; pl != nil && len(pl.program.Tenants) > 0 {
 		m.tenantWindows = make(map[uint32]*obs.Counter, len(pl.program.Tenants))
 		for _, ti := range pl.program.Tenants {
 			m.tenantWindows[uint32(ti.Slot)] = r.Counter(p + "tenant." + ti.ID + ".windows")
 		}
 	}
-	sw.met.Store(m)
+	sw.met = m
 }
 
 // WindowsProcessed reports the total windows executed (all kernels).
 func (sw *Switch) WindowsProcessed() uint64 {
-	return sw.met.Load().windows.Load()
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.met.windows.Load()
 }
 
 // PassesExecuted reports the total pipeline passes, recirculations
 // included.
 func (sw *Switch) PassesExecuted() uint64 {
-	return sw.met.Load().passes.Load()
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.met.passes.Load()
 }
 
 // Target returns the switch's resource configuration.
 func (sw *Switch) Target() TargetConfig { return sw.target }
 
 // Load validates a program, compiles it into an execution plan with
-// fresh state, and atomically swaps the plan in. It is the moral
-// equivalent of the P4 backend accepting the program and the controller
-// pushing it to the device.
-func (sw *Switch) Load(p *Program) error {
-	if err := p.Validate(sw.target); err != nil {
-		return err
-	}
-	pl, err := compilePlan(p)
-	if err != nil {
-		return err
-	}
-	sw.loadMu.Lock()
-	sw.plan.Store(pl)
-	sw.loadMu.Unlock()
-	sw.refreshMetrics()
-	return nil
-}
+// fresh state, and swaps the plan in once the batch in flight is done.
+// It is the moral equivalent of the P4 backend accepting the program and
+// the controller pushing it to the device.
+func (sw *Switch) Load(p *Program) error { return sw.swap(p, false) }
 
 // LoadPreserving validates and compiles like Load but carries mutable
 // state over from the currently-loaded plan: register arrays and match
@@ -155,8 +144,12 @@ func (sw *Switch) Load(p *Program) error {
 // path — re-merging the tenant set on AddTenant/RemoveTenant must not
 // disturb surviving tenants' in-flight aggregation state, while a
 // removed tenant's slices are reclaimed simply by not appearing in the
-// new program. With no plan loaded it behaves exactly like Load.
-func (sw *Switch) LoadPreserving(p *Program) error {
+// new program. The copy and the swap are one step under the device lock,
+// so no window lands in the old plan after its state was copied. With no
+// plan loaded it behaves exactly like Load.
+func (sw *Switch) LoadPreserving(p *Program) error { return sw.swap(p, true) }
+
+func (sw *Switch) swap(p *Program, preserve bool) error {
 	if err := p.Validate(sw.target); err != nil {
 		return err
 	}
@@ -164,8 +157,9 @@ func (sw *Switch) LoadPreserving(p *Program) error {
 	if err != nil {
 		return err
 	}
-	sw.loadMu.Lock()
-	if old := sw.plan.Load(); old != nil {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if old := sw.plan; preserve && old != nil {
 		// Shadow entries are keyed by tenant slot, and slots are never
 		// reused, so carrying the filter over cannot leak suppression
 		// across tenants.
@@ -176,114 +170,94 @@ func (sw *Switch) LoadPreserving(p *Program) error {
 				continue
 			}
 			or, nr := old.regs[oi], pl.regs[ni]
-			if or.bits != nr.bits || or.signed != nr.signed || len(or.vals) != len(nr.vals) {
-				continue
+			if or.bits == nr.bits && or.signed == nr.signed && len(or.vals) == len(nr.vals) {
+				copy(nr.vals, or.vals)
 			}
-			or.mu.Lock()
-			copy(nr.vals, or.vals)
-			or.mu.Unlock()
 		}
 		for name, ni := range pl.tableIdx {
-			oi, ok := old.tableIdx[name]
-			if !ok {
-				continue
+			if oi, ok := old.tableIdx[name]; ok {
+				maps.Copy(pl.tables[ni], old.tables[oi])
 			}
-			ot, nt := old.tables[oi], pl.tables[ni]
-			ot.mu.RLock()
-			for k, v := range ot.entries {
-				nt.entries[k] = v
-			}
-			ot.mu.RUnlock()
 		}
 	}
-	sw.plan.Store(pl)
-	sw.loadMu.Unlock()
+	sw.plan = pl
 	sw.refreshMetrics()
 	return nil
 }
 
 // Program returns the loaded program (nil before Load).
 func (sw *Switch) Program() *Program {
-	pl := sw.plan.Load()
-	if pl == nil {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if sw.plan == nil {
 		return nil
 	}
-	return pl.program
+	return sw.plan.program
 }
 
 // UserFields returns the user _win_ field names in NCP wire order for
 // the loaded program (nil before Load). Switch nodes bind packet user
 // values to PHV meta slots with this order.
 func (sw *Switch) UserFields() []string {
-	pl := sw.plan.Load()
-	if pl == nil {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if sw.plan == nil {
 		return nil
 	}
-	return pl.userFields
+	return sw.plan.userFields
 }
 
 // InstallEntry adds/overwrites an exact-match entry (control plane; this
 // is how ncl::Map insertions reach the switch, §4.3).
 func (sw *Switch) InstallEntry(table string, key, val uint64) error {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	t, err := sw.lookupTable(table)
-	if err != nil {
-		return err
+	if err == nil {
+		t[key] = val
 	}
-	t.mu.Lock()
-	t.entries[key] = val
-	t.mu.Unlock()
-	return nil
+	return err
 }
 
 // LookupEntry reads an exact-match entry (control plane / debugging —
 // the placement engine's re-placement tests audit MAT survival with it).
 // The boolean reports whether the key is present.
 func (sw *Switch) LookupEntry(table string, key uint64) (uint64, bool, error) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	t, err := sw.lookupTable(table)
-	if err != nil {
-		return 0, false, err
-	}
-	t.mu.Lock()
-	val, ok := t.entries[key]
-	t.mu.Unlock()
-	return val, ok, nil
+	val, ok := t[key]
+	return val, ok, err
 }
 
 // DeleteEntry removes an exact-match entry.
 func (sw *Switch) DeleteEntry(table string, key uint64) error {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	t, err := sw.lookupTable(table)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	delete(t.entries, key)
-	t.mu.Unlock()
-	return nil
+	delete(t, key)
+	return err
 }
 
-func (sw *Switch) lookupTable(table string) (*matTable, error) {
-	pl := sw.plan.Load()
-	if pl == nil {
-		return nil, fmt.Errorf("pisa: no table %q", table)
+// lookupTable resolves a table name against the loaded plan (nil and an
+// error when there is none). The caller holds sw.mu.
+func (sw *Switch) lookupTable(table string) (map[uint64]uint64, error) {
+	if sw.plan != nil {
+		if i, ok := sw.plan.tableIdx[table]; ok {
+			return sw.plan.tables[i], nil
+		}
 	}
-	i, ok := pl.tableIdx[table]
-	if !ok {
-		return nil, fmt.Errorf("pisa: no table %q", table)
-	}
-	return pl.tables[i], nil
+	return nil, fmt.Errorf("pisa: no table %q", table)
 }
 
 // WriteRegister writes one register element (control plane; _ctrl_
 // variables are written this way).
 func (sw *Switch) WriteRegister(name string, idx int, val uint64) error {
-	r, err := sw.lookupRegister(name)
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	r, err := sw.lookupRegister(name, idx)
 	if err != nil {
 		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if idx < 0 || idx >= len(r.vals) {
-		return fmt.Errorf("pisa: register %s index %d out of range", name, idx)
 	}
 	r.vals[idx] = normalize(val, r.bits, r.signed)
 	return nil
@@ -291,28 +265,30 @@ func (sw *Switch) WriteRegister(name string, idx int, val uint64) error {
 
 // ReadRegister reads one register element (control plane / debugging).
 func (sw *Switch) ReadRegister(name string, idx int) (uint64, error) {
-	r, err := sw.lookupRegister(name)
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	r, err := sw.lookupRegister(name, idx)
 	if err != nil {
 		return 0, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if idx < 0 || idx >= len(r.vals) {
-		return 0, fmt.Errorf("pisa: register %s index %d out of range", name, idx)
 	}
 	return r.vals[idx], nil
 }
 
-func (sw *Switch) lookupRegister(name string) (*regArray, error) {
-	pl := sw.plan.Load()
-	if pl == nil {
+// lookupRegister resolves a register element against the loaded plan.
+// The caller holds sw.mu.
+func (sw *Switch) lookupRegister(name string, idx int) (*regArray, error) {
+	if sw.plan == nil {
 		return nil, fmt.Errorf("pisa: no register %q", name)
 	}
-	i, ok := pl.regIdx[name]
+	i, ok := sw.plan.regIdx[name]
 	if !ok {
 		return nil, fmt.Errorf("pisa: no register %q", name)
 	}
-	return pl.regs[i], nil
+	r := sw.plan.regs[i]
+	if idx < 0 || idx >= len(r.vals) {
+		return nil, fmt.Errorf("pisa: register %s index %d out of range", name, idx)
+	}
+	return r, nil
 }
 
 // normalize truncates/sign-extends to the canonical 64-bit form.
@@ -321,20 +297,6 @@ func normalize(v uint64, bits int, signed bool) uint64 {
 		return types.SignExtend(v, bits)
 	}
 	return v & types.TruncMask(bits)
-}
-
-// getScratch returns a pooled scratch for the kernel, or a fresh one whose
-// value file starts as the plan's image (execBatch resets only the fields).
-func (kp *kernelPlan) getScratch() *execScratch {
-	if s, _ := kp.scratch.Get().(*execScratch); s != nil {
-		return s
-	}
-	return &execScratch{
-		vals:        append([]uint64(nil), kp.image...),
-		raw:         make([]byte, kp.payloadBytes),
-		stageExecs:  make([]uint64, kp.maxStages),
-		shadowSlots: -1,
-	}
 }
 
 // publish adds the batch's counter deltas to the registry and zeroes them.
@@ -389,17 +351,17 @@ type BatchJob struct {
 	Err  error
 }
 
-// kernel resolves a kernel id against the loaded plan.
-func (sw *Switch) kernel(kernelID uint32) (*plan, *kernelPlan, error) {
-	pl := sw.plan.Load()
-	if pl == nil {
-		return nil, nil, fmt.Errorf("pisa: no program loaded")
+// kernel resolves a kernel id against the loaded plan. The caller holds
+// sw.mu.
+func (sw *Switch) kernel(kernelID uint32) (*kernelPlan, error) {
+	if sw.plan == nil {
+		return nil, fmt.Errorf("pisa: no program loaded")
 	}
-	kp := pl.kernels[kernelID]
+	kp := sw.plan.kernels[kernelID]
 	if kp == nil {
-		return nil, nil, fmt.Errorf("pisa: no kernel with id %d", kernelID)
+		return nil, fmt.Errorf("pisa: no kernel with id %d", kernelID)
 	}
-	return pl, kp, nil
+	return kp, nil
 }
 
 // ExecWindow adapts the interpreter's window convention (name-keyed
@@ -408,7 +370,9 @@ func (sw *Switch) kernel(kernelID uint32) (*plan, *kernelPlan, error) {
 // comparable and serves one-shot debugging; the data plane builds its
 // jobs itself and calls ExecWindowBatch.
 func (sw *Switch) ExecWindow(kernelID uint32, win *interp.Window) (interp.Decision, error) {
-	pl, kp, err := sw.kernel(kernelID)
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	kp, err := sw.kernel(kernelID)
 	if err != nil {
 		return interp.Decision{}, err
 	}
@@ -428,19 +392,16 @@ func (sw *Switch) ExecWindow(kernelID uint32, win *interp.Window) (interp.Decisi
 		User:        user,
 		ExactlyOnce: win.ExactlyOnce,
 	}}}
-	sw.execBatch(pl, kp, job[:], uint32(win.Loc))
+	sw.execBatch(kp, job[:], uint32(win.Loc))
 	return job[0].Dec, job[0].Err
 }
 
 // ExecWindowBatch is the device's execution core: it runs one kernel over
-// a batch of windows (a batch of one is the degenerate case). The plan
-// pointer is loaded once, one pooled scratch serves the whole batch, and
-// the kernel's entire register/table lock set is acquired once around the
-// loop (lockState) — the device's one locking discipline. Windows execute
-// sequentially in batch order, so SALU read-modify-write atomicity and
-// exactly-once suppression hold per window; batches for different kernels
-// run concurrently when their lock sets are disjoint, and cannot deadlock
-// otherwise because lockState acquires in global plan-index order.
+// a batch of windows (a batch of one is the degenerate case). It holds
+// the device lock from the plan lookup to the last window, so the batch
+// runs on one plan and no load or control write lands inside it. Windows
+// execute sequentially in batch order, so SALU read-modify-write
+// atomicity and exactly-once suppression hold per window.
 //
 // A batch-level problem (no program, unknown kernel) returns an error
 // with no window executed. Per-window failures land in jobs[i].Err and
@@ -450,28 +411,27 @@ func (sw *Switch) ExecWindowBatch(kernelID uint32, jobs []BatchJob, loc uint32) 
 	if len(jobs) == 0 {
 		return nil
 	}
-	pl, kp, err := sw.kernel(kernelID)
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	kp, err := sw.kernel(kernelID)
 	if err != nil {
 		return err
 	}
-	sw.execBatch(pl, kp, jobs, loc)
+	sw.execBatch(kp, jobs, loc)
 	return nil
 }
 
-func (sw *Switch) execBatch(pl *plan, kp *kernelPlan, jobs []BatchJob, loc uint32) {
-	met := sw.met.Load()
+// execBatch runs jobs on kp's one scratch. The caller holds sw.mu.
+func (sw *Switch) execBatch(kp *kernelPlan, jobs []BatchJob, loc uint32) {
+	pl, met := sw.plan, sw.met
 	met.windows.Add(uint64(len(jobs)))
 	if met.tenantWindows != nil {
 		if c := met.tenantWindows[kp.tenant]; c != nil {
 			c.Add(uint64(len(jobs)))
 		}
 	}
-	// Deferred in reverse: unlock, publish the batch's counts, pool the scratch.
-	s := kp.getScratch()
-	defer kp.scratch.Put(s)
+	s := &kp.scratch
 	defer s.publish(met)
-	kp.lockState()
-	defer kp.unlockState()
 	phv := s.vals[:kp.numFields]
 	for i := range jobs {
 		j := &jobs[i]

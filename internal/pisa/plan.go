@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 
 	"ncl/internal/ncl/interp"
 )
@@ -15,39 +14,25 @@ import (
 // integer, and every operand — field, immediate or SALU micro slot — becomes
 // one index into the kernel's value file, so the per-window executor
 // compares no strings, touches no maps but the match tables, and allocates
-// nothing. State access is fine-grained: each register array carries its
-// own mutex and each match table an RWMutex (control-plane installs vs.
-// data-plane lookups); a batch takes exactly the set its kernel can touch,
-// so kernels on disjoint state never contend.
+// nothing. The plan takes no lock: the Switch that holds it runs every
+// batch and control operation under its one mutex.
 
-// regArray is one register array's mutable state. The mutex scopes a
-// batch's SALU read-modify-writes and control-plane accesses; arrays are
-// independent, so stateless kernels and SALUs on disjoint _net_ globals
-// execute concurrently.
+// regArray is one register array's mutable state.
 type regArray struct {
-	mu     sync.Mutex
 	vals   []uint64
 	bits   int
 	signed bool
 }
 
-// matTable is one exact-match table's entries. Lookups take the read
-// lock; control-plane InstallEntry/DeleteEntry take the write lock.
-type matTable struct {
-	mu      sync.RWMutex
-	entries map[uint64]uint64
-}
-
-// plan is a compiled program plus its mutable device state. A loaded
-// Switch publishes the current plan through an atomic pointer; Load
-// swaps in a fresh plan (fresh state), so the data plane reads it
-// lock-free.
+// plan is a compiled program plus its mutable device state: register
+// arrays and exact-match tables. Load swaps in a fresh plan (fresh
+// state).
 type plan struct {
 	program    *Program
 	labels     []string
 	regs       []*regArray
 	regIdx     map[string]int
-	tables     []*matTable
+	tables     []map[uint64]uint64
 	tableIdx   map[string]int
 	kernels    map[uint32]*kernelPlan
 	userFields []string     // NCP wire order for WindowMeta.User
@@ -142,7 +127,7 @@ func withALU(unit map[string]opcode) map[string]opcode {
 }
 
 // instr is one lowered VLIW op or SALU micro-op: v[dst] = norm(op(v[a],
-// v[b], v[c])) over the kernel's value file v (see kernelPlan.image).
+// v[b], v[c])) over the kernel's value file v (see execScratch.vals).
 // Shift counts wrap at the destination width, which norm already carries.
 type instr struct {
 	op      opcode
@@ -203,7 +188,7 @@ func (k *Kernel) PayloadBytes() (n int) {
 // tableInstr is one match-table access: key is a value-file slot, hit and
 // val are pending slots (-1 when the table has no such output).
 type tableInstr struct {
-	tbl              *matTable
+	tbl              map[uint64]uint64
 	key, hit, val    int32
 	hitNorm, valNorm norm
 }
@@ -248,22 +233,9 @@ type kernelPlan struct {
 	userFields    []string // wire order of WindowMeta.User (kernel override or program's)
 	tenant        uint32   // tenant slot from the kernel id (0 untenanted)
 	passes        [][]stagePlan
-	maxStages     int // longest pass, sizes the per-batch stage counters
-
-	// image is the initial value file, one uint64 per slot: the PHV fields
-	// [0,n), one pending slot per field [n,2n) (where a stage's units write),
-	// the SALU micro slots, then the interned constants at the tail. Only
-	// the fields are reset per window; scratch pools execScratch values that
-	// start as a copy of it.
-	image   []uint64
-	consts  map[uint64]int32 // immediate -> slot while lowering
-	scratch sync.Pool
-
-	// regsUsed/tablesUsed are the deduped state the kernel's instruction
-	// stream can touch, in plan-index order — the batch path's lock set
-	// (see lockState).
-	regsUsed   []*regArray
-	tablesUsed []*matTable
+	maxStages     int              // longest pass, sizes the per-batch stage counters
+	consts        map[uint64]int32 // immediate -> slot while lowering
+	scratch       execScratch
 }
 
 // numMSlots bounds the SALU micro-program slot file (MReg..MTmp3).
@@ -288,7 +260,7 @@ func compilePlan(p *Program) (*plan, error) {
 	}
 	for _, t := range p.Tables {
 		pl.tableIdx[t] = len(pl.tables)
-		pl.tables = append(pl.tables, &matTable{entries: map[uint64]uint64{}})
+		pl.tables = append(pl.tables, map[uint64]uint64{})
 	}
 	pl.userFields = p.UserFields
 	if len(pl.userFields) == 0 {
@@ -334,8 +306,8 @@ func (pl *plan) compileKernel(k *Kernel) (*kernelPlan, error) {
 		fwdLabelField: k.FieldByName(FieldFwdLabel),
 		labels:        pl.labels,
 		tenant:        TenantSlotOfKernel(k.ID),
-		image:         make([]uint64, 2*len(k.Fields)+numMSlots),
 		consts:        map[uint64]int32{},
+		scratch:       execScratch{vals: make([]uint64, 2*len(k.Fields)+numMSlots), shadowSlots: -1},
 	}
 	if k.Labels != nil {
 		kp.labels = k.Labels
@@ -382,7 +354,8 @@ func (pl *plan) compileKernel(k *Kernel) (*kernelPlan, error) {
 		kp.maxStages = max(kp.maxStages, len(sps))
 	}
 	kp.consts = nil // lowering is over
-	kp.collectState(pl)
+	kp.scratch.raw = make([]byte, kp.payloadBytes)
+	kp.scratch.stageExecs = make([]uint64, kp.maxStages)
 	return kp, nil
 }
 
@@ -394,8 +367,8 @@ func (kp *kernelPlan) fieldNorm(f FieldRef) norm {
 func (kp *kernelPlan) konst(c uint64) int32 {
 	slot, ok := kp.consts[c]
 	if !ok {
-		slot = int32(len(kp.image))
-		kp.image = append(kp.image, c)
+		slot = int32(len(kp.scratch.vals))
+		kp.scratch.vals = append(kp.scratch.vals, c)
 		kp.consts[c] = slot
 	}
 	return slot
@@ -429,81 +402,6 @@ func intern(unit map[string]opcode, name string, signed bool) opcode {
 	return op
 }
 
-// collectState records the deduped register arrays and match tables the
-// kernel's instruction stream can touch, sorted by plan index — the lock
-// set ExecWindowBatch acquires once around a whole batch. Plan-index
-// order is the global multi-lock order: every batch sorts the same way
-// regardless of kernel, and the only other acquirer (the control plane)
-// holds at most one of these locks at a time, so concurrent batches
-// cannot deadlock. Private tables compiled
-// for undeclared names are unreachable from any other kernel or the
-// control plane; they sort after the shared ones in discovery order.
-func (kp *kernelPlan) collectState(pl *plan) {
-	regIdx := make(map[*regArray]int, len(pl.regs))
-	for i, r := range pl.regs {
-		regIdx[r] = i
-	}
-	tblIdx := make(map[*matTable]int, len(pl.tables))
-	for i, t := range pl.tables {
-		tblIdx[t] = i
-	}
-	seenReg := map[*regArray]bool{}
-	seenTbl := map[*matTable]bool{}
-	var private []*matTable
-	for _, pass := range kp.passes {
-		for si := range pass {
-			st := &pass[si]
-			for i := range st.salus {
-				if r := st.salus[i].reg; !seenReg[r] {
-					seenReg[r] = true
-					kp.regsUsed = append(kp.regsUsed, r)
-				}
-			}
-			for i := range st.tables {
-				t := st.tables[i].tbl
-				if seenTbl[t] {
-					continue
-				}
-				seenTbl[t] = true
-				if _, shared := tblIdx[t]; shared {
-					kp.tablesUsed = append(kp.tablesUsed, t)
-				} else {
-					private = append(private, t)
-				}
-			}
-		}
-	}
-	sort.Slice(kp.regsUsed, func(a, b int) bool {
-		return regIdx[kp.regsUsed[a]] < regIdx[kp.regsUsed[b]]
-	})
-	sort.Slice(kp.tablesUsed, func(a, b int) bool {
-		return tblIdx[kp.tablesUsed[a]] < tblIdx[kp.tablesUsed[b]]
-	})
-	kp.tablesUsed = append(kp.tablesUsed, private...)
-}
-
-// lockState acquires the kernel's whole lock set for a batch: registers
-// first (plan-index order, exclusive — SALUs mutate), then tables
-// (read-locked — the data plane only looks up). Pair with unlockState.
-func (kp *kernelPlan) lockState() {
-	for _, r := range kp.regsUsed {
-		r.mu.Lock()
-	}
-	for _, t := range kp.tablesUsed {
-		t.mu.RLock()
-	}
-}
-
-// unlockState releases lockState's acquisitions in reverse order.
-func (kp *kernelPlan) unlockState() {
-	for i := len(kp.tablesUsed) - 1; i >= 0; i-- {
-		kp.tablesUsed[i].mu.RUnlock()
-	}
-	for i := len(kp.regsUsed) - 1; i >= 0; i-- {
-		kp.regsUsed[i].mu.Unlock()
-	}
-}
-
 func (pl *plan) compileStage(kp *kernelPlan, st *Stage) (stagePlan, error) {
 	var sp stagePlan
 	// pending adds f to the stage's write set and returns where its writer
@@ -517,13 +415,10 @@ func (pl *plan) compileStage(kp *kernelPlan, st *Stage) (stagePlan, error) {
 	}
 	for _, tb := range st.Tables {
 		ti := tableInstr{key: kp.operand(tb.Key)}
+		// An undeclared table keeps tbl nil: the old engine looked it up in
+		// a nil map and always missed, and so does this one.
 		if i, ok := pl.tableIdx[tb.Name]; ok {
 			ti.tbl = pl.tables[i]
-		} else {
-			// Undeclared table: the old engine looked it up in a nil map
-			// and always missed; a private empty table (unreachable from
-			// InstallEntry) preserves that.
-			ti.tbl = &matTable{}
 		}
 		ti.hit, ti.hitNorm = pending(tb.Hit)
 		ti.val, ti.valNorm = pending(tb.Val)
@@ -660,7 +555,7 @@ func run(code []instr, v []uint64) {
 // skips state-mutating SALUs (exactly-once duplicate windows): the register
 // keeps its value and the SALU's Out field keeps its own, so a duplicate
 // contribution neither re-applies nor re-triggers the kernel's completion
-// path. The caller holds the kernel's whole lock set (lockState).
+// path. The caller holds the device lock.
 func (kp *kernelPlan) execPasses(s *execScratch, suppress bool) error {
 	v, n := s.vals, int32(kp.numFields)
 	micro := v[2*n : 2*n+numMSlots]
@@ -671,7 +566,7 @@ func (kp *kernelPlan) execPasses(s *execScratch, suppress bool) error {
 			s.stageExecs[si]++
 			for i := range sp.tables {
 				ti := &sp.tables[i]
-				val, hit := ti.tbl.entries[v[ti.key]]
+				val, hit := ti.tbl[v[ti.key]]
 				if hit {
 					s.tableHits++
 				} else {
@@ -692,8 +587,8 @@ func (kp *kernelPlan) execPasses(s *execScratch, suppress bool) error {
 					}
 					continue
 				}
-				// One stateful read-modify-write, atomic under the batch's
-				// lock on the array.
+				// One stateful read-modify-write, atomic under the device
+				// lock.
 				idx := v[sa.index]
 				if idx >= uint64(len(sa.reg.vals)) {
 					return fmt.Errorf("pisa: register %s index %d out of range (%d elements)", sa.name, idx, len(sa.reg.vals))

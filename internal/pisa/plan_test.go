@@ -60,7 +60,7 @@ func execBatchOfOne(sw *Switch, job *[1]BatchJob, loc uint32) error {
 func batchAllocs(t *testing.T, sw *Switch, data [][]uint64, loc uint32) float64 {
 	t.Helper()
 	job := [1]BatchJob{{Data: data, Meta: WindowMeta{Seq: 1}}}
-	// Warm the scratch pool.
+	// Warm up.
 	for i := 0; i < 8; i++ {
 		if err := execBatchOfOne(sw, &job, loc); err != nil {
 			t.Fatal(err)
@@ -73,9 +73,9 @@ func batchAllocs(t *testing.T, sw *Switch, data [][]uint64, loc uint32) float64 
 	})
 }
 
-// TestSwitchExecAllocsFlat asserts the ISSUE's allocation budget: a
-// stateless batch of one performs at most 2 allocations per window at
-// steady state (pooled scratch should make it 0).
+// TestSwitchExecAllocsFlat asserts the allocation budget: a stateless
+// batch of one performs at most 2 allocations per window at steady state
+// (the kernel's one scratch makes it 0).
 func TestSwitchExecAllocsFlat(t *testing.T) {
 	sw := NewSwitch(DefaultTarget())
 	if err := sw.Load(statelessProgram()); err != nil {
@@ -224,11 +224,14 @@ func TestExecEntryPointsAgree(t *testing.T) {
 	check("Reference", win.Data, err)
 }
 
-// TestSwitchConcurrentControlPlane stress-tests the fine-grained locking
-// under -race: windows execute concurrently with register writes/reads,
-// table churn, and full program reloads. Correctness here is the absence
-// of data races and panics; semantic equivalence is covered by the
-// differential property tests.
+// TestSwitchConcurrentControlPlane stress-tests the device's one lock
+// under -race: windows execute from several goroutines concurrently with
+// register writes/reads, table churn, and full program reloads. The second
+// half is the shared-tenancy shape, the one place a deployed device runs
+// from several goroutines: two tenants' kernels of one merged program
+// execute from their own goroutines while the tenant set is re-merged in a
+// loop, and every window's increment must land. Semantic equivalence is
+// covered by the differential property tests.
 func TestSwitchConcurrentControlPlane(t *testing.T) {
 	prog := handProgram()
 	prog.Tables = []string{"t"}
@@ -306,6 +309,36 @@ func TestSwitchConcurrentControlPlane(t *testing.T) {
 	if _, err := sw.ReadRegister("total", 0); err != nil {
 		t.Fatalf("post-stress read: %v", err)
 	}
+
+	merged := mergeOf(t,
+		&TenantProgram{ID: "a", Slot: 1, Program: accumProgram()},
+		&TenantProgram{ID: "b", Slot: 2, Program: accumProgram()})
+	shared := NewSwitch(DefaultTarget())
+	if err := shared.Load(merged); err != nil {
+		t.Fatal(err)
+	}
+	stop := reloadLoop(shared, merged)
+	for slot := 1; slot <= 2; slot++ {
+		wg.Add(1)
+		go func(id uint32) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if err := shared.ExecWindowBatch(id, []BatchJob{{Data: [][]uint64{{1, 0}}}}, 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(TenantKernelID(slot, 1))
+	}
+	wg.Wait()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, reg := range []string{"a/cnt", "b/cnt"} {
+		if v, err := shared.ReadRegister(reg, 0); err != nil || v != iters {
+			t.Errorf("%s = %d (%v), want %d", reg, v, err, iters)
+		}
+	}
 }
 
 // TestLoadResetsState: each Load compiles a fresh plan with fresh
@@ -333,7 +366,7 @@ func TestLoadResetsState(t *testing.T) {
 // countersProgram is a two-pass kernel with a table in stages 0 and 1, a
 // mutating SALU in stage 0 and a data-indexed SALU in stage 2 (d1 >= 2
 // traps there); pass 1 is one VLIW stage. Kernel 2 is a stateless
-// bystander with its own scratch pool.
+// bystander with its own scratch.
 func countersProgram() *Program {
 	fields := []Field{
 		{Name: "d0", Bits: 32}, {Name: "d1", Bits: 32}, {Name: FieldFwd, Bits: 8},

@@ -1,7 +1,5 @@
 package pisa
 
-import "sync"
-
 // Exactly-once shadow state — the per-device duplicate filter behind
 // FlagExactlyOnce (the SwitchML-style "seen bitmap" DESIGN §5.4
 // describes). Retransmitted reliable windows re-enter the pipeline; for
@@ -56,11 +54,10 @@ type shadowEntry struct {
 	hasPrev   bool
 }
 
-// shadowState is the device-wide duplicate filter. One mutex guards it:
-// admission is one map probe on the window path, far cheaper than the
-// SALU register locking it protects.
+// shadowState is the device-wide duplicate filter. It takes no lock of
+// its own: the engine that owns it (Switch or Reference) runs every
+// window under its single mutex.
 type shadowState struct {
-	mu    sync.Mutex
 	slots map[shadowKey]shadowEntry
 	ring  []shadowKey // insertion order for FIFO eviction
 	head  int
@@ -76,8 +73,6 @@ func newShadowState() *shadowState {
 // admission, for the shadow_slots gauge.
 func (s *shadowState) admit(tenant uint32, seq, sender, wid uint64) (fresh bool, size int) {
 	k := shadowKey{tenant, seq, sender}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if e, ok := s.slots[k]; ok {
 		if e.cur == wid || (e.hasPrev && e.prev == wid) {
 			return false, len(s.slots)
@@ -112,7 +107,6 @@ func (s *shadowState) admit(tenant uint32, seq, sender, wid uint64) (fresh bool,
 // by a stale error.
 func (s *shadowState) forget(tenant uint32, seq, sender, wid uint64) {
 	k := shadowKey{tenant, seq, sender}
-	s.mu.Lock()
 	if e, ok := s.slots[k]; ok && e.cur == wid {
 		if e.hasPrev {
 			s.slots[k] = shadowEntry{cur: e.prev}
@@ -120,13 +114,10 @@ func (s *shadowState) forget(tenant uint32, seq, sender, wid uint64) {
 			delete(s.slots, k)
 		}
 	}
-	s.mu.Unlock()
 }
 
 // size reports the live entry count.
 func (s *shadowState) size() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.slots)
 }
 

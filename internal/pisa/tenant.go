@@ -13,7 +13,7 @@ import (
 // carry the tenant slot in their high bits. The merged program compiles
 // through the ordinary Load path, so the result is a single plan whose
 // dense register/table arrays are naturally partitioned into per-tenant
-// slices, swapped atomically exactly like a single-tenant plan.
+// slices, swapped exactly like a single-tenant plan.
 //
 // Admission control falls out of Validate: per-stage register SRAM sums
 // across every tenant's registers pinned to that stage, so validating

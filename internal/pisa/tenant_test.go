@@ -336,3 +336,86 @@ func TestLoadPreserving(t *testing.T) {
 		t.Errorf("surviving tenant's register lost: %v", err)
 	}
 }
+
+// reloadLoop re-merges p into sw with LoadPreserving until the returned
+// stop is called; stop reports the first reload error.
+func reloadLoop(sw *Switch, p *Program) (stop func() error) {
+	done, errc := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-done:
+				errc <- nil
+				return
+			default:
+			}
+			if err := sw.LoadPreserving(p); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	return func() error {
+		close(done)
+		return <-errc
+	}
+}
+
+// TestLoadPreservingLosesNoUpdate: a window that executes while a reload
+// carries state over lands in the state the new plan holds. Tenant a's
+// kernel adds 1 per window while the same tenant set is re-merged in a
+// loop; a batch that ran on the old plan after the copy would lose its
+// increment.
+func TestLoadPreservingLosesNoUpdate(t *testing.T) {
+	const windows = 20000
+	merged := mergeOf(t, &TenantProgram{ID: "a", Slot: 1, Program: accumProgram()})
+	sw := NewSwitch(DefaultTarget())
+	if err := sw.Load(merged); err != nil {
+		t.Fatal(err)
+	}
+	stop := reloadLoop(sw, merged)
+	win := &interp.Window{Data: [][]uint64{{1, 0}}, Meta: map[string]uint64{}}
+	var execErr error
+	for i := 0; i < windows && execErr == nil; i++ {
+		win.Data[0][0] = 1
+		_, execErr = sw.ExecWindow(TenantKernelID(1, 1), win)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if execErr != nil {
+		t.Fatal(execErr)
+	}
+	if v, err := sw.ReadRegister("a/cnt", 0); err != nil || v != windows {
+		t.Fatalf("a/cnt = %d (%v), want %d: %d updates lost across reloads", v, err, windows, windows-int(v))
+	}
+}
+
+// TestControlWriteSurvivesReload: the control-plane shape of the same
+// race. A register write followed by a read returns the value written
+// while reloads loop.
+func TestControlWriteSurvivesReload(t *testing.T) {
+	const writes = 20000
+	merged := mergeOf(t, &TenantProgram{ID: "a", Slot: 1, Program: accumProgram()})
+	sw := NewSwitch(DefaultTarget())
+	if err := sw.Load(merged); err != nil {
+		t.Fatal(err)
+	}
+	stop := reloadLoop(sw, merged)
+	lost := 0
+	for i := 1; i <= writes; i++ {
+		if err := sw.WriteRegister("a/cnt", 0, uint64(i)); err != nil {
+			t.Error(err)
+			break
+		}
+		if v, err := sw.ReadRegister("a/cnt", 0); err != nil || v != uint64(i) {
+			lost++
+		}
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d register writes not read back across reloads", lost, writes)
+	}
+}

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Repo health check: vet, formatting, oracle callers, the switch's one
 # buffer and one packet allocator, read-only received windows, the
-# fabric's ports, doc lint, staticcheck (when installed), and the full test
-# suite under the race detector.
+# fabric's ports, one lock per PISA device, doc lint, staticcheck (when
+# installed), and the full test suite under the race detector.
 # CI-equivalent; run before sending a change. Set NCL_CHECK_SKIP_TESTS=1 to
 # run only the static checks (CI's lint job does this; the race suite runs
 # in its own job).
@@ -87,6 +87,20 @@ ports="$ports$(grep -nE 'map\[(linkKey|\[2\]string)\]' internal/netsim/*.go | gr
 if [ -n "$ports" ]; then
     echo "link looked up by label, or per-link state keyed by label, outside the port builder (internal/netsim):" >&2
     echo "$ports" >&2
+    exit 1
+fi
+
+# A PISA device is serialised by one mutex (pisa.Switch.mu): batches and
+# control operations take it, and nothing under it locks again. Outside
+# the oracle (reference.go, which keeps its own), internal/pisa declares
+# exactly one sync.Mutex and no other lock, pool or atomic pointer.
+echo "== one lock per device"
+pisafiles=$(ls internal/pisa/*.go | grep -vE '_test\.go$|/reference\.go$')
+mutexes=$(grep -hoE 'sync\.Mutex\b' $pisafiles | wc -l)
+locks=$(grep -nE 'sync\.(RWMutex|Pool)\b|\.RLock\(|atomic\.Pointer\b' $pisafiles || true)
+if [ "$mutexes" -ne 1 ] || [ -n "$locks" ]; then
+    echo "internal/pisa outside reference.go must hold one sync.Mutex (found $mutexes) and no other lock, pool or atomic pointer:" >&2
+    [ -z "$locks" ] || echo "$locks" >&2
     exit 1
 fi
 
