@@ -242,7 +242,7 @@ func runOneLoop(t *testing.T, faults Faults, inboxCap int, prep func(*Fabric), t
 	for _, to := range []string{"a", "b", "z"} {
 		if inbox := fab.eps[to].inbox; inbox != nil {
 			for _, d := range inbox.drain(nil, inboxCap) {
-				res.Delivered[to] = append(res.Delivered[to], show(d.pkt))
+				res.Delivered[to] = append(res.Delivered[to], show(d.Pkt))
 			}
 			res.Overflow[to] = reg.Counter("fabric." + to + ".inbox_drops").Load()
 		}
@@ -790,16 +790,16 @@ func TestSwitchReceiveBatchAllocs(t *testing.T) {
 	sender := &nullSender{net: net}
 
 	const win = 64
-	batch := make([]delivery, win)
+	batch := make([]Delivery, win)
 	for i := range batch {
-		batch[i] = delivery{pkt: &Packet{Src: "a", Dst: "b", Data: ncpPacket(t, 1, uint64(i), 0)}, from: "a"}
+		batch[i] = Delivery{Pkt: &Packet{Src: "a", Dst: "b", Data: ncpPacket(t, 1, uint64(i), 0)}, From: "a"}
 	}
 	// Warm the pools and grow the segment slices to capacity.
 	for i := 0; i < 8; i++ {
-		sn.receiveBatch(sender, batch)
+		sn.ReceiveBurst(sender, batch)
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		sn.receiveBatch(sender, batch)
+		sn.ReceiveBurst(sender, batch)
 	})
 	if perWin := avg / win; perWin > 0 {
 		t.Fatalf("batched receive: %.2f allocs/window, budget 0", perWin)

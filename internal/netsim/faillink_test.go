@@ -172,12 +172,12 @@ func TestFailLinkECMPRepairInsideBurst(t *testing.T) {
 	fab, edge, dst := ecmpFatTree(t)
 	fab.FailLink("p0e0", "p0a0")
 	const flows = 32
-	burst := make([]delivery, flows)
+	burst := make([]Delivery, flows)
 	for i := range burst {
 		pkt := &Packet{Src: fmt.Sprintf("flow%d", i), Dst: "h15", Data: ncpPacket(t, 1, uint64(i), 0)}
-		burst[i] = delivery{pkt: pkt, from: "h0"}
+		burst[i] = Delivery{Pkt: pkt, From: "h0"}
 	}
-	edge.receiveBatch(fab, burst)
+	edge.ReceiveBurst(fab, burst)
 	if got := edge.KernelWindows.Load(); got != flows {
 		t.Fatalf("executed %d/%d windows", got, flows)
 	}

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"ncl/internal/and"
-	"ncl/internal/ncp"
 	"ncl/internal/obs"
 )
 
@@ -35,6 +34,9 @@ import (
 // (a switch's executed windows), keep reading Data (a host's queued windows)
 // or reuse a packet it consumed for one it sends (a switch's drops). The
 // Data of a packet marked Shared is read-only, and copied before any write.
+// Retention: a held packet from a PacketGroup (a host's sends) keeps its
+// group alive (at most 32 × 208 B), and a window a host received keeps its
+// burst's slab alive (at most 64 × 120 B for single-window packets).
 type Packet struct {
 	Src  string // originating node label
 	Dst  string // final destination label
@@ -63,26 +65,40 @@ type Packet struct {
 // Packet with its bytes fills one 208-byte size class.
 const inlineData = 120
 
+// inlinePacket is a Packet with inlineData bytes of its own.
+type inlinePacket struct {
+	Packet
+	buf [inlineData]byte
+}
+
 // NewPacket returns a Packet with empty Data of capacity n: one allocation
 // holding the struct and the bytes when n fits inlineData, two beyond.
 func NewPacket(n int) *Packet {
 	if n > inlineData {
 		return &Packet{Data: make([]byte, 0, n)}
 	}
-	p := new(struct {
-		Packet
-		buf [inlineData]byte
-	})
+	p := new(inlinePacket)
 	p.Data = p.buf[:0:n]
 	return &p.Packet
 }
 
-// MarshalPacket encodes an NCP packet (ncp.MarshalHops) into a NewPacket
-// sized for it, one allocation in all for a packet that fits inlineData.
-func MarshalPacket(h *ncp.Header, userVals []uint64, hops []ncp.Hop, payload []byte) (pkt *Packet, err error) {
-	pkt = NewPacket(ncp.MarshalLen(h, userVals, hops, payload))
-	pkt.Data, err = ncp.AppendHops(pkt.Data, h, userVals, hops, payload)
-	return pkt, err
+// PacketGroup hands out inline-size packets 32 to an allocation, one host
+// send batch (see Packet for what that retains). The zero value is ready;
+// it is not safe for concurrent use.
+type PacketGroup struct{ free []inlinePacket }
+
+// Packet is NewPacket(n) from the group.
+func (g *PacketGroup) Packet(n int) *Packet {
+	if n > inlineData {
+		return NewPacket(n)
+	}
+	if len(g.free) == 0 {
+		g.free = make([]inlinePacket, 32)
+	}
+	p := &g.free[0]
+	g.free = g.free[1:]
+	p.Data = p.buf[:0:n]
+	return &p.Packet
 }
 
 // Sender is the transport a node sends through: the in-memory fabric
@@ -111,6 +127,34 @@ type Node interface {
 	// Receive handles a packet delivered from direct neighbor `from`.
 	// It runs on the node's inbox goroutine.
 	Receive(f Sender, pkt *Packet, from string)
+}
+
+// Delivery is one packet of a drained burst and the neighbor that sent it.
+type Delivery struct {
+	Pkt  *Packet
+	From string
+}
+
+// BurstReceiver is a Node that takes a drained burst — of any length, one
+// included — in one call instead of one Receive per packet; its Receive is
+// a burst of one. The deliveries are in arrival order, and the slice is
+// valid only during the call (the caller reuses its backing array).
+type BurstReceiver interface {
+	Node
+	ReceiveBurst(f Sender, burst []Delivery)
+}
+
+// DeliverBurst hands a burst to n, the one receive entry of both
+// transports: in one ReceiveBurst call when n is a BurstReceiver, else one
+// Receive per packet in arrival order.
+func DeliverBurst(n Node, f Sender, burst []Delivery) {
+	if br, ok := n.(BurstReceiver); ok {
+		br.ReceiveBurst(f, burst)
+		return
+	}
+	for _, d := range burst {
+		n.Receive(f, d.Pkt, d.From)
+	}
 }
 
 // LinkStats accumulates per-direction link counters.
@@ -213,11 +257,6 @@ func (ep *endpoint) port(to string) *port {
 		}
 	}
 	return nil
-}
-
-type delivery struct {
-	pkt  *Packet
-	from string
 }
 
 // heldPkt is one reorder hold-back packet, parked on its port with the
@@ -351,19 +390,9 @@ func (f *Fabric) InboxDepth(label string) int {
 	return 0
 }
 
-// batchReceiver is the optional path a node can implement to take a whole
-// drained burst (of any length, one included) in one call instead of
-// len(batch) Receive calls. The deliveries are in arrival order; the slice
-// is only valid for the duration of the call (the drain goroutine reuses
-// its backing array).
-type batchReceiver interface {
-	receiveBatch(f Sender, batch []delivery)
-}
-
 // Start launches the inbox goroutines. Every AND node must be attached.
 // Each goroutine drains up to DefaultDrainBatch packets per wakeup and hands
-// them to the node — in one receiveBatch call when the node supports it,
-// otherwise via per-packet Receive in arrival order.
+// them to the node through DeliverBurst.
 func (f *Fabric) Start() error {
 	for _, n := range f.net.Nodes {
 		if f.eps[n.Label].node == nil {
@@ -378,8 +407,7 @@ func (f *Fabric) Start() error {
 		f.wg.Add(1)
 		go func() {
 			defer f.wg.Done()
-			br, _ := node.(batchReceiver)
-			batch := make([]delivery, 0, DefaultDrainBatch)
+			batch := make([]Delivery, 0, DefaultDrainBatch)
 			for {
 				batch = ring.drain(batch, DefaultDrainBatch)
 				if len(batch) == 0 {
@@ -390,13 +418,7 @@ func (f *Fabric) Start() error {
 						return
 					}
 				}
-				if br != nil {
-					br.receiveBatch(f, batch)
-				} else {
-					for i := range batch {
-						node.Receive(f, batch[i].pkt, batch[i].from)
-					}
-				}
+				DeliverBurst(node, f, batch)
 				select {
 				case <-f.stopped:
 					return

@@ -12,13 +12,13 @@ import "sync"
 // the batched fabric's throughput comes from: one lock acquire, one
 // wakeup, and one node hand-off amortize over a whole burst.
 //
-// The ring replaces the per-node `chan delivery` inboxes: a channel wakes
+// The ring replaces the per-node `chan Delivery` inboxes: a channel wakes
 // its receiver once per send and hands over one element per receive,
 // so at high packet rates the fabric paid a futex round-trip and a
 // scheduler hop per packet. The ring pays them per *batch*.
 type ringInbox struct {
 	mu   sync.Mutex
-	buf  []delivery
+	buf  []Delivery
 	head int // index of the oldest queued delivery
 	n    int // queued count
 
@@ -33,7 +33,7 @@ func newRingInbox(capacity int) *ringInbox {
 		capacity = 1
 	}
 	return &ringInbox{
-		buf:    make([]delivery, capacity),
+		buf:    make([]Delivery, capacity),
 		notify: make(chan struct{}, 1),
 	}
 }
@@ -54,7 +54,7 @@ func (r *ringInbox) pushPkts(pkts []*Packet, from string) int {
 		tail -= len(r.buf)
 	}
 	for i := 0; i < k; i++ {
-		r.buf[tail] = delivery{pkt: pkts[i], from: from}
+		r.buf[tail] = Delivery{Pkt: pkts[i], From: from}
 		tail++
 		if tail == len(r.buf) {
 			tail = 0
@@ -74,7 +74,7 @@ func (r *ringInbox) pushPkts(pkts []*Packet, from string) int {
 // drain moves up to max queued deliveries into dst (reusing its backing
 // array) and returns the slice. An empty result means the ring was empty;
 // the caller then blocks on r.notify.
-func (r *ringInbox) drain(dst []delivery, max int) []delivery {
+func (r *ringInbox) drain(dst []Delivery, max int) []Delivery {
 	dst = dst[:0]
 	r.mu.Lock()
 	k := r.n
@@ -83,7 +83,7 @@ func (r *ringInbox) drain(dst []delivery, max int) []delivery {
 	}
 	for i := 0; i < k; i++ {
 		dst = append(dst, r.buf[r.head])
-		r.buf[r.head] = delivery{} // drop the packet reference
+		r.buf[r.head] = Delivery{} // drop the packet reference
 		r.head++
 		if r.head == len(r.buf) {
 			r.head = 0

@@ -9,7 +9,7 @@ import (
 )
 
 // The switch receive path — the only one. The fabric drains a burst of
-// packets from the switch's ring inbox and hands it to receiveBatch; a
+// packets from the switch's ring inbox and hands it to ReceiveBurst; a
 // direct Receive is a burst of one. Every packet is NCP-decoded exactly
 // once; its payload bytes go to the device as they are. Consecutive
 // windows for the same kernel form a segment that runs through
@@ -33,7 +33,7 @@ type batchWin struct {
 	qdepth     uint16 // ingress backlog at arrival (traced windows only)
 }
 
-// batchState is the working set of one receiveBatch call: the open
+// batchState is the working set of one ReceiveBurst call: the open
 // segment (wins+jobs, parallel slices) and its kernel, the decode
 // scratches handed out so far, and the output collector. Each call takes
 // its own (takeBatch), never a set shared on the node: a transport that
@@ -93,7 +93,8 @@ func (o *batchOut) packet(n int) *Packet {
 	return NewPacket(n)
 }
 
-// marshal is MarshalPacket into a packet from o.packet.
+// marshal encodes an NCP packet (ncp.AppendHops) into a packet from
+// o.packet.
 func (o *batchOut) marshal(h *ncp.Header, user []uint64, hops []ncp.Hop, payload []byte) (p *Packet, err error) {
 	p = o.packet(ncp.MarshalLen(h, user, hops, payload))
 	p.Data, err = ncp.AppendHops(p.Data, h, user, hops, payload)
@@ -128,17 +129,17 @@ func (o *batchOut) flush(from string) error {
 // transport before it returns. Safe to re-enter and to call from several
 // goroutines.
 func (s *SwitchNode) Receive(f Sender, pkt *Packet, from string) {
-	one := [1]delivery{{pkt: pkt, from: from}}
-	s.receiveBatch(f, one[:])
+	one := [1]Delivery{{Pkt: pkt, From: from}}
+	s.ReceiveBurst(f, one[:])
 }
 
-// receiveBatch implements batchReceiver: the Fig. 3b dispatch over a
+// ReceiveBurst implements BurstReceiver: the Fig. 3b dispatch over a
 // drained burst.
-func (s *SwitchNode) receiveBatch(f Sender, batch []delivery) {
+func (s *SwitchNode) ReceiveBurst(f Sender, batch []Delivery) {
 	b := s.takeBatch()
 	b.out.tr = f
 	for i := range batch {
-		s.ingest(b, batch[i].pkt)
+		s.ingest(b, batch[i].Pkt)
 	}
 	s.execSegment(b)
 	// The burst's last ack leaves twice, the copies sharing bytes: later

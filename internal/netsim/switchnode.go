@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"maps"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -30,7 +31,7 @@ type SwitchNode struct {
 	locID   uint32
 	routing atomic.Pointer[SwitchRouting] // forwarding state (SetRoutes/SetRouting)
 
-	hostByID map[uint32]string // host id -> label (reflect targets)
+	hostByID atomic.Pointer[map[uint32]string] // host id -> label (reflect targets), swapped whole by SetHosts
 
 	// kplans resolves kernel id -> precomputed wire layout + counter.
 	// Built at Install, read lock-free on the data path (configure
@@ -60,7 +61,7 @@ type SwitchNode struct {
 	depthFn func() int
 
 	// idle holds the working sets of finished bursts for the next ones,
-	// one per receiveBatch call that was ever in flight at once. A plain
+	// one per ReceiveBurst call that was ever in flight at once. A plain
 	// free list, not a sync.Pool: a pool strands a lone object in a per-P
 	// slot and drops it at the second collection, and every rebuilt set
 	// re-allocates a burst's worth of decode scratch (measured: +0.1
@@ -80,11 +81,11 @@ type swKernel struct {
 // NewSwitchNode creates a switch for the given AND label.
 func NewSwitchNode(label string, target pisa.TargetConfig) *SwitchNode {
 	s := &SwitchNode{
-		label:    label,
-		sw:       pisa.NewSwitch(target),
-		hostByID: map[uint32]string{},
+		label: label,
+		sw:    pisa.NewSwitch(target),
 	}
 	s.SetRouting(&SwitchRouting{})
+	s.SetHosts(nil)
 	// A private registry until a deployment re-homes the counters: two
 	// standalone switches with the same label must not share counts.
 	s.SetObs(obs.NewRegistry())
@@ -99,12 +100,12 @@ func NewSwitchNode(label string, target pisa.TargetConfig) *SwitchNode {
 // where the device owner put them.
 func NewSwitchNodeShared(label string, dev *pisa.Switch) *SwitchNode {
 	s := &SwitchNode{
-		label:    label,
-		sw:       dev,
-		shared:   true,
-		hostByID: map[uint32]string{},
+		label:  label,
+		sw:     dev,
+		shared: true,
 	}
 	s.SetRouting(&SwitchRouting{})
+	s.SetHosts(nil)
 	s.SetObs(obs.NewRegistry())
 	return s
 }
@@ -248,13 +249,12 @@ func (s *SwitchNode) queueDepth() uint16 {
 	return uint16(min(s.depthFn(), math.MaxUint16))
 }
 
-// SetHosts installs the host id → label map used to route reflected
-// windows back to their senders.
+// SetHosts installs a copy of the host id → label map used to route
+// reflected windows back to their senders; bursts in flight keep the map
+// they loaded, as with SetRouting.
 func (s *SwitchNode) SetHosts(hosts map[uint32]string) {
-	s.hostByID = map[uint32]string{}
-	for id, label := range hosts {
-		s.hostByID[id] = label
-	}
+	m := maps.Clone(hosts)
+	s.hostByID.Store(&m)
 }
 
 // switchTimeNs converts a packet's virtual time to the hop-record clock.
@@ -286,7 +286,7 @@ func (s *SwitchNode) route(out *batchOut, w *batchWin, j *pisa.BatchJob, hops []
 			targets[0] = dec.Label
 		}
 	case interp.Reflect:
-		target, ok := s.hostByID[w.dec.Header.Sender]
+		target, ok := (*s.hostByID.Load())[w.dec.Header.Sender]
 		if !ok {
 			s.Errors.Add(1)
 			return
@@ -368,7 +368,7 @@ func (s *SwitchNode) ackConsumed(out *batchOut, w *batchWin, run *ackRun) {
 		}
 	}
 	s.flushAcks(out, run)
-	target, ok := s.hostByID[h.Sender]
+	target, ok := (*s.hostByID.Load())[h.Sender]
 	if !ok {
 		s.Errors.Add(1)
 		return

@@ -89,11 +89,11 @@ func TestSwitchProcessAllocsUntraced(t *testing.T) {
 
 			data, bufs := make([][]byte, tc.burst), make([][]byte, tc.burst)
 			pkts := make([]Packet, tc.burst)
-			burst := make([]delivery, tc.burst)
+			burst := make([]Delivery, tc.burst)
 			for i := range data {
 				data[i] = ncpWindow(t, 1, tc.elems, tc.vals[i%len(tc.vals)], tc.flags, uint32(i))
 				bufs[i] = make([]byte, len(data[i]))
-				burst[i] = delivery{pkt: &pkts[i], from: "a"}
+				burst[i] = Delivery{Pkt: &pkts[i], From: "a"}
 			}
 			receive := func() {
 				// Fresh deliveries each time, in the same storage: the switch
@@ -104,7 +104,7 @@ func TestSwitchProcessAllocsUntraced(t *testing.T) {
 				if tc.burst == 1 {
 					sn.Receive(sender, &pkts[0], "a")
 				} else {
-					sn.receiveBatch(sender, burst)
+					sn.ReceiveBurst(sender, burst)
 				}
 			}
 			for i := 0; i < 8; i++ { // warm the working set, the neighbor list and the shadow state

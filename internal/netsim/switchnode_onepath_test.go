@@ -183,21 +183,21 @@ func runOnePath(t *testing.T, net *and.Network, stream []*Packet, cuts []int) on
 	sn.SetDepthSource(func() int { return 5 })
 
 	rec := &onePathRecorder{net: net}
-	fresh := make([]delivery, len(stream))
+	fresh := make([]Delivery, len(stream))
 	for i, p := range stream {
 		// Each delivery owns its bytes: the switch edits executed windows
 		// in place, and the runs compared replay the same stream.
 		data := append([]byte(nil), p.Data...)
-		fresh[i] = delivery{pkt: &Packet{Src: p.Src, Dst: p.Dst, Data: data, VTimeUs: p.VTimeUs}, from: p.Src}
+		fresh[i] = Delivery{Pkt: &Packet{Src: p.Src, Dst: p.Dst, Data: data, VTimeUs: p.VTimeUs}, From: p.Src}
 	}
 	if cuts == nil {
 		for _, d := range fresh {
-			sn.Receive(rec, d.pkt, d.from)
+			sn.Receive(rec, d.Pkt, d.From)
 		}
 	} else {
 		start := 0
 		for _, end := range append(cuts, len(fresh)) {
-			sn.receiveBatch(rec, fresh[start:end])
+			sn.ReceiveBurst(rec, fresh[start:end])
 			start = end
 		}
 	}
@@ -347,11 +347,11 @@ func TestSwitchReceiveReentrant(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				batch := make([]delivery, burst)
+				batch := make([]Delivery, burst)
 				for k := range batch {
-					batch[k] = delivery{pkt: &Packet{Src: "a", Dst: "b", Data: rs.bytes()}, from: "a"}
+					batch[k] = Delivery{Pkt: &Packet{Src: "a", Dst: "b", Data: rs.bytes()}, From: "a"}
 				}
-				sn.receiveBatch(rs, batch)
+				sn.ReceiveBurst(rs, batch)
 			}
 		}()
 	}

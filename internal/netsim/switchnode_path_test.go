@@ -302,7 +302,7 @@ func TestSwitchAcksCoalesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := func(sender, wid, seq uint32) delivery {
+	window := func(sender, wid, seq uint32) Delivery {
 		data, err := ncp.Marshal(&ncp.Header{
 			KernelID: 1, WindowLen: 1, Sender: sender, Wid: wid, WindowSeq: seq, FragCount: 1,
 			Flags: ncp.FlagAckRequest | ncp.FlagExactlyOnce,
@@ -310,9 +310,9 @@ func TestSwitchAcksCoalesce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return delivery{pkt: &Packet{Src: "a", Dst: "s1", Data: data}, from: "a"}
+		return Delivery{Pkt: &Packet{Src: "a", Dst: "s1", Data: data}, From: "a"}
 	}
-	var burst []delivery
+	var burst []Delivery
 	for seq := uint32(0); seq < 40; seq++ {
 		burst = append(burst, window(1, 7, seq))
 	}
@@ -323,8 +323,8 @@ func TestSwitchAcksCoalesce(t *testing.T) {
 		window(1, 7, 2), // below its run's base: a new run
 	)
 	rec := &recordSender{net: net}
-	sn.receiveBatch(rec, burst)
-	sn.Receive(rec, window(2, 4, 9).pkt, "b") // a burst of one
+	sn.ReceiveBurst(rec, burst)
+	sn.Receive(rec, window(2, 4, 9).Pkt, "b") // a burst of one
 
 	type ack struct {
 		dst       string

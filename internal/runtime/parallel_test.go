@@ -239,15 +239,16 @@ func TestOutBatchedToHost(t *testing.T) {
 }
 
 // TestOutPooledAllocsFlat asserts the pooled send path's allocation
-// budget in steady state: one allocation per packet — the Packet with its
-// wire bytes in the same object (netsim.NewPacket), which the transport
-// takes over — and two for a packet above the inline size, whose bytes
-// are an object of their own.
+// budget in steady state: an inline-size packet comes from its scratch's
+// send group, 32 packets with their wire bytes in one allocation
+// (netsim.PacketGroup), which the transport takes over, so a packet costs
+// at most 1/16; a packet above the inline size is a netsim.NewPacket and
+// its bytes, two objects.
 func TestOutPooledAllocsFlat(t *testing.T) {
 	for _, tc := range []struct {
 		w      int
 		budget float64
-	}{{16, 1.1}, {32, 2.2}} { // 100-byte and 164-byte packets
+	}{{16, 1.0 / 16}, {32, 2.2}} { // 100-byte and 164-byte packets
 		t.Run(fmt.Sprintf("W=%d", tc.w), func(t *testing.T) {
 			ns := newNullSender(t)
 			cfg := testConfig(t, tc.w)
@@ -267,7 +268,7 @@ func TestOutPooledAllocsFlat(t *testing.T) {
 				}
 			})
 			if perPacket := allocs / windows; perPacket > tc.budget {
-				t.Errorf("send path allocates %.2f allocs/packet (%.0f per Out), budget %.1f", perPacket, allocs, tc.budget)
+				t.Errorf("send path allocates %.3f allocs/packet (%.0f per Out), budget %.3f", perPacket, allocs, tc.budget)
 			}
 		})
 	}

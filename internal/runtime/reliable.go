@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ncl/internal/ncp"
-	"ncl/internal/netsim"
 )
 
 // Reliable window delivery — the optional extension over the paper's §6
@@ -430,7 +429,7 @@ func (h *Host) sendAck(hd *ncp.Header, sc *sendScratch) error {
 		Wid:       hd.Wid,
 		FragCount: 1,
 	}
-	pkt, err := netsim.MarshalPacket(&ack, nil, nil, nil)
+	pkt, err := sc.marshal(&ack, nil, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ncl/internal/and"
 	"ncl/internal/ncp"
 	"ncl/internal/netsim"
 	"ncl/internal/obs"
@@ -377,5 +378,94 @@ func TestBatchSplitCopiesAndValidates(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["host.b.decode_errors"]; got != 1 {
 		t.Errorf("decode_errors = %d, want 1", got)
+	}
+}
+
+// rerouteSender is the loopback transport with directed first-hop links
+// that can fail: a packet queued on a dead link is lost. After deliver
+// reliable windows have reached b, it runs fail once.
+type rerouteSender struct {
+	*loopbackSender
+	mu      sync.Mutex
+	dead    map[[2]string]bool
+	deliver int
+	fail    func(*rerouteSender)
+}
+
+func (r *rerouteSender) LinkFailed(from, to string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dead[[2]string{from, to}]
+}
+
+func (r *rerouteSender) SendBatch(from string, tos []string, pkts []*netsim.Packet) error {
+	var keptTos []string
+	var kept []*netsim.Packet
+	for i, pkt := range pkts {
+		if r.LinkFailed(from, tos[i]) {
+			continue
+		}
+		keptTos, kept = append(keptTos, tos[i]), append(kept, pkt)
+		if hd, _, _, err := ncp.Decode(pkt.Data); err == nil && pkt.Dst == "b" && hd.Flags&ncp.FlagAckRequest != 0 {
+			if r.deliver--; r.deliver == 0 {
+				r.fail(r)
+			}
+		}
+	}
+	return r.loopbackSender.SendBatch(from, keptTos, kept)
+}
+
+// TestOutReliableFollowsRouteChanges: a reliable call whose first hop
+// dies partway through resends its lost windows over the hop it resolves
+// then, so it completes — whether the failed link was one of two ECMP
+// uplinks (the flow re-hashes off it) or new routes name a new waypoint.
+func TestOutReliableFollowsRouteChanges(t *testing.T) {
+	const windows = 64
+	hashed := and.PickHop([]string{"s1", "s2"}, "a", "b")
+	cases := []struct {
+		name string
+		next map[string][]string
+		via  map[string]string
+		fail func(*rerouteSender, *Host)
+	}{
+		{
+			name: "ecmp-uplink-fails",
+			next: map[string][]string{"b": {"s1", "s2"}},
+			fail: func(r *rerouteSender, _ *Host) { r.dead[[2]string{"a", hashed}] = true },
+		},
+		{
+			name: "routes-name-new-waypoint",
+			next: map[string][]string{"w1": {"s1"}},
+			via:  map[string]string{"b": "w1"},
+			fail: func(r *rerouteSender, a *Host) {
+				r.dead[[2]string{"a", "s1"}] = true
+				a.SetRoutes(map[string][]string{"w2": {"s2"}}, map[string]string{"b": "w2"})
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			lb := newLoopback(t)
+			rs := &rerouteSender{loopbackSender: lb, dead: map[[2]string]bool{}, deliver: 8}
+			cfg := testConfig(t, 4)
+			cfg.HostLabels = map[uint32]string{1: "a", 2: "b"}
+			reg := obs.NewRegistry()
+			cfg.Obs = reg
+			a := NewHost("a", 1, 0, cfg, rs, nil)
+			lb.nodes["a"], lb.nodes["b"] = a, NewHost("b", 2, 1, cfg, rs, map[string]string{"a": "s1"})
+			a.SetRoutes(tc.next, tc.via)
+			rs.fail = func(r *rerouteSender) { tc.fail(r, a) }
+			if err := a.OutReliable(Invocation{Kernel: "k", Dest: "b"}, windowsOf(windows),
+				ReliableOptions{Timeout: 5 * time.Millisecond}); err != nil {
+				t.Fatal(err)
+			}
+			snap := reg.Snapshot()
+			if got := snap.Counters["host.b.windows_received"]; got != windows {
+				t.Errorf("b received %d windows, want %d", got, windows)
+			}
+			if snap.Counters["host.a.retransmits"] == 0 {
+				t.Error("no window was lost on the dead hop: the failure came too late to test rerouting")
+			}
+		})
 	}
 }

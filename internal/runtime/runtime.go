@@ -165,7 +165,7 @@ type hostMetrics struct {
 	reliableCalls   *obs.Counter // OutReliable calls that sent windows
 	timerCalls      *obs.Counter // the reliable calls in which a window's deadline expired
 	staleAcks       *obs.Counter // late/duplicate acks ignored
-	ackSendErrors   *obs.Counter // received packets whose acks could not all be sent
+	ackSendErrors   *obs.Counter // received bursts whose acks could not all be sent
 	tracedWindows   *obs.Counter
 	inflight        *obs.Gauge     // reliable windows in flight
 	ackRtt          *obs.Histogram // ack RTT of never-retransmitted windows, µs
@@ -280,19 +280,83 @@ func (h *Host) shardFor(sender uint32) *recvShard {
 	return &h.shards[sender%recvShards]
 }
 
-// decodedPool recycles DecodeFullInto scratch across Receive calls. A
-// queued window keeps the payload, which aliases the packet, and copies
-// out only the user values and hops, which alias the scratch (ownedWindow).
-var decodedPool = sync.Pool{New: func() any { return new(ncp.Decoded) }}
+// recvSlot is a delivered window and its header: one element of a slab.
+type recvSlot struct {
+	rw RecvWindow
+	hd ncp.Header
+}
 
-// Receive implements netsim.Node: NCP packets are decoded, reassembled,
-// and queued for In; undecodable traffic is counted and dropped (hosts
-// are endpoints).
-func (h *Host) Receive(_ netsim.Sender, pkt *netsim.Packet, from string) {
-	d := decodedPool.Get().(*ncp.Decoded)
-	defer decodedPool.Put(d)
+// recvBurst is the pooled working set of one ReceiveBurst call: one decode
+// scratch, a slab, the acks to send and the counts to publish.
+type recvBurst struct {
+	d    ncp.Decoded
+	slab []recvSlot
+	left int // packets after the current one
+	acks []ncp.Header
+	n    struct{ queued, drops, dups, bad, frags uint64 }
+}
+
+var burstPool = sync.Pool{New: func() any { return new(recvBurst) }}
+
+// window builds a delivered window in the burst's slab, the only place one
+// is built; a new slab holds want more windows and one per later packet.
+// Raw stays in the packet, which the host owns for good (netsim.Packet).
+func (b *recvBurst) window(hd *ncp.Header, user []uint64, hops []ncp.Hop, raw []byte, want int) *RecvWindow {
+	if len(b.slab) == 0 {
+		b.slab = make([]recvSlot, want+b.left)
+	}
+	s := &b.slab[0]
+	b.slab, s.hd = b.slab[1:], *hd
+	// Field by field into the zero slot (a literal is copied through the write barrier).
+	s.rw.Header, s.rw.Raw = &s.hd, raw
+	s.rw.User, s.rw.Trace = append([]uint64(nil), user...), append([]ncp.Hop(nil), hops...)
+	return &s.rw
+}
+
+// Receive implements netsim.Node: a burst of one.
+func (h *Host) Receive(f netsim.Sender, pkt *netsim.Packet, from string) {
+	h.ReceiveBurst(f, []netsim.Delivery{{Pkt: pkt, From: from}})
+}
+
+// ReceiveBurst implements netsim.BurstReceiver: NCP packets are decoded,
+// reassembled and queued for In in arrival order; undecodable traffic is
+// counted and dropped (hosts are endpoints). Counters publish once per burst.
+func (h *Host) ReceiveBurst(_ netsim.Sender, burst []netsim.Delivery) {
+	b := burstPool.Get().(*recvBurst)
+	for i := range burst {
+		b.left = len(burst) - 1 - i
+		h.receivePacket(b, burst[i].Pkt)
+	}
+	h.met.windowsReceived.Add(b.n.queued)
+	h.met.inboxDropped.Add(b.n.drops)
+	h.met.dupsDropped.Add(b.n.dups)
+	h.met.decodeErrors.Add(b.n.bad)
+	h.met.fragsReasm.Add(b.n.frags)
+	b.n = recvBurst{}.n
+	// A burst's acks leave together, holding no lock (the transport can
+	// block on a congested fabric), and only for windows that were enqueued
+	// or are confirmed duplicates of enqueued ones — never for
+	// overflow-dropped windows, which the sender must retransmit.
+	if len(b.acks) > 0 {
+		sc := h.getScratch()
+		var err error
+		for i := range b.acks {
+			if aerr := h.sendAck(&b.acks[i], sc); err == nil {
+				err = aerr
+			}
+		}
+		if h.putScratch(sc, err) != nil {
+			h.met.ackSendErrors.Inc()
+		}
+		b.acks = b.acks[:0]
+	}
+	burstPool.Put(b)
+}
+
+func (h *Host) receivePacket(b *recvBurst, pkt *netsim.Packet) {
+	d := &b.d
 	if err := ncp.DecodeFullInto(pkt.Data, d); err != nil {
-		h.met.decodeErrors.Inc()
+		b.n.bad++
 		return
 	}
 	hd := &d.Header
@@ -314,110 +378,83 @@ func (h *Host) Receive(_ netsim.Sender, pkt *netsim.Packet, from string) {
 			QueueDepth: uint16(depth), KernelID: hd.KernelID,
 		})
 	}
-	sh := h.shardFor(hd.Sender)
-	sh.mu.Lock()
-	acks, queued := h.receiveLocked(sh, d)
-	sh.mu.Unlock()
+	if hd.FragCount > 1 {
+		h.reassemble(b, d)
+		return
+	}
 	// Feed the completed span to the telemetry collector, if one is
 	// attached — only for a packet the inbox accepted: a suppressed
 	// duplicate, an overflow drop or a window refused by a closed host was
 	// not delivered. Fragmented windows only carry the first fragment's
 	// hops, so the sink sees whole single-packet windows.
-	if queued && hd.Flags&ncp.FlagTrace != 0 && hd.FragCount <= 1 {
+	if h.receiveWindows(b, d) && hd.Flags&ncp.FlagTrace != 0 {
 		if sink := h.traceSink.Load(); sink != nil {
 			(*sink)(hd, d.Hops)
 		}
 	}
-	// Acks are emitted outside the shard lock (the transport can block on a
-	// congested fabric) and only for windows that were enqueued or are
-	// confirmed duplicates of enqueued ones — never for overflow-dropped
-	// windows, which the sender must retransmit. The acks of one packet
-	// leave in one transport call.
-	if len(acks) > 0 {
-		sc := h.getScratch()
-		var err error
-		for i := range acks {
-			if aerr := h.sendAck(&acks[i], sc); err == nil {
-				err = aerr
-			}
-		}
-		if h.putScratch(sc, err) != nil {
-			h.met.ackSendErrors.Inc()
-		}
-	}
 }
 
-// receiveLocked dispatches one decoded packet. Caller holds the shard
-// lock. The returned headers, if any, are reliable windows to
-// acknowledge (one per sub-window for batched packets); queued reports
-// whether the inbox accepted any window of the packet.
-func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) (acks []ncp.Header, queued bool) {
+// receiveWindows queues a single-packet window, or each window of a
+// multi-window packet that reached a host still batched (with its own
+// user/hops copies), reporting whether the inbox took any. A reliable
+// window is acked and duplicate-guarded on its own: a retransmit of a
+// delivered one is re-acked but not re-enqueued, and one the inbox drops
+// is neither recorded nor acked. Only a reliable packet locks its
+// sender's shard, whose completed-window record it reads and writes.
+func (h *Host) receiveWindows(b *recvBurst, d *ncp.Decoded) (queued bool) {
+	hd, payload := &d.Header, d.Payload
+	n := max(1, int(hd.BatchCount))
+	if len(payload)%n != 0 {
+		b.n.bad++
+		return false // payload does not split evenly across the batch
+	}
+	var sh *recvShard
+	if hd.Flags&ncp.FlagAckRequest != 0 {
+		sh = h.shardFor(hd.Sender)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+	}
+	per := len(payload) / n
+	for k := 0; k < n; k++ {
+		sub := *hd
+		if n > 1 {
+			sub.BatchCount, sub.WindowSeq = 1, hd.WindowSeq+uint32(k)
+		}
+		key := fragKey{sub.Sender, sub.Wid, sub.WindowSeq}
+		if sh != nil && sh.done[key] {
+			b.n.dups++
+			b.acks = append(b.acks, sub)
+			continue
+		}
+		if !h.enqueue(b, b.window(&sub, d.User, d.Hops, payload[k*per:(k+1)*per], n-k)) {
+			continue
+		}
+		queued = true
+		if sh != nil {
+			h.markDone(sh, key)
+			b.acks = append(b.acks, sub)
+		}
+	}
+	return queued
+}
+
+// reassemble takes one fragment of a multi-packet window (hosts only, §6)
+// under its sender's shard lock. Fragments of an already-delivered window
+// (retransmits, fabric duplication) are dropped by the completed-window
+// record.
+func (h *Host) reassemble(b *recvBurst, d *ncp.Decoded) {
 	hd := &d.Header
-	payload := d.Payload
 	wantAck := hd.Flags&ncp.FlagAckRequest != 0
-	if hd.FragCount <= 1 && hd.BatchCount > 1 {
-		// Multi-window packet reaching a host without on-path unbatching:
-		// split into individual windows. Each sub-window gets its own
-		// user/hops copies (consumers own their RecvWindow). Reliable
-		// batches are acknowledged and duplicate-guarded per sub-window —
-		// a retransmitted batch re-acks every sub-window but re-enqueues
-		// none.
-		if len(payload)%int(hd.BatchCount) != 0 {
-			h.met.decodeErrors.Inc()
-			return nil, false // payload does not split evenly across the batch
-		}
-		per := len(payload) / int(hd.BatchCount)
-		for k := 0; k < int(hd.BatchCount); k++ {
-			sub := *hd
-			sub.BatchCount = 1
-			sub.WindowSeq = hd.WindowSeq + uint32(k)
-			part := payload[k*per : (k+1)*per]
-			if !wantAck {
-				queued = h.enqueue(ownedWindow(&sub, d.User, d.Hops, part)) || queued
-				continue
-			}
-			key := fragKey{sub.Sender, sub.Wid, sub.WindowSeq}
-			if sh.done[key] {
-				h.met.dupsDropped.Inc()
-				acks = append(acks, sub)
-				continue
-			}
-			if h.enqueue(ownedWindow(&sub, d.User, d.Hops, part)) {
-				h.markDone(sh, key)
-				acks = append(acks, sub)
-				queued = true
-			}
-		}
-		return acks, queued
-	}
-	if hd.FragCount <= 1 {
-		if !wantAck {
-			return nil, h.enqueue(ownedWindow(hd, d.User, d.Hops, payload))
-		}
-		// Reliable window: retransmits of an already-delivered window are
-		// re-acknowledged but enqueued only once; a window the inbox
-		// drops is neither recorded nor acked.
-		key := fragKey{hd.Sender, hd.Wid, hd.WindowSeq}
-		if sh.done[key] {
-			h.met.dupsDropped.Inc()
-			return []ncp.Header{*hd}, false
-		}
-		if !h.enqueue(ownedWindow(hd, d.User, d.Hops, payload)) {
-			return nil, false
-		}
-		h.markDone(sh, key)
-		return []ncp.Header{*hd}, true
-	}
-	// Multi-packet window: reassemble (hosts only, §6). Fragments of an
-	// already-delivered window (retransmits, fabric duplication) are
-	// dropped by the completed-window record.
+	sh := h.shardFor(hd.Sender)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	key := fragKey{hd.Sender, hd.Wid, hd.WindowSeq}
 	if sh.done[key] {
-		h.met.dupsDropped.Inc()
+		b.n.dups++
 		if wantAck {
-			return []ncp.Header{*hd}, false
+			b.acks = append(b.acks, *hd)
 		}
-		return nil, false
+		return
 	}
 	fb := sh.frags[key]
 	if fb == nil {
@@ -433,55 +470,35 @@ func (h *Host) receiveLocked(sh *recvShard, d *ncp.Decoded) (acks []ncp.Header, 
 		h.evictFrags(sh)
 	}
 	if int(hd.FragIdx) >= len(fb.parts) || fb.parts[hd.FragIdx] != nil {
-		h.met.dupsDropped.Inc()
-		return nil, false // duplicate or malformed fragment
+		b.n.dups++
+		return // duplicate or malformed fragment
 	}
-	fb.parts[hd.FragIdx] = payload // the host's own packet: kept as it arrived
+	fb.parts[hd.FragIdx] = d.Payload // the host's own packet: kept as it arrived
 	fb.have++
-	if fb.have == len(fb.parts) {
-		delete(sh.frags, key)
-		h.pruneFragFIFO(sh)
-		h.met.fragsReasm.Add(uint64(len(fb.parts)))
-		total := 0
-		for _, p := range fb.parts {
-			total += len(p)
-		}
-		full := make([]byte, 0, total)
-		for _, p := range fb.parts {
-			full = append(full, p...)
-		}
-		hd2 := fb.header
-		hd2.FragIdx, hd2.FragCount = 0, 1
-		if h.enqueue(&RecvWindow{Header: &hd2, User: fb.user, Raw: full, Trace: fb.hops}) {
-			h.markDone(sh, key)
-			if wantAck {
-				return []ncp.Header{*hd}, true
-			}
-			return nil, true
+	if fb.have < len(fb.parts) {
+		return
+	}
+	delete(sh.frags, key)
+	h.pruneFragFIFO(sh)
+	b.n.frags += uint64(len(fb.parts))
+	total := 0
+	for _, p := range fb.parts {
+		total += len(p)
+	}
+	full := make([]byte, 0, total)
+	for _, p := range fb.parts {
+		full = append(full, p...)
+	}
+	hd2 := fb.header
+	hd2.FragIdx, hd2.FragCount = 0, 1
+	rw := b.window(&hd2, nil, nil, full, 1)
+	rw.User, rw.Trace = fb.user, fb.hops
+	if h.enqueue(b, rw) {
+		h.markDone(sh, key)
+		if wantAck {
+			b.acks = append(b.acks, *hd)
 		}
 	}
-	return nil, false
-}
-
-// ownedWindow builds the RecvWindow of a decoded window: Raw stays in the
-// packet, which the host owns for good (netsim.Packet), and only the user
-// values and hops, which live in pooled decode scratch, are copied out.
-func ownedWindow(hd *ncp.Header, user []uint64, hops []ncp.Hop, payload []byte) *RecvWindow {
-	// The window and its header are one object: the receive path's one
-	// allocation, and the interior pointers keep it whole.
-	own := &struct {
-		rw RecvWindow
-		hd ncp.Header
-	}{hd: *hd}
-	rw := &own.rw
-	rw.Header, rw.Raw = &own.hd, payload
-	if len(user) > 0 {
-		rw.User = append([]uint64(nil), user...)
-	}
-	if len(hops) > 0 {
-		rw.Trace = append([]ncp.Hop(nil), hops...)
-	}
-	return rw
 }
 
 // vtimeNs converts the fabric's virtual arrival time to the trace's
@@ -593,8 +610,8 @@ func (h *Host) pruneFragFIFO(sh *recvShard) {
 
 // enqueue queues one window for the application, reporting whether it
 // was accepted (false = inbox overflow, dropped like a NIC queue, or a
-// closed host).
-func (h *Host) enqueue(rw *RecvWindow) bool {
+// closed host). The burst counts it.
+func (h *Host) enqueue(b *recvBurst, rw *RecvWindow) bool {
 	h.closeMu.RLock()
 	defer h.closeMu.RUnlock()
 	if h.closed {
@@ -602,10 +619,10 @@ func (h *Host) enqueue(rw *RecvWindow) bool {
 	}
 	select {
 	case h.inbox <- rw:
-		h.met.windowsReceived.Inc()
+		b.n.queued++
 		return true
 	default:
-		h.met.inboxDropped.Inc()
+		b.n.drops++
 		return false
 	}
 }
@@ -634,20 +651,29 @@ type Invocation struct {
 }
 
 // sendScratch is per-sender reusable send state: a pooled encode buffer,
-// a user-value scratch slice, locally batched counter deltas flushed once
-// per owner so the shared atomics aren't contended per window, and the
-// queue every outgoing packet waits in (qTos/qPkts) until it leaves in a
-// SendBatch group of up to sendFlushEvery. The owner flushes the queue
-// before it waits for anything, and putScratch before the scratch is
-// pooled.
+// a user-value scratch slice, the send group its packets are carved from,
+// locally batched counter deltas flushed once per owner so the shared
+// atomics aren't contended per window, and the queue every outgoing packet
+// waits in (qTos/qPkts) until it leaves in a SendBatch group of up to
+// sendFlushEvery. The owner flushes the queue before it waits for
+// anything, and putScratch before the scratch is pooled.
 type sendScratch struct {
 	payload []byte
 	user    []uint64
+	group   netsim.PacketGroup
 	windows uint64
 	packets uint64
 
 	qTos  []string
 	qPkts []*netsim.Packet
+}
+
+// marshal encodes an NCP packet (ncp.AppendHops) into a packet from the
+// scratch's send group: the one place a host allocates a packet it sends.
+func (sc *sendScratch) marshal(h *ncp.Header, user []uint64, hops []ncp.Hop, payload []byte) (pkt *netsim.Packet, err error) {
+	pkt = sc.group.Packet(ncp.MarshalLen(h, user, hops, payload))
+	pkt.Data, err = ncp.AppendHops(pkt.Data, h, user, hops, payload)
+	return pkt, err
 }
 
 // sendFlushEvery is how many queued packets a scratch accumulates before
@@ -685,7 +711,10 @@ func (h *Host) flushSendQueue(sc *sendScratch) error {
 	return err
 }
 
-var sendPool = sync.Pool{New: func() any { return new(sendScratch) }}
+// A scratch rebuilt after a collection empties the pool starts with a full queue.
+var sendPool = sync.Pool{New: func() any {
+	return &sendScratch{qTos: make([]string, 0, sendFlushEvery), qPkts: make([]*netsim.Packet, 0, sendFlushEvery)}
+}}
 
 func (h *Host) getScratch() *sendScratch { return sendPool.Get().(*sendScratch) }
 
@@ -998,7 +1027,7 @@ func (h *Host) sendPayload(inv Invocation, wid, seq uint32, batch, flags uint8, 
 			part = payload[i*mtu : min((i+1)*mtu, len(payload))]
 		}
 		hdr.FragIdx = uint16(i)
-		pkt, err := netsim.MarshalPacket(&hdr, userVals, hops, part)
+		pkt, err := sc.marshal(&hdr, userVals, hops, part)
 		if err != nil {
 			return err
 		}

@@ -113,7 +113,8 @@ func (u *UDPNet) Attach(n netsim.Node) error {
 
 // Start launches a reader goroutine per socket. A reader reads into the
 // one buffer it holds and hands the node a packet copied out of it
-// (decodeFrame), which the node owns for good, as it owns one the fabric
+// (decodeFrame) as a burst of one (netsim.DeliverBurst, the fabric's
+// receive entry too). The node owns it for good, as it owns one the fabric
 // delivers (netsim.Packet): a host queues windows that alias it.
 func (u *UDPNet) Start() error {
 	u.mu.Lock()
@@ -129,6 +130,7 @@ func (u *UDPNet) Start() error {
 		go func(node netsim.Node, conn *net.UDPConn) {
 			defer u.wg.Done()
 			buf := make([]byte, 65536)
+			one := make([]netsim.Delivery, 1)
 			for {
 				n, _, err := conn.ReadFromUDP(buf)
 				if err != nil {
@@ -139,7 +141,8 @@ func (u *UDPNet) Start() error {
 					u.frameErrs.Inc()
 					continue
 				}
-				node.Receive(u, pkt, from)
+				one[0] = netsim.Delivery{Pkt: pkt, From: from}
+				netsim.DeliverBurst(node, u, one)
 			}
 		}(node, conn)
 	}

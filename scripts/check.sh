@@ -1,8 +1,9 @@
 #!/bin/sh
 # Repo health check: vet, formatting, oracle callers, the switch's one
-# buffer and one packet allocator, read-only received windows, the
-# fabric's ports, one lock per PISA device, doc lint, staticcheck (when
-# installed), and the full test suite under the race detector.
+# buffer and one packet allocator, read-only received windows, the host's
+# window slab and packet allocators, the fabric's ports, one lock per PISA
+# device, doc lint, staticcheck (when installed), and the full test suite
+# under the race detector.
 # CI-equivalent; run before sending a change. Set NCL_CHECK_SKIP_TESTS=1 to
 # run only the static checks (CI's lint job does this; the race suite runs
 # in its own job).
@@ -56,7 +57,7 @@ fi
 # batchOut.packet is the one place on the switch path that makes a Packet,
 # so a new per-window allocation there fails this rule.
 echo "== one packet allocator on the switch path"
-alloc=$(awk '/^func /{fn=$0} /&Packet\{|NewPacket\(|MarshalPacket\(/ && fn !~ /^func \(o \*batchOut\) packet\(/ {print FILENAME ":" FNR ": " $0}' \
+alloc=$(awk '/^func /{fn=$0} /&Packet\{|NewPacket\(|PacketGroup/ && fn !~ /^func \(o \*batchOut\) packet\(/ {print FILENAME ":" FNR ": " $0}' \
     $(ls internal/netsim/switch*.go | grep -v '_test\.go$'))
 if [ -n "$alloc" ]; then
     echo "a Packet allocated on the switch path outside batchOut.packet (internal/netsim):" >&2
@@ -74,6 +75,21 @@ raw=$(grep -rnE '\.Raw\[[^]]*\] *([-+*/%&|^]|<<|>>|&\^)?= |\.Raw\[[^]]*\](\+\+|-
 if [ -n "$raw" ]; then
     echo "write through a Raw outside internal/pisa and internal/netsim:" >&2
     echo "$raw" >&2
+    exit 1
+fi
+
+# A host's receive and send paths allocate per burst and per send group,
+# not per window: in internal/runtime a RecvWindow is built only in its
+# burst's slab (recvBurst.window), and a packet is allocated only from a
+# send group (sendScratch.marshal) or by the UDP reader (decodeFrame).
+echo "== one window slab and one packet allocator on the host path"
+alloc=$(awk '/^(func|type|var|const) /{fn=$0}
+    /RecvWindow\{|new\(RecvWindow\)|\[\]recvSlot,/ && fn !~ /^func \(b \*recvBurst\) window\(/ {print FILENAME ":" FNR ": " $0}
+    /NewPacket\(|[^*]netsim\.Packet\{|new\(netsim\.Packet\)|\.Packet\(/ && fn !~ /^func (\(sc \*sendScratch\) marshal|decodeFrame)\(/ {print FILENAME ":" FNR ": " $0}' \
+    $(ls internal/runtime/*.go | grep -v '_test\.go$'))
+if [ -n "$alloc" ]; then
+    echo "a RecvWindow built outside recvBurst.window, or a Packet allocated outside sendScratch.marshal and decodeFrame (internal/runtime):" >&2
+    echo "$alloc" >&2
     exit 1
 fi
 
