@@ -6,18 +6,20 @@
 // updates (§4.1); the controller applies them switch by switch, so
 // kernels observe them eventually, not atomically.
 //
-// Two deployment shapes share this control plane. Identity (New): the
-// physical network is the overlay itself, switches keep their AND labels,
-// routing is plain shortest-path. Placed (NewPlaced): the overlay maps
-// onto a separate physical network via the placement engine
-// (placement.go); logical location labels resolve through the assignment,
-// and every control write is shadowed so a re-placement after a switch
-// failure (Replace) can rebuild the moved location's MAT entries and
-// _ctrl_ state on its new home.
+// Every deployment is a Placement of the overlay onto a physical network
+// (placement.go). NewPlaced computes one with the placement engine; New
+// deploys on the overlay itself, the degenerate placement whose physical
+// network is the overlay and which pins every location to its own switch.
+// Either way logical location labels resolve through the assignment,
+// routing is the placement's (Placement.RoutingAvoiding), and every
+// control write is shadowed so a re-placement after a switch failure
+// (Replace) can rebuild the moved location's MAT entries and _ctrl_ state
+// on its new home.
 package controller
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync/atomic"
 
@@ -32,21 +34,16 @@ type Controller struct {
 	net      *and.Network // the logical overlay
 	switches map[string]*netsim.SwitchNode
 
-	// Per-topology-epoch route caches. The all-pairs table and the placed
-	// routing state are the control plane's two expensive products; both
-	// are pure functions of (network, placement, failed set), so they are
-	// computed once per epoch and atomically swapped out on Replace. The
-	// identity overlay is immutable, so identityHops never invalidates;
-	// placedRT invalidates whenever Replace mutates the failed set or the
+	// routing caches the control plane's expensive product, a pure
+	// function of (placement, failed set): computed once per epoch and
+	// invalidated whenever Replace changes the failed set or the
 	// assignment. hostIDs is immutable per controller (built lazily).
-	identityHops atomic.Pointer[map[string]map[string]string]
-	placedRT     atomic.Pointer[Routing]
-	hostIDs      map[uint32]string
+	routing atomic.Pointer[Routing]
+	hostIDs map[uint32]string
 
 	met    ctrlMetrics
 	metReg *obs.Registry // registry met is homed in (SetObs carryover)
 
-	// Placement state (nil/zero for identity deployments).
 	placement *Placement
 	opts      PlaceOptions
 	programs  map[string]*pisa.Program // last InstallAll input (re-placement)
@@ -85,18 +82,17 @@ func newCtrlMetrics(r *obs.Registry) ctrlMetrics {
 	}
 }
 
-// New creates a controller over the AND network (identity deployment:
-// the overlay is the physical network).
+// New creates a controller that deploys on the AND network itself: the
+// identity placement, every location pinned to its own switch.
 func New(net *and.Network) *Controller {
-	reg := obs.NewRegistry() // private until SetObs
-	return &Controller{
-		net:        net,
-		switches:   map[string]*netsim.SwitchNode{},
-		met:        newCtrlMetrics(reg),
-		metReg:     reg,
-		matShadow:  map[string]map[string]map[uint64]uint64{},
-		ctrlShadow: map[string]map[int]uint64{},
+	opts := PlaceOptions{Logical: net, Physical: net, distCache: map[string]map[string]int{}}
+	assign := map[string]string{}
+	for _, s := range net.Switches() {
+		assign[s.Label] = s.Label
 	}
+	pl := &Placement{Logical: net, Physical: net, Assign: assign}
+	pl.CostHops = placementCost(net, net, assign, opts.distCache)
+	return newController(pl, opts)
 }
 
 // NewPlaced creates a controller that maps the logical overlay onto a
@@ -110,53 +106,46 @@ func NewPlaced(opts PlaceOptions) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := New(opts.Logical)
-	c.placement = pl
-	c.opts = opts
-	c.failed = map[string]bool{}
-	return c, nil
+	return newController(pl, opts), nil
 }
 
-// Placement returns the current logical→physical assignment (nil for
-// identity deployments).
+// newController manages a deployment of pl; opts are what Replace
+// re-places with.
+func newController(pl *Placement, opts PlaceOptions) *Controller {
+	reg := obs.NewRegistry() // private until SetObs
+	return &Controller{
+		net:        opts.Logical,
+		switches:   map[string]*netsim.SwitchNode{},
+		met:        newCtrlMetrics(reg),
+		metReg:     reg,
+		placement:  pl,
+		opts:       opts,
+		failed:     map[string]bool{},
+		matShadow:  map[string]map[string]map[uint64]uint64{},
+		ctrlShadow: map[string]map[int]uint64{},
+	}
+}
+
+// Placement returns the current logical→physical assignment; on a
+// deployment made by New, the identity one.
 func (c *Controller) Placement() *Placement { return c.placement }
 
-// physNet returns the network switches physically live on.
-func (c *Controller) physNet() *and.Network {
-	if c.placement != nil {
-		return c.placement.Physical
-	}
-	return c.net
-}
-
-// cachedNextHops returns the identity deployment's single-path table,
-// computed once — InstallAll, HostRoutes, and HostRoutingAll used to
-// each rebuild the full all-pairs table.
-func (c *Controller) cachedNextHops() map[string]map[string]string {
-	if p := c.identityHops.Load(); p != nil {
-		return *p
-	}
-	hops := c.net.NextHops()
-	c.identityHops.Store(&hops)
-	return hops
-}
-
-// cachedRouting returns the placed routing state for the current
-// (placement, failed) epoch, computing it at most once per epoch —
-// a placed deploy used to pay RoutingAvoiding twice (pushRouting and
-// HostRoutingAll), and each Replace twice more.
+// cachedRouting returns the routing state for the current (placement,
+// failed) epoch, computing it at most once per epoch — a deploy used to
+// pay RoutingAvoiding twice (pushRouting and HostRoutingAll), and each
+// Replace twice more.
 func (c *Controller) cachedRouting() *Routing {
-	if rt := c.placedRT.Load(); rt != nil {
+	if rt := c.routing.Load(); rt != nil {
 		return rt
 	}
 	rt := c.placement.RoutingAvoiding(c.failed)
-	c.placedRT.Store(rt)
+	c.routing.Store(rt)
 	return rt
 }
 
 // invalidateRouting starts a new routing epoch (failed set or assignment
 // changed).
-func (c *Controller) invalidateRouting() { c.placedRT.Store(nil) }
+func (c *Controller) invalidateRouting() { c.routing.Store(nil) }
 
 // hostByID returns the host-id→label table (immutable per overlay).
 func (c *Controller) hostByID() map[uint32]string {
@@ -171,12 +160,10 @@ func (c *Controller) hostByID() map[uint32]string {
 }
 
 // resolve maps a logical location label to the physical switch holding
-// it (identity: the label itself).
+// it; a label that is no location resolves to itself.
 func (c *Controller) resolve(loc string) string {
-	if c.placement != nil {
-		if p, ok := c.placement.Assign[loc]; ok {
-			return p
-		}
+	if p, ok := c.placement.Assign[loc]; ok {
+		return p
 	}
 	return loc
 }
@@ -203,10 +190,9 @@ func (c *Controller) SetObs(r *obs.Registry) {
 	}
 }
 
-// AttachSwitch registers a switch device under its label — an AND switch
-// for identity deployments, a physical switch under placement.
+// AttachSwitch registers a switch device under its physical label.
 func (c *Controller) AttachSwitch(sn *netsim.SwitchNode) error {
-	node := c.physNet().NodeByLabel(sn.Label())
+	node := c.placement.Physical.NodeByLabel(sn.Label())
 	if node == nil || node.Kind != and.SwitchNode {
 		return fmt.Errorf("controller: %q is not a switch in the AND", sn.Label())
 	}
@@ -221,41 +207,13 @@ func (c *Controller) AttachSwitch(sn *netsim.SwitchNode) error {
 // between single-tenant and multi-tenant deployments.
 func (c *Controller) SetNamePrefix(prefix string) { c.namePrefix = prefix }
 
-// InstallAll loads each location's program onto its switch and populates
-// routing tables and reflect targets on every switch. Under placement,
-// programs install on the assigned physical switches and every physical
-// switch (placed or not) gets the rewritten routing state. A node that
-// wraps a shared device records the program as its view and does not load
-// it (SwitchNode.Install): a tenant's tagged programs install this way.
+// InstallAll loads each location's program onto its assigned physical
+// switch and populates routing tables, reflect targets and broadcast
+// lists on every physical switch (placed or not). A node that wraps a
+// shared device records the program as its view and does not load it
+// (SwitchNode.Install): a tenant's tagged programs install this way.
 func (c *Controller) InstallAll(programs map[string]*pisa.Program) error {
 	c.programs = programs
-	if c.placement != nil {
-		return c.installPlaced(programs)
-	}
-	hops := c.cachedNextHops()
-	hostByID := c.hostByID()
-	for _, sw := range c.net.Switches() {
-		sn, ok := c.switches[sw.Label]
-		if !ok {
-			return fmt.Errorf("controller: switch %s not attached", sw.Label)
-		}
-		prog, ok := programs[sw.Label]
-		if !ok {
-			return fmt.Errorf("controller: no program for switch %s", sw.Label)
-		}
-		if err := sn.Install(prog, sw.ID); err != nil {
-			return fmt.Errorf("controller: installing on %s: %w", sw.Label, err)
-		}
-		c.met.installs.Inc()
-		sn.SetRoutes(hops[sw.Label])
-		sn.SetHosts(hostByID)
-	}
-	return nil
-}
-
-// installPlaced is InstallAll under a placement: programs land on their
-// assigned switches; all physical switches get placement-aware routing.
-func (c *Controller) installPlaced(programs map[string]*pisa.Program) error {
 	for _, sw := range c.net.Switches() {
 		phys := c.placement.Assign[sw.Label]
 		sn, ok := c.switches[phys]
@@ -264,7 +222,7 @@ func (c *Controller) installPlaced(programs map[string]*pisa.Program) error {
 		}
 		prog, ok := programs[sw.Label]
 		if !ok {
-			return fmt.Errorf("controller: no program for location %s", sw.Label)
+			return fmt.Errorf("controller: no program for switch %s", sw.Label)
 		}
 		if err := sn.Install(prog, sw.ID); err != nil {
 			return fmt.Errorf("controller: installing %s on %s: %w", sw.Label, phys, err)
@@ -279,7 +237,7 @@ func (c *Controller) installPlaced(programs map[string]*pisa.Program) error {
 func (c *Controller) pushRouting() error {
 	rt := c.cachedRouting()
 	hostByID := c.hostByID()
-	for _, ps := range c.physNet().Switches() {
+	for _, ps := range c.placement.Physical.Switches() {
 		sn, ok := c.switches[ps.Label]
 		if !ok {
 			return fmt.Errorf("controller: physical switch %s not attached", ps.Label)
@@ -298,34 +256,30 @@ func (c *Controller) pushRouting() error {
 // re-place onto the remaining switches (unaffected locations stay put),
 // their programs re-install, shadowed MAT entries and _ctrl_ writes
 // replay onto the new homes, and routing re-converges around the dead
-// switch. Identity deployments have no spare switches to move to, so
-// Replace requires a placement. Hosts need their routes refreshed too:
-// callers push HostRouting to each host after Replace returns (the
-// deployment layer owns host handles).
+// switch. Nothing is committed until the re-placement succeeds: when no
+// switch can take a moved location (always, on the identity placement,
+// which has no spare switch), Replace fails and a later call retries.
+// Hosts need their routes refreshed too: callers push HostRoutingAll to
+// each host after Replace returns (the deployment layer owns host
+// handles).
 func (c *Controller) Replace(failedPhys string) error {
-	if c.placement == nil {
-		return fmt.Errorf("controller: Replace needs a placed deployment")
-	}
 	if c.failed[failedPhys] {
 		return nil
 	}
-	c.failed[failedPhys] = true
-	c.invalidateRouting()
+	failed := maps.Clone(c.failed)
+	failed[failedPhys] = true
 
 	var moved []string
 	opts := c.opts
-	opts.Exclude = map[string]bool{}
+	opts.Exclude = maps.Clone(failed)
 	for l := range c.opts.Exclude {
-		opts.Exclude[l] = true
-	}
-	for l := range c.failed {
 		opts.Exclude[l] = true
 	}
 	// Pin every unaffected location to its current switch: stability is
 	// the point (their MAT entries and register state survive in place).
 	opts.Pin = map[string]string{}
 	for l, p := range c.placement.Assign {
-		if c.failed[p] {
+		if failed[p] {
 			moved = append(moved, l)
 		} else {
 			opts.Pin[l] = p
@@ -333,13 +287,15 @@ func (c *Controller) Replace(failedPhys string) error {
 	}
 	sort.Strings(moved)
 	if len(moved) == 0 {
+		c.failed = failed
+		c.invalidateRouting()
 		return c.pushRouting() // routing still must avoid the dead switch
 	}
 	pl, err := Place(opts)
 	if err != nil {
 		return fmt.Errorf("controller: re-placement after %s failed: %w", failedPhys, err)
 	}
-	c.placement = pl
+	c.failed, c.placement = failed, pl
 	c.invalidateRouting()
 
 	for _, l := range moved {
@@ -489,36 +445,11 @@ func (c *Controller) MapDelete(loc, name string, key uint64) error {
 // label under placement), or nil.
 func (c *Controller) Switch(loc string) *netsim.SwitchNode { return c.switches[c.resolve(loc)] }
 
-// HostRoutes returns the single-path first-hop table for a host label
-// (identity deployments).
-func (c *Controller) HostRoutes(label string) map[string]string {
-	return c.cachedNextHops()[label]
-}
-
-// HostRouting returns a host's placement-aware tables: equal-cost next
+// HostRoutingAll returns every logical host's tables: equal-cost next
 // hops per routing key and the via waypoints that steer windows through
-// placed locations. Identity deployments fall back to the plain
-// single-path table.
-func (c *Controller) HostRouting(label string) (next map[string][]string, via map[string]string) {
-	nextAll, viaAll := c.HostRoutingAll()
-	return nextAll[label], viaAll[label]
-}
-
-// HostRoutingAll computes every logical host's next/via tables in one
-// pass — deployments push these after InstallAll and again after Replace.
+// each location's switch. Deployments push these after InstallAll and
+// again after Replace.
 func (c *Controller) HostRoutingAll() (next map[string]map[string][]string, via map[string]map[string]string) {
-	if c.placement == nil {
-		hops := c.cachedNextHops()
-		next = map[string]map[string][]string{}
-		for _, h := range c.net.Hosts() {
-			hn := map[string][]string{}
-			for dst, hop := range hops[h.Label] {
-				hn[dst] = []string{hop}
-			}
-			next[h.Label] = hn
-		}
-		return next, nil
-	}
 	rt := c.cachedRouting()
 	return rt.HostNext, rt.HostVia
 }

@@ -68,9 +68,9 @@ func TestInstallAllAndRouting(t *testing.T) {
 		t.Error("s1 got the wrong program")
 	}
 	// Routing: s1's next hop toward b is s2.
-	hops := c.HostRoutes("a")
-	if hops["b"] != "s1" {
-		t.Errorf("a->b first hop = %s", hops["b"])
+	next, _ := c.HostRoutingAll()
+	if hops := next["a"]["b"]; len(hops) != 1 || hops[0] != "s1" {
+		t.Errorf("a->b first hop = %v", hops)
 	}
 }
 

@@ -67,7 +67,8 @@ func (a *Artifact) DeployUDP() (*Deployment, error) {
 	return a.deploy(un, a.identity())
 }
 
-// identity is the wiring of a deployment on the overlay itself.
+// identity is the wiring of a deployment on the overlay itself: the
+// identity placement, every location on its own switch.
 func (a *Artifact) identity() wiring {
 	return wiring{ctrl: controller.New(a.Net), cfg: a.AppConfig(), programs: a.Programs, budget: a.Target}
 }
@@ -219,9 +220,10 @@ func (a *Artifact) deploy(tr transport, w wiring) (dep *Deployment, err error) {
 // FailSwitch simulates losing a physical switch mid-run: fabric traffic
 // to and from it blackholes, the controller re-places the locations it
 // hosted (replaying their MAT entries and _ctrl_ state onto new homes),
-// and every host's routes refresh to the post-failure tables. Requires a
-// placed deployment (DeployOn) — an identity deployment has no spare
-// switches to move a location to — on a transport that can fail a node.
+// and every host's routes refresh to the post-failure tables. Needs a
+// transport that can fail a node and a spare switch to move to: on an
+// identity deployment (Deploy) there is none, so the re-placement fails,
+// the controller commits nothing, and every call returns the error.
 func (d *Deployment) FailSwitch(label string) error {
 	if _, ok := d.Switches[label]; !ok {
 		return fmt.Errorf("core: no switch %q", label)

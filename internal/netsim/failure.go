@@ -1,5 +1,7 @@
 package netsim
 
+import "ncl/internal/and"
+
 // Switch failure: FailNode takes a node out of the fabric without
 // stopping its goroutine — every packet to or from it blackholes (counted
 // as Dropped on the link), which is how a dead switch looks to its
@@ -70,6 +72,33 @@ type LinkHealth interface {
 }
 
 var _ LinkHealth = (*Fabric)(nil)
+
+// PickLiveHop is the ECMP choice every forwarder makes: the flow's hop
+// among equal-cost hops from node from (and.PickHop on src, dst),
+// re-hashed over the surviving hops when tr reports the hashed one's link
+// failed. Checked only after the pick, so a healthy multi-hop choice pays
+// one LinkFailed lookup and a single hop none; a transport without
+// LinkHealth never filters.
+func PickLiveHop(tr Sender, from string, hops []string, src, dst string) string {
+	hop := and.PickHop(hops, src, dst)
+	if len(hops) < 2 {
+		return hop
+	}
+	lh, ok := tr.(LinkHealth)
+	if !ok || !lh.LinkFailed(from, hop) {
+		return hop
+	}
+	alive := make([]string, 0, len(hops)-1)
+	for _, nb := range hops {
+		if !lh.LinkFailed(from, nb) {
+			alive = append(alive, nb)
+		}
+	}
+	if len(alive) == 0 {
+		return hop
+	}
+	return and.PickHop(alive, src, dst)
+}
 
 // NullNode is a blackhole attachment for physical nodes that have no
 // role in the deployed overlay (fat-tree hosts the logical AND doesn't

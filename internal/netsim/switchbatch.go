@@ -106,14 +106,6 @@ func (o *batchOut) send(to string, pkt *Packet) {
 	o.pkts = append(o.pkts, pkt)
 }
 
-// linkFailed consults the transport's LinkHealth when it has one: the
-// collector stands between the forwarder and the transport, and must not
-// hide a failed link from the ECMP repair.
-func (o *batchOut) linkFailed(from, to string) bool {
-	lh, ok := o.tr.(LinkHealth)
-	return ok && lh.LinkFailed(from, to)
-}
-
 // flush sends everything queued; errors are the caller's to count.
 func (o *batchOut) flush(from string) error {
 	if len(o.pkts) == 0 {

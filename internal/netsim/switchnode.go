@@ -183,15 +183,15 @@ type SwitchRouting struct {
 	Aliases []string
 	// Via maps final destination -> the waypoint to stamp on outputs
 	// leaving this switch, steering them through the next placed logical
-	// hop. Empty for identity deployments.
+	// hop.
 	Via map[string]string
 	// Bcast is the overlay neighbor list _bcast() targets. Empty means
-	// the physical neighbors of this switch (identity behavior).
+	// the physical neighbors of this switch (what SetRoutes installs).
 	Bcast []string
 
 	self map[string]bool // own label + aliases, built at install
 
-	nbOnce sync.Once // resolves nbs, the identity Bcast list, on first use
+	nbOnce sync.Once // resolves nbs, the fallback Bcast list, on first use
 	nbs    []string
 }
 
@@ -207,8 +207,8 @@ func (s *SwitchNode) SetRouting(rt *SwitchRouting) {
 }
 
 // bcastTargets is the list _bcast() sends to: the overlay list the
-// controller installs under placement (each copy is unicast-routed toward
-// its target) or, on an identity deployment, the direct neighbors.
+// controller installs (each copy is unicast-routed toward its target) or,
+// without one, the direct neighbors.
 func (rt *SwitchRouting) bcastTargets(net *and.Network, self string) []string {
 	if len(rt.Bcast) > 0 {
 		return rt.Bcast
@@ -217,9 +217,10 @@ func (rt *SwitchRouting) bcastTargets(net *and.Network, self string) []string {
 	return rt.nbs
 }
 
-// SetRoutes installs a plain single-path next-hop table
-// (controller-populated from the AND mapping, §3.2) — the identity
-// deployment path and the compatibility surface for existing callers.
+// SetRoutes installs a plain single-path next-hop table with no aliases,
+// waypoints or broadcast list, for a switch run without a controller
+// (the baseline, bare-switch experiments and tests). The controller
+// installs the full state with SetRouting.
 func (s *SwitchNode) SetRoutes(next map[string]string) {
 	rt := &SwitchRouting{Next: make(map[string][]string, len(next))}
 	for dst, hop := range next {
@@ -437,22 +438,5 @@ func (s *SwitchNode) forward(out *batchOut, pkt *Packet) {
 		s.Errors.Add(1)
 		return
 	}
-	hop := and.PickHop(hops, pkt.Src, pkt.Dst)
-	if len(hops) > 1 {
-		// ECMP repair: when the hashed hop sits behind a failed link, the
-		// flow re-hashes over the surviving equal-cost hops. Checked only
-		// after the pick so the healthy path pays one LinkFailed lookup.
-		if out.linkFailed(s.label, hop) {
-			alive := make([]string, 0, len(hops)-1)
-			for _, nb := range hops {
-				if !out.linkFailed(s.label, nb) {
-					alive = append(alive, nb)
-				}
-			}
-			if len(alive) > 0 {
-				hop = and.PickHop(alive, pkt.Src, pkt.Dst)
-			}
-		}
-	}
-	out.send(hop, pkt)
+	out.send(PickLiveHop(out.tr, s.label, hops, pkt.Src, pkt.Dst), pkt)
 }

@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ncl/internal/and"
 	"ncl/internal/ncl/hostgen"
 	"ncl/internal/ncl/ir"
 	"ncl/internal/ncp"
@@ -217,7 +216,7 @@ type fragBuf struct {
 // controller can push fresh routes mid-run (re-placement after a switch
 // failure). next maps a routing key (destination or waypoint) to its
 // equal-cost first hops; via maps a final destination to the waypoint
-// stamped on outgoing packets (empty for identity deployments).
+// stamped on outgoing packets.
 type hostRouting struct {
 	next map[string][]string
 	via  map[string]string
@@ -1049,7 +1048,8 @@ func (h *Host) SetRoutes(next map[string][]string, via map[string]string) {
 }
 
 // resolveHop picks the first hop and waypoint for a destination. Multi-hop
-// ties break by flow hash so one flow's packets stay ordered on one path.
+// ties break by flow hash so one flow's packets stay ordered on one path,
+// around a failed first-hop link (netsim.PickLiveHop).
 func (h *Host) resolveHop(dest string) (hop, via string, err error) {
 	rt := h.routing.Load()
 	target := dest
@@ -1062,23 +1062,7 @@ func (h *Host) resolveHop(dest string) (hop, via string, err error) {
 	if len(hops) == 0 {
 		return "", "", fmt.Errorf("runtime: no route from %s to %s", h.label, dest)
 	}
-	hop = and.PickHop(hops, h.label, dest)
-	if len(hops) > 1 {
-		// ECMP repair mirrors SwitchNode.forward: a flow hashed onto a
-		// failed first-hop link re-hashes over the surviving hops.
-		if lh, ok := h.send.(netsim.LinkHealth); ok && lh.LinkFailed(h.label, hop) {
-			alive := make([]string, 0, len(hops)-1)
-			for _, nb := range hops {
-				if !lh.LinkFailed(h.label, nb) {
-					alive = append(alive, nb)
-				}
-			}
-			if len(alive) > 0 {
-				hop = and.PickHop(alive, h.label, dest)
-			}
-		}
-	}
-	return hop, via, nil
+	return netsim.PickLiveHop(h.send, h.label, hops, h.label, dest), via, nil
 }
 
 // checkUserFields rejects invocation window-field values that do not

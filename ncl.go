@@ -59,8 +59,9 @@ type Network = and.Network
 // placement engine's knobs (per-switch budgets, exclusions, forced pins).
 type PlacedOptions = core.PlacedOptions
 
-// Placement is a computed logical→physical assignment
-// (Deployment.Controller.Placement on placed deployments).
+// Placement is a logical→physical assignment
+// (Deployment.Controller.Placement; on Deploy and DeployUDP, the identity
+// one that pins every location to its own switch).
 type Placement = controller.Placement
 
 // Host is a libncrt application endpoint.

@@ -2,8 +2,8 @@
 # Repo health check: vet, formatting, oracle callers, the switch's one
 # buffer and one packet allocator, read-only received windows, the host's
 # window slab and packet allocators, the fabric's ports, one lock per PISA
-# device, doc lint, staticcheck (when installed), and the full test suite
-# under the race detector.
+# device, one control path, doc lint, staticcheck (when installed), and
+# the full test suite under the race detector.
 # CI-equivalent; run before sending a change. Set NCL_CHECK_SKIP_TESTS=1 to
 # run only the static checks (CI's lint job does this; the race suite runs
 # in its own job).
@@ -117,6 +117,17 @@ locks=$(grep -nE 'sync\.(RWMutex|Pool)\b|\.RLock\(|atomic\.Pointer\b' $pisafiles
 if [ "$mutexes" -ne 1 ] || [ -n "$locks" ]; then
     echo "internal/pisa outside reference.go must hold one sync.Mutex (found $mutexes) and no other lock, pool or atomic pointer:" >&2
     [ -z "$locks" ] || echo "$locks" >&2
+    exit 1
+fi
+
+# Every deployment runs on a Placement: New builds the identity one, so the
+# controller has no second, placement-less deployment mode with its own
+# routing tables.
+echo "== one control path"
+ctrl=$(grep -nE 'placement [!=]= nil|HostRoutes\(|cachedNextHops' internal/controller/*.go | grep -v '_test\.go:' || true)
+if [ -n "$ctrl" ]; then
+    echo "a placement-less branch or its routing in internal/controller:" >&2
+    echo "$ctrl" >&2
     exit 1
 fi
 
