@@ -3,10 +3,11 @@
 // overlay, message passing with per-link accounting, and fault injection
 // (loss, duplication, reordering) for robustness tests.
 //
-// The fabric is intentionally simple: a goroutine per node draining an
-// inbox, direct neighbor-to-neighbor delivery, and atomic byte/packet
-// counters per link. Each node reaches its neighbors through dense ports
-// built once with the fabric, so a send looks no link up by label. Nodes
+// The fabric is intentionally simple: a lone packet to an idle
+// BurstReceiver runs it on the sender's goroutine, all else queues in an
+// inbox a goroutine per node drains, and links keep atomic counters. Each
+// node reaches its neighbors through dense ports built once with the
+// fabric, so a send looks no link up by label. Nodes
 // send through one seam, Sender.SendBatch, and the fabric has one send loop
 // behind it (a packet is a batch of one): it groups a call's packets by
 // destination, and it is the only place virtual time is stamped, failed
@@ -36,7 +37,7 @@ import (
 // Data of a packet marked Shared is read-only, and copied before any write.
 // Retention: a held packet from a PacketGroup (a host's sends) keeps its
 // group alive (at most 32 × 208 B), and a window a host received keeps its
-// burst's slab alive (at most 64 × 120 B for single-window packets).
+// slab alive (64 × 120 B shared with later bursts, more for a larger one).
 type Packet struct {
 	Src  string // originating node label
 	Dst  string // final destination label
@@ -140,14 +141,15 @@ type Delivery struct {
 // included — in one call instead of one Receive per packet; its Receive is
 // a burst of one. The deliveries are in arrival order, and the slice is
 // valid only during the call (the caller reuses its backing array).
+// ReceiveBurst must not block: it may run nested on its sender's goroutine.
 type BurstReceiver interface {
 	Node
 	ReceiveBurst(f Sender, burst []Delivery)
 }
 
-// DeliverBurst hands a burst to n, the one receive entry of both
-// transports: in one ReceiveBurst call when n is a BurstReceiver, else one
-// Receive per packet in arrival order.
+// DeliverBurst hands a queued burst to n, on both transports: in one
+// ReceiveBurst call when n is a BurstReceiver, else one Receive per packet
+// in arrival order.
 func DeliverBurst(n Node, f Sender, burst []Delivery) {
 	if br, ok := n.(BurstReceiver); ok {
 		br.ReceiveBurst(f, burst)
@@ -189,7 +191,7 @@ type Fabric struct {
 	// eps holds one endpoint per AND node, by label (New builds them, Attach
 	// fills them in): a send's one label lookup resolves its sender.
 	eps      map[string]*endpoint
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // drain goroutines and inline runs, for Stop
 	stopped  chan struct{}
 	stopOnce sync.Once
 
@@ -229,11 +231,12 @@ type Fabric struct {
 // endpoint is one AND node as the fabric sees it.
 type endpoint struct {
 	label string
-	node  Node         // nil until Attach
-	inbox *ringInbox   // nil for a NullNode, an inert sink, and until Attach
-	drops *obs.Counter // fabric.<label>.inbox_drops: packets a full inbox refused
-	ports []port       // one per overlay neighbor, sorted by label
-	down  atomic.Bool  // FailNode: packets to or from it blackhole
+	node  Node          // nil until Attach
+	burst BurstReceiver // node, when it may run inline on a sender's goroutine
+	inbox *ringInbox    // nil for a NullNode, an inert sink, and until Attach
+	drops *obs.Counter  // fabric.<label>.inbox_drops: packets a full inbox refused
+	ports []port        // one per overlay neighbor, sorted by label
+	down  atomic.Bool   // FailNode: packets to or from it blackhole
 }
 
 // port is one directed link as its sender sees it: everything a send over
@@ -372,6 +375,7 @@ func (f *Fabric) Attach(n Node) error {
 	if _, isSink := n.(*NullNode); isSink {
 		return nil
 	}
+	ep.burst, _ = n.(BurstReceiver)
 	ep.inbox = newRingInbox(f.inboxCap)
 	f.rngMu.Lock()
 	ep.drops = f.obsReg.Counter("fabric." + label + ".inbox_drops")
@@ -393,7 +397,7 @@ func (f *Fabric) InboxDepth(label string) int {
 
 // Start launches the inbox goroutines. Every AND node must be attached.
 // Each goroutine drains up to DefaultDrainBatch packets per wakeup and hands
-// them to the node through DeliverBurst.
+// them to the node through DeliverBurst under the claim deliver also takes.
 func (f *Fabric) Start() error {
 	for _, n := range f.net.Nodes {
 		if f.eps[n.Label].node == nil {
@@ -420,6 +424,7 @@ func (f *Fabric) Start() error {
 					}
 				}
 				DeliverBurst(node, f, batch)
+				ring.release()
 				select {
 				case <-f.stopped:
 					return
@@ -434,9 +439,9 @@ func (f *Fabric) Start() error {
 // Stop terminates the fabric; in-flight packets are dropped. Sends after
 // (or racing with) Stop fail cleanly — inbox channels are never closed,
 // the stop signal alone ends the workers, so concurrent data-plane sends
-// cannot panic. Reorder hold-back packets still parked at shutdown are
-// stranded: they count against their link's Dropped (and
-// fabric.reorder_stranded) instead of silently vanishing.
+// cannot panic; when Stop returns no node is running. Reorder hold-back
+// packets still parked at shutdown are stranded: they count against their
+// link's Dropped (and fabric.reorder_stranded) instead of silently vanishing.
 func (f *Fabric) Stop() {
 	f.stopOnce.Do(func() {
 		for _, hp := range f.takePending() {
@@ -444,6 +449,11 @@ func (f *Fabric) Stop() {
 			f.reorderStranded.Inc()
 		}
 		close(f.stopped)
+		for _, ep := range f.eps {
+			if ep.inbox != nil {
+				ep.inbox.stop()
+			}
+		}
 		f.wg.Wait()
 	})
 }
@@ -697,13 +707,21 @@ func (fl Faults) onlySeed() bool {
 	return fl.DropProb == 0 && fl.DupProb == 0 && fl.ReorderProb == 0
 }
 
-// deliver credits pkts to the port's link and queues them at the receiver
-// under one inbox lock and one wakeup. What a full inbox refuses is dropped
-// and counted rather than blocking the sender goroutine (recovery is the
-// transport's job — the reliable layer retransmits).
+// deliver credits pkts to the port's link and runs a lone packet's idle
+// BurstReceiver on this goroutine if faults are off (faultChunk holds rngMu),
+// else queues them under one inbox lock and one wakeup. A full inbox drops
+// and counts rather than blocking the sender (the reliable layer retransmits).
 func (f *Fabric) deliver(p *port, pkts []*Packet) {
 	p.st.Packets.Add(uint64(len(pkts)))
 	p.st.Bytes.Add(dataBytes(pkts))
+	if len(pkts) == 1 && p.dst.burst != nil && f.faults.onlySeed() {
+		if one := p.dst.inbox.claimOne(pkts[0], p.from, &f.wg); one != nil {
+			p.dst.burst.ReceiveBurst(f, one)
+			p.dst.inbox.release()
+			f.wg.Done()
+			return
+		}
+	}
 	if accepted := p.dst.inbox.pushPkts(pkts, p.from); accepted < len(pkts) {
 		over := uint64(len(pkts) - accepted)
 		p.st.Dropped.Add(over)

@@ -12,19 +12,22 @@ import "sync"
 // the batched fabric's throughput comes from: one lock acquire, one
 // wakeup, and one node hand-off amortize over a whole burst.
 //
-// The ring replaces the per-node `chan Delivery` inboxes: a channel wakes
-// its receiver once per send and hands over one element per receive,
-// so at high packet rates the fabric paid a futex round-trip and a
-// scheduler hop per packet. The ring pays them per *batch*.
+// The ring also holds the node's one running claim, taken under the same
+// mutex by whoever runs the node: the drainer, or a sender running a lone
+// packet inline (claimOne). A node never runs on two goroutines at once,
+// and a running node, on this stack or another, queues what it is sent.
 type ringInbox struct {
-	mu   sync.Mutex
-	buf  []Delivery
-	head int // index of the oldest queued delivery
-	n    int // queued count
+	mu      sync.Mutex
+	buf     []Delivery
+	head    int         // index of the oldest queued delivery
+	n       int         // queued count
+	running bool        // a goroutine runs the node
+	stopped bool        // Fabric.Stop: no sender claims the node again
+	one     [1]Delivery // the claimOne burst; only the claim holder touches it
 
 	// notify has capacity 1: producers make a non-blocking send after
-	// enqueueing, the drainer blocks on it only when the ring is empty.
-	// A stale token just costs the drainer one empty drain pass.
+	// enqueueing, the drainer blocks on it only when it has nothing to
+	// claim. A stale token just costs the drainer one empty drain pass.
 	notify chan struct{}
 }
 
@@ -71,15 +74,18 @@ func (r *ringInbox) pushPkts(pkts []*Packet, from string) int {
 	return k
 }
 
-// drain moves up to max queued deliveries into dst (reusing its backing
-// array) and returns the slice. An empty result means the ring was empty;
-// the caller then blocks on r.notify.
+// drain claims the node with up to max queued deliveries in dst (reusing
+// its backing array). An empty result — an empty ring, or a running node —
+// claims nothing, and the caller then blocks on r.notify.
 func (r *ringInbox) drain(dst []Delivery, max int) []Delivery {
 	dst = dst[:0]
 	r.mu.Lock()
 	k := r.n
 	if k > max {
 		k = max
+	}
+	if r.running {
+		k = 0
 	}
 	for i := 0; i < k; i++ {
 		dst = append(dst, r.buf[r.head])
@@ -90,8 +96,44 @@ func (r *ringInbox) drain(dst []Delivery, max int) []Delivery {
 		}
 	}
 	r.n -= k
+	r.running = r.running || k > 0
 	r.mu.Unlock()
 	return dst
+}
+
+// claimOne claims an idle node (empty ring, not running, not stopped) for
+// a lone packet, which overtakes nothing queued, as a burst of one, else
+// nil. The run counts on runs under the lock stop takes, so Stop waits.
+func (r *ringInbox) claimOne(pkt *Packet, from string, runs *sync.WaitGroup) []Delivery {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.running || r.stopped || r.n > 0 {
+		return nil
+	}
+	r.running = true
+	runs.Add(1)
+	r.one[0] = Delivery{Pkt: pkt, From: from}
+	return r.one[:]
+}
+
+// release ends a run and wakes the drainer when packets queued meanwhile.
+func (r *ringInbox) release() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.running, r.one[0] = false, Delivery{}
+	if r.n > 0 {
+		select {
+		case r.notify <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// stop refuses every later claimOne.
+func (r *ringInbox) stop() {
+	r.mu.Lock()
+	r.stopped = true
+	r.mu.Unlock()
 }
 
 // depth reports the queued count (the INT queue-depth probe).

@@ -298,11 +298,11 @@ type recvBurst struct {
 var burstPool = sync.Pool{New: func() any { return new(recvBurst) }}
 
 // window builds a delivered window in the burst's slab, the only place one
-// is built; a new slab holds want more windows and one per later packet.
-// Raw stays in the packet, which the host owns for good (netsim.Packet).
+// is built; a new slab holds want more windows and one per later packet, 64
+// at least. Raw stays in the packet, which the host owns for good.
 func (b *recvBurst) window(hd *ncp.Header, user []uint64, hops []ncp.Hop, raw []byte, want int) *RecvWindow {
 	if len(b.slab) == 0 {
-		b.slab = make([]recvSlot, want+b.left)
+		b.slab = make([]recvSlot, max(want+b.left, 64))
 	}
 	s := &b.slab[0]
 	b.slab, s.hd = b.slab[1:], *hd

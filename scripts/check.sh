@@ -1,9 +1,10 @@
 #!/bin/sh
 # Repo health check: vet, formatting, oracle callers, the switch's one
 # buffer and one packet allocator, read-only received windows, the host's
-# window slab and packet allocators, the fabric's ports, one lock per PISA
-# device, one control path, doc lint, staticcheck (when installed), and
-# the full test suite under the race detector.
+# window slab and packet allocators, one runner per fabric node, the
+# fabric's ports, one lock per PISA device, one control path, doc lint,
+# staticcheck (when installed), and the full test suite under the race
+# detector.
 # CI-equivalent; run before sending a change. Set NCL_CHECK_SKIP_TESTS=1 to
 # run only the static checks (CI's lint job does this; the race suite runs
 # in its own job).
@@ -78,9 +79,10 @@ if [ -n "$raw" ]; then
     exit 1
 fi
 
-# A host's receive and send paths allocate per burst and per send group,
-# not per window: in internal/runtime a RecvWindow is built only in its
-# burst's slab (recvBurst.window), and a packet is allocated only from a
+# A host's receive and send paths allocate per slab and per send group,
+# not per window: in internal/runtime a RecvWindow is built only in a
+# receive slab of at least 64 windows (recvBurst.window), which one-packet
+# bursts share, and a packet is allocated only from a
 # send group (sendScratch.marshal) or by the UDP reader (decodeFrame).
 echo "== one window slab and one packet allocator on the host path"
 alloc=$(awk '/^(func|type|var|const) /{fn=$0}
@@ -90,6 +92,21 @@ alloc=$(awk '/^(func|type|var|const) /{fn=$0}
 if [ -n "$alloc" ]; then
     echo "a RecvWindow built outside recvBurst.window, or a Packet allocated outside sendScratch.marshal and decodeFrame (internal/runtime):" >&2
     echo "$alloc" >&2
+    exit 1
+fi
+
+# A node runs on one goroutine at a time: whoever runs it holds its ring's
+# running claim. In internal/netsim/netsim.go only Fabric.Start's drain
+# loop (after ringInbox.drain) and Fabric.deliver (after claimOne) hand a
+# node packets, plus DeliverBurst itself; a run started anywhere else would
+# bypass the claim.
+echo "== one runner per node"
+runs=$(awk '/^func /{fn=$0} /^[[:space:]]*\/\//{next}
+    /DeliverBurst\(|\.ReceiveBurst\(/ && fn !~ /^func (\(f \*Fabric\) (Start|deliver)|DeliverBurst)\(/ {print FILENAME ":" FNR ": " $0}' \
+    internal/netsim/netsim.go)
+if [ -n "$runs" ]; then
+    echo "a node run outside Fabric.Start's drain loop and Fabric.deliver (internal/netsim/netsim.go):" >&2
+    echo "$runs" >&2
     exit 1
 fi
 
