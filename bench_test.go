@@ -388,8 +388,7 @@ func BenchmarkSwitchPipeline(b *testing.B) {
 			if err := sn.Install(prog, prog.LocID); err != nil {
 				b.Fatal(err)
 			}
-			sn.SetRoutes(bc.art.Net.NextHops()["s1"])
-			sn.SetHosts(map[uint32]string{1: bc.src, 2: bc.dst})
+			sn.SetRouting(netsim.SinglePath(bc.art.Net.NextHops()["s1"], map[uint32]string{1: bc.src, 2: bc.dst}))
 			if bc.kernel == "allreduce" {
 				if err := sn.Device().WriteRegister("nworkers", 0, 1); err != nil {
 					b.Fatal(err)

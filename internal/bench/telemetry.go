@@ -128,8 +128,7 @@ func e14Telemetry(quick bool) (*Table, error) {
 		if err := sn.Install(prog, prog.LocID); err != nil {
 			return nil, err
 		}
-		sn.SetRoutes(swNet.NextHops()["s1"])
-		sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
+		sn.SetRouting(netsim.SinglePath(swNet.NextHops()["s1"], map[uint32]string{1: "a", 2: "b"}))
 		sn.SetDepthSource(func() int { return 0 })
 		if err := sn.Device().WriteRegister("nworkers", 0, 1); err != nil {
 			return nil, err

@@ -11,17 +11,17 @@
 // deploys on the overlay itself, the degenerate placement whose physical
 // network is the overlay and which pins every location to its own switch.
 // Either way logical location labels resolve through the assignment,
-// routing is the placement's (Placement.RoutingAvoiding), and every
-// control write is shadowed so a re-placement after a switch failure
-// (Replace) can rebuild the moved location's MAT entries and _ctrl_ state
-// on its new home.
+// routing is the placement's (Placement.RoutingAvoiding), installed on
+// every switch and host by the controller alone, and every control write
+// is shadowed so a re-placement after a switch failure (Replace) can
+// rebuild the moved location's MAT entries and _ctrl_ state on its new
+// home.
 package controller
 
 import (
 	"fmt"
 	"maps"
 	"sort"
-	"sync/atomic"
 
 	"ncl/internal/and"
 	"ncl/internal/netsim"
@@ -29,17 +29,12 @@ import (
 	"ncl/internal/pisa"
 )
 
-// Controller manages the switches of one deployment.
+// Controller manages the switches of one deployment and routes its
+// switches and hosts.
 type Controller struct {
 	net      *and.Network // the logical overlay
 	switches map[string]*netsim.SwitchNode
-
-	// routing caches the control plane's expensive product, a pure
-	// function of (placement, failed set): computed once per epoch and
-	// invalidated whenever Replace changes the failed set or the
-	// assignment. hostIDs is immutable per controller (built lazily).
-	routing atomic.Pointer[Routing]
-	hostIDs map[uint32]string
+	hosts    map[string]Node // overlay hosts, by label
 
 	met    ctrlMetrics
 	metReg *obs.Registry // registry met is homed in (SetObs carryover)
@@ -116,6 +111,7 @@ func newController(pl *Placement, opts PlaceOptions) *Controller {
 	return &Controller{
 		net:        opts.Logical,
 		switches:   map[string]*netsim.SwitchNode{},
+		hosts:      map[string]Node{},
 		met:        newCtrlMetrics(reg),
 		metReg:     reg,
 		placement:  pl,
@@ -129,35 +125,6 @@ func newController(pl *Placement, opts PlaceOptions) *Controller {
 // Placement returns the current logical→physical assignment; on a
 // deployment made by New, the identity one.
 func (c *Controller) Placement() *Placement { return c.placement }
-
-// cachedRouting returns the routing state for the current (placement,
-// failed) epoch, computing it at most once per epoch — a deploy used to
-// pay RoutingAvoiding twice (pushRouting and HostRoutingAll), and each
-// Replace twice more.
-func (c *Controller) cachedRouting() *Routing {
-	if rt := c.routing.Load(); rt != nil {
-		return rt
-	}
-	rt := c.placement.RoutingAvoiding(c.failed)
-	c.routing.Store(rt)
-	return rt
-}
-
-// invalidateRouting starts a new routing epoch (failed set or assignment
-// changed).
-func (c *Controller) invalidateRouting() { c.routing.Store(nil) }
-
-// hostByID returns the host-id→label table (immutable per overlay).
-func (c *Controller) hostByID() map[uint32]string {
-	if c.hostIDs == nil {
-		ids := make(map[uint32]string)
-		for _, h := range c.net.Hosts() {
-			ids[h.ID] = h.Label
-		}
-		c.hostIDs = ids
-	}
-	return c.hostIDs
-}
 
 // resolve maps a logical location label to the physical switch holding
 // it; a label that is no location resolves to itself.
@@ -200,6 +167,25 @@ func (c *Controller) AttachSwitch(sn *netsim.SwitchNode) error {
 	return nil
 }
 
+// Node is what the controller routes: a switch, or a host of the runtime
+// (runtime.Host), which it installs a forwarding table on.
+type Node interface {
+	Label() string
+	SetRouting(*netsim.Routes)
+}
+
+// AttachHost registers an overlay host. The controller installs its
+// forwarding table with every switch's: at InstallAll and after each
+// Replace.
+func (c *Controller) AttachHost(h Node) error {
+	node := c.net.NodeByLabel(h.Label())
+	if node == nil || node.Kind != and.HostNode {
+		return fmt.Errorf("controller: %q is not a host in the AND", h.Label())
+	}
+	c.hosts[h.Label()] = h
+	return nil
+}
+
 // SetNamePrefix makes every control-plane register/table name resolve
 // under the given prefix. A tenant deployment over a merged device sets
 // pisa.TenantPrefix(id) so CtrlWrite("nworkers", ...) reaches the
@@ -232,22 +218,20 @@ func (c *Controller) InstallAll(programs map[string]*pisa.Program) error {
 	return c.pushRouting()
 }
 
-// pushRouting installs the current epoch's placement routing (avoiding
-// failed switches) on every attached physical switch.
+// pushRouting installs the placement's routing, avoiding failed
+// switches, on every physical switch (each must be attached) and every
+// attached host.
 func (c *Controller) pushRouting() error {
-	rt := c.cachedRouting()
-	hostByID := c.hostByID()
+	rt := c.placement.RoutingAvoiding(c.failed)
 	for _, ps := range c.placement.Physical.Switches() {
 		sn, ok := c.switches[ps.Label]
 		if !ok {
 			return fmt.Errorf("controller: physical switch %s not attached", ps.Label)
 		}
-		sw := rt.Switches[ps.Label]
-		if sw == nil {
-			sw = &netsim.SwitchRouting{}
-		}
-		sn.SetRouting(sw)
-		sn.SetHosts(hostByID)
+		sn.SetRouting(rt[ps.Label])
+	}
+	for label, h := range c.hosts {
+		h.SetRouting(rt[label])
 	}
 	return nil
 }
@@ -259,9 +243,7 @@ func (c *Controller) pushRouting() error {
 // switch. Nothing is committed until the re-placement succeeds: when no
 // switch can take a moved location (always, on the identity placement,
 // which has no spare switch), Replace fails and a later call retries.
-// Hosts need their routes refreshed too: callers push HostRoutingAll to
-// each host after Replace returns (the deployment layer owns host
-// handles).
+// Every attached node, hosts included, is re-routed before it returns.
 func (c *Controller) Replace(failedPhys string) error {
 	if c.failed[failedPhys] {
 		return nil
@@ -288,7 +270,6 @@ func (c *Controller) Replace(failedPhys string) error {
 	sort.Strings(moved)
 	if len(moved) == 0 {
 		c.failed = failed
-		c.invalidateRouting()
 		return c.pushRouting() // routing still must avoid the dead switch
 	}
 	pl, err := Place(opts)
@@ -296,7 +277,6 @@ func (c *Controller) Replace(failedPhys string) error {
 		return fmt.Errorf("controller: re-placement after %s failed: %w", failedPhys, err)
 	}
 	c.failed, c.placement = failed, pl
-	c.invalidateRouting()
 
 	for _, l := range moved {
 		sw := c.net.NodeByLabel(l)
@@ -444,12 +424,3 @@ func (c *Controller) MapDelete(loc, name string, key uint64) error {
 // Switch returns the attached switch holding loc (a logical location
 // label under placement), or nil.
 func (c *Controller) Switch(loc string) *netsim.SwitchNode { return c.switches[c.resolve(loc)] }
-
-// HostRoutingAll returns every logical host's tables: equal-cost next
-// hops per routing key and the via waypoints that steer windows through
-// each location's switch. Deployments push these after InstallAll and
-// again after Replace.
-func (c *Controller) HostRoutingAll() (next map[string]map[string][]string, via map[string]map[string]string) {
-	rt := c.cachedRouting()
-	return rt.HostNext, rt.HostVia
-}

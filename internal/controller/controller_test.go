@@ -68,8 +68,8 @@ func TestInstallAllAndRouting(t *testing.T) {
 		t.Error("s1 got the wrong program")
 	}
 	// Routing: s1's next hop toward b is s2.
-	next, _ := c.HostRoutingAll()
-	if hops := next["a"]["b"]; len(hops) != 1 || hops[0] != "s1" {
+	rt := c.Placement().Routing()
+	if hops := rt["a"].Next["b"]; len(hops) != 1 || hops[0] != "s1" {
 		t.Errorf("a->b first hop = %v", hops)
 	}
 }

@@ -9,6 +9,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ncl/internal/and"
@@ -229,14 +230,10 @@ func placementCost(logical, phys *and.Network, assign map[string]string, distTo 
 	return total
 }
 
-// Routing is the full forwarding state for a placed deployment: one
-// SwitchRouting per physical switch, plus per-host next-hop and waypoint
-// tables (runtime.Host.SetRoutes).
-type Routing struct {
-	Switches map[string]*netsim.SwitchRouting
-	HostNext map[string]map[string][]string
-	HostVia  map[string]map[string]string
-}
+// Routing is the forwarding state of a placed deployment: one table per
+// node that forwards — every physical switch and every overlay host — by
+// node label.
+type Routing map[string]*netsim.Routes
 
 // Routing computes the forwarding state that realizes the overlay on the
 // physical network:
@@ -252,18 +249,21 @@ type Routing struct {
 //     order — the overlay's semantics (kernels observe every window that
 //     logically crosses them) survive the mapping;
 //   - _bcast() targets become the logical overlay neighbors.
-func (p *Placement) Routing() *Routing { return p.RoutingAvoiding(nil) }
+func (p *Placement) Routing() Routing { return p.RoutingAvoiding(nil) }
 
 // RoutingAvoiding is Routing computed with a set of failed physical
 // switches carved out of every path — the post-failure tables Replace
 // pushes. Failed switches are avoided unconditionally (no fallback).
-func (p *Placement) RoutingAvoiding(failed map[string]bool) *Routing {
+func (p *Placement) RoutingAvoiding(failed map[string]bool) Routing {
 	logical, phys := p.Logical, p.Physical
 	placed := map[string]bool{}
-	aliasAt := map[string]string{} // physical switch -> logical location
+	// The logical location each node serves, whose waypoints and
+	// broadcast list it carries: a host serves itself, a switch the
+	// location placed on it.
+	serves := map[string]string{}
 	for l, ph := range p.Assign {
 		placed[ph] = true
-		aliasAt[ph] = l
+		serves[ph] = l
 	}
 
 	// Next-hop tables per routing key. A logical switch L is keyed both
@@ -276,8 +276,11 @@ func (p *Placement) RoutingAvoiding(failed map[string]bool) *Routing {
 			next[p.Assign[s.Label]] = t
 		}
 	}
+	hosts := map[uint32]string{} // every table's host directory
 	for _, h := range logical.Hosts() {
 		next[h.Label] = nextTowardPlaced(phys, h.Label, placed, failed)
+		hosts[h.ID] = h.Label
+		serves[h.Label] = h.Label
 	}
 
 	logicalHops := logical.NextHops()
@@ -296,59 +299,36 @@ func (p *Placement) RoutingAvoiding(failed map[string]bool) *Routing {
 		return ""
 	}
 
-	rt := &Routing{
-		Switches: map[string]*netsim.SwitchRouting{},
-		HostNext: map[string]map[string][]string{},
-		HostVia:  map[string]map[string]string{},
-	}
-	for _, s := range phys.Switches() {
-		sw := &netsim.SwitchRouting{Next: map[string][]string{}}
+	// One table per node that forwards: every physical switch, placed or
+	// not, and every overlay host (physical hosts outside the overlay send
+	// nothing).
+	rt := Routing{}
+	for _, n := range slices.Concat(phys.Switches(), logical.Hosts()) {
+		r := &netsim.Routes{Next: map[string][]string{}, Hosts: hosts}
 		for key, t := range next {
-			if hops, ok := t[s.Label]; ok {
-				sw.Next[key] = hops
+			if hops, ok := t[n.Label]; ok {
+				r.Next[key] = hops
 			}
 		}
-		if l, ok := aliasAt[s.Label]; ok {
-			if l != s.Label {
-				sw.Aliases = []string{l}
+		if loc, ok := serves[n.Label]; ok {
+			if loc != n.Label {
+				r.Aliases = []string{loc}
 			}
-			sw.Bcast = logical.Neighbors(l)
+			r.Bcast = logical.Neighbors(loc)
 			via := map[string]string{}
 			for _, dst := range logical.Nodes {
-				if dst.Label == l {
+				if dst.Label == loc {
 					continue
 				}
-				if v := viaFor(l, dst.Label); v != "" {
+				if v := viaFor(loc, dst.Label); v != "" {
 					via[dst.Label] = v
 				}
 			}
 			if len(via) > 0 {
-				sw.Via = via
+				r.Via = via
 			}
 		}
-		rt.Switches[s.Label] = sw
-	}
-	for _, h := range logical.Hosts() {
-		hn := map[string][]string{}
-		for key, t := range next {
-			if key == h.Label {
-				continue
-			}
-			if hops, ok := t[h.Label]; ok {
-				hn[key] = hops
-			}
-		}
-		via := map[string]string{}
-		for _, dst := range logical.Nodes {
-			if dst.Label == h.Label {
-				continue
-			}
-			if v := viaFor(h.Label, dst.Label); v != "" {
-				via[dst.Label] = v
-			}
-		}
-		rt.HostNext[h.Label] = hn
-		rt.HostVia[h.Label] = via
+		rt[n.Label] = r
 	}
 	return rt
 }

@@ -275,7 +275,7 @@ func TestRoutingRealizesOverlay(t *testing.T) {
 
 	// The placed switch answers for the alias and broadcasts to the
 	// overlay neighbors, not its physical ones.
-	sw := rt.Switches[home]
+	sw := rt[home]
 	if len(sw.Aliases) != 1 || sw.Aliases[0] != "s1" {
 		t.Fatalf("aliases at %s = %v", home, sw.Aliases)
 	}
@@ -283,7 +283,7 @@ func TestRoutingRealizesOverlay(t *testing.T) {
 		t.Fatalf("bcast targets = %v, want the 4 workers", sw.Bcast)
 	}
 	// Hosts route windows destined s1 toward its physical home.
-	hn := rt.HostNext["h0"]
+	hn := rt["h0"].Next
 	if len(hn["s1"]) == 0 {
 		t.Fatal("h0 has no route toward s1")
 	}
@@ -292,7 +292,7 @@ func TestRoutingRealizesOverlay(t *testing.T) {
 		if ps.Label == home {
 			continue
 		}
-		if len(rt.Switches[ps.Label].Next["s1"]) == 0 {
+		if len(rt[ps.Label].Next["s1"]) == 0 {
 			t.Errorf("switch %s cannot route alias s1", ps.Label)
 		}
 	}
@@ -365,7 +365,8 @@ func TestReplaceAfterFailureConverges(t *testing.T) {
 	}
 	// Routing avoids dead switches everywhere.
 	rt := c.Placement().RoutingAvoiding(map[string]bool{first: true, second: true})
-	for label, sw := range rt.Switches {
+	for _, ps := range phys.Switches() {
+		label, sw := ps.Label, rt[ps.Label]
 		for dst, hops := range sw.Next {
 			for _, h := range hops {
 				if h == first || h == second {

@@ -60,11 +60,11 @@ func TestDeployBackendsDifferential(t *testing.T) {
 		if err := ctrl.CtrlWrite("nworkers", 0, uint64(len(workers))); err != nil {
 			t.Fatal(err)
 		}
-		_, via := ctrl.HostRoutingAll()
+		rt := ctrl.Placement().Routing()
 		rng := rand.New(rand.NewSource(seed))
 		for w, label := range workers {
 			peer := workers[(w+1)%len(workers)]
-			if via[label][peer] == "" {
+			if rt[label].Via[peer] == "" {
 				t.Fatalf("%s -> %s carries no waypoint; the workload would not exercise Via", label, peer)
 			}
 			grad := make([]uint64, dataLen)

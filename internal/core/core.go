@@ -259,13 +259,9 @@ func (a *Artifact) AppConfig() runtime.AppConfig {
 		OutSpecs:       map[string][]ncp.ParamSpec{},
 		WindowLen:      a.WindowLen,
 		HostModule:     a.Host,
-		HostLabels:     map[uint32]string{},
 		Batch:          a.Batch,
 		SendWorkers:    a.SendWorkers,
 		FabricInboxCap: a.FabricInboxCap,
-	}
-	for _, hn := range a.Net.Hosts() {
-		cfg.HostLabels[hn.ID] = hn.Label
 	}
 	for _, f := range a.Generic.Funcs {
 		if f.Kind != ir.OutKernel {

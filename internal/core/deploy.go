@@ -188,14 +188,15 @@ func (a *Artifact) deploy(tr transport, w wiring) (dep *Deployment, err error) {
 		}
 	}
 	w.ctrl.SetObs(reg) // cascades to the attached switches and PISA devices
-	nextAll, viaAll := w.ctrl.HostRoutingAll()
 	overlay := map[string]bool{}
 	for _, hn := range a.Net.Hosts() {
 		host := runtime.NewHost(hn.Label, hn.ID, hn.Role, w.cfg, tr, nil)
-		host.SetRoutes(nextAll[hn.Label], viaAll[hn.Label])
 		dep.Hosts[hn.Label] = host
 		overlay[hn.Label] = true
 		if err = tr.Attach(host); err != nil {
+			return nil, err
+		}
+		if err = w.ctrl.AttachHost(host); err != nil {
 			return nil, err
 		}
 	}
@@ -220,7 +221,7 @@ func (a *Artifact) deploy(tr transport, w wiring) (dep *Deployment, err error) {
 // FailSwitch simulates losing a physical switch mid-run: fabric traffic
 // to and from it blackholes, the controller re-places the locations it
 // hosted (replaying their MAT entries and _ctrl_ state onto new homes),
-// and every host's routes refresh to the post-failure tables. Needs a
+// and re-routes every switch and host around it. Needs a
 // transport that can fail a node and a spare switch to move to: on an
 // identity deployment (Deploy) there is none, so the re-placement fails,
 // the controller commits nothing, and every call returns the error.
@@ -233,14 +234,7 @@ func (d *Deployment) FailSwitch(label string) error {
 		return fmt.Errorf("core: the %T transport cannot fail a node", d.net)
 	}
 	failer.FailNode(label)
-	if err := d.Controller.Replace(label); err != nil {
-		return err
-	}
-	nextAll, viaAll := d.Controller.HostRoutingAll()
-	for l, h := range d.Hosts {
-		h.SetRoutes(nextAll[l], viaAll[l])
-	}
-	return nil
+	return d.Controller.Replace(label)
 }
 
 // Stop shuts the deployment down. A second call is a no-op.

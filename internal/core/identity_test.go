@@ -50,12 +50,12 @@ func TestDeployIdentityPlacement(t *testing.T) {
 				t.Errorf("CostHops = %d, want the overlay's %d links", pl.CostHops, len(art.Net.Links))
 			}
 
-			_, via := dep.Controller.HostRoutingAll()
+			rt := dep.Controller.Placement().Routing()
 			for _, n := range art.Net.Nodes {
 				if n.Label == tc.worker || n.Label == tc.firstHop {
 					continue
 				}
-				if got := via[tc.worker][n.Label]; got != tc.firstHop {
+				if got := rt[tc.worker].Via[n.Label]; got != tc.firstHop {
 					t.Errorf("%s's waypoint toward %s = %q, want its first-hop switch %s",
 						tc.worker, n.Label, got, tc.firstHop)
 				}

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"os"
 	gort "runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ncl/internal/and"
+	"ncl/internal/controller"
 	"ncl/internal/netsim"
 	"ncl/internal/runtime"
 )
@@ -387,6 +389,80 @@ func TestFailSwitchReplacesAndRecovers(t *testing.T) {
 	// The round really ran on the new home (the dead switch is dark).
 	if n := dep.Switches[moved].KernelWindows.Load(); n == 0 {
 		t.Errorf("new home %s executed no windows after failover", moved)
+	}
+}
+
+// hopRecorder is the fabric with every host send recorded: the first hop
+// each packet leaves on and the waypoint it carries. Switches send through
+// the fabric itself, so only host traffic shows.
+type hopRecorder struct {
+	*netsim.Fabric
+	mu   sync.Mutex
+	seen map[string]bool // first hops and waypoints
+}
+
+func (r *hopRecorder) SendBatch(from string, tos []string, pkts []*netsim.Packet) error {
+	r.mu.Lock()
+	for i, to := range tos {
+		r.seen[to], r.seen[pkts[i].Via] = true, true
+	}
+	r.mu.Unlock()
+	return r.Fabric.SendBatch(from, tos, pkts)
+}
+
+// TestReplaceReroutesHosts fails switches of a placed k=4 deployment
+// through Controller.Replace alone, with no route push from this package:
+// first the home of s1, then the rack switch of a worker. After each, no
+// packet a host sends leaves toward the dead switch or names it as its
+// waypoint; a host whose only uplink died has no route at all.
+func TestReplaceReroutesHosts(t *testing.T) {
+	const W = 8
+	workers := []string{"h0", "h5", "h10", "h15"} // one per pod
+	fat, err := and.FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := Build(lossyAllreduceNCL, starOverlaySrc(workers),
+		BuildOptions{WindowLen: W, SendWorkers: 1, ModuleName: "reroute"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := controller.NewPlaced(controller.PlaceOptions{
+		Logical: art.Net, Physical: fat, Programs: art.Programs, Budget: art.Target,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &hopRecorder{Fabric: art.fabric(fat, netsim.Faults{})}
+	dep, err := art.deploy(rec, wiring{ctrl: ctrl, cfg: art.AppConfig(), programs: art.Programs, budget: art.Target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Stop()
+	for _, dead := range []string{ctrl.Placement().Assign["s1"], fat.NodeByLabel(workers[0]).Rack} {
+		rec.FailNode(dead)
+		if err := ctrl.Replace(dead); err != nil {
+			t.Fatal(err)
+		}
+		rec.mu.Lock()
+		rec.seen = map[string]bool{}
+		rec.mu.Unlock()
+		for _, w := range workers {
+			for _, dst := range append([]string{"s1"}, workers...) {
+				if dst == w {
+					continue
+				}
+				err := dep.Hosts[w].Out(runtime.Invocation{Kernel: "allreduce", Dest: dst}, [][]uint64{make([]uint64, W)})
+				if err != nil && !strings.Contains(err.Error(), "no route") {
+					t.Fatal(err)
+				}
+			}
+		}
+		rec.mu.Lock()
+		if rec.seen[dead] {
+			t.Errorf("after Replace(%s) a host still sends toward it or through it", dead)
+		}
+		rec.mu.Unlock()
 	}
 }
 

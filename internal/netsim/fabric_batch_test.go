@@ -785,8 +785,7 @@ func TestSwitchReceiveBatchAllocs(t *testing.T) {
 	if err := sn.Install(passProgram(), 1); err != nil {
 		t.Fatal(err)
 	}
-	sn.SetRoutes(net.NextHops()["s1"])
-	sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
+	sn.SetRouting(SinglePath(net.NextHops()["s1"], map[uint32]string{1: "a", 2: "b"}))
 	sender := &nullSender{net: net}
 
 	const win = 64

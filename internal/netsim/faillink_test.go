@@ -134,7 +134,7 @@ func ecmpFatTree(t *testing.T) (*Fabric, *SwitchNode, *sinkNode) {
 	var edge *SwitchNode
 	for _, sw := range net.Switches() {
 		sn := NewSwitchNode(sw.Label, pisa.DefaultTarget())
-		sn.SetRouting(&SwitchRouting{Next: all[sw.Label]})
+		sn.SetRouting(&Routes{Next: all[sw.Label]})
 		if sw.Label == "p0e0" {
 			edge = sn
 			if err := sn.Install(passProgram(), 1); err != nil {

@@ -73,13 +73,13 @@ type LinkHealth interface {
 
 var _ LinkHealth = (*Fabric)(nil)
 
-// PickLiveHop is the ECMP choice every forwarder makes: the flow's hop
-// among equal-cost hops from node from (and.PickHop on src, dst),
-// re-hashed over the surviving hops when tr reports the hashed one's link
-// failed. Checked only after the pick, so a healthy multi-hop choice pays
-// one LinkFailed lookup and a single hop none; a transport without
-// LinkHealth never filters.
-func PickLiveHop(tr Sender, from string, hops []string, src, dst string) string {
+// pickLiveHop is the ECMP choice of the forwarding rule (Routes.NextHop):
+// the flow's hop among equal-cost hops from node from (and.PickHop on
+// src, dst), re-hashed over the surviving hops when tr reports the hashed
+// one's link failed. Checked only after the pick, so a healthy multi-hop
+// choice pays one LinkFailed lookup and a single hop none; a transport
+// without LinkHealth never filters.
+func pickLiveHop(tr Sender, from string, hops []string, src, dst string) string {
 	hop := and.PickHop(hops, src, dst)
 	if len(hops) < 2 {
 		return hop

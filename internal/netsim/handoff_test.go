@@ -128,6 +128,10 @@ func TestHandOffOneRunnerPerNode(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				// Drops never block a sender, so four of them can keep both
+				// processors for their whole run, starve s1's drainer and
+				// fill its inbox before the last source sends at all.
+				runtime.Gosched()
 			}
 		}(byte(g), labels[g%2])
 	}

@@ -42,6 +42,10 @@ type batchWin struct {
 // parked in it (packets, decoded headers) is overwritten by the next
 // burst; zeroing it per burst would put a write barrier on every window.
 type batchState struct {
+	// The kernel bindings and the forwarding table, loaded once when the
+	// burst starts.
+	prog *swProgram
+	rt   *Routes
 	kp   *swKernel
 	wins []batchWin
 	jobs []pisa.BatchJob
@@ -129,7 +133,7 @@ func (s *SwitchNode) Receive(f Sender, pkt *Packet, from string) {
 // drained burst.
 func (s *SwitchNode) ReceiveBurst(f Sender, batch []Delivery) {
 	b := s.takeBatch()
-	b.out.tr = f
+	b.out.tr, b.prog, b.rt = f, s.prog.Load(), s.routes.Load()
 	for i := range batch {
 		s.ingest(b, batch[i].Pkt)
 	}
@@ -141,7 +145,7 @@ func (s *SwitchNode) ReceiveBurst(f Sender, batch []Delivery) {
 		c.Shared, b.out.closing = true, nil
 		*p = *c
 		s.AcksRepeated.Add(1)
-		s.forward(&b.out, p)
+		s.forward(b, p)
 	}
 	if err := b.out.flush(s.label); err != nil {
 		s.Errors.Add(1)
@@ -173,7 +177,7 @@ func (s *SwitchNode) ingest(b *batchState, pkt *Packet) {
 	if !ncp.IsNCP(pkt.Data) {
 		s.execSegment(b)
 		s.ForwardedRaw.Add(1)
-		s.forward(&b.out, pkt)
+		s.forward(b, pkt)
 		return
 	}
 	d := b.scratch()
@@ -184,7 +188,7 @@ func (s *SwitchNode) ingest(b *batchState, pkt *Packet) {
 	}
 	h := &d.Header
 	traced := h.Flags&ncp.FlagTrace != 0
-	kp := s.kplans[h.KernelID]
+	kp := b.prog.kernels[h.KernelID]
 	if kp == nil || h.FragCount > 1 || h.Flags&ncp.FlagAck != 0 {
 		// No kernel for this window here, a multi-packet window (switches
 		// pass fragments through, §6), or an acknowledgment: normal
@@ -195,7 +199,7 @@ func (s *SwitchNode) ingest(b *batchState, pkt *Packet) {
 			// Traced windows still record the pass-through hop, with the
 			// queue depth at arrival (no kernel ran, so no latency/kernel).
 			hops := append(d.Hops, ncp.Hop{
-				Loc: uint16(s.locID), Kind: ncp.HopSwitch,
+				Loc: uint16(b.prog.locID), Kind: ncp.HopSwitch,
 				Event: ncp.EventForward, TimeNs: switchTimeNs(pkt.VTimeUs),
 				QueueDepth: s.queueDepth(),
 			})
@@ -203,7 +207,7 @@ func (s *SwitchNode) ingest(b *batchState, pkt *Packet) {
 				pkt.Data, pkt.Shared = out, false
 			}
 		}
-		s.forward(&b.out, pkt)
+		s.forward(b, pkt)
 		return
 	}
 
@@ -292,7 +296,7 @@ func (s *SwitchNode) execSegment(b *batchState) {
 	if traced {
 		execStart = time.Now()
 	}
-	err := s.sw.ExecWindowBatch(kp.k.ID, b.jobs, s.locID)
+	err := s.sw.ExecWindowBatch(kp.k.ID, b.jobs, b.prog.locID)
 	var execWallNs uint64
 	if traced {
 		execWallNs = uint64(time.Since(execStart))
@@ -317,11 +321,11 @@ func (s *SwitchNode) execSegment(b *batchState) {
 			}
 			hops := w.hops
 			if traced {
-				hops = s.execHop(w, execWallNs)
+				hops = s.execHop(w, b.prog.locID, execWallNs)
 			}
-			s.route(&b.out, w, j, hops, &acks)
+			s.route(b, w, j, hops, &acks)
 		}
-		s.flushAcks(&b.out, &acks)
+		s.flushAcks(b, &acks)
 	}
 	b.wins, b.jobs, b.kp = b.wins[:0], b.jobs[:0], nil
 }
@@ -330,7 +334,7 @@ func (s *SwitchNode) execSegment(b *batchState) {
 // latency is the modeled pipeline delay when the fabric carries virtual
 // time, else the measured kernel execution wall time (PackINT saturates
 // at 24 bits).
-func (s *SwitchNode) execHop(w *batchWin, execWallNs uint64) []ncp.Hop {
+func (s *SwitchNode) execHop(w *batchWin, locID uint32, execWallNs uint64) []ncp.Hop {
 	lat := execWallNs
 	if w.pkt.VTimeUs > 0 {
 		lat = uint64(SwitchDelayUs * 1000)
@@ -341,7 +345,7 @@ func (s *SwitchNode) execHop(w *batchWin, execWallNs uint64) []ncp.Hop {
 	// Full-capacity append: unbatched sub-windows each extend their own
 	// copy rather than aliasing the shared prefix.
 	return append(w.hops[:len(w.hops):len(w.hops)], ncp.Hop{
-		Loc: uint16(s.locID), Kind: ncp.HopSwitch,
+		Loc: uint16(locID), Kind: ncp.HopSwitch,
 		Event: ncp.EventExec, TimeNs: switchTimeNs(w.pkt.VTimeUs + SwitchDelayUs),
 		LatencyNs: uint32(lat), QueueDepth: w.qdepth, KernelID: w.dec.Header.KernelID,
 	})

@@ -82,8 +82,7 @@ func TestSwitchHopMatchesMarshal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sn.SetRoutes(net.NextHops()["s1"])
-	sn.SetHosts(onePathHosts)
+	sn.SetRouting(SinglePath(net.NextHops()["s1"], onePathHosts))
 	rec := &recordSender{net: net}
 
 	r := rand.New(rand.NewSource(1))

@@ -1,12 +1,10 @@
 package netsim
 
 import (
-	"maps"
 	"math"
 	"sync"
 	"sync/atomic"
 
-	"ncl/internal/and"
 	"ncl/internal/ncl/interp"
 	"ncl/internal/ncp"
 	"ncl/internal/obs"
@@ -25,18 +23,11 @@ import (
 // compiled plan (no per-packet maps). State correctness under concurrent
 // Receive calls comes from the device's one lock.
 type SwitchNode struct {
-	label   string
-	sw      *pisa.Switch
-	shared  bool // device shared across tenants: SetObs leaves it alone
-	locID   uint32
-	routing atomic.Pointer[SwitchRouting] // forwarding state (SetRoutes/SetRouting)
-
-	hostByID atomic.Pointer[map[uint32]string] // host id -> label (reflect targets), swapped whole by SetHosts
-
-	// kplans resolves kernel id -> precomputed wire layout + counter.
-	// Built at Install, read lock-free on the data path (configure
-	// before traffic, like routes).
-	kplans map[uint32]*swKernel
+	label  string
+	sw     *pisa.Switch
+	shared bool                      // device shared across tenants: SetObs leaves it alone
+	routes atomic.Pointer[Routes]    // forwarding table (SetRouting), loaded once per burst
+	prog   atomic.Pointer[swProgram] // kernel bindings (Install), loaded once per burst
 
 	// Counters for the harness, homed in an obs registry under
 	// switch.<label>.* (SetObs re-homes them into a deployment's registry;
@@ -70,6 +61,15 @@ type SwitchNode struct {
 	idle   []*batchState
 }
 
+// swProgram is what Install binds on the data path: the location id and,
+// per kernel id, the precomputed wire layout and counter. Swapped whole,
+// so Install on a live switch (a re-placement) never races a burst, and a
+// burst sees one install's bindings throughout.
+type swProgram struct {
+	locID   uint32
+	kernels map[uint32]*swKernel
+}
+
 // swKernel is one kernel's receive-path state: the per-window payload size
 // and the per-kernel counter (resolved once, so the hot path takes no lock).
 type swKernel struct {
@@ -80,16 +80,7 @@ type swKernel struct {
 
 // NewSwitchNode creates a switch for the given AND label.
 func NewSwitchNode(label string, target pisa.TargetConfig) *SwitchNode {
-	s := &SwitchNode{
-		label: label,
-		sw:    pisa.NewSwitch(target),
-	}
-	s.SetRouting(&SwitchRouting{})
-	s.SetHosts(nil)
-	// A private registry until a deployment re-homes the counters: two
-	// standalone switches with the same label must not share counts.
-	s.SetObs(obs.NewRegistry())
-	return s
+	return newSwitchNode(label, pisa.NewSwitch(target), false)
 }
 
 // NewSwitchNodeShared wraps an existing PISA device owned by someone
@@ -99,13 +90,15 @@ func NewSwitchNode(label string, target pisa.TargetConfig) *SwitchNode {
 // tenant's wire bindings) and SetObs leaves the device's counters homed
 // where the device owner put them.
 func NewSwitchNodeShared(label string, dev *pisa.Switch) *SwitchNode {
-	s := &SwitchNode{
-		label:  label,
-		sw:     dev,
-		shared: true,
-	}
-	s.SetRouting(&SwitchRouting{})
-	s.SetHosts(nil)
+	return newSwitchNode(label, dev, true)
+}
+
+func newSwitchNode(label string, dev *pisa.Switch, shared bool) *SwitchNode {
+	s := &SwitchNode{label: label, sw: dev, shared: shared}
+	s.SetRouting(&Routes{})
+	s.prog.Store(&swProgram{})
+	// A private registry until a deployment re-homes the counters: two
+	// standalone switches with the same label must not share counts.
 	s.SetObs(obs.NewRegistry())
 	return s
 }
@@ -125,7 +118,7 @@ func (s *SwitchNode) SetObs(r *obs.Registry) {
 	s.AcksSent = r.Counter(p + "acks_sent")
 	s.AcksRepeated = r.Counter(p + "acks_repeated")
 	s.execNs = r.Histogram(p+"exec_ns", ExecNsBuckets)
-	for _, kp := range s.kplans {
+	for _, kp := range s.prog.Load().kernels {
 		kp.windows = r.Counter(p + "kernel." + kp.k.Name + ".windows")
 	}
 	s.obsMu.Unlock()
@@ -140,94 +133,41 @@ func (s *SwitchNode) Label() string { return s.label }
 // Device exposes the underlying PISA switch (control-plane surface).
 func (s *SwitchNode) Device() *pisa.Switch { return s.sw }
 
-// Install loads a compiled program and records the control metadata the
-// data plane needs: location id, per-kernel wire specs, and counters
-// (reflect targets come via SetHosts). A shared node skips the load: its
-// owner (the tenancy) loads the merged program, and p is this tenant's
-// tagged slice of it — the wire-binding view, whose kernel ids must match
-// the ids the merged plan serves.
+// Install loads a compiled program and publishes the control metadata
+// the data plane needs — location id, per-kernel wire specs and counters
+// — as one value, so a switch carrying traffic can take a moved location.
+// A shared node skips the load: its owner (the tenancy) loads the merged
+// program, and p is this tenant's tagged slice of it — the wire-binding
+// view, whose kernel ids must match the ids the merged plan serves.
 func (s *SwitchNode) Install(p *pisa.Program, locID uint32) error {
 	if !s.shared {
 		if err := s.sw.Load(p); err != nil {
 			return err
 		}
 	}
-	s.locID = locID
+	prog := &swProgram{locID: locID, kernels: map[uint32]*swKernel{}}
 	s.obsMu.Lock()
-	s.kplans = map[uint32]*swKernel{}
 	for _, k := range p.Kernels {
-		s.kplans[k.ID] = &swKernel{
+		prog.kernels[k.ID] = &swKernel{
 			k:            k,
 			payloadBytes: k.PayloadBytes(),
 			windows:      s.reg.Counter("switch." + s.label + ".kernel." + k.Name + ".windows"),
 		}
 	}
 	s.obsMu.Unlock()
+	s.prog.Store(prog)
 	return nil
 }
 
-// SwitchRouting is the forwarding state a controller installs on a
-// switch: equal-cost next-hop sets per destination, plus the placement
-// extras — alias labels the switch answers for (the logical _at_
-// locations placed here), a via table stamping the next waypoint onto
-// kernel outputs, and the overlay bcast target list. The zero value
-// routes nothing. Installed atomically, so a re-placement after a
-// failure swaps a switch's whole view in one step mid-traffic.
-type SwitchRouting struct {
-	// Next maps destination label -> equal-cost next hops (sorted); flows
-	// spread across the set by and.PickHop on (Src, Dst).
-	Next map[string][]string
-	// Aliases are logical location labels placed on this switch: packets
-	// destined (or via'd) to them terminate here like the switch's own
-	// label.
-	Aliases []string
-	// Via maps final destination -> the waypoint to stamp on outputs
-	// leaving this switch, steering them through the next placed logical
-	// hop.
-	Via map[string]string
-	// Bcast is the overlay neighbor list _bcast() targets. Empty means
-	// the physical neighbors of this switch (what SetRoutes installs).
-	Bcast []string
+// SetRouting installs the switch's forwarding table. The table is the
+// switch's after the call; bursts in flight keep the one they loaded.
+func (s *SwitchNode) SetRouting(rt *Routes) { s.routes.Store(rt) }
 
-	self map[string]bool // own label + aliases, built at install
-
-	nbOnce sync.Once // resolves nbs, the fallback Bcast list, on first use
-	nbs    []string
-}
-
-// SetRouting installs the full forwarding state (placement-aware path).
-// The struct is owned by the switch after the call.
-func (s *SwitchNode) SetRouting(rt *SwitchRouting) {
-	rt.self = make(map[string]bool, 1+len(rt.Aliases))
-	rt.self[s.label] = true
-	for _, a := range rt.Aliases {
-		rt.self[a] = true
-	}
-	s.routing.Store(rt)
-}
-
-// bcastTargets is the list _bcast() sends to: the overlay list the
-// controller installs (each copy is unicast-routed toward its target) or,
-// without one, the direct neighbors.
-func (rt *SwitchRouting) bcastTargets(net *and.Network, self string) []string {
-	if len(rt.Bcast) > 0 {
-		return rt.Bcast
-	}
-	rt.nbOnce.Do(func() { rt.nbs = net.Neighbors(self) })
-	return rt.nbs
-}
-
-// SetRoutes installs a plain single-path next-hop table with no aliases,
-// waypoints or broadcast list, for a switch run without a controller
-// (the baseline, bare-switch experiments and tests). The controller
-// installs the full state with SetRouting.
-func (s *SwitchNode) SetRoutes(next map[string]string) {
-	rt := &SwitchRouting{Next: make(map[string][]string, len(next))}
-	for dst, hop := range next {
-		rt.Next[dst] = []string{hop}
-	}
-	s.SetRouting(rt)
-}
+// SetRoutes installs a plain single-path next-hop table (SinglePath, no
+// host directory), for a switch run without a controller (the baseline,
+// bare-switch experiments and tests). The controller installs the full
+// table with SetRouting.
+func (s *SwitchNode) SetRoutes(next map[string]string) { s.SetRouting(SinglePath(next, nil)) }
 
 // ExecNsBuckets is the bucket layout for per-window kernel execution
 // time in nanoseconds: a 1-2.5-5 ladder from 100ns to 10ms.
@@ -250,14 +190,6 @@ func (s *SwitchNode) queueDepth() uint16 {
 	return uint16(min(s.depthFn(), math.MaxUint16))
 }
 
-// SetHosts installs a copy of the host id → label map used to route
-// reflected windows back to their senders; bursts in flight keep the map
-// they loaded, as with SetRouting.
-func (s *SwitchNode) SetHosts(hosts map[uint32]string) {
-	m := maps.Clone(hosts)
-	s.hostByID.Store(&m)
-}
-
 // switchTimeNs converts a packet's virtual time to the hop-record clock.
 func switchTimeNs(us float64) uint64 {
 	if us <= 0 {
@@ -269,14 +201,15 @@ func switchTimeNs(us float64) uint64 {
 // route applies an executed window's forwarding decision, sending into
 // the burst's collector. acks is touched only when the window is one the
 // switch acknowledges.
-func (s *SwitchNode) route(out *batchOut, w *batchWin, j *pisa.BatchJob, hops []ncp.Hop, acks *ackRun) {
+func (s *SwitchNode) route(b *batchState, w *batchWin, j *pisa.BatchJob, hops []ncp.Hop, acks *ackRun) {
+	out := &b.out
 	pkt, dec, flags := w.pkt, j.Dec, w.dec.Header.Flags
 	// The window's reliable flags stay on pass-through (the destination
 	// host acknowledges delivery) but are stripped from on-path outputs:
 	// the switch acknowledges those itself, and the derived reflect/bcast
 	// windows are new unreliable traffic, not the acknowledged window.
 	if w.switchAcks && dec.Kind != interp.Pass {
-		s.ackConsumed(out, w, acks)
+		s.ackConsumed(b, w, acks)
 		flags &^= ncp.FlagAckRequest | ncp.FlagExactlyOnce
 	}
 	vtime := pkt.VTimeUs + SwitchDelayUs
@@ -287,7 +220,7 @@ func (s *SwitchNode) route(out *batchOut, w *batchWin, j *pisa.BatchJob, hops []
 			targets[0] = dec.Label
 		}
 	case interp.Reflect:
-		target, ok := (*s.hostByID.Load())[w.dec.Header.Sender]
+		target, ok := b.rt.Hosts[w.dec.Header.Sender]
 		if !ok {
 			s.Errors.Add(1)
 			return
@@ -301,7 +234,7 @@ func (s *SwitchNode) route(out *batchOut, w *batchWin, j *pisa.BatchJob, hops []
 		// AllReduce test), which is exactly the programmable-forwarding
 		// control the paper gives kernels.
 		src, flags = s.label, flags|ncp.FlagBcast
-		targets = s.routing.Load().bcastTargets(out.tr.Network(), s.label)
+		targets = b.rt.bcastTargets(out.tr.Network(), s.label)
 	default:
 		// Dropped: a lone untraced window's packet is the switch's alone.
 		if w.inPlace && len(out.spare) < maxSpare {
@@ -332,7 +265,7 @@ func (s *SwitchNode) route(out *batchOut, w *batchWin, j *pisa.BatchJob, hops []
 			p = out.packet(0)
 		}
 		p.Src, p.Dst, p.Data, p.Via, p.VTimeUs, p.Shared = src, to, pkt.Data, "", vtime, len(targets) > 1
-		s.forward(out, p)
+		s.forward(b, p)
 	}
 }
 
@@ -355,7 +288,7 @@ type ackRun struct {
 // prompted the retransmit was lost. The ack joins the open run when it
 // continues it; otherwise the run is flushed and a new one starts. Same
 // wire shape as the host runtime's ack; Sender names the acking location.
-func (s *SwitchNode) ackConsumed(out *batchOut, w *batchWin, run *ackRun) {
+func (s *SwitchNode) ackConsumed(b *batchState, w *batchWin, run *ackRun) {
 	h := &w.dec.Header
 	vtime := w.pkt.VTimeUs + SwitchDelayUs
 	if run.open && run.sender == h.Sender && run.hdr.Wid == h.Wid {
@@ -368,8 +301,8 @@ func (s *SwitchNode) ackConsumed(out *batchOut, w *batchWin, run *ackRun) {
 			return
 		}
 	}
-	s.flushAcks(out, run)
-	target, ok := (*s.hostByID.Load())[h.Sender]
+	s.flushAcks(b, run)
+	target, ok := b.rt.Hosts[h.Sender]
 	if !ok {
 		s.Errors.Add(1)
 		return
@@ -382,7 +315,7 @@ func (s *SwitchNode) ackConsumed(out *batchOut, w *batchWin, run *ackRun) {
 			KernelID:  h.KernelID,
 			WindowSeq: h.WindowSeq,
 			WindowLen: h.WindowLen,
-			Sender:    s.locID,
+			Sender:    b.prog.locID,
 			Wid:       h.Wid,
 			FragCount: 1,
 		},
@@ -392,51 +325,30 @@ func (s *SwitchNode) ackConsumed(out *batchOut, w *batchWin, run *ackRun) {
 }
 
 // flushAcks emits the open run, if any, as one ack packet.
-func (s *SwitchNode) flushAcks(out *batchOut, run *ackRun) {
+func (s *SwitchNode) flushAcks(b *batchState, run *ackRun) {
 	if !run.open {
 		return
 	}
 	run.open = false
 	var bitmap [8]byte
-	pkt, err := out.marshal(&run.hdr, nil, nil, ncp.AppendAckRange(bitmap[:0], run.more))
+	pkt, err := b.out.marshal(&run.hdr, nil, nil, ncp.AppendAckRange(bitmap[:0], run.more))
 	if err != nil {
 		s.Errors.Add(1)
 		return
 	}
 	s.AcksSent.Add(1)
 	pkt.Src, pkt.Dst, pkt.VTimeUs = s.label, run.target, run.vtime
-	out.closing = pkt
-	s.forward(out, pkt)
+	b.out.closing = pkt
+	s.forward(b, pkt)
 }
 
-// forward routes pkt toward pkt.Dst via the next-hop table, honoring the
-// Via waypoint: a packet still traveling to its waypoint routes there
-// first; the waypoint switch clears it (and stamps the next one from its
-// via table, so multi-segment overlay paths chain hop by hop).
-func (s *SwitchNode) forward(out *batchOut, pkt *Packet) {
-	rt := s.routing.Load()
-	if pkt.Via != "" && rt.self[pkt.Via] {
-		pkt.Via = ""
-	}
-	if pkt.Via == "" {
-		if rt.self[pkt.Dst] {
-			// Windows addressed to this switch (or a location placed on it)
-			// have nowhere further to go.
-			s.Errors.Add(1)
-			return
-		}
-		if v := rt.Via[pkt.Dst]; v != "" {
-			pkt.Via = v
-		}
-	}
-	target := pkt.Dst
-	if pkt.Via != "" {
-		target = pkt.Via
-	}
-	hops := rt.Next[target]
-	if len(hops) == 0 {
+// forward queues pkt on the hop the burst's table picks for it
+// (Routes.NextHop); a packet with nowhere to go is counted and dropped.
+func (s *SwitchNode) forward(b *batchState, pkt *Packet) {
+	hop, ok := b.rt.NextHop(b.out.tr, s.label, pkt)
+	if !ok {
 		s.Errors.Add(1)
 		return
 	}
-	out.send(PickLiveHop(out.tr, s.label, hops, pkt.Src, pkt.Dst), pkt)
+	b.out.send(hop, pkt)
 }

@@ -81,8 +81,7 @@ func TestSwitchProcessAllocsUntraced(t *testing.T) {
 			if err := sn.Install(tc.prog, 1); err != nil {
 				t.Fatal(err)
 			}
-			sn.SetRoutes(net.NextHops()["s1"])
-			sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
+			sn.SetRouting(SinglePath(net.NextHops()["s1"], map[uint32]string{1: "a", 2: "b"}))
 			fab := New(net, Faults{})
 			sn.SetDepthSource(func() int { return fab.InboxDepth("s1") })
 			sender := &nullSender{net: net}
@@ -137,8 +136,7 @@ func TestSwitchProcessTracedStampsINT(t *testing.T) {
 	if err := sn.Install(passProgram(), 1); err != nil {
 		t.Fatal(err)
 	}
-	sn.SetRoutes(net.NextHops()["s1"])
-	sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
+	sn.SetRouting(SinglePath(net.NextHops()["s1"], map[uint32]string{1: "a", 2: "b"}))
 	sn.SetDepthSource(func() int { return 7 })
 
 	var got *Packet

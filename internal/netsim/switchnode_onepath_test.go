@@ -178,8 +178,7 @@ func runOnePath(t *testing.T, net *and.Network, stream []*Packet, cuts []int) on
 	if err := sn.Install(onePathProgram(), 1); err != nil {
 		t.Fatal(err)
 	}
-	sn.SetRoutes(net.NextHops()["s1"])
-	sn.SetHosts(onePathHosts)
+	sn.SetRouting(SinglePath(net.NextHops()["s1"], onePathHosts))
 	sn.SetDepthSource(func() int { return 5 })
 
 	rec := &onePathRecorder{net: net}
@@ -336,8 +335,7 @@ func TestSwitchReceiveReentrant(t *testing.T) {
 	if err := sn.Install(statefulSumProgram(), 1); err != nil {
 		t.Fatal(err)
 	}
-	sn.SetRoutes(net.NextHops()["s1"])
-	sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
+	sn.SetRouting(SinglePath(net.NextHops()["s1"], map[uint32]string{1: "a", 2: "b"}))
 	rs := &reentrantSender{net: net, sn: sn, window: ncpPacket(t, 1, 1, 0)}
 
 	const goroutines, perG, burst = 4, 50, 5

@@ -125,8 +125,7 @@ func TestSwitchNodeBcastEncodesOnce(t *testing.T) {
 	if err := sn.Install(bcastProgram(), 1); err != nil {
 		t.Fatal(err)
 	}
-	sn.SetRoutes(net.NextHops()["s1"])
-	sn.SetHosts(map[uint32]string{1: "a", 2: "b", 3: "c"})
+	sn.SetRouting(SinglePath(net.NextHops()["s1"], map[uint32]string{1: "a", 2: "b", 3: "c"}))
 	a := &echoNode{label: "a"}
 	b := &echoNode{label: "b"}
 	c := &echoNode{label: "c"}
@@ -295,8 +294,7 @@ func TestSwitchAcksCoalesce(t *testing.T) {
 	if err := sn.Install(dropProgram(), 1); err != nil {
 		t.Fatal(err)
 	}
-	sn.SetRoutes(net.NextHops()["s1"])
-	sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
+	sn.SetRouting(SinglePath(net.NextHops()["s1"], map[uint32]string{1: "a", 2: "b"}))
 
 	payload, err := ncp.EncodePayload([][]uint64{{7}}, []ncp.ParamSpec{{Elems: 1, Bytes: 4, Signed: true}})
 	if err != nil {

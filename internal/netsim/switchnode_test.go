@@ -41,8 +41,7 @@ func chainFabric(t *testing.T) (*Fabric, *SwitchNode, *echoNode, *echoNode) {
 	if err := sn.Install(passProgram(), 1); err != nil {
 		t.Fatal(err)
 	}
-	sn.SetRoutes(net.NextHops()["s1"])
-	sn.SetHosts(map[uint32]string{1: "a", 2: "b"})
+	sn.SetRouting(SinglePath(net.NextHops()["s1"], map[uint32]string{1: "a", 2: "b"}))
 	a := &echoNode{label: "a"}
 	b := &echoNode{label: "b"}
 	for _, n := range []Node{sn, a, b} {
@@ -209,5 +208,41 @@ func TestVirtualTimeAdvances(t *testing.T) {
 	fab.ResetStats()
 	if fab.MakespanUs() != 0 {
 		t.Error("reset must clear the virtual clock")
+	}
+}
+
+// TestInstallDuringReceive re-installs a switch's program while another
+// goroutine feeds it windows, as Controller.Replace does when it moves a
+// location onto a switch that carries traffic. Install publishes the
+// kernel bindings and location id as one value that a burst loads once,
+// so the race detector sees no unsynchronized access, and every window
+// executes under one install's bindings or the other's.
+func TestInstallDuringReceive(t *testing.T) {
+	net, err := and.Parse("switch s1 id=1\nhost a role=0\nhost b role=1\nlink a s1\nlink s1 b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := NewSwitchNode("s1", pisa.DefaultTarget())
+	if err := sn.Install(passProgram(), 1); err != nil {
+		t.Fatal(err)
+	}
+	sn.SetRoutes(net.NextHops()["s1"])
+	const windows = 200
+	data := ncpPacket(t, 1, 5, 0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < windows; i++ {
+			sn.Receive(&nullSender{net: net}, &Packet{Src: "a", Dst: "b", Data: append([]byte(nil), data...)}, "a")
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if err := sn.Install(passProgram(), uint32(1+i%2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+	if n := sn.KernelWindows.Load(); n != windows {
+		t.Fatalf("executed %d of %d windows (errors %d)", n, windows, sn.Errors.Load())
 	}
 }

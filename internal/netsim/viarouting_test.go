@@ -49,10 +49,10 @@ func TestForwardViaWaypoint(t *testing.T) {
 	fab, s1, s3, s2, b := diamondFabric(t)
 	// "L" is a logical location placed on s3. s1 routes b via either arm
 	// but must honor the waypoint; s3 answers for L and clears it.
-	s1.SetRouting(&SwitchRouting{
+	s1.SetRouting(&Routes{
 		Next: map[string][]string{"b": {"s2", "s3"}, "L": {"s3"}, "s3": {"s3"}},
 	})
-	s3.SetRouting(&SwitchRouting{
+	s3.SetRouting(&Routes{
 		Aliases: []string{"L"},
 		Next:    map[string][]string{"b": {"b"}},
 	})
@@ -77,11 +77,11 @@ func TestForwardViaStamping(t *testing.T) {
 	// s1's via table steers b-bound traffic through L even when the
 	// packet arrives unstamped (the kernel-output path on a placed
 	// switch).
-	s1.SetRouting(&SwitchRouting{
+	s1.SetRouting(&Routes{
 		Next: map[string][]string{"b": {"s2", "s3"}, "L": {"s3"}},
 		Via:  map[string]string{"b": "L"},
 	})
-	s3.SetRouting(&SwitchRouting{
+	s3.SetRouting(&Routes{
 		Aliases: []string{"L"},
 		Next:    map[string][]string{"b": {"b"}},
 	})
@@ -96,7 +96,7 @@ func TestForwardViaStamping(t *testing.T) {
 
 func TestForwardAliasTerminates(t *testing.T) {
 	_, s1, _, _, _ := diamondFabric(t)
-	s1.SetRouting(&SwitchRouting{
+	s1.SetRouting(&Routes{
 		Aliases: []string{"agg"},
 		Next:    map[string][]string{"b": {"s2"}},
 	})
@@ -116,7 +116,7 @@ func (nopSender) Network() *and.Network                       { return nil }
 
 func TestForwardECMPDeterministicSpread(t *testing.T) {
 	fab, s1, _, s2, b := diamondFabric(t)
-	s1.SetRouting(&SwitchRouting{
+	s1.SetRouting(&Routes{
 		Next: map[string][]string{"b": {"s2", "s3"}},
 	})
 	// Same flow always takes the same arm; across many sources both arms

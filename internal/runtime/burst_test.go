@@ -132,8 +132,7 @@ func TestHostBurstMatchesPerPacket(t *testing.T) {
 				cfg := testConfig(t, w)
 				cfg.Obs, cfg.InboxCap = tw.reg, 300 // the stream overflows it
 				cfg.UserFields = []string{"tag"}
-				cfg.HostLabels = map[uint32]string{1: "a", 2: "a2", 3: "a3"}
-				tw.h = NewHost("b", 5, 1, cfg, tw.wire, map[string]string{"a": "s1", "a2": "s1", "a3": "s1"})
+				tw.h = withHosts(NewHost("b", 5, 1, cfg, tw.wire, map[string]string{"a": "s1", "a2": "s1", "a3": "s1"}), map[uint32]string{1: "a", 2: "a2", 3: "a3"})
 				tw.h.SetTraceSink(func(hd *ncp.Header, hops []ncp.Hop) {
 					tw.spans = append(tw.spans, span{*hd, append([]ncp.Hop(nil), hops...)})
 				})

@@ -60,8 +60,7 @@ func TestTraceSinkSeesOnlyDeliveredWindows(t *testing.T) {
 	cfg := resultConfig(t, w)
 	cfg.InboxCap = 2
 	cfg.Obs = obs.NewRegistry()
-	cfg.HostLabels = map[uint32]string{7: "b"}
-	h := NewHost("a", 1, 0, cfg, lb, map[string]string{"b": "s1"})
+	h := withHosts(NewHost("a", 1, 0, cfg, lb, map[string]string{"b": "s1"}), map[uint32]string{7: "b"})
 	reg := obs.NewRegistry()
 	col := telemetry.NewCollector(reg, 0)
 	h.SetTraceSink(col.Ingest)

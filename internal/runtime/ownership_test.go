@@ -21,7 +21,6 @@ func ownershipConfig(w int) AppConfig {
 		OutSpecs:    map[string][]ncp.ParamSpec{"k": {{Elems: w, Bytes: 4, Signed: true}}},
 		WindowLen:   w,
 		SendWorkers: 1,
-		HostLabels:  map[uint32]string{1: "a", 2: "b"},
 		Obs:         obs.NewRegistry(),
 	}
 }
@@ -86,8 +85,8 @@ func TestRecvWindowOwnsItsBytes(t *testing.T) {
 				t.Cleanup(un.Stop)
 			}
 			cfg := ownershipConfig(w)
-			a := NewHost("a", 1, 0, cfg, tr, map[string]string{"b": "b"})
-			b := NewHost("b", 2, 1, cfg, tr, map[string]string{"a": "a"})
+			a := withHosts(NewHost("a", 1, 0, cfg, tr, map[string]string{"b": "b"}), map[uint32]string{1: "a", 2: "b"})
+			b := withHosts(NewHost("b", 2, 1, cfg, tr, map[string]string{"a": "a"}), map[uint32]string{1: "a", 2: "b"})
 			t.Cleanup(a.Close)
 			t.Cleanup(b.Close)
 			for _, h := range []*Host{a, b} {
@@ -169,8 +168,8 @@ func TestBcastWindowsShareBytes(t *testing.T) {
 	sn.SetRoutes(n.NextHops()["s1"])
 	cfg := ownershipConfig(w)
 	workers := []*Host{
-		NewHost("w0", 1, 0, cfg, fab, map[string]string{"s1": "s1"}),
-		NewHost("w1", 2, 0, cfg, fab, nil),
+		withHosts(NewHost("w0", 1, 0, cfg, fab, map[string]string{"s1": "s1"}), map[uint32]string{1: "a", 2: "b"}),
+		withHosts(NewHost("w1", 2, 0, cfg, fab, nil), map[uint32]string{1: "a", 2: "b"}),
 	}
 	for _, node := range []netsim.Node{sn, workers[0], workers[1]} {
 		if err := fab.Attach(node); err != nil {
@@ -241,7 +240,7 @@ func TestFragmentsOutOfOrderOverUDP(t *testing.T) {
 	t.Cleanup(un.Stop)
 	cfg := ownershipConfig(w)
 	cfg.MTU = 4 * w / frags
-	b := NewHost("b", 2, 1, cfg, un, nil)
+	b := withHosts(NewHost("b", 2, 1, cfg, un, nil), map[uint32]string{1: "a", 2: "b"})
 	t.Cleanup(b.Close)
 	if err := un.Attach(b); err != nil {
 		t.Fatal(err)
@@ -255,7 +254,7 @@ func TestFragmentsOutOfOrderOverUDP(t *testing.T) {
 
 	// The fragments as a's runtime builds them, sent in sequence order.
 	lb := newLoopback(t)
-	a := NewHost("a", 1, 0, cfg, lb, map[string]string{"b": "b"})
+	a := withHosts(NewHost("a", 1, 0, cfg, lb, map[string]string{"b": "b"}), map[uint32]string{1: "a", 2: "b"})
 	if err := a.Out(Invocation{Kernel: "k", Dest: "b"}, [][]uint64{windowSource(windows, w)}); err != nil {
 		t.Fatal(err)
 	}

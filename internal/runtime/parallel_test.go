@@ -66,10 +66,9 @@ func countAcks(tb testing.TB, lb *loopbackSender) map[uint32]int {
 func TestReliableBatchAckedPerSubWindow(t *testing.T) {
 	lb := newLoopback(t)
 	cfg := testConfig(t, 4)
-	cfg.HostLabels = map[uint32]string{7: "a"} // ack routing for sender 7
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
-	recv := NewHost("b", 2, 1, cfg, lb, map[string]string{"a": "s1"})
+	recv := withHosts(NewHost("b", 2, 1, cfg, lb, map[string]string{"a": "s1"}), map[uint32]string{7: "a"})
 
 	payload := make([]byte, 48) // 3 windows x 16 bytes
 	pkt, err := ncp.Marshal(&ncp.Header{
@@ -281,10 +280,9 @@ func TestOutPooledAllocsFlat(t *testing.T) {
 func TestDataPathRaceStress(t *testing.T) {
 	lb := newLoopback(t)
 	cfg := testConfig(t, 4)
-	cfg.HostLabels = map[uint32]string{1: "a", 2: "b"}
 	cfg.Obs = obs.NewRegistry()
-	sender := NewHost("a", 1, 0, cfg, lb, map[string]string{"b": "s1", "a": "s1"})
-	recv := NewHost("b", 2, 1, cfg, lb, map[string]string{"a": "s1", "b": "s1"})
+	sender := withHosts(NewHost("a", 1, 0, cfg, lb, map[string]string{"b": "s1", "a": "s1"}), map[uint32]string{1: "a", 2: "b"})
+	recv := withHosts(NewHost("b", 2, 1, cfg, lb, map[string]string{"a": "s1", "b": "s1"}), map[uint32]string{1: "a", 2: "b"})
 	lb.nodes["a"] = sender
 	lb.nodes["b"] = recv
 

@@ -415,7 +415,7 @@ func (h *Host) closeSends() {
 // as a duplicate of one that was) — acking a dropped window would lie to
 // the sender about delivery.
 func (h *Host) sendAck(hd *ncp.Header, sc *sendScratch) error {
-	target, ok := h.cfg.HostLabels[hd.Sender]
+	target, ok := h.routes.Load().Hosts[hd.Sender]
 	if !ok {
 		return nil
 	}

@@ -18,14 +18,13 @@ func reliablePair(t *testing.T, w int, mutate func(*AppConfig)) (*loopbackSender
 	t.Helper()
 	lb := newLoopback(t)
 	cfg := testConfig(t, w)
-	cfg.HostLabels = map[uint32]string{1: "a", 2: "b"}
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	sender := NewHost("a", 1, 0, cfg, lb, map[string]string{"b": "s1", "a": "s1"})
-	recv := NewHost("b", 2, 1, cfg, lb, map[string]string{"a": "s1", "b": "s1"})
+	sender := withHosts(NewHost("a", 1, 0, cfg, lb, map[string]string{"b": "s1", "a": "s1"}), map[uint32]string{1: "a", 2: "b"})
+	recv := withHosts(NewHost("b", 2, 1, cfg, lb, map[string]string{"a": "s1", "b": "s1"}), map[uint32]string{1: "a", 2: "b"})
 	lb.nodes["a"] = sender
 	lb.nodes["b"] = recv
 	return lb, sender, recv, reg
@@ -200,11 +199,10 @@ func TestReliableErrorAggregation(t *testing.T) {
 	// windows to "b" are acked, the invalid destination "void" times out.
 	lb := newLoopback(t)
 	cfg := testConfig(t, 4)
-	cfg.HostLabels = map[uint32]string{1: "a", 2: "b"}
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
-	sender := NewHost("a", 1, 0, cfg, lb, map[string]string{"b": "s1", "void": "s1"})
-	recv := NewHost("b", 2, 1, cfg, lb, map[string]string{"a": "s1"})
+	sender := withHosts(NewHost("a", 1, 0, cfg, lb, map[string]string{"b": "s1", "void": "s1"}), map[uint32]string{1: "a", 2: "b"})
+	recv := withHosts(NewHost("b", 2, 1, cfg, lb, map[string]string{"a": "s1"}), map[uint32]string{1: "a", 2: "b"})
 	lb.nodes["a"] = sender
 	lb.nodes["b"] = recv
 
@@ -439,7 +437,7 @@ func TestOutReliableFollowsRouteChanges(t *testing.T) {
 			via:  map[string]string{"b": "w1"},
 			fail: func(r *rerouteSender, a *Host) {
 				r.dead[[2]string{"a", "s1"}] = true
-				a.SetRoutes(map[string][]string{"w2": {"s2"}}, map[string]string{"b": "w2"})
+				a.SetRouting(&netsim.Routes{Next: map[string][]string{"w2": {"s2"}}, Via: map[string]string{"b": "w2"}, Hosts: map[uint32]string{1: "a", 2: "b"}})
 			},
 		},
 	}
@@ -448,12 +446,11 @@ func TestOutReliableFollowsRouteChanges(t *testing.T) {
 			lb := newLoopback(t)
 			rs := &rerouteSender{loopbackSender: lb, dead: map[[2]string]bool{}, deliver: 8}
 			cfg := testConfig(t, 4)
-			cfg.HostLabels = map[uint32]string{1: "a", 2: "b"}
 			reg := obs.NewRegistry()
 			cfg.Obs = reg
 			a := NewHost("a", 1, 0, cfg, rs, nil)
-			lb.nodes["a"], lb.nodes["b"] = a, NewHost("b", 2, 1, cfg, rs, map[string]string{"a": "s1"})
-			a.SetRoutes(tc.next, tc.via)
+			lb.nodes["a"], lb.nodes["b"] = a, withHosts(NewHost("b", 2, 1, cfg, rs, map[string]string{"a": "s1"}), map[uint32]string{1: "a", 2: "b"})
+			a.SetRouting(&netsim.Routes{Next: tc.next, Via: tc.via, Hosts: map[uint32]string{1: "a", 2: "b"}})
 			rs.fail = func(r *rerouteSender) { tc.fail(r, a) }
 			if err := a.OutReliable(Invocation{Kernel: "k", Dest: "b"}, windowsOf(windows),
 				ReliableOptions{Timeout: 5 * time.Millisecond}); err != nil {

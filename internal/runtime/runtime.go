@@ -45,7 +45,6 @@ type AppConfig struct {
 	HostModule *ir.Module                 // incoming kernels (NewHost lowers each to a hostgen plan)
 	UserFields []string                   // _win_ field wire order (sorted)
 	MTU        int                        // fragment threshold; 0 = default
-	HostLabels map[uint32]string          // host id -> label (ack routing)
 	// Batch packs up to this many consecutive windows into one packet
 	// (§4.2: "a packet can carry one or more windows"). 0/1 = one window
 	// per packet (the §6 prototype scope). Batches must fit the MTU.
@@ -120,12 +119,12 @@ type recvShard struct {
 
 // Host is one application endpoint.
 type Host struct {
-	label   string
-	id      uint32
-	role    uint32
-	cfg     AppConfig
-	send    netsim.Sender
-	routing atomic.Pointer[hostRouting] // swappable mid-run (re-placement)
+	label  string
+	id     uint32
+	role   uint32
+	cfg    AppConfig
+	send   netsim.Sender
+	routes atomic.Pointer[netsim.Routes] // swapped whole by SetRouting (re-placement)
 
 	inKernels map[string]*hostgen.Plan // incoming kernels, lowered once
 
@@ -212,18 +211,9 @@ type fragBuf struct {
 	have   int
 }
 
-// hostRouting is the host's forwarding state, swapped atomically so a
-// controller can push fresh routes mid-run (re-placement after a switch
-// failure). next maps a routing key (destination or waypoint) to its
-// equal-cost first hops; via maps a final destination to the waypoint
-// stamped on outgoing packets.
-type hostRouting struct {
-	next map[string][]string
-	via  map[string]string
-}
-
 // NewHost creates a host endpoint. The sender is the transport (fabric or
-// UDP harness); routes give the first hop toward every destination.
+// UDP harness); routes give the first hop toward every destination
+// (netsim.SinglePath) until SetRouting installs a full table.
 func NewHost(label string, id, role uint32, cfg AppConfig, send netsim.Sender, routes map[string]string) *Host {
 	if cfg.MTU == 0 {
 		cfg.MTU = DefaultMTU
@@ -250,11 +240,7 @@ func NewHost(label string, id, role uint32, cfg AppConfig, send netsim.Sender, r
 		h.shards[i].frags = map[fragKey]*fragBuf{}
 		h.shards[i].done = map[fragKey]bool{}
 	}
-	next := make(map[string][]string, len(routes))
-	for dst, hop := range routes {
-		next[dst] = []string{hop}
-	}
-	h.routing.Store(&hostRouting{next: next})
+	h.SetRouting(netsim.SinglePath(routes, nil))
 	h.traceEvery.Store(int64(cfg.TraceEvery))
 	if cfg.HostModule != nil {
 		for _, f := range cfg.HostModule.Funcs {
@@ -682,11 +668,11 @@ const sendFlushEvery = 32
 // queuePacket addresses one encoded packet to dest and queues it, flushing
 // when the queue is full.
 func (h *Host) queuePacket(dest string, pkt *netsim.Packet, sc *sendScratch) error {
-	hop, via, err := h.resolveHop(dest)
-	if err != nil {
-		return err
+	pkt.Src, pkt.Dst, pkt.Via = h.label, dest, ""
+	hop, ok := h.routes.Load().NextHop(h.send, h.label, pkt)
+	if !ok {
+		return fmt.Errorf("runtime: no route from %s to %s", h.label, dest)
 	}
-	pkt.Src, pkt.Dst, pkt.Via = h.label, dest, via
 	sc.qTos = append(sc.qTos, hop)
 	sc.qPkts = append(sc.qPkts, pkt)
 	if len(sc.qPkts) >= sendFlushEvery {
@@ -1039,31 +1025,11 @@ func (h *Host) sendPayload(inv Invocation, wid, seq uint32, batch, flags uint8, 
 	return nil
 }
 
-// SetRoutes replaces the host's forwarding state. next maps a routing key
-// (destination or waypoint label) to its equal-cost first hops; via maps a
-// final destination to the waypoint stamped on outgoing packets. In-flight
-// sends keep the snapshot they loaded; new sends see the new tables.
-func (h *Host) SetRoutes(next map[string][]string, via map[string]string) {
-	h.routing.Store(&hostRouting{next: next, via: via})
-}
-
-// resolveHop picks the first hop and waypoint for a destination. Multi-hop
-// ties break by flow hash so one flow's packets stay ordered on one path,
-// around a failed first-hop link (netsim.PickLiveHop).
-func (h *Host) resolveHop(dest string) (hop, via string, err error) {
-	rt := h.routing.Load()
-	target := dest
-	if rt.via != nil {
-		if v := rt.via[dest]; v != "" {
-			via, target = v, v
-		}
-	}
-	hops := rt.next[target]
-	if len(hops) == 0 {
-		return "", "", fmt.Errorf("runtime: no route from %s to %s", h.label, dest)
-	}
-	return netsim.PickLiveHop(h.send, h.label, hops, h.label, dest), via, nil
-}
+// SetRouting installs the host's forwarding table: its first hops, the
+// waypoints it stamps and the host directory its acks are addressed by.
+// The controller installs one at deployment and after every re-placement;
+// in-flight sends keep the table they loaded, new sends see the new one.
+func (h *Host) SetRouting(rt *netsim.Routes) { h.routes.Store(rt) }
 
 // checkUserFields rejects invocation window-field values that do not
 // correspond to a declared _win_ field (a typo would otherwise silently

@@ -341,9 +341,8 @@ func TestTryIn(t *testing.T) {
 func TestOutReliableDirect(t *testing.T) {
 	lb := newLoopback(t)
 	cfg := testConfig(t, 4)
-	cfg.HostLabels = map[uint32]string{1: "a", 2: "b"}
-	sender := NewHost("a", 1, 0, cfg, lb, map[string]string{"b": "s1", "a": "s1"})
-	recv := NewHost("b", 2, 1, cfg, lb, map[string]string{"a": "s1", "b": "s1"})
+	sender := withHosts(NewHost("a", 1, 0, cfg, lb, map[string]string{"b": "s1", "a": "s1"}), map[uint32]string{1: "a", 2: "b"})
+	recv := withHosts(NewHost("b", 2, 1, cfg, lb, map[string]string{"a": "s1", "b": "s1"}), map[uint32]string{1: "a", 2: "b"})
 	lb.nodes["a"] = sender
 	lb.nodes["b"] = recv
 
@@ -372,8 +371,7 @@ func TestOutReliableDirect(t *testing.T) {
 func TestOutReliableUnackedTimesOut(t *testing.T) {
 	lb := newLoopback(t)
 	cfg := testConfig(t, 4)
-	cfg.HostLabels = map[uint32]string{1: "a"}
-	sender := NewHost("a", 1, 0, cfg, lb, map[string]string{"void": "s1"})
+	sender := withHosts(NewHost("a", 1, 0, cfg, lb, map[string]string{"void": "s1"}), map[uint32]string{1: "a"})
 	// Destination "void" has no node: windows vanish.
 	err := sender.OutReliable(Invocation{Kernel: "k", Dest: "void"},
 		[][]uint64{make([]uint64, 4)}, ReliableOptions{Timeout: 3 * time.Millisecond, Retries: 1})
@@ -551,4 +549,11 @@ func TestUnknownUserFieldRejected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "typo") {
 		t.Fatalf("unknown user field must be rejected: %v", err)
 	}
+}
+
+// withHosts gives h's table the host directory hosts (where its acks go),
+// keeping its next hops.
+func withHosts(h *Host, hosts map[uint32]string) *Host {
+	h.SetRouting(&netsim.Routes{Next: h.routes.Load().Next, Hosts: hosts})
+	return h
 }

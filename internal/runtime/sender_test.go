@@ -55,11 +55,10 @@ func lossyPair(t *testing.T, drop func(*ncp.Header) bool) (*loopbackSender, *Hos
 	lb := newLoopback(t)
 	ds := &dropSender{loopbackSender: lb, drop: drop}
 	cfg := testConfig(t, 4)
-	cfg.HostLabels = map[uint32]string{1: "a", 2: "b"}
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
-	sender := NewHost("a", 1, 0, cfg, ds, map[string]string{"b": "s1", "void": "s1"})
-	recv := NewHost("b", 2, 1, cfg, ds, map[string]string{"a": "s1"})
+	sender := withHosts(NewHost("a", 1, 0, cfg, ds, map[string]string{"b": "s1", "void": "s1"}), map[uint32]string{1: "a", 2: "b"})
+	recv := withHosts(NewHost("b", 2, 1, cfg, ds, map[string]string{"a": "s1"}), map[uint32]string{1: "a", 2: "b"})
 	lb.nodes["a"] = sender
 	lb.nodes["b"] = recv
 	return lb, sender, reg
@@ -626,12 +625,11 @@ func TestFastRetransmitToleratesReorder(t *testing.T) {
 	lb := newLoopback(t)
 	bs := &burstSwapper{loopbackSender: lb, final: windows - 1}
 	cfg := testConfig(t, 4)
-	cfg.HostLabels = map[uint32]string{1: "a", 2: "b"}
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
-	sender := NewHost("a", 1, 0, cfg, bs, map[string]string{"b": "s1"})
+	sender := withHosts(NewHost("a", 1, 0, cfg, bs, map[string]string{"b": "s1"}), map[uint32]string{1: "a", 2: "b"})
 	lb.nodes["a"] = sender
-	lb.nodes["b"] = NewHost("b", 2, 1, cfg, bs, map[string]string{"a": "s1"})
+	lb.nodes["b"] = withHosts(NewHost("b", 2, 1, cfg, bs, map[string]string{"a": "s1"}), map[uint32]string{1: "a", 2: "b"})
 
 	if err := sender.OutReliable(Invocation{Kernel: "k", Dest: "b"}, windowsOf(windows),
 		ReliableOptions{Timeout: 10 * time.Second, Window: 8}); err != nil {
@@ -750,10 +748,9 @@ func TestLostClosingAckRepeated(t *testing.T) {
 	if err := sn.Install(drop, 1); err != nil {
 		t.Fatal(err)
 	}
-	sn.SetRoutes(tr.net.NextHops()["s1"])
-	sn.SetHosts(map[uint32]string{1: "a"})
+	sn.SetRouting(netsim.SinglePath(tr.net.NextHops()["s1"], map[uint32]string{1: "a"}))
 	cfg := ownershipConfig(w)
-	a := NewHost("a", 1, 0, cfg, tr, map[string]string{"s1": "s1"})
+	a := withHosts(NewHost("a", 1, 0, cfg, tr, map[string]string{"s1": "s1"}), map[uint32]string{1: "a", 2: "b"})
 	tr.nodes["a"], tr.nodes["s1"] = a, sn
 
 	if err := a.OutReliable(Invocation{Kernel: "k", Dest: "s1"}, windowsOf(windows),

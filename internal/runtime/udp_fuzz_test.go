@@ -48,7 +48,7 @@ func allreduceFrames(t testing.TB) *frameCapture {
 		WindowLen:   8,
 		SendWorkers: 1,
 	}, capture, nil)
-	h.SetRoutes(map[string][]string{"s1": {"s1"}}, map[string]string{"worker1": "s1"})
+	h.SetRouting(&netsim.Routes{Next: map[string][]string{"s1": {"s1"}}, Via: map[string]string{"worker1": "s1"}})
 	data := make([]uint64, 32)
 	for i := range data {
 		data[i] = uint64(i + 1)

@@ -1,13 +1,19 @@
 #!/usr/bin/env bash
 # bench_pair.sh <parent-ref> [pairs] — the one timing gate (ROADMAP item 3).
 #
-# Builds ./benchmark from <parent-ref> and from the working tree, runs the
-# two binaries alternately with -trace 0 (the side that goes first
-# alternates per pair; default 3 pairs) and prints `benchmark -compare
-# parent change` for every pair. Both sides run on this machine minutes
-# apart, so a verdict is about the two commits, not about two machines.
-# Offline: the parent is a `git archive` copy under .bench_build/pair/,
-# nothing is fetched and nothing is registered in .git.
+# Builds ./benchmark from <parent-ref> and from the working tree, runs each
+# side once, short, and discards it (cold caches and a cold machine favour
+# whichever side runs second), then runs the pairs: every pair runs each
+# workload once per side (-workload, -trace 0), and the side that goes
+# first alternates per workload and per pair, so over an even number of
+# pairs each workload has its parent first as often as its change first
+# (default 3 pairs). It prints `benchmark -compare parent change` for every
+# workload of every pair and, at the end, the mean change/parent ratio of
+# every end-to-end metric split by which side ran first: a gap between the
+# two columns is run order, not the change. Both sides run on this machine
+# minutes apart, so a verdict is about the two commits, not about two
+# machines. Offline: the parent is a `git archive` copy under
+# .bench_build/pair/, nothing is fetched and nothing is registered in .git.
 #
 # Exits 1 when, reading the -compare rows,
 #   - a (workload, end-to-end metric) is `differ` with the change worse in
@@ -36,17 +42,54 @@ git archive "$commit" | tar -x -C "$work/src"
 rm -rf "$work/src"
 go build -o "$work/change" ./benchmark
 
-for i in $(seq 1 "$pairs"); do
-  order="parent change"
-  if [ $((i % 2)) -eq 0 ]; then order="change parent"; fi
-  for side in $order; do
-    echo "== pair $i/$pairs: $side ($([ "$side" = parent ] && echo "$commit" || echo "working tree"))"
-    "$work/$side" -trace 0 -out "$work/$i/$side" >"$work/$i.$side.log" 2>&1 ||
-      { cat "$work/$i.$side.log" >&2; exit 1; }
-  done
-  "$work/change" -compare "$work/$i/parent/results.json" "$work/$i/change/results.json" | tee "$work/$i.compare"
-  echo
+mapfile -t wls < <(grep -o '"name": "[^"]*", "why"' BENCHMARK.json | cut -d'"' -f4)
+
+# run <side> <out> <log> [flags...]: one benchmark run, its log kept.
+run() {
+  local side=$1 out=$2 log=$3
+  shift 3
+  "$work/$side" -trace 0 -out "$out" "$@" >"$log" 2>&1 || { cat "$log" >&2; exit 1; }
+}
+
+for side in parent change; do
+  echo "== warm-up: $side (discarded)"
+  run "$side" "$work/warm/$side" "$work/warm.$side.log" -seconds 10
 done
+
+for i in $(seq 1 "$pairs"); do
+  for w in "${!wls[@]}"; do
+    wl=${wls[$w]}
+    first=parent
+    if [ $(((i + w) % 2)) -eq 0 ]; then first=change; fi
+    second=$([ "$first" = parent ] && echo change || echo parent)
+    for side in "$first" "$second"; do
+      echo "== pair $i/$pairs $wl: $side ($([ "$side" = parent ] && echo "$commit" || echo "working tree"))"
+      run "$side" "$work/$i/$wl/$side" "$work/$i.$wl.$side.log" -workload "$wl"
+    done
+    "$work/change" -compare "$work/$i/$wl/parent/results.json" "$work/$i/$wl/change/results.json" |
+      tee "$work/$i.$wl.$first-first.compare"
+    echo
+  done
+done
+
+# Run order: the mean change/parent ratio per end-to-end metric (from the
+# full-precision "b vs a" column), over the runs where the parent went
+# first and over those where the change did.
+awk '
+  $NF ~ /^(agree|differ|unresolved)$/ && $2 != "failed" {
+    k = $1 " " $2
+    f = (FILENAME ~ /parent-first/) ? "p" : "c"
+    sum[k, f] += 1 + substr($5, 1, length($5) - 1) / 100; n[k, f]++; keys[k] = 1
+  }
+  END {
+    printf "%-48s %22s %22s\n", "mean change/parent ratio", "parent first (n)", "change first (n)"
+    for (k in keys) {
+      p = n[k, "p"] ? sprintf("%.4f (%d)", sum[k, "p"] / n[k, "p"], n[k, "p"]) : "-"
+      c = n[k, "c"] ? sprintf("%.4f (%d)", sum[k, "c"] / n[k, "c"], n[k, "c"]) : "-"
+      printf "%-48s %22s %22s\n", k, p, c
+    }
+  }' "$work"/*.compare | { IFS= read -r head; echo "$head"; sort; }
+echo
 
 # Metrics where a larger value is the better one, from BENCHMARK.json.
 higher=$(grep -o '"name": "[^"]*", "unit": "[^"]*", "better": "higher"' BENCHMARK.json | cut -d'"' -f4 | tr '\n' ' ')

@@ -2,7 +2,8 @@
 # Repo health check: vet, formatting, oracle callers, the switch's one
 # buffer and one packet allocator, read-only received windows, the host's
 # window slab and packet allocators, one runner per fabric node, the
-# fabric's ports, one lock per PISA device, one control path, doc lint,
+# fabric's ports, one lock per PISA device, one control path, one
+# forwarding rule, doc lint,
 # staticcheck (when installed), and the full test suite under the race
 # detector.
 # CI-equivalent; run before sending a change. Set NCL_CHECK_SKIP_TESTS=1 to
@@ -145,6 +146,23 @@ ctrl=$(grep -nE 'placement [!=]= nil|HostRoutes\(|cachedNextHops' internal/contr
 if [ -n "$ctrl" ]; then
     echo "a placement-less branch or its routing in internal/controller:" >&2
     echo "$ctrl" >&2
+    exit 1
+fi
+
+# Every node forwards by one rule over one table: Routes.NextHop applies
+# the waypoint rule, the next-hop lookup and the live-hop pick for switches
+# and hosts alike, so in internal/netsim and internal/runtime nothing else
+# calls pickLiveHop or reads a table's Next or Via. The controller is the
+# only writer of a deployment's tables, so the host-side copies of its
+# routing and host directory stay gone.
+echo "== one forwarding rule"
+fwd=$(awk '/^func /{fn=$0} /^[[:space:]]*\/\//{next}
+    /pickLiveHop\(|\.(Next|Via)\[/ && fn !~ /^func (\(rt \*Routes\) NextHop|pickLiveHop)\(/ {print FILENAME ":" FNR ": " $0}' \
+    $(ls internal/netsim/*.go internal/runtime/*.go | grep -v '_test\.go$'))
+fwd="$fwd$(grep -rnwE 'HostRoutingAll|SetHosts|HostLabels|resolveHop|hostRouting|SwitchRouting' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' || true)"
+if [ -n "$fwd" ]; then
+    echo "forwarding outside Routes.NextHop (internal/netsim, internal/runtime), or a second route writer:" >&2
+    echo "$fwd" >&2
     exit 1
 fi
 
