@@ -52,7 +52,8 @@ type BuildOptions struct {
 	// runtime.AppConfig.SendWorkers.
 	SendWorkers int
 	// FabricInboxCap overrides the per-node fabric inbox capacity
-	// (0 = netsim.DefaultInboxCap); see runtime.AppConfig.FabricInboxCap.
+	// (0 = netsim.DefaultInboxCap). A full inbox drops and counts
+	// fabric.<label>.inbox_drops rather than blocking the sender.
 	FabricInboxCap int
 }
 
@@ -255,13 +256,12 @@ func locIDOf(locs []passes.Location, label string) uint32 {
 // AppConfig derives the runtime configuration hosts need.
 func (a *Artifact) AppConfig() runtime.AppConfig {
 	cfg := runtime.AppConfig{
-		KernelIDs:      a.KernelIDs,
-		OutSpecs:       map[string][]ncp.ParamSpec{},
-		WindowLen:      a.WindowLen,
-		HostModule:     a.Host,
-		Batch:          a.Batch,
-		SendWorkers:    a.SendWorkers,
-		FabricInboxCap: a.FabricInboxCap,
+		KernelIDs:   a.KernelIDs,
+		OutSpecs:    map[string][]ncp.ParamSpec{},
+		WindowLen:   a.WindowLen,
+		HostModule:  a.Host,
+		Batch:       a.Batch,
+		SendWorkers: a.SendWorkers,
 	}
 	for _, f := range a.Generic.Funcs {
 		if f.Kind != ir.OutKernel {

@@ -122,12 +122,13 @@ type Sender interface {
 	Network() *and.Network
 }
 
-// Node is anything attachable to the fabric.
+// Node is anything attachable to the fabric. Both transports run a node
+// on one goroutine at a time: the fabric's holder of its running claim,
+// UDP's one reader of its socket.
 type Node interface {
 	// Label returns the node's AND label.
 	Label() string
 	// Receive handles a packet delivered from direct neighbor `from`.
-	// It runs on the node's inbox goroutine.
 	Receive(f Sender, pkt *Packet, from string)
 }
 
@@ -141,7 +142,8 @@ type Delivery struct {
 // included — in one call instead of one Receive per packet; its Receive is
 // a burst of one. The deliveries are in arrival order, and the slice is
 // valid only during the call (the caller reuses its backing array).
-// ReceiveBurst must not block: it may run nested on its sender's goroutine.
+// ReceiveBurst must not block: it may run nested on its sender's goroutine
+// (never on two at once).
 type BurstReceiver interface {
 	Node
 	ReceiveBurst(f Sender, burst []Delivery)

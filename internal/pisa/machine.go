@@ -59,6 +59,7 @@ type pisaMetrics struct {
 	tableMisses   *obs.Counter // pisa.<label>.table_misses
 	dupSuppressed *obs.Counter // pisa.<label>.dup_suppressed
 	shadowSlots   *obs.Gauge   // pisa.<label>.shadow_slots
+	shadowEvicted *obs.Counter // pisa.<label>.shadow_evictions
 	stageExecs    []*obs.Counter
 	// tenantWindows counts windows per tenant slot on a merged
 	// multi-tenant program (pisa.<label>.tenant.<id>.windows). nil on
@@ -99,6 +100,7 @@ func (sw *Switch) refreshMetrics() {
 		tableMisses:   r.Counter(p + "table_misses"),
 		dupSuppressed: r.Counter(p + "dup_suppressed"),
 		shadowSlots:   r.Gauge(p + "shadow_slots"),
+		shadowEvicted: r.Counter(p + "shadow_evictions"),
 		stageExecs:    make([]*obs.Counter, sw.target.Stages),
 	}
 	for i := range m.stageExecs {
@@ -299,8 +301,9 @@ func normalize(v uint64, bits int, signed bool) uint64 {
 	return v & types.TruncMask(bits)
 }
 
-// publish adds the batch's counter deltas to the registry and zeroes them.
-func (s *execScratch) publish(met *pisaMetrics) {
+// publish adds the batch's counter deltas, and the evictions of the
+// device's shadow, to the registry and zeroes them.
+func (s *execScratch) publish(met *pisaMetrics, shadow *shadowState) {
 	flush := func(c *obs.Counter, n *uint64) {
 		if *n != 0 {
 			c.Add(*n)
@@ -311,6 +314,7 @@ func (s *execScratch) publish(met *pisaMetrics) {
 	flush(met.tableHits, &s.tableHits)
 	flush(met.tableMisses, &s.tableMisses)
 	flush(met.dupSuppressed, &s.dupSuppressed)
+	flush(met.shadowEvicted, &shadow.evictions)
 	for si := range s.stageExecs {
 		flush(met.stageExecs[si], &s.stageExecs[si])
 	}
@@ -431,7 +435,7 @@ func (sw *Switch) execBatch(kp *kernelPlan, jobs []BatchJob, loc uint32) {
 		}
 	}
 	s := &kp.scratch
-	defer s.publish(met)
+	defer s.publish(met, pl.shadow)
 	phv := s.vals[:kp.numFields]
 	for i := range jobs {
 		j := &jobs[i]

@@ -1,5 +1,7 @@
 package pisa
 
+import "ncl/internal/fifo"
+
 // Exactly-once shadow state — the per-device duplicate filter behind
 // FlagExactlyOnce (the SwitchML-style "seen bitmap" DESIGN §5.4
 // describes). Retransmitted reliable windows re-enter the pipeline; for
@@ -41,9 +43,9 @@ type shadowKey struct {
 }
 
 // shadowSlotsCap bounds live shadow entries per device; the oldest
-// entries are evicted FIFO beyond it. Sized for 64k in-flight
-// (slot, sender) pairs — far above the reliable transport's in-flight
-// window — so eviction only trims rounds long since completed.
+// entries are evicted in insertion order beyond it. Sized for 64k
+// in-flight (slot, sender) pairs — far above the reliable transport's
+// in-flight window — so eviction only trims rounds long since completed.
 const shadowSlotsCap = 1 << 16
 
 // shadowEntry is one (slot, sender) record: the current invocation's wid
@@ -58,13 +60,12 @@ type shadowEntry struct {
 // its own: the engine that owns it (Switch or Reference) runs every
 // window under its single mutex.
 type shadowState struct {
-	slots map[shadowKey]shadowEntry
-	ring  []shadowKey // insertion order for FIFO eviction
-	head  int
+	slots     *fifo.Map[shadowKey, shadowEntry]
+	evictions uint64 // live entries evicted since the owner last published them
 }
 
 func newShadowState() *shadowState {
-	return &shadowState{slots: map[shadowKey]shadowEntry{}}
+	return &shadowState{slots: fifo.New[shadowKey, shadowEntry](shadowSlotsCap)}
 }
 
 // admit records a window's contribution and reports whether it is fresh
@@ -73,32 +74,14 @@ func newShadowState() *shadowState {
 // admission, for the shadow_slots gauge.
 func (s *shadowState) admit(tenant uint32, seq, sender, wid uint64) (fresh bool, size int) {
 	k := shadowKey{tenant, seq, sender}
-	if e, ok := s.slots[k]; ok {
-		if e.cur == wid || (e.hasPrev && e.prev == wid) {
-			return false, len(s.slots)
-		}
-		// New invocation reusing the slot: recycle in place (the key keeps
-		// its ring position; FIFO order is by first use, which is fine —
-		// eviction only needs to be bounded, not exact).
-		s.slots[k] = shadowEntry{cur: wid, prev: e.cur, hasPrev: true}
-		return true, len(s.slots)
+	e, ok := s.slots.Get(k)
+	if ok && (e.cur == wid || (e.hasPrev && e.prev == wid)) {
+		return false, s.slots.Len()
 	}
-	s.slots[k] = shadowEntry{cur: wid}
-	s.ring = append(s.ring, k)
-	for len(s.slots) > shadowSlotsCap && s.head < len(s.ring) {
-		// Pop ring entries until a live key is evicted (forget can leave
-		// stale ring entries behind; deleting those is a no-op).
-		old := s.ring[s.head]
-		s.head++
-		if old != k {
-			delete(s.slots, old)
-		}
-	}
-	if s.head > len(s.ring)/2 && s.head > 1024 {
-		s.ring = append(s.ring[:0], s.ring[s.head:]...)
-		s.head = 0
-	}
-	return true, len(s.slots)
+	// A new slot, or a new invocation reusing one (the entry is recycled
+	// in place and keeps its position; e.cur becomes its previous wid).
+	s.evictions += uint64(s.slots.Put(k, shadowEntry{cur: wid, prev: e.cur, hasPrev: ok}))
+	return true, s.slots.Len()
 }
 
 // forget rolls back an admission whose window then failed to execute
@@ -107,18 +90,18 @@ func (s *shadowState) admit(tenant uint32, seq, sender, wid uint64) (fresh bool,
 // by a stale error.
 func (s *shadowState) forget(tenant uint32, seq, sender, wid uint64) {
 	k := shadowKey{tenant, seq, sender}
-	if e, ok := s.slots[k]; ok && e.cur == wid {
+	if e, ok := s.slots.Get(k); ok && e.cur == wid {
 		if e.hasPrev {
-			s.slots[k] = shadowEntry{cur: e.prev}
+			s.slots.Put(k, shadowEntry{cur: e.prev})
 		} else {
-			delete(s.slots, k)
+			s.slots.Delete(k)
 		}
 	}
 }
 
 // size reports the live entry count.
 func (s *shadowState) size() int {
-	return len(s.slots)
+	return s.slots.Len()
 }
 
 // saluMutates reports whether a SALU micro-program can change its

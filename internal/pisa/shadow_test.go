@@ -337,3 +337,62 @@ func TestShadowState(t *testing.T) {
 		t.Fatal("evicted entry still recognized as duplicate")
 	}
 }
+
+// TestShadowReadmitEvictionOrder: a window whose admission was rolled
+// back (forget) and then admitted again takes a new place in the eviction
+// order. Overflowing the shadow by one must evict the older window a, not
+// k: a stale record of k's first admission must not delete its live
+// re-admission, or k's retransmit would come back fresh and re-apply.
+func TestShadowReadmitEvictionOrder(t *testing.T) {
+	s := newShadowState()
+	const k, a, sender, wid = 1, 2, 9, 1 // k and a are window seqs
+	s.admit(0, k, sender, wid)
+	s.admit(0, a, sender, wid)
+	s.forget(0, k, sender, wid)
+	if fresh, _ := s.admit(0, k, sender, wid); !fresh {
+		t.Fatal("re-admission after forget not fresh")
+	}
+	seq := uint64(100)
+	for ; s.size() < shadowSlotsCap; seq++ {
+		s.admit(0, seq, sender, wid)
+	}
+	s.admit(0, seq, sender, wid) // one past the cap: one eviction
+	if fresh, _ := s.admit(0, k, sender, wid); fresh {
+		t.Fatal("retransmit of the re-admitted window admitted fresh: the shadow evicted it before the older window")
+	}
+	if fresh, _ := s.admit(0, a, sender, wid); !fresh {
+		t.Fatal("the oldest window was not the one evicted")
+	}
+}
+
+// TestShadowEvictionsCounted: filling a device's shadow past
+// shadowSlotsCap evicts the oldest entries, and pisa.<label>.shadow_evictions
+// counts each one.
+func TestShadowEvictionsCounted(t *testing.T) {
+	sw := NewSwitch(DefaultTarget())
+	if err := sw.Load(accumProgram()); err != nil {
+		t.Fatal(err)
+	}
+	r := obs.NewRegistry()
+	sw.SetObs(r, "x")
+	const extra = 10
+	jobs := make([]BatchJob, 1024)
+	for seq := 0; seq < shadowSlotsCap+extra; seq += len(jobs) {
+		n := min(len(jobs), shadowSlotsCap+extra-seq)
+		for i := range jobs[:n] {
+			jobs[i] = BatchJob{
+				Data: [][]uint64{{1, 0}},
+				Meta: WindowMeta{Seq: uint64(seq + i), Sender: 2, Wid: 3, ExactlyOnce: true},
+			}
+		}
+		if err := sw.ExecWindowBatch(1, jobs[:n], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := r.Counter("pisa.x.shadow_evictions").Load(); got != extra {
+		t.Fatalf("shadow_evictions = %d, want %d", got, extra)
+	}
+	if got := r.Gauge("pisa.x.shadow_slots").Load(); got != shadowSlotsCap {
+		t.Fatalf("shadow_slots = %d, want %d", got, shadowSlotsCap)
+	}
+}

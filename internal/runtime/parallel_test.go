@@ -146,10 +146,9 @@ func TestFragFIFOCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sh := recv.shardFor(7)
-	sh.mu.Lock()
-	ringLen, live := sh.fragFIFO.len(), len(sh.frags)
-	sh.mu.Unlock()
+	recv.recvMu.Lock()
+	ringLen, live := recv.frags.Records(), recv.frags.Len()
+	recv.recvMu.Unlock()
 	if live != 0 {
 		t.Errorf("%d fragment buffers live after all windows completed", live)
 	}
@@ -274,9 +273,9 @@ func TestOutPooledAllocsFlat(t *testing.T) {
 }
 
 // TestDataPathRaceStress mixes Out, OutReliable, Recv, and Close across
-// goroutines — meaningful under -race (scripts/check.sh): the sharded
-// receive path, pooled send scratch, and close-vs-enqueue guard must be
-// data-race free.
+// goroutines — meaningful under -race (scripts/check.sh): the receive
+// tables under recvMu, pooled send scratch, and close-vs-enqueue guard
+// must be data-race free.
 func TestDataPathRaceStress(t *testing.T) {
 	lb := newLoopback(t)
 	cfg := testConfig(t, 4)
@@ -369,9 +368,9 @@ func BenchmarkOutParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkReceiveParallel measures the sharded receive path: packets
-// from many concurrent senders decoded, dedup-guarded, and enqueued
-// while a drainer empties the inbox.
+// BenchmarkReceiveParallel measures the receive path under callers that
+// hand one host packets from many goroutines at once: packets from many
+// senders decoded and enqueued while a drainer empties the inbox.
 func BenchmarkReceiveParallel(b *testing.B) {
 	const W, senders = 16, 32
 	lb := newLoopback(b)

@@ -225,21 +225,20 @@ func TestDupGuardEvictionAllocsFlat(t *testing.T) {
 	lb := newLoopback(t)
 	h := NewHost("b", 2, 1, testConfig(t, 4), lb, map[string]string{})
 	mk := func(i int) fragKey { return fragKey{sender: 7, wid: uint32(i), seq: 0} }
-	sh := h.shardFor(7)
 	for i := 0; i < dupGuardCap+64; i++ {
-		sh.mu.Lock()
-		h.markDone(sh, mk(i))
-		sh.mu.Unlock()
+		h.recvMu.Lock()
+		h.done.Put(mk(i), struct{}{})
+		h.recvMu.Unlock()
 	}
-	if sh.doneFIFO.len() != dupGuardCap || len(sh.done) != dupGuardCap {
-		t.Fatalf("guard size %d/%d, want %d", sh.doneFIFO.len(), len(sh.done), dupGuardCap)
+	if h.done.Records() != dupGuardCap || h.done.Len() != dupGuardCap {
+		t.Fatalf("guard size %d/%d, want %d", h.done.Records(), h.done.Len(), dupGuardCap)
 	}
 	i := dupGuardCap + 64
 	allocs := testing.AllocsPerRun(4096, func() {
-		sh.mu.Lock()
-		h.markDone(sh, mk(i))
+		h.recvMu.Lock()
+		h.done.Put(mk(i), struct{}{})
 		i++
-		sh.mu.Unlock()
+		h.recvMu.Unlock()
 	})
 	// The ring itself must be allocation-free; tolerate stray map-bucket
 	// churn well below the old slice-regrowth cost.
@@ -270,10 +269,9 @@ func TestFragBufferEviction(t *testing.T) {
 		}
 		recv.Receive(lb, &netsim.Packet{Dst: "b", Data: pkt}, "s1")
 	}
-	sh := recv.shardFor(7)
-	sh.mu.Lock()
-	live := len(sh.frags)
-	sh.mu.Unlock()
+	recv.recvMu.Lock()
+	live := recv.frags.Len()
+	recv.recvMu.Unlock()
 	if live > fragBufCap {
 		t.Errorf("%d live fragment buffers, cap is %d", live, fragBufCap)
 	}

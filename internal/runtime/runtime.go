@@ -11,9 +11,10 @@
 //
 // Data-path concurrency (DESIGN.md §5.8): Out shards its window range
 // across AppConfig.SendWorkers goroutines with pooled encode scratch and
-// per-worker counter batching; the receive side shards reassembly and
-// duplicate-guard state per sender so concurrent upstream devices do not
-// serialize on one host-wide lock. SendWorkers=1 restores the serial,
+// per-worker counter batching; the receive side keeps one bounded
+// completed-window guard and one fragment table under one lock (both
+// transports run a host on one goroutine at a time, so the lock is not
+// contended on their path). SendWorkers=1 restores the serial,
 // deterministic send order. Everything a host sends — Out and OutReliable
 // bursts, a lone OutWindow, the acks of a received packet — queues in a
 // pooled sendScratch and leaves through the transport's one send,
@@ -21,6 +22,7 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	gort "runtime"
@@ -29,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ncl/internal/fifo"
 	"ncl/internal/ncl/hostgen"
 	"ncl/internal/ncl/ir"
 	"ncl/internal/ncp"
@@ -65,11 +68,6 @@ type AppConfig struct {
 	// TraceEvery samples every Nth sent window for in-band hop tracing
 	// (0 = off). Host.SetTraceEvery adjusts it at runtime.
 	TraceEvery int
-	// FabricInboxCap is a deployment-level knob consumed by core.Deploy:
-	// the per-node fabric inbox capacity (0 = netsim.DefaultInboxCap).
-	// A full inbox drops and counts fabric.<label>.inbox_drops rather
-	// than blocking the sender.
-	FabricInboxCap int
 	// NonIdempotent names the out-kernels whose switch-side execution
 	// mutates register state (derived by core from the compiled programs'
 	// stateful ALUs). OutReliable marks windows for these kernels with
@@ -100,23 +98,6 @@ type RecvWindow struct {
 	Trace []ncp.Hop
 }
 
-// recvShards is the number of independent receive-state shards (must be
-// a power of two). Each sender's reassembly and duplicate-guard state
-// lives in one shard, so packets from different senders are processed
-// without contending on a host-wide lock.
-const recvShards = 16
-
-// recvShard holds one shard of the receive-side state: fragment
-// reassembly buffers and the completed-window duplicate guard for the
-// senders that hash here.
-type recvShard struct {
-	mu       sync.Mutex
-	frags    map[fragKey]*fragBuf
-	fragFIFO keyRing          // fragment-buffer insertion order (eviction)
-	done     map[fragKey]bool // recently completed windows (duplicate guard)
-	doneFIFO keyRing
-}
-
 // Host is one application endpoint.
 type Host struct {
 	label  string
@@ -134,7 +115,12 @@ type Host struct {
 	widSeq     atomic.Uint32 // invocation id allocator
 	traceSink  atomic.Pointer[func(*ncp.Header, []ncp.Hop)]
 
-	shards [recvShards]recvShard
+	// recvMu guards the receive-side tables. The transports run a host on
+	// one goroutine at a time, but a caller may also hand Receive packets
+	// from several goroutines at once.
+	recvMu sync.Mutex
+	done   *fifo.Map[fragKey, struct{}] // recently completed windows (duplicate guard)
+	frags  *fifo.Map[fragKey, *fragBuf] // outstanding fragment buffers
 
 	ackMu       sync.Mutex
 	sends       map[uint32]*relSend      // outstanding OutReliable calls by wid
@@ -235,10 +221,8 @@ func NewHost(label string, id, role uint32, cfg AppConfig, send netsim.Sender, r
 		met:       newHostMetrics(reg, cfg.MetricsPrefix+"host."+label+"."),
 		inbox:     make(chan *RecvWindow, inboxCap),
 		inKernels: map[string]*hostgen.Plan{},
-	}
-	for i := range h.shards {
-		h.shards[i].frags = map[fragKey]*fragBuf{}
-		h.shards[i].done = map[fragKey]bool{}
+		done:      fifo.New[fragKey, struct{}](dupGuardCap),
+		frags:     fifo.New[fragKey, *fragBuf](fragBufCap),
 	}
 	h.SetRouting(netsim.SinglePath(routes, nil))
 	h.traceEvery.Store(int64(cfg.TraceEvery))
@@ -257,13 +241,6 @@ func (h *Host) Label() string { return h.label }
 
 // ID returns the host id (window.sender).
 func (h *Host) ID() uint32 { return h.id }
-
-// shardFor returns the receive-state shard owning a sender's windows.
-// All fragments and retransmits of one window carry the same sender, so
-// they always meet in the same shard.
-func (h *Host) shardFor(sender uint32) *recvShard {
-	return &h.shards[sender%recvShards]
-}
 
 // recvSlot is a delivered window and its header: one element of a slab.
 type recvSlot struct {
@@ -384,8 +361,7 @@ func (h *Host) receivePacket(b *recvBurst, pkt *netsim.Packet) {
 // user/hops copies), reporting whether the inbox took any. A reliable
 // window is acked and duplicate-guarded on its own: a retransmit of a
 // delivered one is re-acked but not re-enqueued, and one the inbox drops
-// is neither recorded nor acked. Only a reliable packet locks its
-// sender's shard, whose completed-window record it reads and writes.
+// is neither recorded nor acked. Only a reliable packet takes recvMu.
 func (h *Host) receiveWindows(b *recvBurst, d *ncp.Decoded) (queued bool) {
 	hd, payload := &d.Header, d.Payload
 	n := max(1, int(hd.BatchCount))
@@ -393,11 +369,10 @@ func (h *Host) receiveWindows(b *recvBurst, d *ncp.Decoded) (queued bool) {
 		b.n.bad++
 		return false // payload does not split evenly across the batch
 	}
-	var sh *recvShard
-	if hd.Flags&ncp.FlagAckRequest != 0 {
-		sh = h.shardFor(hd.Sender)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
+	reliable := hd.Flags&ncp.FlagAckRequest != 0
+	if reliable {
+		h.recvMu.Lock()
+		defer h.recvMu.Unlock()
 	}
 	per := len(payload) / n
 	for k := 0; k < n; k++ {
@@ -405,54 +380,31 @@ func (h *Host) receiveWindows(b *recvBurst, d *ncp.Decoded) (queued bool) {
 		if n > 1 {
 			sub.BatchCount, sub.WindowSeq = 1, hd.WindowSeq+uint32(k)
 		}
-		key := fragKey{sub.Sender, sub.Wid, sub.WindowSeq}
-		if sh != nil && sh.done[key] {
-			b.n.dups++
-			b.acks = append(b.acks, sub)
-			continue
-		}
-		if !h.enqueue(b, b.window(&sub, d.User, d.Hops, payload[k*per:(k+1)*per], n-k)) {
-			continue
-		}
-		queued = true
-		if sh != nil {
-			h.markDone(sh, key)
-			b.acks = append(b.acks, sub)
+		if h.settle(b, &sub, d.User, d.Hops, payload[k*per:(k+1)*per], n-k, reliable) {
+			queued = true
 		}
 	}
 	return queued
 }
 
 // reassemble takes one fragment of a multi-packet window (hosts only, §6)
-// under its sender's shard lock. Fragments of an already-delivered window
-// (retransmits, fabric duplication) are dropped by the completed-window
-// record.
+// under recvMu. Fragments of an already-delivered window (retransmits,
+// fabric duplication) are dropped by the completed-window guard; a
+// completed window is settled like any other and always guarded.
 func (h *Host) reassemble(b *recvBurst, d *ncp.Decoded) {
 	hd := &d.Header
-	wantAck := hd.Flags&ncp.FlagAckRequest != 0
-	sh := h.shardFor(hd.Sender)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	key := fragKey{hd.Sender, hd.Wid, hd.WindowSeq}
-	if sh.done[key] {
-		b.n.dups++
-		if wantAck {
-			b.acks = append(b.acks, *hd)
-		}
+	h.recvMu.Lock()
+	defer h.recvMu.Unlock()
+	if h.duplicate(b, hd) {
 		return
 	}
-	fb := sh.frags[key]
-	if fb == nil {
-		fb = &fragBuf{header: *hd, parts: make([][]byte, hd.FragCount)}
-		if len(d.User) > 0 {
-			fb.user = append([]uint64(nil), d.User...)
-		}
-		if len(d.Hops) > 0 {
-			fb.hops = append([]ncp.Hop(nil), d.Hops...)
-		}
-		sh.frags[key] = fb
-		sh.fragFIFO.push(key)
-		h.evictFrags(sh)
+	key := fragKey{hd.Sender, hd.Wid, hd.WindowSeq}
+	fb, ok := h.frags.Get(key)
+	if !ok {
+		// d's slices are the burst's decode scratch: the buffer keeps copies.
+		fb = &fragBuf{header: *hd, parts: make([][]byte, hd.FragCount),
+			user: append([]uint64(nil), d.User...), hops: append([]ncp.Hop(nil), d.Hops...)}
+		h.met.fragEvictions.Add(uint64(h.frags.Put(key, fb)))
 	}
 	if int(hd.FragIdx) >= len(fb.parts) || fb.parts[hd.FragIdx] != nil {
 		b.n.dups++
@@ -463,27 +415,11 @@ func (h *Host) reassemble(b *recvBurst, d *ncp.Decoded) {
 	if fb.have < len(fb.parts) {
 		return
 	}
-	delete(sh.frags, key)
-	h.pruneFragFIFO(sh)
+	h.frags.Delete(key)
 	b.n.frags += uint64(len(fb.parts))
-	total := 0
-	for _, p := range fb.parts {
-		total += len(p)
-	}
-	full := make([]byte, 0, total)
-	for _, p := range fb.parts {
-		full = append(full, p...)
-	}
 	hd2 := fb.header
 	hd2.FragIdx, hd2.FragCount = 0, 1
-	rw := b.window(&hd2, nil, nil, full, 1)
-	rw.User, rw.Trace = fb.user, fb.hops
-	if h.enqueue(b, rw) {
-		h.markDone(sh, key)
-		if wantAck {
-			b.acks = append(b.acks, *hd)
-		}
-	}
+	h.settle(b, &hd2, fb.user, fb.hops, bytes.Join(fb.parts, nil), 1, true)
 }
 
 // vtimeNs converts the fabric's virtual arrival time to the trace's
@@ -495,102 +431,52 @@ func vtimeNs(pkt *netsim.Packet) uint64 {
 	return uint64(pkt.VTimeUs * 1000)
 }
 
-// dupGuardCap bounds each shard's completed-window duplicate guard: the
-// oldest records are evicted FIFO past this size, so long-running hosts
-// hold a fixed amount of dedup state (evictions are counted in
-// host.<label>.dup_guard_evictions).
-const dupGuardCap = 4096
+// dupGuardCap bounds a host's completed-window duplicate guard: the
+// oldest records are evicted in insertion order past this size, so
+// long-running hosts hold a fixed amount of dedup state (evictions are
+// counted in host.<label>.dup_guard_evictions).
+const dupGuardCap = 65536
 
-// fragBufCap bounds each shard's outstanding fragment buffers: windows
-// that never complete (a lost fragment, a sender that died mid-window)
-// would otherwise leak their partial buffers forever. Past the cap the
-// oldest outstanding buffer is evicted (host.<label>.frag_evictions).
-const fragBufCap = 1024
+// fragBufCap bounds a host's outstanding fragment buffers: windows that
+// never complete (a lost fragment, a sender that died mid-window) would
+// otherwise leak their partial buffers forever. Past the cap the oldest
+// outstanding buffer is evicted (host.<label>.frag_evictions).
+const fragBufCap = 16384
 
-// keyRing is a growable FIFO ring of fragKeys. Unlike re-slicing a plain
-// slice ([1:]), popping advances a head index, so the backing array is
-// reused in steady state instead of creeping forward until reallocation.
-type keyRing struct {
-	buf  []fragKey
-	head int
-	n    int
+// settle is the last step of every received window: dedupe, enqueue, mark
+// done, ack. A guarded window (the caller holds recvMu) that the
+// completed-window guard holds is a duplicate; any other is built in the
+// burst's slab and enqueued, and once the inbox took it, recorded in the
+// guard if guarded and acked if it asks for an ack (only a guarded one
+// can: every reliable window is guarded).
+func (h *Host) settle(b *recvBurst, hd *ncp.Header, user []uint64, hops []ncp.Hop, raw []byte, want int, guard bool) bool {
+	if guard && h.duplicate(b, hd) {
+		return false
+	}
+	if !h.enqueue(b, b.window(hd, user, hops, raw, want)) {
+		return false
+	}
+	if guard {
+		h.met.dupEvictions.Add(uint64(h.done.Put(fragKey{hd.Sender, hd.Wid, hd.WindowSeq}, struct{}{})))
+	}
+	if hd.Flags&ncp.FlagAckRequest != 0 {
+		b.acks = append(b.acks, *hd)
+	}
+	return true
 }
 
-func (r *keyRing) push(k fragKey) {
-	if r.n == len(r.buf) {
-		grown := make([]fragKey, max(2*len(r.buf), 16))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf, r.head = grown, 0
+// duplicate reports whether the completed-window guard holds hd's window,
+// counting it and re-acking it if it asks for an ack. The caller holds
+// recvMu.
+func (h *Host) duplicate(b *recvBurst, hd *ncp.Header) bool {
+	if _, ok := h.done.Get(fragKey{hd.Sender, hd.Wid, hd.WindowSeq}); !ok {
+		return false
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = k
-	r.n++
-}
-
-func (r *keyRing) pop() (fragKey, bool) {
-	if r.n == 0 {
-		return fragKey{}, false
+	b.n.dups++
+	if hd.Flags&ncp.FlagAckRequest != 0 {
+		b.acks = append(b.acks, *hd)
 	}
-	k := r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return k, true
-}
-
-func (r *keyRing) len() int { return r.n }
-
-// markDone records a delivered window in the shard's bounded duplicate
-// guard. Caller holds the shard lock.
-func (h *Host) markDone(sh *recvShard, key fragKey) {
-	sh.done[key] = true
-	sh.doneFIFO.push(key)
-	if sh.doneFIFO.len() > dupGuardCap {
-		old, _ := sh.doneFIFO.pop()
-		delete(sh.done, old)
-		h.met.dupEvictions.Inc()
-	}
-}
-
-// evictFrags drops the oldest outstanding fragment buffers past the cap.
-// FIFO entries whose window already completed are skipped (their buffer
-// is gone). Caller holds the shard lock.
-func (h *Host) evictFrags(sh *recvShard) {
-	for len(sh.frags) > fragBufCap {
-		old, ok := sh.fragFIFO.pop()
-		if !ok {
-			return
-		}
-		if _, live := sh.frags[old]; live {
-			delete(sh.frags, old)
-			h.met.fragEvictions.Inc()
-		}
-	}
-}
-
-// pruneFragFIFO compacts the fragment-FIFO ring once dead keys (windows
-// that completed normally) dominate it. Without this, every fragmented
-// window that completes would leave its key in the ring forever and a
-// long-running host's ring would grow without bound. The ring stays
-// bounded by 2x the live buffer count plus a constant, amortized O(1)
-// per completed window. Caller holds the shard lock.
-func (h *Host) pruneFragFIFO(sh *recvShard) {
-	if sh.fragFIFO.len() <= 2*len(sh.frags)+16 {
-		return
-	}
-	live := make([]fragKey, 0, len(sh.frags))
-	for {
-		k, ok := sh.fragFIFO.pop()
-		if !ok {
-			break
-		}
-		if _, alive := sh.frags[k]; alive {
-			live = append(live, k)
-		}
-	}
-	for _, k := range live {
-		sh.fragFIFO.push(k)
-	}
+	return true
 }
 
 // enqueue queues one window for the application, reporting whether it

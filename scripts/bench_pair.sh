@@ -20,8 +20,14 @@
 #     every pair,
 #   - allocs_per_op is `differ` with the change worse in any pair (the
 #     count repeats to four digits, one pair is enough), or
-#   - `failed` is higher at the change in any pair.
-# `unresolved` never fails: it says the machine was too noisy to tell.
+#   - `failed` is higher at the change in any pair, or
+#   - for a workload, the median change setup_s over all pairs (the b
+#     column of its -compare rows) is above the median parent setup_s (the
+#     a column) by more than setup_s's bound in BENCHMARK.json. Set-up is
+#     one sample per run, so one pair mostly reads `unresolved`; pooled
+#     over the pairs it still catches a bound-sized set-up regression.
+# `unresolved` never fails on its own: it says the machine was too noisy
+# to tell.
 set -euo pipefail
 
 ref="${1:-}"
@@ -91,6 +97,24 @@ awk '
   }' "$work"/*.compare | { IFS= read -r head; echo "$head"; sort; }
 echo
 
+# Pooled set-up verdict, per workload: the median parent and change
+# setup_s over all pairs and their ratio.
+bound=$(grep -o '"name": "setup_s"[^}]*"bound": [0-9.]*' BENCHMARK.json | grep -o '[0-9.]*$')
+median() { sort -g | awk '{ v[NR] = $1 } END { print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
+setup_rc=0
+for wl in "${wls[@]}"; do
+  rows=$(awk -v wl="$wl" '$1 == wl && $2 == "setup_s"' "$work"/*.compare)
+  [ -n "$rows" ] || continue
+  a=$(awk '{ print $3 }' <<<"$rows" | median)
+  b=$(awk '{ print $4 }' <<<"$rows" | median)
+  awk -v wl="$wl" -v a="$a" -v b="$b" -v bound="$bound" 'BEGIN {
+    r = (a > 0) ? b / a : 1
+    printf "setup_s pooled %-25s parent %.4f  change %.4f  ratio %.4f\n", wl, a, b, r
+    exit r > 1 + bound
+  }' || { echo "bench_pair: $wl setup_s pooled median worse than its bound ($bound)"; setup_rc=1; }
+done
+echo
+
 # Metrics where a larger value is the better one, from BENCHMARK.json.
 higher=$(grep -o '"name": "[^"]*", "unit": "[^"]*", "better": "higher"' BENCHMARK.json | cut -d'"' -f4 | tr '\n' ' ')
 awk -v pairs="$pairs" -v higher="$higher" '
@@ -106,4 +130,5 @@ awk -v pairs="$pairs" -v higher="$higher" '
     for (b in bad) { print "bench_pair: " b; rc = 1 }
     if (!rc) print "bench_pair: no end-to-end metric is worse in every pair, allocs_per_op and failed hold"
     exit rc
-  }' "$work"/*.compare
+  }' "$work"/*.compare || setup_rc=1
+exit "$setup_rc"

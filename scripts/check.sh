@@ -3,7 +3,7 @@
 # buffer and one packet allocator, read-only received windows, the host's
 # window slab and packet allocators, one runner per fabric node, the
 # fabric's ports, one lock per PISA device, one control path, one
-# forwarding rule, doc lint,
+# forwarding rule, one bounded table, doc lint,
 # staticcheck (when installed), and the full test suite under the race
 # detector.
 # CI-equivalent; run before sending a change. Set NCL_CHECK_SKIP_TESTS=1 to
@@ -163,6 +163,21 @@ fwd="$fwd$(grep -rnwE 'HostRoutingAll|SetHosts|HostLabels|resolveHop|hostRouting
 if [ -n "$fwd" ]; then
     echo "forwarding outside Routes.NextHop (internal/netsim, internal/runtime), or a second route writer:" >&2
     echo "$fwd" >&2
+    exit 1
+fi
+
+# A window applies and is delivered once through bounded "seen" tables —
+# the host's completed-window guard and fragment buffers, the device's
+# exactly-once shadow — and each is a fifo.Map: a second hand-rolled
+# insertion-order ring, with its own eviction and compaction, is how a
+# stale record once evicted a live re-admission. The per-sender receive
+# shards stay gone too: both transports run a host on one goroutine.
+echo "== one bounded table"
+tbl=$(grep -nwE 'recvShards|shardFor|keyRing|evictFrags|pruneFragFIFO' internal/runtime/*.go | grep -v '_test\.go:' || true)
+tbl="$tbl$(grep -nE '^[^/]*\b(ring|head)\b' internal/pisa/shadow.go || true)"
+if [ -n "$tbl" ]; then
+    echo "a receive shard or an insertion-order ring outside internal/fifo (internal/runtime, internal/pisa/shadow.go):" >&2
+    echo "$tbl" >&2
     exit 1
 fi
 
